@@ -16,9 +16,7 @@ import numpy as np
 
 from . import dg
 from .errors import BlowupError
-from .mlp import forward_params
-from .ode import get_tableau, integrate
-from .training import predict_discrete
+from .training import predict_augmented, predict_discrete
 
 FLOAT_FMT = ".17g"
 
@@ -64,12 +62,20 @@ def _align(pred, ref):
     return np.arange(n + 1) * k, np.arange(n + 1)
 
 
-def compare_fields(pred, ref, mesh):
-    """Broken-L2, relative, and max-nodal errors at every shared time."""
+def compare_fields(pred, ref, mesh=None):
+    """Broken-L2, relative, and max-nodal errors at every shared time.
+
+    Without a mesh the states are plain vectors and the Euclidean norm is
+    used.
+    """
     ip, ir = _align(pred, ref)
     dstates = pred.states[ip] - ref.states[ir]
-    l2 = dg.states_dg_norm(mesh, dstates)
-    ref_norm = dg.states_dg_norm(mesh, ref.states[ir])
+    if mesh is None:
+        l2 = np.linalg.norm(dstates, axis=1)
+        ref_norm = np.linalg.norm(ref.states[ir], axis=1)
+    else:
+        l2 = dg.states_dg_norm(mesh, dstates)
+        ref_norm = dg.states_dg_norm(mesh, ref.states[ir])
     rel = l2 / np.where(ref_norm > 0, ref_norm, 1.0)
     max_abs = np.max(np.abs(dstates), axis=1)
     times = ref.t0 + ref.dt * ir
@@ -110,20 +116,18 @@ def timestep_sweep(pde_cfg, mesh_low, params_cont, params_disc, ref, dt_list, ev
     float('inf') instead of aborting the sweep.
     """
     rhs_low = dg.rhs_semidiscrete(pde_cfg, mesh_low)
-    tab = get_tableau(tableau) if isinstance(tableau, str) else tableau
     u0 = ref.states[0]
     horizon = max(eval_times)
+    methods = (
+        ("continuous", predict_augmented, params_cont),
+        ("discrete", predict_discrete, params_disc),
+    )
     rows = []
     for dt in dt_list:
         n_steps = int(round(horizon / dt))
-        for method, params in (("continuous", params_cont), ("discrete", params_disc)):
+        for method, rollout, params in methods:
             try:
-                if method == "continuous":
-                    def fn(t, u, _p=params):
-                        return rhs_low(t, u) + forward_params(_p, u)
-                    traj = integrate(tab, fn, u0, ref.t0, dt, n_steps)
-                else:
-                    traj = predict_discrete(params, rhs_low, tab, u0, dt, n_steps, t0=ref.t0)
+                traj = rollout(params, rhs_low, tableau, u0, dt, n_steps, t0=ref.t0)
             except BlowupError:
                 rows.extend((method, dt, t_eval, float("inf")) for t_eval in eval_times)
                 continue

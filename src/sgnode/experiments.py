@@ -1,8 +1,9 @@
 """Wiring between run configurations and the core modules.
 
 Each experiment knows how to build its meshes/right-hand sides, generate and
-filter reference data, train the continuous source and the discrete
-post-correction baseline, and roll out every prediction variant.
+filter reference data, build the source-augmented right-hand side that
+training differentiates through, train the discrete post-correction
+baseline, and roll out every prediction variant.
 """
 
 from __future__ import annotations
@@ -140,26 +141,13 @@ def rhs_builder_for(cfg):
     pcfg = pde_config(cfg.experiment, cfg.model)
     _, mesh_l = pde_meshes(cfg.model)
     rhs_l = dg.rhs_semidiscrete(pcfg, mesh_l)
-
-    def builder(ws, bs):
-        def fn(t, u):
-            return rhs_l(t, u) + mlp.forward(ws, bs, u)
-        return fn
-
-    return builder
+    return lambda ws, bs: training.augmented(rhs_l, ws, bs)
 
 
-def train_continuous(cfg, trajs, on_epoch=None):
-    d_in, d_out = source_dims(cfg)
-    return training.train(
-        trajs, cfg.training, rhs_builder_for(cfg), d_in, d_out, on_epoch=on_epoch
-    )
-
-
-def train_discrete(cfg, trajs, on_epoch=None):
+def train_discrete(cfg, trajs, init=None, on_epoch=None):
     if cfg.experiment == "l96":
         raise ConfigError("the discrete post-correction baseline is PDE-only")
-    tcfg = getattr(cfg, "training_discrete", None) or cfg.training
+    tcfg = cfg.training_discrete
     pcfg = pde_config(cfg.experiment, cfg.model)
     _, mesh_l = pde_meshes(cfg.model)
     rhs_l = dg.rhs_semidiscrete(pcfg, mesh_l)
@@ -169,56 +157,46 @@ def train_discrete(cfg, trajs, on_epoch=None):
     )
     d = mesh_l.n_dof
     return training.train_discrete_forcing(
-        inputs, targets, tcfg, d, d, on_epoch=on_epoch
+        inputs, targets, tcfg, d, d, init=init, on_epoch=on_epoch
     )
 
 
 def predict(cfg, params, u0, dt, n_steps, variant, t0=0.0):
     """Roll out one prediction variant from a flat initial state."""
-    tab = get_tableau(cfg.prediction.tableau)
+    meta = {"variant": variant}
+    post_step = None
     if cfg.experiment == "l96":
         lcfg = l96_config(cfg.model)
         if variant == "slow":
             rhs = lorenz96.rhs_slow_neural(lcfg, params)
-            return integrate(tab, rhs, u0, t0, dt, n_steps, meta={"variant": variant})
-        if variant == "low":  # uncoupled baseline: zero source in the slow equation
-            zero = mlp.zero_params(*lcfg.source_dims)
-            fn = lorenz96.rhs_coupled_neural(lcfg, zero.weights, zero.biases)
-            return integrate(tab, fn, u0, t0, dt, n_steps, meta={"variant": variant})
-        if variant == "augmented":
-            fn = lorenz96.rhs_coupled_neural(lcfg, params.weights, params.biases)
-            return integrate(tab, fn, u0, t0, dt, n_steps, meta={"variant": variant})
-        if variant == "high":
+        elif variant == "high":
             rhs = lorenz96.rhs_coupled(lcfg)
-            return integrate(tab, rhs, u0, t0, dt, n_steps, meta={"variant": variant})
-        raise ConfigError(f"variant {variant!r} is undefined for l96")
-
-    pcfg = pde_config(cfg.experiment, cfg.model)
-    mesh_h, mesh_l = pde_meshes(cfg.model)
-    meta = {"variant": variant}
-    if variant == "high":
-        rhs = dg.rhs_semidiscrete(pcfg, mesh_h)
-        return integrate(tab, rhs, u0, t0, dt, n_steps, meta=meta)
-    if variant == "low":
-        rhs = dg.rhs_semidiscrete(pcfg, mesh_l)
-        return integrate(tab, rhs, u0, t0, dt, n_steps, meta=meta)
-    if variant == "augmented":
-        rhs = dg.rhs_semidiscrete(pcfg, mesh_l)
-        return training.predict_augmented(
-            params, rhs, tab, u0, dt, n_steps, t0=t0, meta=meta
-        )
-    if variant == "discrete":
-        rhs = dg.rhs_semidiscrete(pcfg, mesh_l)
-        return training.predict_discrete(params, rhs, tab, u0, dt, n_steps, t0=t0, meta=meta)
+        elif variant in ("low", "augmented"):
+            # the uncoupled baseline is the coupled model with a zero source
+            net = mlp.zero_params(*lcfg.source_dims) if variant == "low" else params
+            rhs = lorenz96.rhs_coupled_neural(lcfg, net.weights, net.biases)
+        else:
+            raise ConfigError(f"variant {variant!r} is undefined for l96")
+    else:
+        pcfg = pde_config(cfg.experiment, cfg.model)
+        mesh_h, mesh_l = pde_meshes(cfg.model)
+        mesh = mesh_h if variant == "high" else mesh_l
+        if variant in ("low2", "low3"):
+            mesh = dg.make_mesh(mesh_l.n_elem, 2 if variant == "low2" else 3, *mesh_l.domain)
+            u0 = dg.interp_to_order(dg.field_from_flat(mesh_l, u0), mesh.order).flat
+        elif variant not in ("high", "low", "augmented", "discrete"):
+            raise ConfigError(f"unknown prediction variant {variant!r}")
+        rhs = dg.rhs_semidiscrete(pcfg, mesh)
+        if variant == "augmented":
+            rhs = training.augmented(rhs, params.weights, params.biases)
+        elif variant == "discrete":
+            post_step = training.discrete_correction(params, dt)
+    tab = get_tableau(cfg.prediction.tableau)
+    traj = integrate(tab, rhs, u0, t0, dt, n_steps, meta=meta, post_step=post_step)
     if variant in ("low2", "low3"):
-        order = 2 if variant == "low2" else 3
-        mesh_k = dg.make_mesh(mesh_l.n_elem, order, *mesh_l.domain)
-        rhs = dg.rhs_semidiscrete(pcfg, mesh_k)
-        lifted = dg.interp_to_order(dg.field_from_flat(mesh_l, u0), order)
-        traj = integrate(tab, rhs, lifted.flat, t0, dt, n_steps, meta=meta)
-        projected = dg.project_states(mesh_k, traj.states, mesh_l.order)
+        projected = dg.project_states(mesh, traj.states, mesh_l.order)
         return Trajectory(t0=t0, dt=dt, states=projected, meta=meta)
-    raise ConfigError(f"unknown prediction variant {variant!r}")
+    return traj
 
 
 def variant_initial_state(cfg, variant, ref_filtered, ref_truth=None):

@@ -101,10 +101,6 @@ def param_list(params):
     return out
 
 
-def from_param_list(plist, seed=0):
-    return MlpParams(weights=list(plist[0::2]), biases=list(plist[1::2]), seed=seed)
-
-
 def forward(weights, biases, x):
     """Evaluate the net on rows of x: (batch, d_in) -> (batch, d_out)."""
     h = x

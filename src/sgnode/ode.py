@@ -117,6 +117,9 @@ _TABLEAUS = {"rk4": tableau_rk4, "tsit5": tableau_tsit5}
 
 
 def get_tableau(name):
+    """The tableau called `name`; a ButcherTableau is returned unchanged."""
+    if isinstance(name, ButcherTableau):
+        return name
     try:
         return _TABLEAUS[name]()
     except KeyError:
@@ -205,8 +208,12 @@ class Trajectory:
         return self.states.shape[0]
 
 
-def integrate(tableau, rhs, u0, t0, dt, n_steps, meta=None):
-    """March n_steps fixed steps; returns all n_steps + 1 states."""
+def integrate(tableau, rhs, u0, t0, dt, n_steps, meta=None, post_step=None):
+    """March n_steps fixed steps; returns all n_steps + 1 states.
+
+    `post_step(t, u_prev, u_stepped)`, when given, maps each ERK step's
+    result to the state carried forward (a discrete correction).
+    """
     if n_steps < 0:
         raise ValueError("n_steps must be >= 0")
     u0 = np.asarray(u0, dtype=np.float64)
@@ -218,10 +225,11 @@ def integrate(tableau, rhs, u0, t0, dt, n_steps, meta=None):
     t = t0
     for n in range(n_steps):
         try:
-            u = erk_step(tableau, rhs, t, u, dt)
+            stepped = erk_step(tableau, rhs, t, u, dt)
         except BlowupError as e:
             e.step = n
             raise
+        u = stepped if post_step is None else post_step(t, u, stepped)
         if not float(np.max(np.abs(u))) <= BLOWUP_LIMIT:
             raise BlowupError(
                 f"state blew up after step {n} (t={t:.6g})", step=n, time=t

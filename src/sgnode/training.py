@@ -19,7 +19,7 @@ import numpy as np
 from . import autodiff as ad
 from . import mlp
 from .errors import BlowupError, ConfigError
-from .ode import BLOWUP_LIMIT, Trajectory, erk_step, get_tableau, integrate
+from .ode import erk_step, get_tableau, integrate
 
 
 @dataclass
@@ -133,18 +133,31 @@ def sample_windows(trajs, cfg, epoch_seed, ranges=None, batch_size=None):
     return WindowBatch(x0=x0, targets=targets, dt=cfg.dt)
 
 
+def augmented(rhs, weights, biases):
+    """The source-augmented right-hand side f(t, u) + NN(u).
+
+    Works on numpy arrays and on tape handles alike.
+    """
+    def fn(t, u):
+        return rhs(t, u) + mlp.forward(weights, biases, u)
+
+    return fn
+
+
 def make_loss_builder(batch, rhs_builder, tableau):
     """Tape builder for the windowed rollout MSE.
 
     `rhs_builder(weights, biases)` must yield the augmented right-hand side
     f(t, u) for (n, d)-shaped states built from the given parameter handles.
+    Called with tape None and plain parameter arrays, the builder evaluates
+    the same loss in numpy.
     """
-    tab = get_tableau(tableau) if isinstance(tableau, str) else tableau
+    tab = get_tableau(tableau)
 
     def build(tape, pvars):
         ws, bs = pvars[0::2], pvars[1::2]
         rhs = rhs_builder(ws, bs)
-        u = tape.const(batch.x0)
+        u = batch.x0 if tape is None else tape.const(batch.x0)
         loss = None
         t = 0.0
         for l in range(batch.window):
@@ -154,7 +167,7 @@ def make_loss_builder(batch, rhs_builder, tableau):
                 e.step = l
                 raise
             t += batch.dt
-            r = u - tape.const(batch.targets[l])
+            r = u - batch.targets[l]
             sq = ad.sum_all(ad.square(r))
             loss = sq if loss is None else loss + sq
         return loss * (1.0 / (batch.size * batch.window))
@@ -171,16 +184,8 @@ def node_loss(params, batch, rhs_builder, tableau):
 
 def rollout_loss_value(params, batch, rhs_builder, tableau):
     """Same loss evaluated in plain numpy (no tape); used for test metrics."""
-    tab = get_tableau(tableau) if isinstance(tableau, str) else tableau
-    rhs = rhs_builder(params.weights, params.biases)
-    u = batch.x0
-    total = 0.0
-    t = 0.0
-    for l in range(batch.window):
-        u = erk_step(tab, rhs, t, u, batch.dt)
-        t += batch.dt
-        total += float(np.sum((u - batch.targets[l]) ** 2))
-    return total / (batch.size * batch.window)
+    build = make_loss_builder(batch, rhs_builder, tableau)
+    return float(build(None, mlp.param_list(params)))
 
 
 @dataclass
@@ -282,7 +287,7 @@ def discrete_forcing_dataset(filtered_trajs, dt_coarse, rhs_low, tableau, ranges
     (u_{n+1}^filtered - ERKstep(u_n)) / dt_coarse, i.e. the forcing a single
     forward-Euler correction would need at this specific timestep size.
     """
-    tab = get_tableau(tableau) if isinstance(tableau, str) else tableau
+    tab = get_tableau(tableau)
     stride = _stride(dt_coarse, filtered_trajs[0].dt)
     xs, ys = [], []
     for ti, tr in enumerate(filtered_trajs):
@@ -332,12 +337,16 @@ def train_discrete_forcing(inputs, targets, cfg, d_in, d_out, init=None, on_epoc
 
 def predict_augmented(params, rhs_plain, tableau, u0, dt, n_steps, t0=0.0, meta=None):
     """Rollout of the source-augmented continuous system."""
-    tab = get_tableau(tableau) if isinstance(tableau, str) else tableau
+    fn = augmented(rhs_plain, params.weights, params.biases)
+    return integrate(get_tableau(tableau), fn, u0, t0, dt, n_steps, meta=meta)
 
-    def fn(t, u):
-        return rhs_plain(t, u) + mlp.forward_params(params, u)
 
-    return integrate(tab, fn, u0, t0, dt, n_steps, meta=meta)
+def discrete_correction(params, dt):
+    """Post-step hook adding the Euler correction dt * NN(u_n) to each step."""
+    def correct(t, u_prev, u_stepped):
+        return u_stepped + dt * mlp.forward_params(params, u_prev)
+
+    return correct
 
 
 def predict_discrete(params, rhs_low, tableau, u0, dt, n_steps, t0=0.0, meta=None):
@@ -345,23 +354,10 @@ def predict_discrete(params, rhs_low, tableau, u0, dt, n_steps, t0=0.0, meta=Non
 
     The corrected state is carried forward into the next step.
     """
-    tab = get_tableau(tableau) if isinstance(tableau, str) else tableau
-    u = np.asarray(u0, dtype=np.float64)
-    states = np.empty((n_steps + 1, u.size))
-    states[0] = u
-    t = t0
-    for n in range(n_steps):
-        try:
-            stepped = erk_step(tab, rhs_low, t, u, dt)
-        except BlowupError as e:
-            e.step = n
-            raise
-        u = stepped + dt * mlp.forward_params(params, u)
-        if not float(np.max(np.abs(u))) <= BLOWUP_LIMIT:
-            raise BlowupError("corrected state blew up", step=n, time=t)
-        states[n + 1] = u
-        t = t0 + (n + 1) * dt
-    return Trajectory(t0=t0, dt=dt, states=states, meta=dict(meta or {}))
+    return integrate(
+        get_tableau(tableau), rhs_low, u0, t0, dt, n_steps, meta=meta,
+        post_step=discrete_correction(params, dt),
+    )
 
 
 def loss_history_rows(history):

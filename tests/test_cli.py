@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from sgnode import experiments, mlp
-from sgnode.cli import main
+from sgnode.cli import main, run_timings
 from sgnode.config import load_config
 from sgnode.errors import ConfigError
 from sgnode.ode import load_trajectory
@@ -134,6 +134,9 @@ def test_checkpoint_shape_mismatch_is_io_error(tmp_path):
     mlp.save_params(wrong, out / "wrong.sgnp")
     rc = main(["predict", "--config", str(path), "--checkpoint", str(out / "wrong.sgnp")])
     assert rc == 4
+    for extra in ([], ["--discrete"]):
+        rc = main(["train", "--config", str(path), "--resume", str(out / "wrong.sgnp")] + extra)
+        assert rc == 4
 
 
 def test_discrete_training_and_sweep(tmp_path):
@@ -153,6 +156,18 @@ def test_discrete_training_and_sweep(tmp_path):
     sweep = (out / "sweep.csv").read_text().splitlines()
     assert sweep[0] == "method,dt,t,rel_error"
     assert len(sweep) == 1 + 2 * 2 * 2
+
+
+def test_run_timings_leaves_the_config_unchanged(tmp_path):
+    timing = {"repeats": 1, "t_final": 0.01, "tableau": "tsit5", "dts": {"low": 2e-3}}
+    path = smoke_config(tmp_path, timing=timing)
+    main(["generate", "--config", str(path)])
+    cfg = load_config(path)
+    ref = experiments.load_dataset(cfg)[0]
+    truth = experiments.load_dataset(cfg, kind="truth")[0]
+    rows = run_timings(cfg, ref, truth, mlp.zero_params(16, 16))
+    assert [r[0] for r in rows] == ["low"]
+    assert cfg.prediction.tableau == "rk4"
 
 
 def test_timing_command(tmp_path):
@@ -217,6 +232,31 @@ def test_resume_continues_from_checkpoint(tmp_path):
                  str(out / "checkpoint_continuous.sgnp")]) == 0
     second = mlp.load_params(out / "checkpoint_continuous.sgnp")
     assert not np.array_equal(first.weights[0], second.weights[0])
+
+
+def test_discrete_resume_continues_from_checkpoint(tmp_path):
+    path = smoke_config(tmp_path)
+    main(["generate", "--config", str(path)])
+    ckpt = tmp_path / "run" / "checkpoint_discrete.sgnp"
+    assert main(["train", "--config", str(path), "--discrete"]) == 0
+    first = mlp.load_params(ckpt)
+    assert main(["train", "--config", str(path), "--discrete", "--resume", str(ckpt)]) == 0
+    resumed = mlp.load_params(ckpt)
+    assert main(["train", "--config", str(path), "--discrete"]) == 0
+    fresh = mlp.load_params(ckpt)
+    assert np.array_equal(first.weights[0], fresh.weights[0])
+    assert not np.array_equal(resumed.weights[0], fresh.weights[0])
+
+
+def test_seed_override_reaches_both_training_seeds(tmp_path):
+    path = smoke_config(tmp_path)
+    main(["generate", "--config", str(path)])
+    out = tmp_path / "run"
+    for extra in ([], ["--discrete"]):
+        assert main(["train", "--config", str(path), "--seed", "7"] + extra) == 0
+    # a fresh net records the seed it was initialised from
+    assert mlp.load_params(out / "checkpoint_continuous.sgnp").seed == 7
+    assert mlp.load_params(out / "checkpoint_discrete.sgnp").seed == 7
 
 
 def test_seed_override_changes_dataset(tmp_path):

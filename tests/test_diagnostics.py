@@ -27,6 +27,15 @@ def test_constant_offset_error_is_the_offset():
     assert np.allclose(rep.max_abs, c, atol=1e-15)
 
 
+def test_compare_without_mesh_uses_euclidean_norm():
+    ref = Trajectory(t0=0.0, dt=0.1, states=np.array([[3.0, 4.0], [0.0, 0.0]]), meta={})
+    pred = Trajectory(t0=0.0, dt=0.1, states=np.array([[3.0, 4.0], [1.0, -2.0]]), meta={})
+    rep = diagnostics.compare_fields(pred, ref)
+    assert np.array_equal(rep.l2, [0.0, np.sqrt(5.0)])
+    assert np.array_equal(rep.rel, [0.0, np.sqrt(5.0)])  # a zero reference norm counts as 1
+    assert np.array_equal(rep.max_abs, [0.0, 2.0])
+
+
 def test_compare_symmetry():
     mesh = dg.make_mesh(5, 1, 0.0, 1.0)
     rng = np.random.default_rng(1)

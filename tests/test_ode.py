@@ -166,6 +166,33 @@ def test_trajectory_bad_magic(tmp_path):
         load_trajectory(path)
 
 
+def test_get_tableau_passes_a_tableau_through():
+    tab = tableau_rk4()
+    assert get_tableau(tab) is tab
+
+
+def test_integrate_post_step_output_is_carried_forward():
+    seen = []
+
+    def post_step(t, u_prev, u_stepped):
+        seen.append((t, u_prev.copy(), u_stepped.copy()))
+        return u_stepped + 1.0
+
+    tr = integrate(tableau_rk4(), lambda t, u: np.zeros_like(u), np.array([0.0, 2.0]),
+                   0.5, 0.25, 3, post_step=post_step)
+    assert np.array_equal(tr.states[:, 0], [0.0, 1.0, 2.0, 3.0])
+    assert [t for t, _, _ in seen] == [0.5, 0.75, 1.0]
+    assert all(np.array_equal(prev, stepped) for _, prev, stepped in seen)
+    assert np.array_equal(seen[2][1], [2.0, 4.0])
+
+
+def test_integrate_post_step_blowup_is_caught():
+    with pytest.raises(BlowupError) as e:
+        integrate(tableau_rk4(), lambda t, u: np.zeros_like(u), np.array([1.0]), 0.0, 0.1, 5,
+                  post_step=lambda t, u_prev, u_stepped: u_stepped * 1e9)
+    assert e.value.step == 1
+
+
 def test_get_tableau_unknown_name():
     with pytest.raises(ValueError):
         get_tableau("rk9000")

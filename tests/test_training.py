@@ -125,6 +125,20 @@ class TestNodeLoss:
         assert loss >= 0.0
         assert loss == pytest.approx(loss_np, rel=1e-13)
 
+    def test_untaped_loss_is_bit_identical_to_taped(self):
+        # one loss definition: the numpy path runs the taped builder untaped
+        traj, mat = toy_trajectory()
+        cfg = training.TrainConfig(epochs=1, batch_size=5, window=3, dt=0.02, seed=2)
+        params = mlp.init_params(3, 3, seed=4, hidden=8)
+
+        def builder(ws, bs):
+            return training.augmented(lambda t, u: u @ mat.T, ws, bs)
+
+        for k in range(20):
+            batch = training.sample_windows([traj], cfg, epoch_seed=[k])
+            loss, _ = training.node_loss(params, batch, builder, "rk4")
+            assert training.rollout_loss_value(params, batch, builder, "rk4") == loss
+
 
 class TestOptimizers:
     def test_zero_gradient_is_a_fixed_point(self):
