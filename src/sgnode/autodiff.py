@@ -3,10 +3,15 @@
 A loss is built by composing ``Var`` handles that live on a ``Tape``.  The op
 set is intentionally closed: exactly what MLP evaluation, the model
 right-hand sides, and mean-squared losses unrolled through explicit
-Runge-Kutta steps need (matmul, broadcast add/mul, relu, abs, max, square,
-roll, slice/concat, repeat, reshape, full sum).  ``backward`` walks the tape
-once in reverse and returns the gradient of the recorded scalar with respect
-to every registered parameter array.
+Runge-Kutta steps need (matmul, product with a constant matrix, fused dense
+layer, broadcast add/mul, relu, abs, max, square, roll, slice/concat, repeat,
+reshape, transpose, full sum).  ``backward`` walks the tape once in reverse
+and returns the gradient of the recorded scalar with respect to every
+registered parameter array.
+
+The fused ``dense`` node (``h @ W.T + b``, optionally through ReLU) stores
+only the layer's output, and a product with a constant matrix keeps the
+matrix in the node instead of on the tape as a leaf.
 
 The same model code runs untaped: every dispatch helper below falls through
 to plain numpy when its arguments are ndarrays, so prediction and training
@@ -26,6 +31,7 @@ __all__ = [
     "TapeError",
     "record",
     "backward",
+    "dense",
     "grad_check",
     "relu",
     "absolute",
@@ -57,6 +63,25 @@ def _unbroadcast(g, shape):
     return g
 
 
+def _dense_fwd(relu, h, w, b):
+    z = h @ w.T
+    if z.ndim == 1:
+        z = z[None, :]  # a single input row still gives a (1, d_out) batch
+    z += b
+    if relu:
+        np.maximum(z, 0.0, out=z)
+    return z
+
+
+def _roll(a, shift, axis):
+    """np.roll along one axis, by slicing: the last `shift` entries move to
+    the front.  Same values, without np.roll's generic axis handling."""
+    n = a.shape[axis]
+    s = shift % n if n else 0
+    lead = (slice(None),) * (axis % a.ndim)
+    return np.concatenate((a[lead + (slice(n - s, None),)], a[lead + (slice(0, n - s),)]), axis=axis)
+
+
 # Forward rules: fn(aux, *input_values) -> value.
 _FWD = {
     "add": lambda aux, a, b: a + b,
@@ -66,6 +91,8 @@ _FWD = {
     "smul": lambda aux, a: a * aux,
     "sadd": lambda aux, a: a + aux,
     "matmul": lambda aux, a, b: a @ b,
+    "matconst": lambda aux, a: a @ aux,
+    "dense": _dense_fwd,  # aux is the relu flag
     "relu": lambda aux, a: np.maximum(a, 0.0),
     "abs": lambda aux, a: np.abs(a),
     "max2": lambda aux, a, b: np.maximum(a, b),
@@ -73,7 +100,7 @@ _FWD = {
     "sumall": lambda aux, a: np.sum(a),
     "reshape": lambda aux, a: np.reshape(a, aux),
     "transpose": lambda aux, a: a.T,
-    "roll": lambda aux, a: np.roll(a, aux[0], axis=aux[1]),
+    "roll": lambda aux, a: _roll(a, aux[0], aux[1]),
     "narrow": lambda aux, a: _narrow_fwd(aux, a),
     "concat": lambda aux, *xs: np.concatenate(xs, axis=aux),
     "repeat": lambda aux, a: np.repeat(a, aux[0], axis=aux[1]),
@@ -105,6 +132,14 @@ def _vjp_matmul(aux, g, out, a, b):
     return _unbroadcast(ga, a.shape), _unbroadcast(gb, b.shape)
 
 
+def _vjp_dense(aux, g, out, h, w, b):
+    # out > 0 exactly where the pre-activation was > 0
+    gz = g * (out > 0) if aux else g
+    gz2 = gz.reshape(-1, w.shape[0])
+    gh = (gz2 @ w).reshape(h.shape)
+    return gh, gz2.T @ h.reshape(-1, w.shape[1]), gz2.sum(axis=0)
+
+
 def _vjp_max2(aux, g, out, a, b):
     mask = a >= b  # ties send the gradient to the first argument
     return _unbroadcast(g * mask, a.shape), _unbroadcast(g * ~mask, b.shape)
@@ -131,6 +166,7 @@ def _vjp_repeat(aux, g, out, a):
 
 
 # VJP rules: fn(aux, g, out_value, *input_values) -> per-input gradients.
+# They never write into g: backward hands one adjoint array to several nodes.
 _VJP = {
     "add": _vjp_add,
     "sub": _vjp_sub,
@@ -139,6 +175,8 @@ _VJP = {
     "smul": lambda aux, g, out, a: (g * aux,),
     "sadd": lambda aux, g, out, a: (g,),
     "matmul": _vjp_matmul,
+    "matconst": lambda aux, g, out, a: (_unbroadcast(g @ np.swapaxes(aux, -1, -2), a.shape),),
+    "dense": _vjp_dense,
     "relu": lambda aux, g, out, a: (g * (a > 0),),
     "abs": lambda aux, g, out, a: (g * np.sign(a),),
     "max2": _vjp_max2,
@@ -146,7 +184,7 @@ _VJP = {
     "sumall": lambda aux, g, out, a: (g * np.ones_like(a),),
     "reshape": lambda aux, g, out, a: (np.reshape(g, a.shape),),
     "transpose": lambda aux, g, out, a: (g.T,),
-    "roll": lambda aux, g, out, a: (np.roll(g, -aux[0], axis=aux[1]),),
+    "roll": lambda aux, g, out, a: (_roll(g, -aux[0], aux[1]),),
     "narrow": _vjp_narrow,
     "concat": _vjp_concat,
     "repeat": _vjp_repeat,
@@ -270,7 +308,10 @@ class Var:
         return self.tape._push("neg", (self.i,), None)
 
     def __matmul__(self, other):
-        return self.tape._push("matmul", (self.i, self._lift(other).i), None)
+        if isinstance(other, Var):
+            return self.tape._push("matmul", (self.i, self._lift(other).i), None)
+        # a constant matrix rides in the node; no leaf, no gradient for it
+        return self.tape._push("matconst", (self.i,), np.asarray(other, dtype=np.float64))
 
     def __rmatmul__(self, other):
         return self.tape._push("matmul", (self._lift(other).i, self.i), None)
@@ -316,15 +357,17 @@ def backward(tape):
             continue
         invals = tuple(tape.vals[j] for j in args)
         for j, gj in zip(args, _VJP[name](aux, g, tape.vals[i], *invals)):
-            if adj[j] is None:
-                adj[j] = gj.copy() if isinstance(gj, np.ndarray) else np.asarray(gj)
-            else:
-                adj[j] = adj[j] + gj
+            # accumulation is out of place, so adjoints may alias each other
+            adj[j] = np.asarray(gj) if adj[j] is None else adj[j] + gj
         adj[i] = None  # free as we go
     grads = []
     for pid in tape.param_ids:
         g = adj[pid]
-        grads.append(np.zeros_like(tape.vals[pid]) if g is None else g)
+        if g is None:
+            g = np.zeros_like(tape.vals[pid])
+        elif any(np.may_share_memory(g, k) for k in grads):
+            g = g.copy()  # e.g. both operands of a + b receive the same array
+        grads.append(g)
     return Gradient(grads=grads, loss=float(tape.vals[tape.out]))
 
 
@@ -416,7 +459,20 @@ def roll(x, shift, axis=-1):
     if _dispatch(x):
         axis = axis % x.ndim
         return x.tape._push("roll", (x.i,), (int(shift), axis))
-    return np.roll(x, shift, axis=axis)
+    return _roll(x, int(shift), axis)
+
+
+def dense(h, w, b, relu):
+    """One network layer, h @ w.T + b, through ReLU when `relu` is set.
+
+    Taped, this is a single node over (h, w, b) that stores only the layer
+    output.  A 1-D `h` gives a (1, d_out) result.
+    """
+    vs = [x for x in (h, w, b) if _dispatch(x)]
+    if vs:
+        ids = tuple(vs[0]._lift(x).i for x in (h, w, b))
+        return vs[0].tape._push("dense", ids, bool(relu))
+    return _dense_fwd(relu, h, w, b)
 
 
 def reshape(x, shape):

@@ -1,4 +1,6 @@
-"""Shared exception types."""
+"""Shared exception types, and the checked read the binary loaders share."""
+
+import os
 
 
 class BlowupError(RuntimeError):
@@ -22,3 +24,14 @@ class ConfigError(ValueError):
 
 class FormatError(ValueError):
     """Corrupt or incompatible binary/JSON artifact on disk."""
+
+
+def read_exact(f, n, path, what):
+    """Read exactly n bytes of `what` from binary file f, or raise FormatError.
+
+    n comes from a file header, so it is checked against the bytes left in
+    the file before reading: a garbled count must not reach ``f.read``.
+    """
+    if n > os.fstat(f.fileno()).st_size - f.tell():
+        raise FormatError(f"{path}: truncated while reading {what}")
+    return f.read(n)

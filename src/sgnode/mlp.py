@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .errors import FormatError
+from .errors import FormatError, read_exact
 
 HIDDEN_WIDTH = 128
 N_LAYERS = 4
@@ -102,11 +102,14 @@ def param_list(params):
 
 
 def forward(weights, biases, x):
-    """Evaluate the net on rows of x: (batch, d_in) -> (batch, d_out)."""
+    """Evaluate the net on rows of x: (batch, d_in) -> (batch, d_out).
+
+    One fused ``ad.dense`` per layer, ReLU on all but the last.
+    """
     h = x
-    for w, b in zip(weights[:-1], biases[:-1]):
-        h = ad.relu(h @ ad.transpose(w) + ad.reshape(b, (1, -1)))
-    return h @ ad.transpose(weights[-1]) + ad.reshape(biases[-1], (1, -1))
+    for i, (w, b) in enumerate(zip(weights, biases)):
+        h = ad.dense(h, w, b, relu=i < len(weights) - 1)
+    return h
 
 
 def forward_per_component(weights, biases, x):
@@ -140,35 +143,28 @@ def save_params(params, path):
         f.write(struct.pack("<Q", params.seed & 0xFFFFFFFFFFFFFFFF))
 
 
-def _read_exact(f, n, path, what):
-    buf = f.read(n)
-    if len(buf) != n:
-        raise FormatError(f"{path}: truncated while reading {what}")
-    return buf
-
-
 def load_params(path):
     with open(path, "rb") as f:
-        if _read_exact(f, 4, path, "magic") != _MAGIC:
+        if read_exact(f, 4, path, "magic") != _MAGIC:
             raise FormatError(f"{path}: bad magic, expected {_MAGIC!r}")
-        version, n_layers = struct.unpack("<II", _read_exact(f, 8, path, "header"))
+        version, n_layers = struct.unpack("<II", read_exact(f, 8, path, "header"))
         if version != _VERSION:
             raise FormatError(f"{path}: unsupported version {version}")
         if n_layers != N_LAYERS:
             raise FormatError(f"{path}: expected {N_LAYERS} layers, found {n_layers}")
         weights, biases = [], []
         for i in range(n_layers):
-            rows, cols = struct.unpack("<II", _read_exact(f, 8, path, f"layer {i} shape"))
+            rows, cols = struct.unpack("<II", read_exact(f, 8, path, f"layer {i} shape"))
             w = np.frombuffer(
-                _read_exact(f, rows * cols * 8, path, f"layer {i} weights"), dtype="<f8"
+                read_exact(f, rows * cols * 8, path, f"layer {i} weights"), dtype="<f8"
             ).reshape(rows, cols).copy()
-            (blen,) = struct.unpack("<I", _read_exact(f, 4, path, f"layer {i} bias len"))
+            (blen,) = struct.unpack("<I", read_exact(f, 4, path, f"layer {i} bias len"))
             b = np.frombuffer(
-                _read_exact(f, blen * 8, path, f"layer {i} bias"), dtype="<f8"
+                read_exact(f, blen * 8, path, f"layer {i} bias"), dtype="<f8"
             ).copy()
             weights.append(w)
             biases.append(b)
-        (seed,) = struct.unpack("<Q", _read_exact(f, 8, path, "seed"))
+        (seed,) = struct.unpack("<Q", read_exact(f, 8, path, "seed"))
     params = MlpParams(weights=weights, biases=biases, seed=seed)
     try:
         params.check()

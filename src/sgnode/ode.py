@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .autodiff import Var
-from .errors import BlowupError, FormatError
+from .errors import BlowupError, FormatError, read_exact
 
 BLOWUP_LIMIT = 1e12
 
@@ -254,26 +254,24 @@ def save_trajectory(traj, path):
 
 
 def load_trajectory(path):
+    header = struct.calcsize("<IIQdd")
     with open(path, "rb") as f:
-        head = f.read(4)
+        head = read_exact(f, 4, path, "magic")
         if head != _MAGIC:
             raise FormatError(f"{path}: bad magic {head!r}, expected {_MAGIC!r}")
-        fixed = f.read(struct.calcsize("<IIQdd"))
-        if len(fixed) != struct.calcsize("<IIQdd"):
-            raise FormatError(f"{path}: truncated header")
-        version, d, count, t0, dt = struct.unpack("<IIQdd", fixed)
+        version, d, count, t0, dt = struct.unpack("<IIQdd", read_exact(f, header, path, "header"))
         if version != _VERSION:
             raise FormatError(f"{path}: unsupported version {version}")
-        payload = f.read(count * d * 8)
-        if len(payload) != count * d * 8:
-            raise FormatError(f"{path}: truncated state block")
+        if d == 0:
+            raise FormatError(f"{path}: state dimension is 0")
+        payload = read_exact(f, count * d * 8, path, "state block")
         states = np.frombuffer(payload, dtype="<f8").reshape(count, d).copy()
-        lenb = f.read(4)
-        if len(lenb) != 4:
-            raise FormatError(f"{path}: missing metadata length")
-        (blob_len,) = struct.unpack("<I", lenb)
-        blob = f.read(blob_len)
-        if len(blob) != blob_len:
-            raise FormatError(f"{path}: truncated metadata")
+        (blob_len,) = struct.unpack("<I", read_exact(f, 4, path, "metadata length"))
+        blob = read_exact(f, blob_len, path, "metadata")
+    try:
         meta = json.loads(blob.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as e:
+        raise FormatError(f"{path}: metadata is not UTF-8 JSON: {e}") from e
+    if not isinstance(meta, dict):
+        raise FormatError(f"{path}: metadata is not a JSON object")
     return Trajectory(t0=t0, dt=dt, states=states, meta=meta)

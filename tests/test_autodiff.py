@@ -158,24 +158,102 @@ def test_single_step_gradient_matches_hand_chain_rule():
     assert g == pytest.approx(expected, rel=1e-12)
 
 
-@pytest.mark.parametrize(
-    "name,build,shapes",
-    [
-        ("roll", lambda t, p: ad.sum_all(ad.roll(p[0], 2, -1) * t.const(np.arange(12.0).reshape(3, 4))), [(3, 4)]),
-        ("narrow", lambda t, p: ad.sum_all(ad.narrow(p[0], -1, 1, 2) * t.const(np.ones((3, 2)))), [(3, 4)]),
-        ("concat", lambda t, p: ad.sum_all(ad.concatenate([p[0], p[1]], -1) * t.const(np.arange(21.0).reshape(3, 7))), [(3, 4), (3, 3)]),
-        ("repeat", lambda t, p: ad.sum_all(ad.repeat_elems(p[0], 3, -1) * t.const(np.arange(36.0).reshape(3, 12))), [(3, 4)]),
-        ("maximum", lambda t, p: ad.sum_all(ad.maximum(p[0], t.const(np.zeros((3, 4)))) * t.const(np.arange(12.0).reshape(3, 4))), [(3, 4)]),
-        ("abs", lambda t, p: ad.sum_all(ad.absolute(p[0]) * t.const(np.arange(12.0).reshape(3, 4))), [(3, 4)]),
-        ("matmul_nd", lambda t, p: ad.sum_all(p[0] @ t.const(np.arange(25.0).reshape(5, 5) / 10.0)), [(2, 3, 5)]),
-        ("transpose", lambda t, p: ad.sum_all(ad.transpose(p[0]) * t.const(np.arange(12.0).reshape(4, 3))), [(3, 4)]),
-        ("bias_broadcast", lambda t, p: ad.sum_all(ad.square(t.const(np.arange(20.0).reshape(5, 4) / 7.0) + ad.reshape(p[0], (1, -1)))), [(4,)]),
-    ],
-)
+# One finite-difference case per primitive; test_every_primitive_has_a_vjp_and_a_case
+# checks that the tapes of these cases cover every op in autodiff._FWD.
+FD_CASES = [
+    ("roll", lambda t, p: ad.sum_all(ad.roll(p[0], 2, -1) * t.const(np.arange(12.0).reshape(3, 4))), [(3, 4)]),
+    ("narrow", lambda t, p: ad.sum_all(ad.narrow(p[0], -1, 1, 2) * t.const(np.ones((3, 2)))), [(3, 4)]),
+    ("concat", lambda t, p: ad.sum_all(ad.concatenate([p[0], p[1]], -1) * t.const(np.arange(21.0).reshape(3, 7))), [(3, 4), (3, 3)]),
+    ("repeat", lambda t, p: ad.sum_all(ad.repeat_elems(p[0], 3, -1) * t.const(np.arange(36.0).reshape(3, 12))), [(3, 4)]),
+    ("maximum", lambda t, p: ad.sum_all(ad.maximum(p[0], t.const(np.zeros((3, 4)))) * t.const(np.arange(12.0).reshape(3, 4))), [(3, 4)]),
+    ("abs", lambda t, p: ad.sum_all(ad.absolute(p[0]) * t.const(np.arange(12.0).reshape(3, 4))), [(3, 4)]),
+    ("matmul_nd", lambda t, p: ad.sum_all(p[0] @ t.const(np.arange(25.0).reshape(5, 5) / 10.0)), [(2, 3, 5)]),
+    ("transpose", lambda t, p: ad.sum_all(ad.transpose(p[0]) * t.const(np.arange(12.0).reshape(4, 3))), [(3, 4)]),
+    ("bias_broadcast", lambda t, p: ad.sum_all(ad.square(t.const(np.arange(20.0).reshape(5, 4) / 7.0) + ad.reshape(p[0], (1, -1)))), [(4,)]),
+    ("matconst", lambda t, p: ad.sum_all((p[0] @ (np.arange(20.0).reshape(5, 4) / 10.0)) * t.const(np.arange(4.0))), [(2, 3, 5)]),
+    # dense inputs kept away from 0 and sums free of cancellation, so the
+    # central differences resolve every gradient entry; 8 * b kills about a quarter of the units
+    ("dense_relu", lambda t, p: ad.sum_all(ad.dense(ad.absolute(p[0]) + 0.5, ad.absolute(p[1]) + 0.5, p[2] * 8.0, relu=True)), [(5, 3), (4, 3), (4,)]),
+    ("dense_linear", lambda t, p: ad.sum_all(ad.dense(ad.absolute(p[0]) + 0.5, ad.absolute(p[1]) + 0.5, p[2] * 8.0, relu=False)), [(5, 3), (4, 3), (4,)]),
+    ("relu", lambda t, p: ad.sum_all(ad.relu(p[0]) * t.const(np.arange(12.0).reshape(3, 4))), [(3, 4)]),
+    ("arith", lambda t, p: ad.sum_all((p[0] - p[1] * 0.25) * t.const(np.arange(12.0).reshape(3, 4) / 10.0) + (-p[0] + 1.5) / 4.0), [(3, 4), (3, 4)]),
+]
+
+
+@pytest.mark.parametrize("name,build,shapes", FD_CASES)
 def test_primitive_vjps_match_finite_differences(name, build, shapes):
     rng = np.random.default_rng(hash(name) % 2**32)
     params = [rng.normal(size=s) for s in shapes]
-    assert ad.grad_check(build, params, h=1e-6) < 1e-7, name
+    assert ad.grad_check(build, params, h=1e-6, atol=0.0) < 1e-7, name
+
+
+def test_every_primitive_has_a_vjp_and_a_case():
+    assert set(ad._VJP) == set(ad._FWD)
+    covered = set()
+    for name, build, shapes in FD_CASES:
+        _, tape = ad.record(build, [np.ones(s) for s in shapes])
+        covered.update(op for op, _, _ in tape.ops)
+    assert set(ad._FWD) - covered == set()
+
+
+def _reference_forward(weights, biases, x):
+    # the unfused composition the dense node replaces
+    h = x
+    for w, b in zip(weights[:-1], biases[:-1]):
+        h = ad.relu(h @ ad.transpose(w) + ad.reshape(b, (1, -1)))
+    return h @ ad.transpose(weights[-1]) + ad.reshape(biases[-1], (1, -1))
+
+
+@pytest.mark.parametrize("d,rows", [(1, 300), (5, 7)])
+def test_fused_mlp_gradients_equal_the_unfused_composition(d, rows):
+    rng = np.random.default_rng(d)
+    params = mlp.init_params(d, d, seed=2, hidden=16)
+    for b in params.biases:
+        b[:] = rng.normal(scale=0.1, size=b.shape)
+    x = rng.normal(size=(rows, d))
+    y = rng.normal(size=(rows, d))
+
+    def build_with(forward):
+        def build(tape, pvars):
+            return ad.sum_all(ad.square(forward(pvars[0::2], pvars[1::2], tape.const(x)) - y))
+
+        return build
+
+    fused_loss, fused = ad.record(build_with(mlp.forward), mlp.param_list(params))
+    ref_loss, ref = ad.record(build_with(_reference_forward), mlp.param_list(params))
+    assert fused_loss == ref_loss
+    for a, b in zip(ad.backward(fused).grads, ad.backward(ref).grads):
+        assert np.array_equal(a, b)
+
+
+def test_mlp_forward_records_one_node_per_layer_and_no_leaf():
+    params = mlp.init_params(3, 2, seed=0, hidden=8)
+    tape = ad.Tape()
+    ws_bs = [tape.param(p) for p in mlp.param_list(params)]
+    x = tape.const(np.ones((4, 3)))
+    before = len(tape)
+    mlp.forward(ws_bs[0::2], ws_bs[1::2], x)
+    added = [op for op, _, _ in tape.ops[before:]]
+    assert added == ["dense"] * 4
+
+
+def test_untaped_mlp_forward_of_one_row_is_a_batch_of_one():
+    params = mlp.init_params(3, 2, seed=0, hidden=8)
+    x = np.array([0.1, -0.2, 0.3])
+    out = mlp.forward(params.weights, params.biases, x)
+    assert out.shape == (1, 2)
+    assert np.array_equal(out, mlp.forward(params.weights, params.biases, x[None, :]))
+
+
+def test_grads_of_a_shared_adjoint_do_not_alias():
+    def build(tape, pvars):
+        a, b = pvars
+        return ad.sum_all(a + b)
+
+    _, tape = ad.record(build, [np.ones(3), np.ones(3)])
+    ga, gb = ad.backward(tape).grads
+    assert np.array_equal(ga, np.ones(3)) and np.array_equal(gb, np.ones(3))
+    assert not np.shares_memory(ga, gb)
 
 
 def test_mixing_tapes_is_rejected():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from sgnode import autodiff as ad
 from sgnode import dg
 from sgnode.ode import integrate, tableau_rk4
 
@@ -247,3 +248,20 @@ def test_courant_numbers_use_min_lgl_spacing():
     cr, dn = dg.courant_numbers(cfg, mesh, dt=0.009)
     assert cr == pytest.approx(0.009 / 0.02)
     assert dn == pytest.approx(1e-4 * 0.009 / 0.02**2)
+
+
+@pytest.mark.parametrize("kind,extra", [
+    (dg.CONVECTION_DIFFUSION, dict(a=1.0, kappa=1e-4)),
+    (dg.VISCOUS_BURGERS, dict(kappa=0.005)),
+])
+def test_taped_tendency_records_no_leaf(kind, extra):
+    # the operator matrices ride in matconst nodes, not on the tape as leaves
+    mesh = dg.make_mesh(6, 2, 0.0, 1.0)
+    rhs = dg.rhs_semidiscrete(dg.PdeConfig(kind, **extra), mesh)
+    tape = ad.Tape()
+    u = tape.param(np.random.default_rng(0).normal(size=(3, rhs.dim)))
+    before = len(tape)
+    du = rhs(0.0, u)
+    added = [op for op, _, _ in tape.ops[before:]]
+    assert "leaf" not in added and "matconst" in added
+    assert np.array_equal(du.value, rhs(0.0, u.value))

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -143,3 +145,15 @@ def test_require_dims_names_both_sides(tmp_path):
 def test_init_rejects_bad_dims():
     with pytest.raises(ValueError):
         mlp.init_params(0, 4, seed=0)
+
+
+def test_load_huge_layer_shape_is_format_error(tmp_path):
+    # rows = cols = 0xFFFFFFFF: the header claims far more bytes than the file has
+    p = mlp.init_params(2, 2, seed=0, hidden=4)
+    path = tmp_path / "p.sgnp"
+    mlp.save_params(p, path)
+    raw = bytearray(path.read_bytes())
+    raw[12:20] = struct.pack("<II", 0xFFFFFFFF, 0xFFFFFFFF)
+    path.write_bytes(bytes(raw))
+    with pytest.raises(FormatError):
+        mlp.load_params(path)

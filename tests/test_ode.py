@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -162,6 +164,29 @@ def test_trajectory_truncated_file(tmp_path):
 def test_trajectory_bad_magic(tmp_path):
     path = tmp_path / "t.sgnt"
     path.write_bytes(b"NOPE" + b"\x00" * 64)
+    with pytest.raises(FormatError):
+        load_trajectory(path)
+
+
+@pytest.mark.parametrize("d,count", [(0xFFFFFFFF, 2**63), (0, 2**63)])
+def test_trajectory_huge_state_count_is_format_error(tmp_path, d, count):
+    tr = Trajectory(t0=0.0, dt=0.1, states=np.zeros((4, 2)), meta={})
+    path = tmp_path / "t.sgnt"
+    save_trajectory(tr, path)
+    raw = bytearray(path.read_bytes())
+    raw[8:20] = struct.pack("<IQ", d, count)
+    path.write_bytes(bytes(raw))
+    with pytest.raises(FormatError):
+        load_trajectory(path)
+
+
+@pytest.mark.parametrize("blob", [b"\xff\xfe{}", b"{not json", b"[1, 2]"])
+def test_trajectory_garbled_metadata_is_format_error(tmp_path, blob):
+    tr = Trajectory(t0=0.0, dt=0.1, states=np.zeros((4, 2)), meta={})
+    path = tmp_path / "t.sgnt"
+    save_trajectory(tr, path)
+    raw = path.read_bytes()[: -(4 + len(b"{}"))]
+    path.write_bytes(raw + struct.pack("<I", len(blob)) + blob)
     with pytest.raises(FormatError):
         load_trajectory(path)
 
