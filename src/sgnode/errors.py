@@ -6,12 +6,14 @@ import os
 class BlowupError(RuntimeError):
     """Integration produced a non-finite or absurdly large state.
 
-    Carries enough provenance (stage, step, time, sample) to locate the
-    failure inside nested loops.
+    Carries enough provenance (epoch, stage, step, time, sample) to locate
+    the failure inside nested loops; sample is the row of a batched state.
     """
 
-    def __init__(self, message, stage=None, step=None, time=None, sample=None):
+    def __init__(self, message, stage=None, step=None, time=None, sample=None,
+                 epoch=None):
         super().__init__(message)
+        self.epoch = epoch
         self.stage = stage
         self.step = step
         self.time = time

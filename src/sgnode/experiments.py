@@ -53,6 +53,45 @@ def sha256_file(path):
     return h.hexdigest()
 
 
+def pde_truth(cfg):
+    """Reference trajectories of a PDE experiment on the high-order mesh.
+
+    All initial conditions advance together as one (n_traj, d) RK4 rollout,
+    so a blowup's sample is the trajectory index.  Each trajectory's states
+    are a column slice of the shared block, not a copy.
+    """
+    pcfg = pde_config(cfg.experiment, cfg.model)
+    mesh_h, _ = pde_meshes(cfg.model)
+    rng = np.random.Generator(np.random.PCG64(cfg.seed))
+    u0s, metas = [], []
+    for i in range(cfg.data.n_traj):
+        if cfg.experiment == "cd":
+            phase = float(rng.uniform(0.0, 1.0))
+            u0 = dg.cd_initial_condition(mesh_h, phase)
+            meta = {"model": "cd", "phi": repr(phase)}
+        else:
+            u0 = dg.burgulence_initial_condition(
+                mesh_h, cfg.model["k0"], cfg.model["n_synth"], seed=cfg.seed + i
+            )
+            meta = {"model": "burgers", "k0": str(cfg.model["k0"])}
+        meta.update(
+            p=str(mesh_h.order), n_elem=str(mesh_h.n_elem),
+            a=repr(pcfg.a), kappa=repr(pcfg.kappa),
+        )
+        u0s.append(u0.flat)
+        metas.append(meta)
+    n_steps = int(round(cfg.data.t_final / cfg.data.dt))
+    block = integrate(
+        get_tableau("rk4"), dg.rhs_semidiscrete(pcfg, mesh_h), np.stack(u0s),
+        0.0, cfg.data.dt, n_steps,
+    ).states
+    d = mesh_h.n_dof
+    return [
+        Trajectory(t0=0.0, dt=cfg.data.dt, states=block[:, i * d:(i + 1) * d], meta=meta)
+        for i, meta in enumerate(metas)
+    ]
+
+
 def generate(cfg):
     """Write reference (and filtered) trajectories plus a manifest."""
     out = Path(cfg.out_dir)
@@ -75,32 +114,12 @@ def generate(cfg):
         for i, tr in enumerate(trajs):
             emit(tr, f"truth_{i:04d}.sgnt", "truth", i)
     else:
-        pcfg = pde_config(cfg.experiment, cfg.model)
         mesh_h, mesh_l = pde_meshes(cfg.model)
-        rhs_h = dg.rhs_semidiscrete(pcfg, mesh_h)
-        rng = np.random.Generator(np.random.PCG64(cfg.seed))
-        n_steps = int(round(cfg.data.t_final / cfg.data.dt))
-        for i in range(cfg.data.n_traj):
-            if cfg.experiment == "cd":
-                phase = float(rng.uniform(0.0, 1.0))
-                u0 = dg.cd_initial_condition(mesh_h, phase)
-                meta = {"model": "cd", "phi": repr(phase)}
-            else:
-                u0 = dg.burgulence_initial_condition(
-                    mesh_h, cfg.model["k0"], cfg.model["n_synth"], seed=cfg.seed + i
-                )
-                meta = {"model": "burgers", "k0": str(cfg.model["k0"])}
-            meta.update(
-                p=str(mesh_h.order), n_elem=str(mesh_h.n_elem),
-                a=repr(pcfg.a), kappa=repr(pcfg.kappa),
-            )
-            traj = integrate(
-                get_tableau("rk4"), rhs_h, u0.flat, 0.0, cfg.data.dt, n_steps, meta=meta
-            )
+        for i, traj in enumerate(pde_truth(cfg)):
             filtered = Trajectory(
-                t0=0.0, dt=cfg.data.dt,
+                t0=traj.t0, dt=traj.dt,
                 states=dg.project_states(mesh_h, traj.states, mesh_l.order),
-                meta={**meta, "p": str(mesh_l.order), "filtered": "true"},
+                meta={**traj.meta, "p": str(mesh_l.order), "filtered": "true"},
             )
             if cfg.data.store_high:
                 emit(traj, f"truth_{i:04d}.sgnt", "truth", i)

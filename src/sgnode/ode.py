@@ -7,6 +7,7 @@ rollouts inside training losses.
 
 from __future__ import annotations
 
+import functools
 import json
 import struct
 from dataclasses import dataclass, field
@@ -50,6 +51,7 @@ class ButcherTableau:
         if np.max(np.abs(row - self.c)) > 10 * tol:
             raise ValueError(f"{self.name}: c_i != sum_j a_ij")
 
+    @functools.cached_property
     def active_stages(self):
         """Stages whose slope actually reaches the update (b_i or a chain)."""
         s = self.stages
@@ -141,21 +143,23 @@ def _raw(u):
     return u.value if isinstance(u, Var) else u
 
 
-def _check_stage(v, stage, t):
-    m = float(np.max(np.abs(v)))
-    if not (m <= BLOWUP_LIMIT):  # NaN fails the comparison too
-        sample = None
-        if np.ndim(v) == 2:  # batched rollout: name the offending row
-            rows = np.max(np.abs(v), axis=-1)
-            bad = ~(rows <= BLOWUP_LIMIT)
-            sample = int(np.argmax(bad))
-        raise BlowupError(
-            f"non-finite or blown-up value at stage {stage} (t={t:.6g})"
-            + (f", sample {sample}" if sample is not None else ""),
-            stage=stage,
-            time=t,
-            sample=sample,
-        )
+def _check_finite(v, what, t, **where):
+    """Raise BlowupError if v holds a non-finite or blown-up value.
+
+    `what` is formatted with the `where` provenance only on failure.  A 2-D
+    v is a batched state, one sample per row: the first offending row is
+    named as the sample.
+    """
+    a = np.abs(v)
+    if float(np.max(a)) <= BLOWUP_LIMIT:  # NaN fails the comparison too
+        return
+    sample = None
+    if a.ndim == 2:
+        sample = int(np.argmax(~(np.max(a, axis=-1) <= BLOWUP_LIMIT)))
+    msg = what.format(**where) + f" (t={t:.6g})"
+    if sample is not None:
+        msg += f", sample {sample}"
+    raise BlowupError(msg, time=t, sample=sample, **where)
 
 
 def erk_step(tableau, rhs, t, u, dt):
@@ -167,7 +171,7 @@ def erk_step(tableau, rhs, t, u, dt):
     if dt <= 0:
         raise ValueError("dt must be positive")
     a, b, c = tableau.a, tableau.b, tableau.c
-    active = tableau.active_stages()
+    active = tableau.active_stages
     ks = []
     for i in range(tableau.stages):
         if not active[i]:
@@ -178,7 +182,7 @@ def erk_step(tableau, rhs, t, u, dt):
             if a[i, j] != 0.0:
                 ui = ui + (dt * a[i, j]) * ks[j]
         ki = rhs(t + c[i] * dt, ui)
-        _check_stage(_raw(ki), i, t)
+        _check_finite(_raw(ki), "non-finite or blown-up value at stage {stage}", t, stage=i)
         ks.append(ki)
     out = u
     for i in range(tableau.stages):
@@ -230,10 +234,7 @@ def integrate(tableau, rhs, u0, t0, dt, n_steps, meta=None, post_step=None):
             e.step = n
             raise
         u = stepped if post_step is None else post_step(t, u, stepped)
-        if not float(np.max(np.abs(u))) <= BLOWUP_LIMIT:
-            raise BlowupError(
-                f"state blew up after step {n} (t={t:.6g})", step=n, time=t
-            )
+        _check_finite(u, "state blew up after step {step}", t, step=n)
         states[n + 1] = np.ravel(u)
         t = t0 + (n + 1) * dt
     return Trajectory(t0=t0, dt=dt, states=states, meta=dict(meta or {}))

@@ -261,8 +261,8 @@ def train(trajs, cfg, rhs_builder, d_in, d_out, init=None, on_epoch=None):
             except BlowupError as e:
                 raise BlowupError(
                     f"training rollout blew up at epoch {epoch}: {e}",
-                    stage=e.stage,
-                    step=e.step,
+                    stage=e.stage, step=e.step, time=e.time, sample=e.sample,
+                    epoch=epoch,
                 ) from e
             grads = ad.backward(tape).grads
             opt_step(opt, plist, grads)

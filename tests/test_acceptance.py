@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from sgnode import dg, diagnostics, lorenz96 as l96, mlp, training
+from sgnode import dg, diagnostics, experiments, lorenz96 as l96, mlp, training
 from sgnode.cli import run_gradcheck, run_timings
 from sgnode.config import load_config
 from sgnode.ode import Trajectory, erk_step, integrate, tableau_rk4, tableau_tsit5
@@ -29,30 +29,18 @@ def report(criterion, ok, detail):
 def cd_desk():
     """Desk-scale convection-diffusion: data, continuous net, discrete net."""
     cfg = load_config("configs/cd-desk.json")
-    mesh_h = dg.make_mesh(50, 5, 0.0, 1.0)
-    mesh_l = dg.make_mesh(50, 1, 0.0, 1.0)
-    pcfg = dg.PdeConfig(dg.CONVECTION_DIFFUSION, kappa=1e-4, a=1.0)
-    rhs_h = dg.rhs_semidiscrete(pcfg, mesh_h)
+    mesh_h, mesh_l = experiments.pde_meshes(cfg.model)
+    pcfg = experiments.pde_config(cfg.experiment, cfg.model)
     rhs_l = dg.rhs_semidiscrete(pcfg, mesh_l)
-    rng = np.random.Generator(np.random.PCG64(cfg.seed))
-    filtered = []
-    n_steps = int(round(cfg.data.t_final / cfg.data.dt))
-    for _ in range(cfg.data.n_traj):
-        phase = float(rng.uniform(0.0, 1.0))
-        u0 = dg.cd_initial_condition(mesh_h, phase)
-        tr = integrate(tableau_rk4(), rhs_h, u0.flat, 0.0, cfg.data.dt, n_steps)
-        filtered.append(Trajectory(
-            t0=0.0, dt=cfg.data.dt,
-            states=dg.project_states(mesh_h, tr.states, 1), meta={},
-        ))
-
-    def builder(ws, bs):
-        def fn(t, u):
-            return rhs_l(t, u) + mlp.forward(ws, bs, u)
-        return fn
+    filtered = [
+        Trajectory(t0=tr.t0, dt=tr.dt, states=dg.project_states(mesh_h, tr.states, 1), meta={})
+        for tr in experiments.pde_truth(cfg)
+    ]
 
     t0 = time.perf_counter()
-    cont = training.train(filtered, cfg.training, builder, 100, 100)
+    cont = training.train(
+        filtered, cfg.training, lambda ws, bs: training.augmented(rhs_l, ws, bs), 100, 100
+    )
     train_ranges, _ = training.split_ranges(filtered, cfg.training_discrete)
     xs, ys = training.discrete_forcing_dataset(
         filtered, cfg.training_discrete.dt, rhs_l, "rk4", ranges=train_ranges
@@ -99,12 +87,9 @@ def burgers_desk():
     ref = Trajectory(t0=0.0, dt=cfg.data.dt,
                      states=dg.project_states(mesh_h, tr.states, 1), meta={})
 
-    def builder(ws, bs):
-        def fn(t, u):
-            return rhs_l(t, u) + mlp.forward(ws, bs, u)
-        return fn
-
-    res = training.train([ref], cfg.training, builder, 128, 128)
+    res = training.train(
+        [ref], cfg.training, lambda ws, bs: training.augmented(rhs_l, ws, bs), 128, 128
+    )
     return dict(cfg=cfg, pcfg=pcfg, mesh_h=mesh_h, mesh_l=mesh_l, rhs_l=rhs_l,
                 ic=ic, ref=ref, truth=tr, params=res.params)
 

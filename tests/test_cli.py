@@ -3,11 +3,11 @@ import json
 import numpy as np
 import pytest
 
-from sgnode import experiments, mlp
+from sgnode import dg, experiments, mlp
 from sgnode.cli import main, run_timings
 from sgnode.config import load_config
-from sgnode.errors import ConfigError
-from sgnode.ode import load_trajectory
+from sgnode.errors import BlowupError, ConfigError
+from sgnode.ode import integrate, load_trajectory, tableau_rk4
 
 
 def smoke_config(tmp_path, experiment="cd", **overrides):
@@ -279,6 +279,54 @@ def test_store_high_false_keeps_filtered_only(tmp_path):
     assert kinds == {"filtered"}
     # training still works off the filtered set
     assert main(["train", "--config", str(path)]) == 0
+
+
+@pytest.mark.parametrize("experiment,n_traj", [("cd", 3), ("burgers", 2)])
+def test_generate_writes_the_bytes_of_one_rollout_per_trajectory(tmp_path, experiment, n_traj):
+    model = {"kappa": 5e-3, "n_elem": 8, "order_high": 3, "order_low": 1}
+    if experiment == "burgers":
+        model.update(k0=2, n_synth=64)
+    else:
+        model.update(a=1.0)
+    cfg = load_config(smoke_config(
+        tmp_path, experiment, model=model,
+        data={"n_traj": n_traj, "dt": 1e-3, "t_final": 0.02, "store_high": True},
+    ))
+    experiments.generate(cfg)
+    mesh_h, mesh_l = experiments.pde_meshes(cfg.model)
+    rhs = dg.rhs_semidiscrete(experiments.pde_config(experiment, cfg.model), mesh_h)
+    rng = np.random.Generator(np.random.PCG64(cfg.seed))
+    for i in range(n_traj):
+        if experiment == "cd":
+            phase = float(rng.uniform(0.0, 1.0))
+            u0 = dg.cd_initial_condition(mesh_h, phase)
+        else:
+            u0 = dg.burgulence_initial_condition(mesh_h, 2, 64, seed=cfg.seed + i)
+        alone = integrate(tableau_rk4(), rhs, u0.flat, 0.0, 1e-3, 20).states
+        truth = load_trajectory(cfg.out_dir / f"truth_{i:04d}.sgnt")
+        filtered = load_trajectory(cfg.out_dir / f"filtered_{i:04d}.sgnt")
+        assert truth.states.tobytes() == alone.tobytes()
+        assert filtered.states.tobytes() == dg.project_states(mesh_h, alone, 1).tobytes()
+        if experiment == "cd":
+            assert truth.meta["phi"] == filtered.meta["phi"] == repr(phase)
+
+
+def test_generate_blowup_names_the_trajectory(tmp_path, monkeypatch):
+    plain = dg.cd_initial_condition
+    calls = []
+
+    def second_is_nan(mesh, phase):
+        calls.append(phase)
+        u0 = plain(mesh, phase)
+        if len(calls) == 2:
+            u0.coeffs[3, 1] = np.nan
+        return u0
+
+    monkeypatch.setattr(dg, "cd_initial_condition", second_is_nan)
+    cfg = load_config(smoke_config(tmp_path, data={"n_traj": 3, "dt": 1e-3, "t_final": 0.01}))
+    with pytest.raises(BlowupError) as e:
+        experiments.generate(cfg)
+    assert (e.value.sample, e.value.step, e.value.stage) == (1, 0, 0)
 
 
 def test_shipped_configs_parse():

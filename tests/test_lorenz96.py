@@ -3,6 +3,7 @@ import pytest
 
 from sgnode import lorenz96 as l96
 from sgnode import mlp
+from sgnode.errors import BlowupError
 from sgnode.ode import tableau_rk4, integrate
 
 
@@ -142,6 +143,36 @@ def test_generate_truth_shapes_and_determinism():
     for ta, tb in zip(a, b):
         assert np.array_equal(ta.states, tb.states)
     assert not np.array_equal(a[0].states, a[1].states)
+
+
+def test_generate_truth_equals_one_rollout_per_trajectory():
+    cfg = l96.L96Config(K=8, J=4)
+    trajs = l96.generate_truth(cfg, n_traj=3, dt=0.005, spinup_t=0.1, t_final=0.05, seed=3)
+    rhs = l96.rhs_coupled(cfg)
+    for i, tr in enumerate(trajs):
+        z0 = l96.random_initial_state(cfg, np.random.Generator(np.random.PCG64(3 + i)))
+        z0 = integrate(tableau_rk4(), rhs, z0, 0.0, 0.005, 20).states[-1]
+        alone = integrate(tableau_rk4(), rhs, z0, 0.0, 0.005, 10)
+        assert np.array_equal(tr.states, alone.states)
+        assert tr.meta["seed"] == str(3 + i)
+
+
+def test_generate_truth_blowup_names_the_trajectory(monkeypatch):
+    plain = l96.random_initial_state
+    calls = []
+
+    def third_is_nan(cfg, rng):
+        z = plain(cfg, rng)
+        calls.append(z)
+        if len(calls) == 3:
+            z[5] = np.nan
+        return z
+
+    monkeypatch.setattr(l96, "random_initial_state", third_is_nan)
+    cfg = l96.L96Config(K=8, J=4)
+    with pytest.raises(BlowupError) as e:
+        l96.generate_truth(cfg, n_traj=4, dt=0.005, spinup_t=0.1, t_final=0.05, seed=3)
+    assert (e.value.sample, e.value.step, e.value.stage) == (2, 0, 0)
 
 
 def test_generate_truth_zero_horizon():

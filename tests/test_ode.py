@@ -70,8 +70,9 @@ def test_tsit5_observed_order():
 
 def test_tsit5_skips_unused_final_stage():
     tab = tableau_tsit5()
-    active = tab.active_stages()
+    active = tab.active_stages
     assert active[:6] == [True] * 6 and not active[6]
+    assert tab.active_stages is active  # computed once per tableau
     calls = []
 
     def rhs(t, u):
@@ -209,6 +210,35 @@ def test_integrate_post_step_output_is_carried_forward():
     assert [t for t, _, _ in seen] == [0.5, 0.75, 1.0]
     assert all(np.array_equal(prev, stepped) for _, prev, stepped in seen)
     assert np.array_equal(seen[2][1], [2.0, 4.0])
+
+
+def _batched_blowup(rhs, u0, post_step=None):
+    with pytest.raises(BlowupError) as e:
+        integrate(tableau_rk4(), rhs, u0, 0.0, 0.1, 20, post_step=post_step)
+    return e.value
+
+
+def test_batched_stage_blowup_names_the_row():
+    # only row 2 grows fast enough to blow up; alone it fails at the same step
+    rate = np.array([[1.0], [-1.0], [1e3], [0.5]])
+    u0 = np.ones((4, 3))
+    e = _batched_blowup(lambda t, u: rate * u, u0)
+    alone = _batched_blowup(lambda t, u: 1e3 * u, u0[2])
+    assert e.stage is not None and e.sample == 2
+    assert (e.step, e.stage, e.time) == (alone.step, alone.stage, alone.time)
+    assert alone.sample is None  # a flat state names no sample
+    assert "sample 2" in str(e)
+
+
+def test_batched_post_step_blowup_names_the_row():
+    factor = np.array([[1.0], [2.0], [1e3], [1.0]])
+    e = _batched_blowup(
+        lambda t, u: np.zeros_like(u), np.ones((4, 2)),
+        post_step=lambda t, u_prev, u_stepped: u_stepped * factor,
+    )
+    # row 2 reaches 1e15 > BLOWUP_LIMIT after the fifth step (index 4)
+    assert (e.sample, e.step, e.stage) == (2, 4, None)
+    assert e.time == pytest.approx(0.4)
 
 
 def test_integrate_post_step_blowup_is_caught():

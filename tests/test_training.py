@@ -3,7 +3,7 @@ import pytest
 
 from sgnode import autodiff as ad
 from sgnode import dg, mlp, training
-from sgnode.errors import ConfigError
+from sgnode.errors import BlowupError, ConfigError
 from sgnode.ode import Trajectory, erk_step, integrate, tableau_rk4
 
 
@@ -269,6 +269,32 @@ class TestTrainLoop:
         assert len(res.history) == 10
         evaluated = [e for e, _, te in res.history if te is not None]
         assert evaluated == [5, 10]
+
+    def test_blowup_carries_epoch_step_stage_and_sample(self):
+        trajs, cfg, builder = self._setup(5)
+        poison = np.ones((cfg.batch_size, 3))
+        poison[3] = np.nan
+        built = []
+
+        def blowing_up_in_epoch_2(ws, bs):
+            built.append(None)
+            rhs = builder(ws, bs)
+            calls = []
+
+            def fn(t, u):
+                calls.append(t)
+                k = rhs(t, u)
+                # RK4: the sixth slope is stage 1 of window step 1
+                return k * poison if len(built) == 2 and len(calls) == 6 else k
+
+            return fn
+
+        with pytest.raises(BlowupError) as e:
+            training.train(trajs, cfg, blowing_up_in_epoch_2, 3, 3)
+        err = e.value
+        assert (err.epoch, err.step, err.stage, err.sample) == (2, 1, 1, 3)
+        assert err.time == pytest.approx(cfg.dt)
+        assert "epoch 2" in str(err) and "sample 3" in str(err)
 
     def test_loss_history_rows_format(self):
         rows = training.loss_history_rows([(1, 0.5, None), (2, 0.25, 0.3)])
