@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import diagnostics, dg, experiments, mlp, training
-from .config import load_config
+from .config import TimingConfig, load_config
 from .errors import BlowupError, ConfigError, FormatError
 from .ode import get_tableau, integrate, load_trajectory, save_trajectory
 
@@ -49,10 +49,7 @@ def cmd_train(args):
     tag = "discrete" if args.discrete else "continuous"
 
     d_in, d_out = experiments.source_dims(cfg)
-    init = None
-    if args.resume:
-        init = mlp.load_params(args.resume)
-        mlp.require_dims(init, d_in, d_out)
+    init = experiments.load_net(cfg, args.resume) if args.resume else None
 
     def on_epoch(epoch, train_loss, test_loss):
         if args.verbose and (epoch % 50 == 0 or epoch == 1):
@@ -70,7 +67,8 @@ def cmd_train(args):
         )
     ckpt = out / f"checkpoint_{tag}.sgnp"
     mlp.save_params(result.params, ckpt)
-    sidecar = {"experiment": cfg.experiment, "training": cfg.training.to_dict(),
+    tcfg = cfg.training_discrete if args.discrete else cfg.training
+    sidecar = {"experiment": cfg.experiment, "training": tcfg.to_dict(),
                "variant": tag, "epochs_completed": len(result.history)}
     (out / f"checkpoint_{tag}.json").write_text(json.dumps(sidecar, indent=2))
     for epoch, params in result.checkpoints:
@@ -94,10 +92,7 @@ def cmd_predict(args):
     if variant in ("augmented", "discrete", "slow"):
         if not args.checkpoint:
             raise ConfigError(f"variant {variant!r} needs --checkpoint")
-        params = mlp.load_params(args.checkpoint)
-        if cfg.experiment != "l96":
-            d = experiments.source_dims(cfg)[0]
-            mlp.require_dims(params, d, d)
+        params = experiments.load_net(cfg, args.checkpoint)
     u0 = experiments.variant_initial_state(cfg, variant, ref, truth)
     n_steps = int(round(cfg.prediction.t_final / dt))
     traj = experiments.predict(cfg, params, u0, dt, n_steps, variant)
@@ -149,8 +144,8 @@ def cmd_sweep(args):
     ref = trajs[args.traj_index]
     pcfg = experiments.pde_config(cfg.experiment, cfg.model)
     _, mesh_l = experiments.pde_meshes(cfg.model)
-    params_c = mlp.load_params(args.checkpoint)
-    params_d = mlp.load_params(args.checkpoint_discrete)
+    params_c = experiments.load_net(cfg, args.checkpoint)
+    params_d = experiments.load_net(cfg, args.checkpoint_discrete)
     dts = [float(x) for x in args.dts.split(",")]
     times = [float(x) for x in args.times.split(",")]
     rows = diagnostics.timestep_sweep(
@@ -173,13 +168,12 @@ def cmd_time(args):
     ref = trajs[args.traj_index]
     truth = experiments.load_dataset(cfg, kind="truth")[args.traj_index]
     if args.checkpoint:
-        params = mlp.load_params(args.checkpoint)
+        params = experiments.load_net(cfg, args.checkpoint)
     else:
         # cost of the augmented solver is weight-independent; a zero net has
         # the identical instruction stream and is stable wherever the plain
         # low-order solver is
-        d = experiments.source_dims(cfg)[0]
-        params = mlp.zero_params(d, d)
+        params = mlp.zero_params(*experiments.source_dims(cfg))
         print("no --checkpoint given; timing the source net with zero weights")
     rows = run_timings(cfg, ref, truth, params)
     out = Path(args.out or cfg.out_dir)
@@ -202,7 +196,7 @@ def run_timings(cfg, ref, truth, params, variants=None):
         cfg, prediction=dataclasses.replace(cfg.prediction, tableau=tcfg.tableau)
     )
     rows = []
-    for variant in variants or ("high", "low", "augmented", "low2", "low3"):
+    for variant in variants or TimingConfig.VARIANTS:
         if variant not in tcfg.dts:
             continue
         dt = tcfg.dts[variant]

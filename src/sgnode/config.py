@@ -1,27 +1,37 @@
 """JSON run configurations with strict schema validation.
 
 Every knob of the three experiments lives in one JSON document per run.
-Unknown keys are rejected with their full path, so typos fail loudly
+Each section is parsed straight into the dataclass that uses it: the
+allowed keys are its fields, each value is checked against its field's
+type, and range and choice constraints are the class's own.  Unknown keys
+and bad values are rejected with their full path, so typos fail loudly
 instead of silently falling back to defaults.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import math
 import os
+import typing
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from . import dg, experiments, lorenz96
 from .errors import ConfigError
+from .ode import get_tableau
 from .training import TrainConfig
 
 EXPERIMENTS = ("l96", "cd", "burgers")
 
-
-def _require(d, key, path):
-    if key not in d:
-        raise ConfigError(f"{path}: missing required key {key!r}")
-    return d[key]
+# model defaults of the PDE experiments; their keys are the allowed keys
+_PDE_MODEL = {
+    "cd": {"a": 1.0, "kappa": 1e-4, "n_elem": 50, "order_high": 5, "order_low": 1,
+           "domain": [0.0, 1.0], "k0": 10, "n_synth": 32768},
+    "burgers": {"a": 1.0, "kappa": 0.005, "n_elem": 64, "order_high": 8, "order_low": 1,
+                "domain": [0.0, 2.0 * math.pi], "k0": 10, "n_synth": 32768},
+}
 
 
 def _check_keys(d, allowed, path):
@@ -30,28 +40,39 @@ def _check_keys(d, allowed, path):
         raise ConfigError(f"{path}: unknown keys {sorted(unknown)}; allowed {sorted(allowed)}")
 
 
-def _number(x, path, positive=False):
-    if not isinstance(x, (int, float)) or isinstance(x, bool):
-        raise ConfigError(f"{path}: expected a number, got {x!r}")
-    if positive and x <= 0:
-        raise ConfigError(f"{path}: must be positive, got {x!r}")
-    return float(x)
-
-
-def _integer(x, path, minimum=None):
-    if not isinstance(x, int) or isinstance(x, bool):
-        raise ConfigError(f"{path}: expected an integer, got {x!r}")
-    if minimum is not None and x < minimum:
-        raise ConfigError(f"{path}: must be >= {minimum}, got {x}")
+def _value(x, hint, path):
+    """x checked against the field type `hint`: no bool where a number is
+    expected, ints widen to float, and containers are checked per item."""
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin is dict:
+        return {k: _value(v, args[1], f"{path}.{k}") for k, v in _value(x, dict, path).items()}
+    if origin is list:
+        return [_value(v, args[0], path) for v in _value(x, list, path)]
+    if args:  # `float | None`: JSON supplies the value, None is the class default
+        hint = args[0]
+    if isinstance(x, bool) != (hint is bool):
+        raise ConfigError(f"{path}: expected {hint.__name__}, got {x!r}")
+    if hint is float and isinstance(x, int):
+        return float(x)
+    if not isinstance(x, hint):
+        raise ConfigError(f"{path}: expected {hint.__name__}, got {x!r}")
     return x
 
 
-def _string(x, path, choices=None):
-    if not isinstance(x, str):
-        raise ConfigError(f"{path}: expected a string, got {x!r}")
-    if choices and x not in choices:
-        raise ConfigError(f"{path}: expected one of {sorted(choices)}, got {x!r}")
-    return x
+def _section(cls, d, path):
+    """Dataclass `cls` built from the JSON object d found at `path`."""
+    hints = typing.get_type_hints(cls)
+    _check_keys(_value(d, dict, path), [f.name for f in dataclasses.fields(cls)], path)
+    kwargs = {k: _value(v, hints[k], f"{path}.{k}") for k, v in d.items()}
+    try:
+        return cls(**kwargs)
+    except ValueError as e:
+        raise ConfigError(f"{path}: {e}") from e
+
+
+def _choice(value, choices, what):
+    if value not in choices:
+        raise ValueError(f"unknown {what} {value!r}; choose from {sorted(choices)}")
 
 
 @dataclass
@@ -62,25 +83,11 @@ class DataConfig:
     spinup: float = 0.0
     store_high: bool = True
 
-    _KEYS = ("n_traj", "dt", "t_final", "spinup", "store_high")
-
-    @classmethod
-    def from_dict(cls, d, path="data"):
-        _check_keys(d, cls._KEYS, path)
-        out = cls()
-        if "n_traj" in d:
-            out.n_traj = _integer(d["n_traj"], f"{path}.n_traj", minimum=1)
-        if "dt" in d:
-            out.dt = _number(d["dt"], f"{path}.dt", positive=True)
-        if "t_final" in d:
-            out.t_final = _number(d["t_final"], f"{path}.t_final")
-        if "spinup" in d:
-            out.spinup = _number(d["spinup"], f"{path}.spinup")
-        if "store_high" in d:
-            if not isinstance(d["store_high"], bool):
-                raise ConfigError(f"{path}.store_high: expected a boolean")
-            out.store_high = d["store_high"]
-        return out
+    def __post_init__(self):
+        if self.n_traj < 1 or self.dt <= 0:
+            raise ValueError(f"n_traj >= 1 and dt > 0 required, got {self.n_traj}, {self.dt}")
+        if self.t_final < 0 or self.spinup < 0:
+            raise ValueError(f"t_final and spinup must be >= 0, got {self.t_final}, {self.spinup}")
 
 
 @dataclass
@@ -88,24 +95,15 @@ class PredictConfig:
     dt: float = 1e-3
     t_final: float = 1.0
     tableau: str = "rk4"
-    variant: str = "augmented"  # augmented | low | high | discrete | low2 | low3
+    variant: str = "augmented"
 
-    _KEYS = ("dt", "t_final", "tableau", "variant")
-    _VARIANTS = ("augmented", "low", "high", "discrete", "low2", "low3", "slow")
+    VARIANTS = ("augmented", "low", "high", "discrete", "low2", "low3", "slow")
 
-    @classmethod
-    def from_dict(cls, d, path="prediction"):
-        _check_keys(d, cls._KEYS, path)
-        out = cls()
-        if "dt" in d:
-            out.dt = _number(d["dt"], f"{path}.dt", positive=True)
-        if "t_final" in d:
-            out.t_final = _number(d["t_final"], f"{path}.t_final", positive=True)
-        if "tableau" in d:
-            out.tableau = _string(d["tableau"], f"{path}.tableau", ("rk4", "tsit5"))
-        if "variant" in d:
-            out.variant = _string(d["variant"], f"{path}.variant", cls._VARIANTS)
-        return out
+    def __post_init__(self):
+        if self.dt <= 0 or self.t_final <= 0:
+            raise ValueError(f"dt and t_final must be positive, got {self.dt}, {self.t_final}")
+        get_tableau(self.tableau)
+        _choice(self.variant, self.VARIANTS, "variant")
 
 
 @dataclass
@@ -113,55 +111,20 @@ class TimingConfig:
     repeats: int = 10
     t_final: float = 1.0
     tableau: str = "tsit5"
-    dts: dict = field(default_factory=dict)  # variant -> stable dt
+    dts: dict[str, float] = field(default_factory=dict)  # variant -> stable dt
 
-    _KEYS = ("repeats", "t_final", "tableau", "dts")
-    _VARIANTS = ("high", "low", "augmented", "low2", "low3")
+    VARIANTS = ("high", "low", "augmented", "low2", "low3")
 
-    @classmethod
-    def from_dict(cls, d, path="timing"):
-        _check_keys(d, cls._KEYS, path)
-        out = cls()
-        if "repeats" in d:
-            out.repeats = _integer(d["repeats"], f"{path}.repeats", minimum=1)
-        if "t_final" in d:
-            out.t_final = _number(d["t_final"], f"{path}.t_final", positive=True)
-        if "tableau" in d:
-            out.tableau = _string(d["tableau"], f"{path}.tableau", ("rk4", "tsit5"))
-        dts = d.get("dts", {})
-        _check_keys(dts, cls._VARIANTS, f"{path}.dts")
-        out.dts = {k: _number(v, f"{path}.dts.{k}", positive=True) for k, v in dts.items()}
-        return out
-
-
-def _train_from_dict(d, path="training"):
-    allowed = (
-        "epochs", "batch_size", "steps_per_epoch", "window", "dt", "tableau",
-        "optimizer", "lr", "beta1", "beta2", "eps", "seed", "split",
-        "split_axis", "test_every", "checkpoint_every",
-    )
-    _check_keys(d, allowed, path)
-    kwargs = {}
-    ints = {"epochs": 0, "batch_size": 1, "steps_per_epoch": 1, "window": 1,
-            "seed": 0, "test_every": 0, "checkpoint_every": 0}
-    for k, lo in ints.items():
-        if k in d:
-            kwargs[k] = _integer(d[k], f"{path}.{k}", minimum=lo)
-    for k in ("dt", "lr", "beta1", "beta2", "eps", "split"):
-        if k in d:
-            kwargs[k] = _number(d[k], f"{path}.{k}")
-    if "tableau" in d:
-        kwargs["tableau"] = _string(d["tableau"], f"{path}.tableau", ("rk4", "tsit5"))
-    if "optimizer" in d:
-        kwargs["optimizer"] = _string(d["optimizer"], f"{path}.optimizer", ("adam", "adabelief"))
-    if "split_axis" in d:
-        kwargs["split_axis"] = _string(d["split_axis"], f"{path}.split_axis", ("time", "trajectory"))
-    try:
-        return TrainConfig(**kwargs)
-    except ConfigError:
-        raise
-    except ValueError as e:
-        raise ConfigError(f"{path}: {e}") from e
+    def __post_init__(self):
+        if self.repeats < 1 or self.t_final <= 0:
+            raise ValueError(
+                f"repeats >= 1 and t_final > 0 required, got {self.repeats}, {self.t_final}"
+            )
+        get_tableau(self.tableau)
+        for variant, dt in self.dts.items():
+            _choice(variant, self.VARIANTS, "dts variant")
+            if dt <= 0:
+                raise ValueError(f"dts.{variant} must be positive, got {dt}")
 
 
 @dataclass
@@ -179,78 +142,57 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, d, base_dir=None):
-        _check_keys(
-            d,
-            ("experiment", "seed", "out_dir", "model", "data", "training",
-             "training_discrete", "prediction", "timing"),
-            "config",
-        )
-        experiment = _string(_require(d, "experiment", "config"), "config.experiment", EXPERIMENTS)
-        seed = _integer(d.get("seed", 0), "config.seed", minimum=0)
-        out_raw = _string(_require(d, "out_dir", "config"), "config.out_dir")
+        _check_keys(d, [f.name for f in dataclasses.fields(cls) if f.name != "source_path"],
+                    "config")
+        for key in ("experiment", "out_dir"):
+            if key not in d:
+                raise ConfigError(f"config: missing required key {key!r}")
+        experiment = _value(d["experiment"], str, "config.experiment")
+        if experiment not in EXPERIMENTS:
+            raise ConfigError(f"config.experiment: expected one of {sorted(EXPERIMENTS)}, "
+                              f"got {experiment!r}")
+        seed = _value(d.get("seed", 0), int, "config.seed")
+        if seed < 0:
+            raise ConfigError(f"config.seed: must be >= 0, got {seed}")
+        out_raw = _value(d["out_dir"], str, "config.out_dir")
         base = Path(base_dir or os.environ.get("SGN_DATA_DIR", "."))
-        out_dir = Path(out_raw) if os.path.isabs(out_raw) else base / out_raw
-        model = _validate_model(experiment, d.get("model", {}))
+        training = d.get("training", {})
         return cls(
             experiment=experiment,
             seed=seed,
-            out_dir=out_dir,
-            model=model,
-            data=DataConfig.from_dict(d.get("data", {})),
-            training=_train_from_dict(d.get("training", {})),
-            training_discrete=_train_from_dict(
-                d.get("training_discrete", d.get("training", {})), "training_discrete"
+            out_dir=Path(out_raw) if os.path.isabs(out_raw) else base / out_raw,
+            model=_model(experiment, d.get("model", {})),
+            data=_section(DataConfig, d.get("data", {}), "data"),
+            training=_section(TrainConfig, training, "training"),
+            training_discrete=_section(
+                TrainConfig, d.get("training_discrete", training), "training_discrete"
             ),
-            prediction=PredictConfig.from_dict(d.get("prediction", {})),
-            timing=TimingConfig.from_dict(d.get("timing", {})),
+            prediction=_section(PredictConfig, d.get("prediction", {}), "prediction"),
+            timing=_section(TimingConfig, d.get("timing", {}), "timing"),
         )
 
 
-def _validate_model(experiment, d):
+def _model(experiment, d):
+    """The model section as a plain dict, checked by the classes that consume it."""
     if experiment == "l96":
-        allowed = ("K", "J", "c", "h", "F", "source_scope")
-        _check_keys(d, allowed, "model")
-        out = {"K": 36, "J": 10, "c": 10.0, "h": 1.0, "F": 10.0,
-               "source_scope": "global"}
-        for k in ("K", "J"):
-            if k in d:
-                out[k] = _integer(d[k], f"model.{k}", minimum=1)
-        for k in ("c", "h", "F"):
-            if k in d:
-                out[k] = _number(d[k], f"model.{k}")
-        if "source_scope" in d:
-            out["source_scope"] = _string(
-                d["source_scope"], "model.source_scope", ("per_component", "global")
-            )
-        return out
-    allowed = ("a", "kappa", "n_elem", "order_high", "order_low", "domain",
-               "k0", "n_synth")
-    _check_keys(d, allowed, "model")
-    is_burgers = experiment == "burgers"
-    out = {
-        "a": 1.0,
-        "kappa": 0.005 if is_burgers else 1e-4,
-        "n_elem": 64 if is_burgers else 50,
-        "order_high": 8 if is_burgers else 5,
-        "order_low": 1,
-        "domain": [0.0, 2.0 * 3.141592653589793] if is_burgers else [0.0, 1.0],
-        "k0": 10,
-        "n_synth": 32768,
+        return dataclasses.asdict(_section(lorenz96.L96Config, d, "model"))
+    defaults = _PDE_MODEL[experiment]
+    _check_keys(_value(d, dict, "model"), defaults, "model")
+    model = {
+        k: _value(d.get(k, v), list[float] if isinstance(v, list) else type(v), f"model.{k}")
+        for k, v in defaults.items()
     }
-    for k in ("a", "kappa"):
-        if k in d:
-            out[k] = _number(d[k], f"model.{k}")
-    for k in ("n_elem", "order_high", "order_low", "k0", "n_synth"):
-        if k in d:
-            out[k] = _integer(d[k], f"model.{k}", minimum=1)
-    if "domain" in d:
-        dom = d["domain"]
-        if not (isinstance(dom, list) and len(dom) == 2):
-            raise ConfigError("model.domain: expected [x_left, x_right]")
-        out["domain"] = [_number(v, "model.domain") for v in dom]
-    if out["order_low"] >= out["order_high"]:
-        raise ConfigError("model.order_low must be below model.order_high")
-    return out
+    if len(model["domain"]) != 2:
+        raise ConfigError("model.domain: expected [x_left, x_right]")
+    try:
+        if model["order_low"] >= model["order_high"]:
+            raise ValueError("order_low must be below order_high")
+        experiments.pde_config(experiment, model)
+        experiments.pde_meshes(model)
+        dg.check_synthesis(model["k0"], model["n_synth"])
+    except ValueError as e:
+        raise ConfigError(f"model: {e}") from e
+    return model
 
 
 def load_config(path, base_dir=None):

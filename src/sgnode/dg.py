@@ -45,7 +45,7 @@ class PdeConfig:
 def lgl_nodes(p):
     """p+1 Legendre-Gauss-Lobatto points on [-1, 1], symmetric about 0."""
     if p < 1:
-        raise ValueError("order must be >= 1")
+        raise ValueError(f"order must be >= 1, got {p}")
     if p == 1:
         return np.array([-1.0, 1.0])
     coeffs = np.zeros(p + 1)
@@ -74,10 +74,12 @@ class Mesh1D:
 
     def __init__(self, n_elem, order, domain=(0.0, 1.0)):
         if n_elem < 2:
-            raise ValueError("need at least two elements for periodic faces")
+            raise ValueError(f"n_elem must be >= 2 for periodic faces, got {n_elem}")
         self.n_elem = int(n_elem)
         self.order = int(order)
         self.domain = (float(domain[0]), float(domain[1]))
+        if not self.domain[0] < self.domain[1]:
+            raise ValueError(f"domain must run left to right, got {list(self.domain)}")
         self.h = (self.domain[1] - self.domain[0]) / self.n_elem
         self.jac = self.h / 2.0
 
@@ -298,11 +300,18 @@ def target_spectrum(k, k0):
     return a0 * k ** 4 * np.exp(-2.0 * (k / k0) ** 2)
 
 
+def check_synthesis(k0, n_grid):
+    """Raise ValueError unless a signal peaked at k0 fits on n_grid points."""
+    if k0 < 1:
+        raise ValueError(f"k0 must be >= 1, got {k0}")
+    if n_grid < 4 or n_grid & (n_grid - 1):
+        raise ValueError(f"the synthesis grid must be a power of two >= 4, got {n_grid}")
+
+
 def synthesize_turbulence_signal(k0, n_grid, seed):
     """Random-phase real signal on n_grid uniform points realizing the target
     spectrum exactly per wavenumber (Hermitian coefficient pairs)."""
-    if n_grid < 4 or n_grid & (n_grid - 1):
-        raise ValueError("n_grid must be a power of two >= 4")
+    check_synthesis(k0, n_grid)
     rng = np.random.Generator(np.random.PCG64(seed))
     coeffs = np.zeros(n_grid, dtype=np.complex128)
     ks = np.arange(1, n_grid // 2)

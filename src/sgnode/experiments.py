@@ -45,6 +45,13 @@ def source_dims(cfg):
     return low.n_dof, low.n_dof
 
 
+def load_net(cfg, path):
+    """The source net saved at `path`, checked against the experiment's dims."""
+    params = mlp.load_params(path)
+    mlp.require_dims(params, *source_dims(cfg))
+    return params
+
+
 def sha256_file(path):
     h = hashlib.sha256()
     with open(path, "rb") as f:
@@ -172,7 +179,7 @@ def train_discrete(cfg, trajs, init=None, on_epoch=None):
     rhs_l = dg.rhs_semidiscrete(pcfg, mesh_l)
     train_rng, _ = training.split_ranges(trajs, tcfg)
     inputs, targets = training.discrete_forcing_dataset(
-        trajs, tcfg.dt, rhs_l, "rk4", ranges=train_rng
+        trajs, tcfg.dt, rhs_l, tcfg.tableau, ranges=train_rng
     )
     d = mesh_l.n_dof
     return training.train_discrete_forcing(

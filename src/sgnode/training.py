@@ -42,8 +42,11 @@ class TrainConfig:
     checkpoint_every: int = 0    # 0: final checkpoint only
 
     def __post_init__(self):
-        if self.epochs < 0 or self.window < 1 or self.batch_size < 1:
-            raise ConfigError("epochs >= 0, window >= 1, batch_size >= 1 required")
+        if min(self.window, self.batch_size, self.steps_per_epoch) < 1:
+            raise ConfigError("window, batch_size and steps_per_epoch must be >= 1")
+        if min(self.epochs, self.seed, self.test_every, self.checkpoint_every) < 0:
+            raise ConfigError("epochs, seed, test_every and checkpoint_every must be >= 0")
+        get_tableau(self.tableau)
         if self.optimizer not in ("adam", "adabelief"):
             raise ConfigError(f"unknown optimizer {self.optimizer!r}")
         if self.split_axis not in ("time", "trajectory"):

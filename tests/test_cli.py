@@ -1,9 +1,10 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from sgnode import dg, experiments, mlp
+from sgnode import dg, experiments, mlp, training
 from sgnode.cli import main, run_timings
 from sgnode.config import load_config
 from sgnode.errors import BlowupError, ConfigError
@@ -50,6 +51,51 @@ def test_config_rejects_unknown_nested_key(tmp_path):
     with pytest.raises(ConfigError) as e:
         load_config(path)
     assert "learning_rate" in str(e.value)
+
+
+L96_MODEL = {"K": 8, "J": 4, "F": 6.0, "source_scope": "per_component"}
+
+
+@pytest.mark.parametrize("experiment,section,key,value", [
+    ("cd", "model", "kappa", 0.0),
+    ("burgers", "model", "kappa", -1e-3),
+    ("l96", "model", "K", 3),
+    ("l96", "model", "c", 0),
+    ("cd", "model", "n_elem", 1),
+    ("cd", "model", "domain", [1.0, 0.0]),
+    ("cd", "data", "t_final", -0.1),
+    ("burgers", "model", "n_synth", 3),
+    ("cd", "data", "n_traj", True),
+    ("cd", "training", "lr", "1e-3"),
+    ("cd", "training", "tableau", "euler"),
+    ("cd", "prediction", "tableau", "euler"),
+    ("cd", "timing", "tableau", "euler"),
+    ("cd", "timing", "dts", {"slow": 1e-3}),
+])
+def test_invalid_value_is_config_error_naming_its_section(
+    tmp_path, capsys, experiment, section, key, value
+):
+    path = smoke_config(tmp_path, experiment)
+    cfg = json.loads(path.read_text())
+    if experiment == "l96":
+        cfg["model"] = dict(L96_MODEL)
+    cfg[section][key] = value
+    path.write_text(json.dumps(cfg))
+    with pytest.raises(ConfigError) as e:
+        load_config(path)
+    assert str(e.value).startswith(section)
+    assert main(["generate", "--config", str(path)]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {section}")
+
+
+def test_l96_desk_config_values_and_types():
+    cfg = load_config("configs/l96-desk.json")
+    model = {"K": 36, "J": 10, "c": 10.0, "h": 1.0, "F": 6.0, "source_scope": "per_component"}
+    assert cfg.model == model
+    assert [type(v) for v in cfg.model.values()] == [type(v) for v in model.values()]
+    data = {"n_traj": 30, "dt": 0.005, "t_final": 4.0, "spinup": 3.0, "store_high": True}
+    assert cfg.data.__dict__ == data
+    assert [type(v) for v in cfg.data.__dict__.values()] == [type(v) for v in data.values()]
 
 
 def test_config_error_exit_code(tmp_path):
@@ -130,13 +176,55 @@ def test_checkpoint_shape_mismatch_is_io_error(tmp_path):
     path = smoke_config(tmp_path)
     main(["generate", "--config", str(path)])
     out = tmp_path / "run"
-    wrong = mlp.init_params(10, 10, seed=0, hidden=8)
-    mlp.save_params(wrong, out / "wrong.sgnp")
-    rc = main(["predict", "--config", str(path), "--checkpoint", str(out / "wrong.sgnp")])
-    assert rc == 4
-    for extra in ([], ["--discrete"]):
-        rc = main(["train", "--config", str(path), "--resume", str(out / "wrong.sgnp")] + extra)
-        assert rc == 4
+    mlp.save_params(mlp.zero_params(16, 16), out / "right.sgnp")
+    # the second net differs from the 16-dof layout in d_out alone
+    for d_in, d_out in ((10, 10), (16, 1)):
+        wrong = str(out / f"wrong_{d_in}_{d_out}.sgnp")
+        mlp.save_params(mlp.init_params(d_in, d_out, seed=0, hidden=8), wrong)
+        right = str(out / "right.sgnp")
+        for argv in (
+            ["predict", "--checkpoint", wrong],
+            ["train", "--resume", wrong],
+            ["train", "--resume", wrong, "--discrete"],
+            ["sweep", "--checkpoint", wrong, "--checkpoint-discrete", right],
+            ["sweep", "--checkpoint", right, "--checkpoint-discrete", wrong],
+            ["time", "--checkpoint", wrong],
+        ):
+            assert main(argv[:1] + ["--config", str(path)] + argv[1:]) == 4, argv
+    l96 = smoke_config(tmp_path, "l96", model=L96_MODEL, out_dir=str(tmp_path / "l96"),
+                       data={"n_traj": 1, "dt": 0.005, "t_final": 0.05})
+    assert main(["generate", "--config", str(l96)]) == 0
+    for variant in ("augmented", "slow"):
+        assert main(["predict", "--config", str(l96), "--variant", variant,
+                     "--checkpoint", str(out / "wrong_10_10.sgnp")]) == 4
+
+
+def test_checkpoint_sidecar_records_its_own_training_section(tmp_path):
+    cfg = json.loads(smoke_config(tmp_path).read_text())
+    cfg["training_discrete"] = dict(cfg["training"], seed=9)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    main(["generate", "--config", str(path)])
+    out = tmp_path / "run"
+    for extra, tag, seed in (([], "continuous", 1), (["--discrete"], "discrete", 9)):
+        assert main(["train", "--config", str(path)] + extra) == 0
+        sidecar = json.loads((out / f"checkpoint_{tag}.json").read_text())
+        assert sidecar["training"]["seed"] == seed
+
+
+def test_discrete_targets_use_the_configured_tableau(tmp_path, monkeypatch):
+    cfg = load_config(smoke_config(tmp_path))
+    cfg.training_discrete = dataclasses.replace(cfg.training_discrete, tableau="tsit5", epochs=1)
+    experiments.generate(cfg)
+    seen, plain = [], training.discrete_forcing_dataset
+
+    def recording(trajs, dt, rhs, tableau, **kw):
+        seen.append(tableau)
+        return plain(trajs, dt, rhs, tableau, **kw)
+
+    monkeypatch.setattr(training, "discrete_forcing_dataset", recording)
+    experiments.train_discrete(cfg, experiments.load_dataset(cfg))
+    assert seen == ["tsit5"]
 
 
 def test_discrete_training_and_sweep(tmp_path):
