@@ -3,11 +3,11 @@
 A loss is built by composing ``Var`` handles that live on a ``Tape``.  The op
 set is intentionally closed: exactly what MLP evaluation, the model
 right-hand sides, and mean-squared losses unrolled through explicit
-Runge-Kutta steps need (matmul, product with a constant matrix, fused dense
-layer, broadcast add/mul, relu, abs, max, square, roll, slice/concat, repeat,
-reshape, transpose, full sum).  ``backward`` walks the tape once in reverse
-and returns the gradient of the recorded scalar with respect to every
-registered parameter array.
+Runge-Kutta steps need (product with a constant matrix, fused dense layer,
+broadcast add/mul, abs, max, square, roll, slice/concat, repeat, reshape,
+full sum).  ``backward`` walks the tape once in reverse and returns the
+gradient of the recorded scalar with respect to every registered parameter
+array.
 
 The fused ``dense`` node (``h @ W.T + b``, optionally through ReLU) stores
 only the layer's output, and a product with a constant matrix keeps the
@@ -20,27 +20,22 @@ share one implementation of each right-hand side.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 __all__ = [
     "Tape",
     "Var",
-    "Gradient",
     "TapeError",
     "record",
     "backward",
     "dense",
     "grad_check",
-    "relu",
     "absolute",
     "maximum",
     "square",
     "sum_all",
     "roll",
     "reshape",
-    "transpose",
     "concatenate",
     "narrow",
     "repeat_elems",
@@ -90,16 +85,13 @@ _FWD = {
     "neg": lambda aux, a: -a,
     "smul": lambda aux, a: a * aux,
     "sadd": lambda aux, a: a + aux,
-    "matmul": lambda aux, a, b: a @ b,
     "matconst": lambda aux, a: a @ aux,
     "dense": _dense_fwd,  # aux is the relu flag
-    "relu": lambda aux, a: np.maximum(a, 0.0),
     "abs": lambda aux, a: np.abs(a),
     "max2": lambda aux, a, b: np.maximum(a, b),
     "square": lambda aux, a: a * a,
     "sumall": lambda aux, a: np.sum(a),
     "reshape": lambda aux, a: np.reshape(a, aux),
-    "transpose": lambda aux, a: a.T,
     "roll": lambda aux, a: _roll(a, aux[0], aux[1]),
     "narrow": lambda aux, a: _narrow_fwd(aux, a),
     "concat": lambda aux, *xs: np.concatenate(xs, axis=aux),
@@ -124,12 +116,6 @@ def _vjp_sub(aux, g, out, a, b):
 
 def _vjp_mul(aux, g, out, a, b):
     return _unbroadcast(g * b, a.shape), _unbroadcast(g * a, b.shape)
-
-
-def _vjp_matmul(aux, g, out, a, b):
-    ga = g @ np.swapaxes(b, -1, -2)
-    gb = np.swapaxes(a, -1, -2) @ g
-    return _unbroadcast(ga, a.shape), _unbroadcast(gb, b.shape)
 
 
 def _vjp_dense(aux, g, out, h, w, b):
@@ -174,16 +160,13 @@ _VJP = {
     "neg": lambda aux, g, out, a: (-g,),
     "smul": lambda aux, g, out, a: (g * aux,),
     "sadd": lambda aux, g, out, a: (g,),
-    "matmul": _vjp_matmul,
     "matconst": lambda aux, g, out, a: (_unbroadcast(g @ np.swapaxes(aux, -1, -2), a.shape),),
     "dense": _vjp_dense,
-    "relu": lambda aux, g, out, a: (g * (a > 0),),
     "abs": lambda aux, g, out, a: (g * np.sign(a),),
     "max2": _vjp_max2,
     "square": lambda aux, g, out, a: (2.0 * a * g,),
     "sumall": lambda aux, g, out, a: (g * np.ones_like(a),),
     "reshape": lambda aux, g, out, a: (np.reshape(g, a.shape),),
-    "transpose": lambda aux, g, out, a: (g.T,),
     "roll": lambda aux, g, out, a: (_roll(g, -aux[0], aux[1]),),
     "narrow": _vjp_narrow,
     "concat": _vjp_concat,
@@ -235,7 +218,7 @@ class Tape:
         """Recompute the recorded scalar from (optionally perturbed) leaves.
 
         `overrides` maps leaf id -> replacement array.  Data-dependent ops
-        (relu, max) are re-evaluated, so this is a true re-execution of the
+        (dense ReLU, max) are re-evaluated, so this is a true re-execution of the
         recorded function.
         """
         overrides = overrides or {}
@@ -309,20 +292,9 @@ class Var:
 
     def __matmul__(self, other):
         if isinstance(other, Var):
-            return self.tape._push("matmul", (self.i, self._lift(other).i), None)
+            raise TapeError("Var @ Var is not recorded; the right operand must be constant")
         # a constant matrix rides in the node; no leaf, no gradient for it
         return self.tape._push("matconst", (self.i,), np.asarray(other, dtype=np.float64))
-
-    def __rmatmul__(self, other):
-        return self.tape._push("matmul", (self._lift(other).i, self.i), None)
-
-
-@dataclass
-class Gradient:
-    """d(loss)/d(param) arrays, aligned with the tape's registration order."""
-
-    grads: list
-    loss: float
 
 
 def record(build, params):
@@ -343,7 +315,8 @@ def record(build, params):
 
 
 def backward(tape):
-    """Reverse sweep: gradient of the recorded scalar w.r.t. every parameter."""
+    """Reverse sweep: the gradient of the recorded scalar w.r.t. every
+    parameter, as a list aligned with the tape's registration order."""
     if tape.out is None:
         raise TapeError("tape has no recorded output; use record()")
     adj = [None] * len(tape.vals)
@@ -368,7 +341,7 @@ def backward(tape):
         elif any(np.may_share_memory(g, k) for k in grads):
             g = g.copy()  # e.g. both operands of a + b receive the same array
         grads.append(g)
-    return Gradient(grads=grads, loss=float(tape.vals[tape.out]))
+    return grads
 
 
 def grad_check(build, params, h=1e-6, sample=None, seed=0, atol=0.0):
@@ -389,7 +362,7 @@ def grad_check(build, params, h=1e-6, sample=None, seed=0, atol=0.0):
     if h <= 0:
         raise ValueError("h must be positive")
     loss, tape = record(build, params)
-    grads = backward(tape).grads
+    grads = backward(tape)
     rng = np.random.default_rng(seed)
     max_rel = 0.0
     for pid, g in zip(tape.param_ids, grads):
@@ -419,12 +392,6 @@ def grad_check(build, params, h=1e-6, sample=None, seed=0, atol=0.0):
 
 def _dispatch(x):
     return isinstance(x, Var)
-
-
-def relu(x):
-    if _dispatch(x):
-        return x.tape._push("relu", (x.i,), None)
-    return np.maximum(x, 0.0)
 
 
 def absolute(x):
@@ -479,15 +446,6 @@ def reshape(x, shape):
     if _dispatch(x):
         return x.tape._push("reshape", (x.i,), tuple(shape))
     return np.reshape(x, shape)
-
-
-def transpose(x):
-    """2-D transpose."""
-    if _dispatch(x):
-        if x.ndim != 2:
-            raise TapeError("transpose is defined for 2-D values only")
-        return x.tape._push("transpose", (x.i,), None)
-    return x.T
 
 
 def concatenate(xs, axis=-1):

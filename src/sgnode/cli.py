@@ -12,15 +12,12 @@ import argparse
 import dataclasses
 import json
 import sys
-import time as _time
 from pathlib import Path
 
-import numpy as np
-
 from . import diagnostics, dg, experiments, mlp, training
-from .config import TimingConfig, load_config
+from .config import load_config
 from .errors import BlowupError, ConfigError, FormatError
-from .ode import get_tableau, integrate, load_trajectory, save_trajectory
+from .ode import load_trajectory, save_trajectory
 
 
 def _load(args):
@@ -68,7 +65,7 @@ def cmd_train(args):
     ckpt = out / f"checkpoint_{tag}.sgnp"
     mlp.save_params(result.params, ckpt)
     tcfg = cfg.training_discrete if args.discrete else cfg.training
-    sidecar = {"experiment": cfg.experiment, "training": tcfg.to_dict(),
+    sidecar = {"experiment": cfg.experiment, "training": dataclasses.asdict(tcfg),
                "variant": tag, "epochs_completed": len(result.history)}
     (out / f"checkpoint_{tag}.json").write_text(json.dumps(sidecar, indent=2))
     for epoch, params in result.checkpoints:
@@ -175,7 +172,7 @@ def cmd_time(args):
         # low-order solver is
         params = mlp.zero_params(*experiments.source_dims(cfg))
         print("no --checkpoint given; timing the source net with zero weights")
-    rows = run_timings(cfg, ref, truth, params)
+    rows = experiments.run_timings(cfg, ref, truth, params)
     out = Path(args.out or cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     path = out / "timings.csv"
@@ -189,85 +186,14 @@ def cmd_time(args):
     return 0
 
 
-def run_timings(cfg, ref, truth, params, variants=None):
-    """Median-of-repeats wall times per prediction variant at its stable dt."""
-    tcfg = cfg.timing
-    cfg = dataclasses.replace(
-        cfg, prediction=dataclasses.replace(cfg.prediction, tableau=tcfg.tableau)
-    )
-    rows = []
-    for variant in variants or TimingConfig.VARIANTS:
-        if variant not in tcfg.dts:
-            continue
-        dt = tcfg.dts[variant]
-        u0 = experiments.variant_initial_state(cfg, variant, ref, truth)
-        n_steps = int(round(tcfg.t_final / dt))
-        times = []
-        for _ in range(tcfg.repeats + 1):
-            t0 = _time.perf_counter()
-            experiments.predict(cfg, params, u0, dt, n_steps, variant)
-            times.append((_time.perf_counter() - t0) * 1e3)
-        rows.append((variant, dt, times[0], float(np.median(times[1:]))))
-    return rows
-
-
 def cmd_gradcheck(args):
     cfg = _load(args)
-    err = run_gradcheck(cfg.experiment, seed=cfg.seed, sample=args.sample)
+    err = experiments.run_gradcheck(cfg.experiment, seed=cfg.seed, sample=args.sample)
     print(f"{cfg.experiment}: max relative gradient error {err:.3e}")
     if err >= args.tolerance:
         print(f"exceeds tolerance {args.tolerance}", file=sys.stderr)
         return 3
     return 0
-
-
-def run_gradcheck(experiment, seed=0, sample=64, h=1e-5):
-    """Finite-difference check of a small windowed loss for one experiment."""
-    from . import lorenz96
-
-    rng = np.random.Generator(np.random.PCG64(seed))
-    if experiment == "l96":
-        lcfg = lorenz96.L96Config(K=8, J=4)
-        trajs = lorenz96.generate_truth(lcfg, 1, 0.005, 1.0, 0.25, seed=seed)
-        params = mlp.init_params(*lcfg.source_dims, seed=seed)
-        builder = lambda ws, bs: lorenz96.rhs_coupled_neural(lcfg, ws, bs)
-        dt = 0.005
-        trajs_use = trajs
-    else:
-        if experiment == "cd":
-            mesh = dg.make_mesh(10, 1, 0.0, 1.0)
-            pcfg = dg.PdeConfig(dg.CONVECTION_DIFFUSION, kappa=1e-4, a=1.0)
-            u0 = dg.cd_initial_condition(mesh, 0.25)
-            dt = 1e-3
-        else:
-            mesh = dg.make_mesh(8, 1, 0.0, 2 * np.pi)
-            pcfg = dg.PdeConfig(dg.VISCOUS_BURGERS, kappa=0.005)
-            u0 = dg.field_from_function(mesh, lambda x: np.sin(x) + 0.1 * np.cos(2 * x))
-            dt = 5e-3
-        rhs = dg.rhs_semidiscrete(pcfg, mesh)
-        tr = integrate(get_tableau("rk4"), rhs, u0.flat, 0.0, dt, 8)
-        trajs_use = [tr]
-        params = mlp.init_params(mesh.n_dof, mesh.n_dof, seed=seed)
-        builder = lambda ws, bs: training.augmented(rhs, ws, bs)
-
-    tcfg = training.TrainConfig(
-        epochs=1, batch_size=4, window=2, dt=dt, tableau="rk4", seed=seed, split=1.0
-    )
-    batch = training.sample_windows(trajs_use, tcfg, epoch_seed=[seed, 7])
-    # O(1) target perturbations keep residuals (hence gradients) well away from
-    # the finite-difference noise floor; the loss function is unchanged.
-    batch.targets = batch.targets + rng.normal(size=batch.targets.shape)
-    build = training.make_loss_builder(batch, builder, "rk4")
-
-    from . import autodiff as ad
-
-    loss, tape = ad.record(build, mlp.param_list(params))
-    # slots with gradients below the central-difference resolution
-    # (~ulp(loss)/h) are held to absolute agreement at that floor
-    atol = 64.0 * np.finfo(float).eps * max(1.0, abs(loss)) / h
-    return ad.grad_check(
-        build, mlp.param_list(params), h=h, sample=sample, seed=seed, atol=atol
-    )
 
 
 def main(argv=None):

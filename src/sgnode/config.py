@@ -138,12 +138,10 @@ class RunConfig:
     training_discrete: TrainConfig  # baseline regression; falls back to `training`
     prediction: PredictConfig
     timing: TimingConfig
-    source_path: Path | None = None
 
     @classmethod
     def from_dict(cls, d, base_dir=None):
-        _check_keys(d, [f.name for f in dataclasses.fields(cls) if f.name != "source_path"],
-                    "config")
+        _check_keys(d, [f.name for f in dataclasses.fields(cls)], "config")
         for key in ("experiment", "out_dir"):
             if key not in d:
                 raise ConfigError(f"config: missing required key {key!r}")
@@ -205,6 +203,4 @@ def load_config(path, base_dir=None):
         raise ConfigError(f"{p}: invalid JSON ({e})") from e
     if not isinstance(raw, dict):
         raise ConfigError(f"{p}: top level must be a JSON object")
-    cfg = RunConfig.from_dict(raw, base_dir=base_dir)
-    cfg.source_path = p
-    return cfg
+    return RunConfig.from_dict(raw, base_dir=base_dir)

@@ -165,9 +165,6 @@ class DGField:
     def flat(self):
         return self.coeffs.reshape(-1)
 
-    def copy(self):
-        return DGField(self.mesh, self.coeffs.copy())
-
 
 def field_from_flat(mesh, flat):
     return DGField(mesh, np.asarray(flat).reshape(mesh.n_elem, mesh.order + 1))
@@ -237,9 +234,8 @@ def rhs_semidiscrete(cfg, mesh):
 
 def filter_project(field, target_order):
     """Elementwise L2 projection onto the lower-order space (the filter)."""
-    g = field.mesh.projection_to(target_order)
-    low_mesh = make_mesh(field.mesh.n_elem, target_order, *field.mesh.domain)
-    return DGField(low_mesh, field.coeffs @ g.T)
+    low = project_states(field.mesh, field.flat[None, :], target_order)[0]
+    return field_from_flat(make_mesh(field.mesh.n_elem, target_order, *field.mesh.domain), low)
 
 
 def project_states(mesh, states, target_order):
@@ -259,8 +255,7 @@ def interp_to_order(field, target_order):
 
 def dg_norm(field):
     """Broken L2 norm via the mesh quadrature."""
-    uq = field.coeffs @ field.mesh.vq.T
-    return float(np.sqrt(field.mesh.jac * np.sum(field.mesh.quad_w * uq * uq)))
+    return float(states_dg_norm(field.mesh, field.flat[None, :])[0])
 
 
 def dg_error(field_a, field_b):

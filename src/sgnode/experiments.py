@@ -3,27 +3,29 @@
 Each experiment knows how to build its meshes/right-hand sides, generate and
 filter reference data, build the source-augmented right-hand side that
 training differentiates through, train the discrete post-correction
-baseline, and roll out every prediction variant.
+baseline, and roll out every prediction variant.  The finite-difference
+gradient check and the variant timings behind ``sgnode gradcheck`` and
+``sgnode time`` live here too.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
+import time
 from pathlib import Path
 
 import numpy as np
 
+from . import autodiff as ad
 from . import dg, lorenz96, mlp, training
 from .errors import ConfigError
 from .ode import Trajectory, integrate, get_tableau, load_trajectory, save_trajectory
 
 
 def l96_config(model):
-    return lorenz96.L96Config(
-        K=model["K"], J=model["J"], c=model["c"], h=model["h"], F=model["F"],
-        source_scope=model["source_scope"],
-    )
+    return lorenz96.L96Config(**model)
 
 
 def pde_config(experiment, model):
@@ -238,3 +240,65 @@ def variant_initial_state(cfg, variant, ref_filtered, ref_truth=None):
         lcfg = l96_config(cfg.model)
         return ref_filtered.states[0][: lcfg.K]
     return ref_filtered.states[0]
+
+
+def run_timings(cfg, ref, truth, params, variants=None):
+    """Median-of-repeats wall times per prediction variant at its stable dt."""
+    tcfg = cfg.timing
+    cfg = dataclasses.replace(
+        cfg, prediction=dataclasses.replace(cfg.prediction, tableau=tcfg.tableau)
+    )
+    rows = []
+    for variant in variants or tcfg.VARIANTS:
+        if variant not in tcfg.dts:
+            continue
+        dt = tcfg.dts[variant]
+        u0 = variant_initial_state(cfg, variant, ref, truth)
+        n_steps = int(round(tcfg.t_final / dt))
+        times = []
+        for _ in range(tcfg.repeats + 1):
+            t0 = time.perf_counter()
+            predict(cfg, params, u0, dt, n_steps, variant)
+            times.append((time.perf_counter() - t0) * 1e3)
+        rows.append((variant, dt, times[0], float(np.median(times[1:]))))
+    return rows
+
+
+def run_gradcheck(experiment, seed=0, sample=64, h=1e-5):
+    """Finite-difference check of a small windowed loss for one experiment."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    if experiment == "l96":
+        lcfg = lorenz96.L96Config(K=8, J=4)
+        trajs = lorenz96.generate_truth(lcfg, 1, 0.005, 1.0, 0.25, seed=seed)
+        params = mlp.init_params(*lcfg.source_dims, seed=seed)
+        builder = lambda ws, bs: lorenz96.rhs_coupled_neural(lcfg, ws, bs)
+        dt = 0.005
+    else:
+        if experiment == "cd":
+            mesh = dg.make_mesh(10, 1, 0.0, 1.0)
+            pcfg = dg.PdeConfig(dg.CONVECTION_DIFFUSION, kappa=1e-4, a=1.0)
+            u0 = dg.cd_initial_condition(mesh, 0.25)
+            dt = 1e-3
+        else:
+            mesh = dg.make_mesh(8, 1, 0.0, 2 * np.pi)
+            pcfg = dg.PdeConfig(dg.VISCOUS_BURGERS, kappa=0.005)
+            u0 = dg.field_from_function(mesh, lambda x: np.sin(x) + 0.1 * np.cos(2 * x))
+            dt = 5e-3
+        rhs = dg.rhs_semidiscrete(pcfg, mesh)
+        trajs = [integrate(get_tableau("rk4"), rhs, u0.flat, 0.0, dt, 8)]
+        params = mlp.init_params(mesh.n_dof, mesh.n_dof, seed=seed)
+        builder = lambda ws, bs: training.augmented(rhs, ws, bs)
+
+    tcfg = training.TrainConfig(
+        epochs=1, batch_size=4, window=2, dt=dt, tableau="rk4", seed=seed, split=1.0
+    )
+    batch = training.sample_windows(trajs, tcfg, epoch_seed=[seed, 7])
+    # O(1) target perturbations keep residuals (hence gradients) well away from
+    # the finite-difference noise floor; the loss function is unchanged.
+    batch.targets = batch.targets + rng.normal(size=batch.targets.shape)
+    build = training.make_loss_builder(batch, builder, "rk4")
+    plist = mlp.param_list(params)
+    # slots with gradients below the central-difference resolution
+    # (~ulp(loss)/h) are held to absolute agreement at that floor
+    atol = 64.0 * np.finfo(float).eps * max(1.0, abs(build(None, plist))) / h
+    return ad.grad_check(build, plist, h=h, sample=sample, seed=seed, atol=atol)

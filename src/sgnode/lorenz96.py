@@ -56,16 +56,10 @@ def _fast_tendency(cfg, x, y):
     return cfg.c * (adv - y + drive)
 
 
-def fast_block_mean(cfg, y):
-    """Per-slow-component mean of the attached fast variables (numpy only)."""
-    y = np.asarray(y)
-    return y.reshape(y.shape[:-1] + (cfg.K, cfg.J)).mean(axis=-1)
-
-
 def coupling_term(cfg, z):
     """The exact slow-equation coupling -h * mean_j Y_jk; z is (..., dim)."""
     y = np.asarray(z)[..., cfg.K:]
-    return -cfg.h * fast_block_mean(cfg, y)
+    return -cfg.h * y.reshape(y.shape[:-1] + (cfg.K, cfg.J)).mean(axis=-1)
 
 
 def rhs_coupled(cfg):
@@ -74,9 +68,8 @@ def rhs_coupled(cfg):
 
     def fn(t, z):
         x = z[..., :K]
-        y = z[..., K:]
-        dx = _slow_tendency(cfg, x, -cfg.h * fast_block_mean(cfg, y))
-        dy = _fast_tendency(cfg, x, y)
+        dx = _slow_tendency(cfg, x, coupling_term(cfg, z))
+        dy = _fast_tendency(cfg, x, z[..., K:])
         return np.concatenate([dx, dy], axis=-1)
 
     return Rhs(fn, cfg.dim)

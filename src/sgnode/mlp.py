@@ -37,10 +37,6 @@ class MlpParams:
     def d_out(self):
         return self.weights[-1].shape[0]
 
-    @property
-    def layer_dims(self):
-        return (self.d_in,) + tuple(w.shape[0] for w in self.weights)
-
     def check(self):
         if len(self.weights) != N_LAYERS or len(self.biases) != N_LAYERS:
             raise ValueError("expected exactly four layers")
@@ -62,9 +58,6 @@ class MlpParams:
             biases=[b.copy() for b in self.biases],
             seed=self.seed,
         )
-
-    def n_params(self):
-        return sum(w.size for w in self.weights) + sum(b.size for b in self.biases)
 
 
 def init_params(d_in, d_out, seed, hidden=HIDDEN_WIDTH):

@@ -56,9 +56,6 @@ class TrainConfig:
         if self.eps is None:
             self.eps = 1e-8 if self.optimizer == "adam" else 1e-16
 
-    def to_dict(self):
-        return dict(self.__dict__)
-
 
 @dataclass
 class WindowBatch:
@@ -241,6 +238,16 @@ class TrainResult:
     checkpoints: list = field(default_factory=list)  # (epoch, MlpParams)
 
 
+def _close_epoch(result, cfg, epoch, train_loss, test_loss, on_epoch):
+    """Record a finished epoch: its history row, the periodic checkpoint
+    every cfg.checkpoint_every epochs, and the callback."""
+    result.history.append((epoch, train_loss, test_loss))
+    if cfg.checkpoint_every and epoch % cfg.checkpoint_every == 0:
+        result.checkpoints.append((epoch, result.params.copy()))
+    if on_epoch:
+        on_epoch(epoch, train_loss, test_loss)
+
+
 def train(trajs, cfg, rhs_builder, d_in, d_out, init=None, on_epoch=None):
     """Full loop: sample, record, backward, update; held-out loss every
     cfg.test_every epochs on freshly sampled windows from the test range."""
@@ -251,8 +258,7 @@ def train(trajs, cfg, rhs_builder, d_in, d_out, init=None, on_epoch=None):
     stride = _stride(cfg.dt, trajs[0].dt)
     # drop held-out ranges too short to hold one window
     test_rng = [r for r in test_rng if r[2] - r[1] >= cfg.window * stride]
-    history = []
-    checkpoints = []
+    result = TrainResult(params=params, history=[])
     for epoch in range(1, cfg.epochs + 1):
         train_loss = None
         for step in range(cfg.steps_per_epoch):
@@ -267,20 +273,15 @@ def train(trajs, cfg, rhs_builder, d_in, d_out, init=None, on_epoch=None):
                     stage=e.stage, step=e.step, time=e.time, sample=e.sample,
                     epoch=epoch,
                 ) from e
-            grads = ad.backward(tape).grads
-            opt_step(opt, plist, grads)
+            opt_step(opt, plist, ad.backward(tape))
         test_loss = None
         if test_rng and cfg.test_every and (epoch % cfg.test_every == 0 or epoch == cfg.epochs):
             tb = sample_windows(
                 trajs, cfg, epoch_seed=[cfg.seed, 202, epoch], ranges=test_rng
             )
             test_loss = rollout_loss_value(params, tb, rhs_builder, cfg.tableau)
-        history.append((epoch, train_loss, test_loss))
-        if cfg.checkpoint_every and epoch % cfg.checkpoint_every == 0:
-            checkpoints.append((epoch, params.copy()))
-        if on_epoch:
-            on_epoch(epoch, train_loss, test_loss)
-    return TrainResult(params=params, history=history, checkpoints=checkpoints)
+        _close_epoch(result, cfg, epoch, train_loss, test_loss, on_epoch)
+    return result
 
 
 def discrete_forcing_dataset(filtered_trajs, dt_coarse, rhs_low, tableau, ranges=None):
@@ -316,7 +317,7 @@ def train_discrete_forcing(inputs, targets, cfg, d_in, d_out, init=None, on_epoc
     opt = opt_init(cfg, params)
     plist = mlp.param_list(params)
     n_total = inputs.shape[0]
-    history = []
+    result = TrainResult(params=params, history=[])
     for epoch in range(1, cfg.epochs + 1):
         rng = np.random.Generator(
             np.random.PCG64(np.random.SeedSequence([cfg.seed, 303, epoch]))
@@ -330,12 +331,9 @@ def train_discrete_forcing(inputs, targets, cfg, d_in, d_out, init=None, on_epoc
             return ad.sum_all(ad.square(r)) * (1.0 / xb.shape[0])
 
         loss, tape = ad.record(build, plist)
-        grads = ad.backward(tape).grads
-        opt_step(opt, plist, grads)
-        history.append((epoch, loss, None))
-        if on_epoch:
-            on_epoch(epoch, loss, None)
-    return TrainResult(params=params, history=history)
+        opt_step(opt, plist, ad.backward(tape))
+        _close_epoch(result, cfg, epoch, loss, None, on_epoch)
+    return result
 
 
 def predict_augmented(params, rhs_plain, tableau, u0, dt, n_steps, t0=0.0, meta=None):

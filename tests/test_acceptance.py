@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from sgnode import dg, diagnostics, experiments, lorenz96 as l96, mlp, training
-from sgnode.cli import run_gradcheck, run_timings
+from sgnode.experiments import run_gradcheck, run_timings
 from sgnode.config import load_config
 from sgnode.ode import Trajectory, erk_step, integrate, tableau_rk4, tableau_tsit5
 

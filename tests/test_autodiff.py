@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from sgnode import autodiff as ad
-from sgnode import mlp
-from sgnode.ode import erk_step, tableau_rk4
+from sgnode import dg, lorenz96, mlp, training
+from sgnode.ode import erk_step, integrate, tableau_rk4
 
 
 def quadratic(tape, pvars):
@@ -26,7 +26,7 @@ def test_replay_reproduces_recorded_loss_exactly():
     def build(tape, pvars):
         (th,) = pvars
         x = tape.const(rng.normal(size=6))
-        return ad.sum_all(ad.square(th * x + ad.relu(th)))
+        return ad.sum_all(ad.square(th * x + ad.maximum(th, 0.0)))
 
     loss, tape = ad.record(build, [theta])
     assert tape.replay() == loss
@@ -34,29 +34,28 @@ def test_replay_reproduces_recorded_loss_exactly():
 
 def test_quadratic_gradient_analytic():
     loss, tape = ad.record(quadratic, [np.array([1.0, 2.0])])
-    g = ad.backward(tape)
-    assert np.array_equal(g.grads[0], [2.0, 4.0])
-    assert g.loss == 5.0
+    assert np.array_equal(ad.backward(tape)[0], [2.0, 4.0])
+    assert loss == 5.0
 
 
 def test_dead_relu_kills_gradient():
     def build(tape, pvars):
         (w,) = pvars
-        return ad.sum_all(ad.relu(tape.const(np.array([-3.0]))) * w)
+        return ad.sum_all(ad.dense(tape.const(np.array([[-3.0]])), w, np.zeros(1), relu=True))
 
-    loss, tape = ad.record(build, [np.array([4.0])])
+    loss, tape = ad.record(build, [np.array([[4.0]])])
     assert loss == 0.0
-    g = ad.backward(tape)
-    assert np.array_equal(g.grads[0], [0.0])
+    assert np.array_equal(ad.backward(tape)[0], [[0.0]])
 
 
 def test_relu_subgradient_zero_at_origin():
     def build(tape, pvars):
-        (w,) = pvars
-        return ad.sum_all(ad.relu(w))
+        (b,) = pvars
+        # zero weights: each unit's pre-activation is its bias
+        return ad.sum_all(ad.dense(tape.const(np.ones((1, 2))), np.zeros((3, 2)), b, relu=True))
 
     loss, tape = ad.record(build, [np.array([-1.0, 0.0, 2.0])])
-    g = ad.backward(tape).grads[0]
+    g = ad.backward(tape)[0]
     assert np.array_equal(g, [0.0, 0.0, 1.0])
 
 
@@ -65,7 +64,7 @@ def test_gradient_of_parameter_independent_loss_is_zero():
         return ad.sum_all(ad.square(tape.const(np.arange(3.0))))
 
     loss, tape = ad.record(build, [np.ones(4)])
-    g = ad.backward(tape).grads[0]
+    g = ad.backward(tape)[0]
     assert np.array_equal(g, np.zeros(4))
 
 
@@ -85,9 +84,9 @@ def test_gradient_linearity_in_loss():
     def combo(tape, pvars):
         return l1(tape, pvars) * a + l2(tape, pvars) * b
 
-    g1 = ad.backward(ad.record(l1, [theta])[1]).grads[0]
-    g2 = ad.backward(ad.record(l2, [theta])[1]).grads[0]
-    gc = ad.backward(ad.record(combo, [theta])[1]).grads[0]
+    g1 = ad.backward(ad.record(l1, [theta])[1])[0]
+    g2 = ad.backward(ad.record(l2, [theta])[1])[0]
+    gc = ad.backward(ad.record(combo, [theta])[1])[0]
     assert np.max(np.abs(gc - (a * g1 + b * g2))) < 1e-12
 
 
@@ -151,7 +150,7 @@ def test_single_step_gradient_matches_hand_chain_rule():
         return ad.sum_all(ad.square(u - tape.const(np.array([[y]]))))
 
     loss, tape = ad.record(build, [np.array([[theta]])])
-    g = ad.backward(tape).grads[0][0, 0]
+    g = ad.backward(tape)[0][0, 0]
     z = h * theta
     poly = 1 + z + z**2 / 2 + z**3 / 6 + z**4 / 24
     dpoly = 1 + z + z**2 / 2 + z**3 / 6
@@ -169,15 +168,16 @@ FD_CASES = [
     ("repeat", lambda t, p: ad.sum_all(ad.repeat_elems(p[0], 3, -1) * t.const(np.arange(36.0).reshape(3, 12))), [(3, 4)]),
     ("maximum", lambda t, p: ad.sum_all(ad.maximum(p[0], t.const(np.zeros((3, 4)))) * t.const(np.arange(12.0).reshape(3, 4))), [(3, 4)]),
     ("abs", lambda t, p: ad.sum_all(ad.absolute(p[0]) * t.const(np.arange(12.0).reshape(3, 4))), [(3, 4)]),
-    ("matmul_nd", lambda t, p: ad.sum_all(p[0] @ t.const(np.arange(25.0).reshape(5, 5) / 10.0)), [(2, 3, 5)]),
-    ("transpose", lambda t, p: ad.sum_all(ad.transpose(p[0]) * t.const(np.arange(12.0).reshape(4, 3))), [(3, 4)]),
+    # the DG face exchange rolls along the element axis, not the last one
+    ("roll_rows", lambda t, p: ad.sum_all(ad.roll(p[0], 1, -2) * t.const(np.arange(24.0).reshape(2, 3, 4))), [(2, 3, 4)]),
+    ("maximum_pair", lambda t, p: ad.sum_all(ad.maximum(p[0], p[1]) * t.const(np.arange(12.0).reshape(3, 4))), [(3, 4), (3, 4)]),
     ("bias_broadcast", lambda t, p: ad.sum_all(ad.square(t.const(np.arange(20.0).reshape(5, 4) / 7.0) + ad.reshape(p[0], (1, -1)))), [(4,)]),
     ("matconst", lambda t, p: ad.sum_all((p[0] @ (np.arange(20.0).reshape(5, 4) / 10.0)) * t.const(np.arange(4.0))), [(2, 3, 5)]),
     # dense inputs kept away from 0 and sums free of cancellation, so the
     # central differences resolve every gradient entry; 8 * b kills about a quarter of the units
     ("dense_relu", lambda t, p: ad.sum_all(ad.dense(ad.absolute(p[0]) + 0.5, ad.absolute(p[1]) + 0.5, p[2] * 8.0, relu=True)), [(5, 3), (4, 3), (4,)]),
     ("dense_linear", lambda t, p: ad.sum_all(ad.dense(ad.absolute(p[0]) + 0.5, ad.absolute(p[1]) + 0.5, p[2] * 8.0, relu=False)), [(5, 3), (4, 3), (4,)]),
-    ("relu", lambda t, p: ad.sum_all(ad.relu(p[0]) * t.const(np.arange(12.0).reshape(3, 4))), [(3, 4)]),
+    ("dense_row", lambda t, p: ad.sum_all(ad.dense(ad.absolute(p[0]) + 0.5, ad.absolute(p[1]) + 0.5, p[2] * 8.0, relu=True)), [(3,), (4, 3), (4,)]),
     ("arith", lambda t, p: ad.sum_all((p[0] - p[1] * 0.25) * t.const(np.arange(12.0).reshape(3, 4) / 10.0) + (-p[0] + 1.5) / 4.0), [(3, 4), (3, 4)]),
 ]
 
@@ -198,12 +198,55 @@ def test_every_primitive_has_a_vjp_and_a_case():
     assert set(ad._FWD) - covered == set()
 
 
-def _reference_forward(weights, biases, x):
-    # the unfused composition the dense node replaces
-    h = x
-    for w, b in zip(weights[:-1], biases[:-1]):
-        h = ad.relu(h @ ad.transpose(w) + ad.reshape(b, (1, -1)))
-    return h @ ad.transpose(weights[-1]) + ad.reshape(biases[-1], (1, -1))
+def test_training_tapes_record_exactly_the_closed_op_set(monkeypatch):
+    # one training loss per model; an op no model records is dead code
+    seen = set()
+    backward = ad.backward
+
+    def spy(tape):
+        seen.update(op for op, _, _ in tape.ops)
+        return backward(tape)
+
+    monkeypatch.setattr(ad, "backward", spy)
+    dt = 5e-3
+    tcfg = training.TrainConfig(
+        epochs=1, batch_size=2, window=2, dt=dt, tableau="rk4", split=1.0, test_every=0
+    )
+    for kind, domain, fn in (
+        (dg.CONVECTION_DIFFUSION, (0.0, 1.0), lambda x: np.sin(2 * np.pi * x)),
+        (dg.VISCOUS_BURGERS, (0.0, 2 * np.pi), np.sin),
+    ):
+        mesh = dg.make_mesh(4, 1, *domain)
+        rhs = dg.rhs_semidiscrete(dg.PdeConfig(kind, kappa=1e-2, a=1.0), mesh)
+        trajs = [integrate(tableau_rk4(), rhs, dg.field_from_function(mesh, fn).flat, 0.0, dt, 6)]
+        builder = lambda ws, bs: training.augmented(rhs, ws, bs)
+        training.train(trajs, tcfg, builder, mesh.n_dof, mesh.n_dof)
+    inputs, targets = training.discrete_forcing_dataset(trajs, dt, rhs, "rk4")
+    training.train_discrete_forcing(inputs, targets, tcfg, mesh.n_dof, mesh.n_dof)
+    for scope in ("per_component", "global"):
+        lcfg = lorenz96.L96Config(K=4, J=2, source_scope=scope)
+        trajs = lorenz96.generate_truth(lcfg, 1, dt, 0.0, 6 * dt, seed=0)
+        builder = lambda ws, bs: lorenz96.rhs_coupled_neural(lcfg, ws, bs)
+        training.train(trajs, tcfg, builder, *lcfg.source_dims)
+    assert seen - {"leaf"} == set(ad._FWD)
+
+
+def _reference_loss_and_gradients(weights, biases, x, y):
+    # sum((net(x) - y)**2) and its gradients by plain-numpy backprop, one
+    # unfused step at a time, in the [W1, b1, ..., W4, b4] order
+    hs = [x]
+    for i, (w, b) in enumerate(zip(weights, biases)):
+        z = hs[-1] @ w.T + b
+        hs.append(np.maximum(z, 0.0) if i < len(weights) - 1 else z)
+    r = hs[-1] - y
+    g = 2.0 * r
+    grads = []
+    for i in reversed(range(len(weights))):
+        if i < len(weights) - 1:
+            g = g * (hs[i + 1] > 0)
+        grads[:0] = [g.T @ hs[i], g.sum(axis=0)]
+        g = g @ weights[i]
+    return float(np.sum(r * r)), grads
 
 
 @pytest.mark.parametrize("d,rows", [(1, 300), (5, 7)])
@@ -215,16 +258,13 @@ def test_fused_mlp_gradients_equal_the_unfused_composition(d, rows):
     x = rng.normal(size=(rows, d))
     y = rng.normal(size=(rows, d))
 
-    def build_with(forward):
-        def build(tape, pvars):
-            return ad.sum_all(ad.square(forward(pvars[0::2], pvars[1::2], tape.const(x)) - y))
+    def build(tape, pvars):
+        return ad.sum_all(ad.square(mlp.forward(pvars[0::2], pvars[1::2], tape.const(x)) - y))
 
-        return build
-
-    fused_loss, fused = ad.record(build_with(mlp.forward), mlp.param_list(params))
-    ref_loss, ref = ad.record(build_with(_reference_forward), mlp.param_list(params))
+    fused_loss, fused = ad.record(build, mlp.param_list(params))
+    ref_loss, ref_grads = _reference_loss_and_gradients(params.weights, params.biases, x, y)
     assert fused_loss == ref_loss
-    for a, b in zip(ad.backward(fused).grads, ad.backward(ref).grads):
+    for a, b in zip(ad.backward(fused), ref_grads, strict=True):
         assert np.array_equal(a, b)
 
 
@@ -253,7 +293,7 @@ def test_grads_of_a_shared_adjoint_do_not_alias():
         return ad.sum_all(a + b)
 
     _, tape = ad.record(build, [np.ones(3), np.ones(3)])
-    ga, gb = ad.backward(tape).grads
+    ga, gb = ad.backward(tape)
     assert np.array_equal(ga, np.ones(3)) and np.array_equal(gb, np.ones(3))
     assert not np.shares_memory(ga, gb)
 
@@ -274,6 +314,14 @@ def test_nonscalar_loss_rejected():
 
     with pytest.raises(ad.TapeError):
         ad.record(build, [np.ones(3)])
+
+
+def test_product_of_two_vars_is_rejected():
+    def build(tape, pvars):
+        return ad.sum_all(pvars[0] @ pvars[1])
+
+    with pytest.raises(ad.TapeError):
+        ad.record(build, [np.ones((2, 2)), np.ones((2, 2))])
 
 
 def test_unsupported_division_by_var():
@@ -299,7 +347,7 @@ def test_batched_gradient_accumulation_is_sample_order_invariant():
 
         return build
 
-    g1 = ad.backward(ad.record(build_for(x, y), mlp.param_list(params))[1]).grads
-    g2 = ad.backward(ad.record(build_for(x[perm], y[perm]), mlp.param_list(params))[1]).grads
+    g1 = ad.backward(ad.record(build_for(x, y), mlp.param_list(params))[1])
+    g2 = ad.backward(ad.record(build_for(x[perm], y[perm]), mlp.param_list(params))[1])
     for a, b in zip(g1, g2):
         assert np.max(np.abs(a - b)) < 1e-14

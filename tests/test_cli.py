@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from sgnode import dg, experiments, mlp, training
-from sgnode.cli import main, run_timings
+from sgnode.cli import main
+from sgnode.experiments import run_timings
 from sgnode.config import load_config
 from sgnode.errors import BlowupError, ConfigError
 from sgnode.ode import integrate, load_trajectory, tableau_rk4
@@ -244,6 +245,23 @@ def test_discrete_training_and_sweep(tmp_path):
     sweep = (out / "sweep.csv").read_text().splitlines()
     assert sweep[0] == "method,dt,t,rel_error"
     assert len(sweep) == 1 + 2 * 2 * 2
+
+
+def test_discrete_training_writes_its_periodic_checkpoints(tmp_path):
+    train = {"epochs": 4, "batch_size": 4, "window": 2, "dt": 2e-3, "tableau": "rk4",
+             "seed": 1, "checkpoint_every": 2}
+    path = smoke_config(tmp_path, training_discrete=train)
+    main(["generate", "--config", str(path)])
+    out = tmp_path / "run"
+    assert main(["train", "--config", str(path), "--discrete"]) == 0
+    ckpts = sorted(p.name for p in out.glob("checkpoint_discrete_*.sgnp"))
+    assert ckpts == ["checkpoint_discrete_000002.sgnp", "checkpoint_discrete_000004.sgnp"]
+    mid = mlp.load_params(out / ckpts[0])
+    short = smoke_config(tmp_path, training_discrete={**train, "epochs": 2})
+    assert main(["train", "--config", str(short), "--discrete"]) == 0
+    final = mlp.load_params(out / "checkpoint_discrete.sgnp")
+    for a, b in zip(mlp.param_list(mid), mlp.param_list(final), strict=True):
+        assert np.array_equal(a, b)
 
 
 def test_run_timings_leaves_the_config_unchanged(tmp_path):

@@ -1,0 +1,79 @@
+"""Corrupted artifacts: every load of a mutated or truncated `.sgnt` or
+`.sgnp` file gives a FormatError or a valid object, never another error."""
+
+import struct
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from sgnode import mlp
+from sgnode.errors import FormatError
+from sgnode.ode import Trajectory, load_trajectory, save_trajectory
+
+# derandomized, so each run replays the same inputs; no example database on disk
+FUZZ = settings(max_examples=300, deadline=None, derandomize=True, database=None)
+
+# header-shaped values random bytes rarely hit: small and extreme counts,
+# and non-finite floats
+SPECIAL = [struct.pack("<I", k) for k in (0, 1, 2, 3, 0xFFFFFFFF)] + [
+    struct.pack("<d", x) for x in (np.nan, np.inf)
+]
+
+
+def corruptions(good):
+    """Truncations of `good`, and copies with up to four short runs of bytes
+    overwritten, random or from SPECIAL (a run reaching past the end appends)."""
+    n = len(good)
+
+    def overwrite(edits):
+        blob = bytearray(good)
+        for at, new in edits:
+            blob[at:at + len(new)] = new
+        return bytes(blob)
+
+    run = st.one_of(st.binary(min_size=1, max_size=8), st.sampled_from(SPECIAL))
+    edit = st.tuples(st.integers(0, n - 1), run)
+    return st.one_of(
+        st.integers(0, n - 1).map(lambda k: good[:k]),
+        st.lists(edit, min_size=1, max_size=4).map(overwrite),
+    )
+
+
+def loads_or_raises_format_error(path, blob, load):
+    path.write_bytes(blob)
+    try:
+        return load(path)
+    except FormatError:
+        return None
+
+
+def test_corrupt_trajectory_files_load_or_raise_format_error(tmp_path):
+    path = tmp_path / "t.sgnt"
+    states = np.arange(6.0).reshape(3, 2) / 7.0
+    save_trajectory(Trajectory(t0=0.5, dt=0.25, states=states, meta={"model": "cd"}), path)
+
+    @FUZZ
+    @given(corruptions(path.read_bytes()))
+    def check(blob):
+        tr = loads_or_raises_format_error(path, blob, load_trajectory)
+        if tr is not None:
+            assert isinstance(tr.meta, dict)
+            assert tr.states.dtype == np.float64 and tr.states.ndim == 2
+            assert tr.dim >= 1
+
+    check()
+
+
+def test_corrupt_network_files_load_or_raise_format_error(tmp_path):
+    path = tmp_path / "n.sgnp"
+    mlp.save_params(mlp.init_params(2, 1, seed=3, hidden=3), path)
+
+    @FUZZ
+    @given(corruptions(path.read_bytes()))
+    def check(blob):
+        params = loads_or_raises_format_error(path, blob, mlp.load_params)
+        if params is not None:
+            params.check()
+
+    check()

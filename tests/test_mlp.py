@@ -23,7 +23,7 @@ def test_different_seed_differs():
 def test_param_count_100_to_100():
     # 100*128+128 + 2*(128*128+128) + 128*100+100
     p = mlp.init_params(100, 100, seed=0)
-    assert p.n_params() == 58852
+    assert sum(a.size for a in mlp.param_list(p)) == 58852
 
 
 def test_biases_zero_at_init():
