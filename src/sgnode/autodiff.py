@@ -4,14 +4,16 @@ A loss is built by composing ``Var`` handles that live on a ``Tape``.  The op
 set is intentionally closed: exactly what MLP evaluation, the model
 right-hand sides, and mean-squared losses unrolled through explicit
 Runge-Kutta steps need (product with a constant matrix, fused dense layer,
-broadcast add/mul, abs, max, square, roll, slice/concat, repeat, reshape,
-full sum).  ``backward`` walks the tape once in reverse and returns the
-gradient of the recorded scalar with respect to every registered parameter
-array.
+Runge-Kutta stage combination, broadcast add/mul, abs, max, square, roll,
+slice/concat, repeat, reshape, full sum).  ``backward`` walks the tape once
+in reverse and returns the gradient of the recorded scalar with respect to
+every registered parameter array.
 
 The fused ``dense`` node (``h @ W.T + b``, optionally through ReLU) stores
 only the layer's output, and a product with a constant matrix keeps the
-matrix in the node instead of on the tape as a leaf.
+matrix in the node instead of on the tape as a leaf.  ``lincomb``
+(``u + sum_j c_j k_j``) is one node per stage combination, with the scalar
+coefficients in the node.
 
 The same model code runs untaped: every dispatch helper below falls through
 to plain numpy when its arguments are ndarrays, so prediction and training
@@ -29,6 +31,7 @@ __all__ = [
     "record",
     "backward",
     "dense",
+    "lincomb",
     "grad_check",
     "absolute",
     "maximum",
@@ -68,6 +71,14 @@ def _dense_fwd(relu, h, w, b):
     return z
 
 
+def _lincomb_fwd(coeffs, u, *ks):
+    # left to right, so the sum rounds as the chain u + c0*k0 + c1*k1 + ... does
+    out = u + coeffs[0] * ks[0]
+    for c, k in zip(coeffs[1:], ks[1:], strict=True):
+        out += c * k
+    return out
+
+
 def _roll(a, shift, axis):
     """np.roll along one axis, by slicing: the last `shift` entries move to
     the front.  Same values, without np.roll's generic axis handling."""
@@ -87,6 +98,7 @@ _FWD = {
     "sadd": lambda aux, a: a + aux,
     "matconst": lambda aux, a: a @ aux,
     "dense": _dense_fwd,  # aux is the relu flag
+    "lincomb": _lincomb_fwd,  # aux is the coefficient tuple
     "abs": lambda aux, a: np.abs(a),
     "max2": lambda aux, a, b: np.maximum(a, b),
     "square": lambda aux, a: a * a,
@@ -126,6 +138,12 @@ def _vjp_dense(aux, g, out, h, w, b):
     return gh, gz2.T @ h.reshape(-1, w.shape[1]), gz2.sum(axis=0)
 
 
+def _vjp_lincomb(aux, g, out, u, *ks):
+    return (_unbroadcast(g, u.shape),) + tuple(
+        _unbroadcast(g * c, k.shape) for c, k in zip(aux, ks)
+    )
+
+
 def _vjp_max2(aux, g, out, a, b):
     mask = a >= b  # ties send the gradient to the first argument
     return _unbroadcast(g * mask, a.shape), _unbroadcast(g * ~mask, b.shape)
@@ -162,6 +180,7 @@ _VJP = {
     "sadd": lambda aux, g, out, a: (g,),
     "matconst": lambda aux, g, out, a: (_unbroadcast(g @ np.swapaxes(aux, -1, -2), a.shape),),
     "dense": _vjp_dense,
+    "lincomb": _vjp_lincomb,
     "abs": lambda aux, g, out, a: (g * np.sign(a),),
     "max2": _vjp_max2,
     "square": lambda aux, g, out, a: (2.0 * a * g,),
@@ -440,6 +459,20 @@ def dense(h, w, b, relu):
         ids = tuple(vs[0]._lift(x).i for x in (h, w, b))
         return vs[0].tape._push("dense", ids, bool(relu))
     return _dense_fwd(relu, h, w, b)
+
+
+def lincomb(u, coeffs, ks):
+    """u + sum_j coeffs[j] * ks[j], summed left to right.
+
+    Taped, this is a single node over (u, *ks) with the scalar coefficients
+    in the node; the values equal the chain of scalar products and adds.
+    """
+    xs = (u, *ks)
+    for v in xs:
+        if _dispatch(v):
+            ids = tuple(v._lift(x).i for x in xs)
+            return v.tape._push("lincomb", ids, tuple(coeffs))
+    return _lincomb_fwd(coeffs, *xs)
 
 
 def reshape(x, shape):

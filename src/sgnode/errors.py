@@ -1,4 +1,4 @@
-"""Shared exception types, and the checked read the binary loaders share."""
+"""Shared exception types, and the checked reads the binary loaders share."""
 
 import os
 
@@ -37,3 +37,11 @@ def read_exact(f, n, path, what):
     if n > os.fstat(f.fileno()).st_size - f.tell():
         raise FormatError(f"{path}: truncated while reading {what}")
     return f.read(n)
+
+
+def check_fully_read(f, path):
+    """Raise FormatError unless binary file f is read to its last byte: an
+    overlong or concatenated artifact is as corrupt as a truncated one."""
+    extra = os.fstat(f.fileno()).st_size - f.tell()
+    if extra:
+        raise FormatError(f"{path}: {extra} trailing bytes after the last field")

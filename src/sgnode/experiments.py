@@ -264,9 +264,9 @@ def run_timings(cfg, ref, truth, params, variants=None):
     return rows
 
 
-def run_gradcheck(experiment, seed=0, sample=64, h=1e-5):
-    """Finite-difference check of a small windowed loss for one experiment."""
-    rng = np.random.Generator(np.random.PCG64(seed))
+def window_problem(experiment, seed=0):
+    """A small windowed training problem of one experiment: a batch of
+    windows, the augmented right-hand-side builder and initial net."""
     if experiment == "l96":
         lcfg = lorenz96.L96Config(K=8, J=4)
         trajs = lorenz96.generate_truth(lcfg, 1, 0.005, 1.0, 0.25, seed=seed)
@@ -292,9 +292,15 @@ def run_gradcheck(experiment, seed=0, sample=64, h=1e-5):
     tcfg = training.TrainConfig(
         epochs=1, batch_size=4, window=2, dt=dt, tableau="rk4", seed=seed, split=1.0
     )
-    batch = training.sample_windows(trajs, tcfg, epoch_seed=[seed, 7])
+    return training.sample_windows(trajs, tcfg, epoch_seed=[seed, 7]), builder, params
+
+
+def run_gradcheck(experiment, seed=0, sample=64, h=1e-5):
+    """Finite-difference check of a small windowed loss for one experiment."""
+    batch, builder, params = window_problem(experiment, seed)
     # O(1) target perturbations keep residuals (hence gradients) well away from
     # the finite-difference noise floor; the loss function is unchanged.
+    rng = np.random.Generator(np.random.PCG64(seed))
     batch.targets = batch.targets + rng.normal(size=batch.targets.shape)
     build = training.make_loss_builder(batch, builder, "rk4")
     plist = mlp.param_list(params)

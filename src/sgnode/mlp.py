@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .errors import FormatError, read_exact
+from .errors import FormatError, check_fully_read, read_exact
 
 HIDDEN_WIDTH = 128
 N_LAYERS = 4
@@ -158,6 +158,7 @@ def load_params(path):
             weights.append(w)
             biases.append(b)
         (seed,) = struct.unpack("<Q", read_exact(f, 8, path, "seed"))
+        check_fully_read(f, path)
     params = MlpParams(weights=weights, biases=biases, seed=seed)
     try:
         params.check()

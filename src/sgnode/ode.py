@@ -2,7 +2,9 @@
 
 The stepper is duck-typed: states may be numpy arrays or autodiff ``Var``
 handles, so the same code advances production runs and the unrolled
-rollouts inside training losses.
+rollouts inside training losses.  Each stage input and the final update is
+one ``autodiff.lincomb``, which sums its terms left to right in both cases
+and records a single tape node when taped.
 """
 
 from __future__ import annotations
@@ -14,8 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import Var
-from .errors import BlowupError, FormatError, read_exact
+from . import autodiff as ad
+from .errors import BlowupError, FormatError, check_fully_read, read_exact
 
 BLOWUP_LIMIT = 1e12
 
@@ -50,6 +52,16 @@ class ButcherTableau:
         row = self.a.sum(axis=1)
         if np.max(np.abs(row - self.c)) > 10 * tol:
             raise ValueError(f"{self.name}: c_i != sum_j a_ij")
+
+    @functools.cached_property
+    def terms(self):
+        """(indices, weights) of the non-zero entries of each row of a, then
+        of b: the slopes that each stage input and the update combine."""
+        return [
+            (tuple(j for j, w in enumerate(row) if w != 0.0),
+             tuple(float(w) for w in row if w != 0.0))
+            for row in (*self.a, self.b)
+        ]
 
     @functools.cached_property
     def active_stages(self):
@@ -140,7 +152,7 @@ class Rhs:
 
 
 def _raw(u):
-    return u.value if isinstance(u, Var) else u
+    return u.value if isinstance(u, ad.Var) else u
 
 
 def _check_finite(v, what, t, **where):
@@ -170,25 +182,26 @@ def erk_step(tableau, rhs, t, u, dt):
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
-    a, b, c = tableau.a, tableau.b, tableau.c
+    c = tableau.c
     active = tableau.active_stages
+    terms = tableau.terms
     ks = []
     for i in range(tableau.stages):
         if not active[i]:
             ks.append(None)
             continue
-        ui = u
-        for j in range(i):
-            if a[i, j] != 0.0:
-                ui = ui + (dt * a[i, j]) * ks[j]
-        ki = rhs(t + c[i] * dt, ui)
+        ki = rhs(t + c[i] * dt, _combine(u, dt, *terms[i], ks))
         _check_finite(_raw(ki), "non-finite or blown-up value at stage {stage}", t, stage=i)
         ks.append(ki)
-    out = u
-    for i in range(tableau.stages):
-        if b[i] != 0.0:
-            out = out + (dt * b[i]) * ks[i]
-    return out
+    return _combine(u, dt, *terms[-1], ks)
+
+
+def _combine(u, dt, idx, weights, ks):
+    """u + sum_j (dt * weights[j]) * ks[idx[j]] as one ``lincomb`` (one tape
+    node when u or the slopes are taped)."""
+    if not idx:
+        return u
+    return ad.lincomb(u, [dt * w for w in weights], [ks[j] for j in idx])
 
 
 @dataclass
@@ -269,6 +282,7 @@ def load_trajectory(path):
         states = np.frombuffer(payload, dtype="<f8").reshape(count, d).copy()
         (blob_len,) = struct.unpack("<I", read_exact(f, 4, path, "metadata length"))
         blob = read_exact(f, blob_len, path, "metadata")
+        check_fully_read(f, path)
     try:
         meta = json.loads(blob.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as e:

@@ -11,6 +11,7 @@ import time
 import numpy as np
 import pytest
 
+from sgnode import autodiff as ad
 from sgnode import dg, diagnostics, experiments, lorenz96 as l96, mlp, training
 from sgnode.experiments import run_gradcheck, run_timings
 from sgnode.config import load_config
@@ -106,6 +107,45 @@ def test_c01_gradient_fidelity():
         f"finite-difference gradient agreement "
         f"l96 {errs['l96']:.2e}, cd {errs['cd']:.2e}, burgers {errs['burgers']:.2e} "
         f"(< 1e-4) in {wall:.0f}s",
+    )
+
+
+def test_c01_taylor_remainder_is_second_order():
+    # floor-free companion of c01, after dolfin-adjoint's taylor_test: along a
+    # direction v, |J(p + hv) - J(p) - h dJ.v| falls as h^2 only if dJ is
+    # right; a gradient 1e-3 off leaves an O(h) term that shows at small h.
+    # Unit-norm v keeps every ReLU kink of the source net out of reach below
+    # h = 1e-3, and the untouched targets keep J, hence its roundoff, small.
+    hs = np.array([1e-2, 1e-3, 1e-4, 1e-5])
+    rates, off_rates = {}, {}
+    for exp in ("l96", "cd", "burgers"):
+        batch, builder, params = experiments.window_problem(exp, seed=0)
+        build = training.make_loss_builder(batch, builder, "rk4")
+        plist = mlp.param_list(params)
+        loss, tape = ad.record(build, plist)
+        grads = ad.backward(tape)
+        rates[exp], off_rates[exp] = [], []
+        for seed in range(3):
+            rng = np.random.default_rng(seed)
+            vs = [rng.normal(size=p.shape) for p in plist]
+            norm = np.sqrt(sum(np.vdot(v, v) for v in vs))
+            vs = [v / norm for v in vs]
+            slope = sum(np.vdot(g, v) for g, v in zip(grads, vs))
+            js = np.array([build(None, [p + h * v for p, v in zip(plist, vs)]) for h in hs])
+            for out, s in ((rates[exp], slope), (off_rates[exp], slope * (1 + 1e-3))):
+                rem = np.log10(np.abs(js - loss - hs * s))
+                out.append(((rem[0] - rem[-1]) / 3, rem[-2] - rem[-1]))
+    ok = all(min(r) >= 1.9 for rs in rates.values() for r in rs) and all(
+        r[1] < 1.5 for rs in off_rates.values() for r in rs
+    )
+    report(
+        "1 (Taylor)", ok,
+        "remainder order over h 1e-2..1e-5 and its last decade (>= 1.9), 3 directions: "
+        + "; ".join(
+            f"{exp} " + " ".join(f"{a:.2f}/{b:.2f}" for a, b in rs) for exp, rs in rates.items()
+        )
+        + "; a gradient 1e-3 off gives last-decade orders (< 1.5) "
+        + " ".join(f"{r[1]:.2f}" for rs in off_rates.values() for r in rs),
     )
 
 

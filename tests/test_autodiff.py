@@ -5,7 +5,7 @@ import pytest
 
 from sgnode import autodiff as ad
 from sgnode import dg, lorenz96, mlp, training
-from sgnode.ode import erk_step, integrate, tableau_rk4
+from sgnode.ode import erk_step, integrate, tableau_rk4, tableau_tsit5
 
 
 def quadratic(tape, pvars):
@@ -179,6 +179,8 @@ FD_CASES = [
     ("dense_linear", lambda t, p: ad.sum_all(ad.dense(ad.absolute(p[0]) + 0.5, ad.absolute(p[1]) + 0.5, p[2] * 8.0, relu=False)), [(5, 3), (4, 3), (4,)]),
     ("dense_row", lambda t, p: ad.sum_all(ad.dense(ad.absolute(p[0]) + 0.5, ad.absolute(p[1]) + 0.5, p[2] * 8.0, relu=True)), [(3,), (4, 3), (4,)]),
     ("arith", lambda t, p: ad.sum_all((p[0] - p[1] * 0.25) * t.const(np.arange(12.0).reshape(3, 4) / 10.0) + (-p[0] + 1.5) / 4.0), [(3, 4), (3, 4)]),
+    # u broadcasts against the slopes, so its gradient is summed back down
+    ("lincomb", lambda t, p: ad.sum_all(ad.lincomb(p[0], [0.5, -1.25], [p[1], p[2]]) * t.const(np.arange(12.0).reshape(3, 4))), [(4,), (3, 4), (3, 4)]),
 ]
 
 
@@ -196,6 +198,43 @@ def test_every_primitive_has_a_vjp_and_a_case():
         _, tape = ad.record(build, [np.ones(s) for s in shapes])
         covered.update(op for op, _, _ in tape.ops)
     assert set(ad._FWD) - covered == set()
+
+
+def _chain(u, coeffs, ks):
+    # the scalar-product-and-add chain that lincomb replaces
+    for c, k in zip(coeffs, ks):
+        u = u + c * k
+    return u
+
+
+def test_lincomb_is_bit_identical_to_the_chain_it_replaces():
+    rng = np.random.default_rng(5)
+    coeffs = [float(1e-3 * b) for b in tableau_tsit5().b[:6]]
+    arrays = [rng.normal(size=(4, 7)) for _ in range(7)]
+    assert np.array_equal(ad.lincomb(arrays[0], coeffs, arrays[1:]), _chain(arrays[0], coeffs, arrays[1:]))
+    weight = rng.normal(size=(4, 7))
+
+    def build_with(combine):
+        def build(tape, pvars):
+            return ad.sum_all(ad.square(combine(pvars[0], coeffs, pvars[1:])) * tape.const(weight))
+
+        return build
+
+    loss, tape = ad.record(build_with(ad.lincomb), arrays)
+    ref_loss, ref_tape = ad.record(build_with(_chain), arrays)
+    assert loss == ref_loss
+    for g, ref in zip(ad.backward(tape), ad.backward(ref_tape), strict=True):
+        assert np.array_equal(g, ref)
+
+
+def test_a_tsit5_step_records_one_lincomb_per_stage_combination():
+    # five stage inputs and the update; the seventh stage never runs
+    tape = ad.Tape()
+    u = tape.param(np.ones((2, 3)))
+    before = len(tape)
+    erk_step(tableau_tsit5(), lambda t, x: x @ np.eye(3), 0.0, u, 0.1)
+    added = [op for op, _, _ in tape.ops[before:]]
+    assert added.count("lincomb") == 6 and "smul" not in added and "add" not in added
 
 
 def test_training_tapes_record_exactly_the_closed_op_set(monkeypatch):

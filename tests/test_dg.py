@@ -265,3 +265,48 @@ def test_taped_tendency_records_no_leaf(kind, extra):
     added = [op for op, _, _ in tape.ops[before:]]
     assert "leaf" not in added and "matconst" in added
     assert np.array_equal(du.value, rhs(0.0, u.value))
+
+
+CD = [dg.PdeConfig(dg.CONVECTION_DIFFUSION, kappa=1e-4, a=1.0),
+      dg.PdeConfig(dg.CONVECTION_DIFFUSION, kappa=0.01, a=-0.7)]
+GRID = [(2, 1), (3, 2), (4, 4), (50, 1), (50, 5), (64, 8)]
+
+
+@pytest.mark.parametrize("cfg", CD)
+@pytest.mark.parametrize("n_elem,p", GRID)
+def test_cd_operator_matches_the_tendency_chain(cfg, n_elem, p):
+    mesh = dg.make_mesh(n_elem, p)
+    E, n, d = mesh.n_elem, mesh.order + 1, mesh.n_dof
+    rhs = dg.rhs_semidiscrete(cfg, mesh)
+    rng = np.random.default_rng(10 * n_elem + p)
+    for shape in ((d,), (1, d), (7, d)):
+        u = rng.normal(size=shape)
+        chain = dg._tendency(cfg, mesh, u.reshape(shape[:-1] + (E, n))).reshape(shape)
+        got = rhs(0.0, u)
+        assert got.shape == shape
+        assert np.max(np.abs(got - chain)) <= 1e-14 * np.max(np.abs(chain))
+
+
+@pytest.mark.parametrize("cfg", CD)
+@pytest.mark.parametrize("n_elem,p", GRID)
+def test_cd_operator_rolled_from_one_element_equals_the_identity_response(cfg, n_elem, p):
+    mesh = dg.make_mesh(n_elem, p)
+    d = mesh.n_dof
+    full = dg._tendency(cfg, mesh, np.eye(d).reshape(d, n_elem, p + 1)).reshape(d, d)
+    assert np.array_equal(dg.linear_operator(cfg, mesh), full)
+
+
+def test_taped_cd_tendency_is_one_operator_product():
+    mesh = dg.make_mesh(6, 2, 0.0, 1.0)
+    rhs = dg.rhs_semidiscrete(CD[0], mesh)
+    tape = ad.Tape()
+    u = tape.param(np.random.default_rng(0).normal(size=(3, rhs.dim)))
+    before = len(tape)
+    rhs(0.0, u)
+    added = [op for op, _, _ in tape.ops[before:]]
+    assert len(added) <= 5 and "leaf" not in added and added.count("matconst") == 1
+
+
+def test_burgers_has_no_linear_operator():
+    with pytest.raises(ValueError):
+        dg.linear_operator(dg.PdeConfig(dg.VISCOUS_BURGERS, kappa=0.005), dg.make_mesh(4, 1))

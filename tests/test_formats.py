@@ -4,6 +4,7 @@
 import struct
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -77,3 +78,16 @@ def test_corrupt_network_files_load_or_raise_format_error(tmp_path):
             params.check()
 
     check()
+
+
+@pytest.mark.parametrize("junk", [b"\0", b"junk" * 10])
+def test_trailing_bytes_are_a_format_error(tmp_path, junk):
+    traj = tmp_path / "t.sgnt"
+    save_trajectory(Trajectory(t0=0.0, dt=0.1, states=np.ones((2, 3)), meta={}), traj)
+    net = tmp_path / "n.sgnp"
+    mlp.save_params(mlp.init_params(2, 1, seed=3, hidden=3), net)
+    for path, load in ((traj, load_trajectory), (net, mlp.load_params)):
+        load(path)
+        path.write_bytes(path.read_bytes() + junk)
+        with pytest.raises(FormatError, match="trailing"):
+            load(path)
