@@ -4,16 +4,18 @@ A loss is built by composing ``Var`` handles that live on a ``Tape``.  The op
 set is intentionally closed: exactly what MLP evaluation, the model
 right-hand sides, and mean-squared losses unrolled through explicit
 Runge-Kutta steps need (product with a constant matrix, fused dense layer,
-Runge-Kutta stage combination, broadcast add/mul, abs, max, square, roll,
-slice/concat, repeat, reshape, full sum).  ``backward`` walks the tape once
-in reverse and returns the gradient of the recorded scalar with respect to
-every registered parameter array.
+Runge-Kutta stage combination, periodic block stencil, broadcast add/mul,
+abs, max, square, roll, slice/concat, repeat, reshape, full sum).
+``backward`` walks the tape once in reverse and returns the gradient of the
+recorded scalar with respect to every registered parameter array.
 
 The fused ``dense`` node (``h @ W.T + b``, optionally through ReLU) stores
 only the layer's output, and a product with a constant matrix keeps the
 matrix in the node instead of on the tape as a leaf.  ``lincomb``
 (``u + sum_j c_j k_j``) is one node per stage combination, with the scalar
-coefficients in the node.
+coefficients in the node.  ``stencil`` applies a banded periodic linear
+map as a gather and one product per row, with the adjoint stencil in the
+node, so its reverse sweep costs what its forward does.
 
 The same model code runs untaped: every dispatch helper below falls through
 to plain numpy when its arguments are ndarrays, so prediction and training
@@ -32,6 +34,7 @@ __all__ = [
     "backward",
     "dense",
     "lincomb",
+    "stencil",
     "grad_check",
     "absolute",
     "maximum",
@@ -79,6 +82,14 @@ def _lincomb_fwd(coeffs, u, *ks):
     return out
 
 
+def _stencil_fwd(aux, x):
+    # aux is (idx, s, s_adj); row e of the gather holds the entries that
+    # output block e reads.  The stacked matmul is one (n_blocks, k*n) @
+    # (k*n, n) product per batch row, so each row rounds as it would alone.
+    idx, s, _ = aux
+    return (np.take(x, idx, axis=-1) @ s).reshape(x.shape)
+
+
 def _roll(a, shift, axis):
     """np.roll along one axis, by slicing: the last `shift` entries move to
     the front.  Same values, without np.roll's generic axis handling."""
@@ -99,6 +110,7 @@ _FWD = {
     "matconst": lambda aux, a: a @ aux,
     "dense": _dense_fwd,  # aux is the relu flag
     "lincomb": _lincomb_fwd,  # aux is the coefficient tuple
+    "stencil": _stencil_fwd,  # aux is (idx, s, s_adj)
     "abs": lambda aux, a: np.abs(a),
     "max2": lambda aux, a, b: np.maximum(a, b),
     "square": lambda aux, a: a * a,
@@ -144,6 +156,12 @@ def _vjp_lincomb(aux, g, out, u, *ks):
     )
 
 
+def _vjp_stencil(aux, g, out, x):
+    # the transposed map is the same gather with the adjoint blocks
+    idx, _, s_adj = aux
+    return (_stencil_fwd((idx, s_adj, None), g),)
+
+
 def _vjp_max2(aux, g, out, a, b):
     mask = a >= b  # ties send the gradient to the first argument
     return _unbroadcast(g * mask, a.shape), _unbroadcast(g * ~mask, b.shape)
@@ -181,6 +199,7 @@ _VJP = {
     "matconst": lambda aux, g, out, a: (_unbroadcast(g @ np.swapaxes(aux, -1, -2), a.shape),),
     "dense": _vjp_dense,
     "lincomb": _vjp_lincomb,
+    "stencil": _vjp_stencil,
     "abs": lambda aux, g, out, a: (g * np.sign(a),),
     "max2": _vjp_max2,
     "square": lambda aux, g, out, a: (2.0 * a * g,),
@@ -473,6 +492,21 @@ def lincomb(u, coeffs, ks):
             ids = tuple(v._lift(x).i for x in xs)
             return v.tape._push("lincomb", ids, tuple(coeffs))
     return _lincomb_fwd(coeffs, *xs)
+
+
+def stencil(x, idx, s, s_adj):
+    """Periodic block stencil on the last axis of x: output block e (n
+    entries) is x[..., idx[e]] @ s.
+
+    idx is the (n_blocks, k*n) gather of the blocks that block e reads and
+    s the (k*n, n) response to them.  s_adj must be the stencil of the
+    transposed map over the same gather: for idx's symmetric offsets, the
+    blocks of s transposed and in reverse offset order.  Taped, this is
+    one node that holds the three arrays.
+    """
+    if _dispatch(x):
+        return x.tape._push("stencil", (x.i,), (idx, s, s_adj))
+    return _stencil_fwd((idx, s, s_adj), x)
 
 
 def reshape(x, shape):

@@ -25,13 +25,16 @@ from .training import TrainConfig
 
 EXPERIMENTS = ("l96", "cd", "burgers")
 
-# model defaults of the PDE experiments; their keys are the allowed keys
+# model defaults of the PDE experiments; their keys are the allowed keys, so
+# a key the experiment never reads (Burgers' `a`, CD's `k0`) is rejected
 _PDE_MODEL = {
     "cd": {"a": 1.0, "kappa": 1e-4, "n_elem": 50, "order_high": 5, "order_low": 1,
-           "domain": [0.0, 1.0], "k0": 10, "n_synth": 32768},
-    "burgers": {"a": 1.0, "kappa": 0.005, "n_elem": 64, "order_high": 8, "order_low": 1,
+           "domain": [0.0, 1.0]},
+    "burgers": {"kappa": 0.005, "n_elem": 64, "order_high": 8, "order_low": 1,
                 "domain": [0.0, 2.0 * math.pi], "k0": 10, "n_synth": 32768},
 }
+# data keys that only the L96 experiment reads
+_L96_DATA = ("spinup",)
 
 
 def _check_keys(d, allowed, path):
@@ -59,10 +62,12 @@ def _value(x, hint, path):
     return x
 
 
-def _section(cls, d, path):
-    """Dataclass `cls` built from the JSON object d found at `path`."""
+def _section(cls, d, path, unused=()):
+    """Dataclass `cls` built from the JSON object d found at `path`; the
+    fields named in `unused` are rejected like unknown keys."""
     hints = typing.get_type_hints(cls)
-    _check_keys(_value(d, dict, path), [f.name for f in dataclasses.fields(cls)], path)
+    allowed = [f.name for f in dataclasses.fields(cls) if f.name not in unused]
+    _check_keys(_value(d, dict, path), allowed, path)
     kwargs = {k: _value(v, hints[k], f"{path}.{k}") for k, v in d.items()}
     try:
         return cls(**kwargs)
@@ -160,7 +165,8 @@ class RunConfig:
             seed=seed,
             out_dir=Path(out_raw) if os.path.isabs(out_raw) else base / out_raw,
             model=_model(experiment, d.get("model", {})),
-            data=_section(DataConfig, d.get("data", {}), "data"),
+            data=_section(DataConfig, d.get("data", {}), "data",
+                          unused=() if experiment == "l96" else _L96_DATA),
             training=_section(TrainConfig, training, "training"),
             training_discrete=_section(
                 TrainConfig, d.get("training_discrete", training), "training_discrete"
@@ -187,7 +193,8 @@ def _model(experiment, d):
             raise ValueError("order_low must be below order_high")
         experiments.pde_config(experiment, model)
         experiments.pde_meshes(model)
-        dg.check_synthesis(model["k0"], model["n_synth"])
+        if experiment == "burgers":
+            dg.check_synthesis(model["k0"], model["n_synth"])
     except ValueError as e:
         raise ConfigError(f"model: {e}") from e
     return model

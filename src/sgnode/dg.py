@@ -10,10 +10,13 @@ code serves plain integration (numpy) and taped training rollouts; batched
 states carry shape (..., n_elem, p+1) internally and flatten to
 (..., n_elem*(p+1)) at the solver interface.
 
-Convection-diffusion is linear, so its tendency is assembled once per
-(config, mesh) into one n_dof x n_dof matrix (``linear_operator``) and
-applied as a single product: five tape nodes per call instead of ~45.
-Burgers evaluates the flux chain on every call.
+The linear part of each tendency couples an element to its two neighbours
+on either side only.  It is assembled once per (config, mesh) into a
+periodic block stencil (``linear_stencil``): five element blocks of
+response per output element, applied as one ``autodiff.stencil`` gather
+and product.  That is all of convection-diffusion (three tape nodes per
+call instead of ~45) and the diffusion part of Burgers, which evaluates
+only its convective flux chain on every call.
 """
 
 from __future__ import annotations
@@ -97,12 +100,15 @@ class Mesh1D:
         self.vdq = _legendre_deriv_vandermonde(self.quad_x, p) @ self._vinv
         wvq = self.quad_w[:, None] * self.vq
         self.mass = self.jac * (self.vq.T @ wvq)
-        self.kmat = self.vq.T @ (self.quad_w[:, None] * self.vdq)
-        self.minv = np.linalg.inv(self.mass)
-        # lift rows: nodal basis hits the endpoints exactly (LGL includes them)
+        kmat = self.vq.T @ (self.quad_w[:, None] * self.vdq)
+        # weak form of one element: its volume flux, right-face jump and
+        # left-face jump, concatenated, map to its tendency through this
+        # (p+3, p+1) matrix, the inverse mass matrix folded in.  The face
+        # rows are unit rows: the nodal basis hits the endpoints exactly
+        # (LGL includes them).
         n = p + 1
-        self.e_left = np.eye(n)[0:1]
-        self.e_right = np.eye(n)[n - 1:n]
+        lift = np.concatenate([-kmat.T, np.eye(n)[n - 1:n], -np.eye(n)[0:1]])
+        self.weak = lift @ np.linalg.inv(self.mass).T
         self._proj = {}
         self._interp = {}
 
@@ -180,100 +186,115 @@ def field_from_function(mesh, fn):
     return DGField(mesh, fn(mesh.node_coords()))
 
 
-def _tendency(cfg, mesh, u):
-    """Semi-discrete RHS on element-shaped states u (..., n_elem, p+1).
+def _weak_form(mesh, vol, right, left):
+    """Tendency of per-element volume data (..., E, p+1) and right- and
+    left-face jumps (..., E, 1), as one product with ``mesh.weak``."""
+    return ad.concatenate([vol, right, left], -1) @ mesh.weak
 
-    Burgers runs this chain on every call; convection-diffusion runs it
-    once, to assemble ``linear_operator``.
-    """
+
+def _divergence(mesh, flux, face_flux):
+    """Weak-form tendency of a volume flux (..., E, p+1) and a numerical
+    flux per face (..., E, 1), face i between elements i-1 and i."""
     n = mesh.order + 1
-    kT = mesh.kmat.T
-    minvT = mesh.minv.T
-    # interface traces: face i sits between element i-1 (minus side) and i (plus side)
+    f_r = ad.narrow(flux, -1, n - 1, 1)
+    f_l = ad.narrow(flux, -1, 0, 1)
+    return _weak_form(mesh, flux - f_l, f_r - ad.roll(face_flux, -1, -2), f_l - face_flux)
+
+
+def _diffusion(cfg, mesh, u):
+    """The linear diffusion part of the tendency of u (..., n_elem, p+1)."""
+    n = mesh.order + 1
     u_r = ad.narrow(u, -1, n - 1, 1)            # (..., E, 1) right-endpoint trace
     u_l = ad.narrow(u, -1, 0, 1)                # left-endpoint trace
-    um = ad.roll(u_r, 1, -2)                    # minus-side value at face i
-    up = u_l                                    # plus-side value at face i
-
-    # diffusion auxiliary q ~ -kappa u_x with central interface values.
-    # Volume terms see per-element-centred data (the stiffness operator
-    # annihilates constants analytically); this keeps constant states exact
-    # steady states instead of leaving ~1e-12 roundoff residue.
-    uc = u - u_l
-    ustar = 0.5 * (um + up)
+    # auxiliary q ~ -kappa u_x with central interface values.  Volume terms
+    # see per-element-centred data (the stiffness operator annihilates
+    # constants analytically); this keeps constant states exact steady
+    # states instead of leaving ~1e-12 roundoff residue.
+    ustar = 0.5 * (ad.roll(u_r, 1, -2) + u_l)   # central value at face i
     ustar_right = ad.roll(ustar, -1, -2)        # value at each element's right face
-    rq = -(uc @ kT) + (u_r - ustar_right) @ mesh.e_right - (u_l - ustar) @ mesh.e_left
-    q = cfg.kappa * (rq @ minvT)
-    q_r = ad.narrow(q, -1, n - 1, 1)
-    q_l = ad.narrow(q, -1, 0, 1)
-    qstar = 0.5 * (ad.roll(q_r, 1, -2) + q_l)
+    q = cfg.kappa * _weak_form(mesh, u - u_l, u_r - ustar_right, u_l - ustar)
+    qstar = 0.5 * (ad.roll(ad.narrow(q, -1, n - 1, 1), 1, -2) + ad.narrow(q, -1, 0, 1))
+    return _divergence(mesh, q, qstar)
 
-    # convective interface flux: Lax-Friedrichs
+
+def _convection(cfg, mesh, u):
+    """The convective part of the tendency, with the Lax-Friedrichs flux."""
+    n = mesh.order + 1
+    um = ad.roll(ad.narrow(u, -1, n - 1, 1), 1, -2)  # minus-side value at face i
+    up = ad.narrow(u, -1, 0, 1)                      # plus-side value at face i
     if cfg.kind == CONVECTION_DIFFUSION:
         fstar = 0.5 * cfg.a * (um + up) + 0.5 * abs(cfg.a) * (um - up)
-        flux = cfg.a * u + q
+        flux = cfg.a * u
     else:
         tau = ad.maximum(ad.absolute(um), ad.absolute(up))
         fstar = 0.25 * (ad.square(um) + ad.square(up)) + 0.5 * tau * (um - up)
-        flux = 0.5 * ad.square(u) + q
+        flux = 0.5 * ad.square(u)
+    return _divergence(mesh, flux, fstar)
 
-    face_flux = fstar + qstar                   # total numerical flux per face
-    f_r = ad.narrow(flux, -1, n - 1, 1)
-    f_l = ad.narrow(flux, -1, 0, 1)
-    ru = (
-        -((flux - f_l) @ kT)
-        + (f_r - ad.roll(face_flux, -1, -2)) @ mesh.e_right
-        - (f_l - face_flux) @ mesh.e_left
-    )
-    return ru @ minvT
+
+def _tendency(cfg, mesh, u):
+    """Semi-discrete RHS on element-shaped states u (..., n_elem, p+1).
+
+    The reference chain: ``linear_stencil`` assembles it once per (config,
+    mesh), and Burgers runs only its convective part on every call.
+    """
+    return _diffusion(cfg, mesh, u) + _convection(cfg, mesh, u)
 
 
 @functools.lru_cache(maxsize=None)
-def linear_operator(cfg, mesh):
-    """The convection-diffusion tendency as one read-only (n_dof, n_dof)
-    matrix M: the tendency of a flat state u is u @ M.
+def linear_stencil(cfg, mesh):
+    """The convection-diffusion tendency as a read-only periodic block
+    stencil (idx, s, s_adj) for ``autodiff.stencil``.
 
-    The tendency is linear and the same in every element of the periodic
-    mesh, so the chain runs only on the p+1 unit vectors of element 0.  Row
-    e*(p+1) + i of M is the response to unit vector i rolled by e elements.
+    The tendency couples each element to elements e-2..e+2 only (two face
+    exchanges, one for q and one for the flux) and is the same in every
+    element, so the chain runs once, on the p+1 unit vectors of the middle
+    element of a five-element ring.  idx is the (n_elem, 5(p+1)) periodic
+    gather of elements e-2..e+2, s the (5(p+1), p+1) response to them, and
+    s_adj the blocks of s transposed and in reverse offset order.
     """
     if cfg.kind != CONVECTION_DIFFUSION:
-        raise ValueError(f"{cfg.kind} has no linear operator")
+        raise ValueError(f"{cfg.kind} has no linear stencil")
     E, n = mesh.n_elem, mesh.order + 1
-    units = np.zeros((n, E, n))
-    units[:, 0, :] = np.eye(n)
-    resp = _tendency(cfg, mesh, units)
-    op = np.concatenate([np.roll(resp, e, axis=1) for e in range(E)]).reshape(E * n, E * n)
-    op.flags.writeable = False  # one cached array serves every caller
-    return op
+    units = np.zeros((n, 5, n))
+    units[:, 2, :] = np.eye(n)
+    resp = _tendency(cfg, mesh, units)          # (source node, element, node)
+    # input at offset o from an output element lands in ring element 2 - o
+    blocks = [resp[:, 2 - o, :] for o in range(-2, 3)]
+    s = np.concatenate(blocks)
+    s_adj = np.concatenate([b.T for b in blocks[::-1]])
+    elems = (np.arange(E)[:, None] + np.arange(-2, 3)[None, :]) % E
+    idx = (elems[:, :, None] * n + np.arange(n)).reshape(E, 5 * n)
+    for a in (idx, s, s_adj):
+        a.flags.writeable = False  # one cached stencil serves every caller
+    return idx, s, s_adj
 
 
 def rhs_semidiscrete(cfg, mesh):
-    """Flat-vector RHS suitable for the ERK stepper; batch-shape agnostic."""
+    """Flat-vector RHS suitable for the ERK stepper; batch-shape agnostic.
+
+    The linear part is one ``autodiff.stencil``: all of convection-diffusion,
+    and Burgers' diffusion as the stencil of the a = 0 operator.  Each row
+    of a batch rounds the same as it would alone.
+    """
     E, n = mesh.n_elem, mesh.order + 1
-    d = E * n
+    is_cd = cfg.kind == CONVECTION_DIFFUSION
+    st = linear_stencil(cfg if is_cd else PdeConfig(CONVECTION_DIFFUSION, cfg.kappa), mesh)
 
-    if cfg.kind == CONVECTION_DIFFUSION:
-        op = linear_operator(cfg, mesh)
+    def linear(u):
+        # the stencil annihilates constants only to roundoff; taking out
+        # one entry keeps constant states exact steady states
+        return ad.stencil(u - ad.narrow(u, -1, 0, 1), *st)
 
-        def fn(t, u):
-            lead = u.shape[:-1]
-            # M annihilates constants only to roundoff; taking out one entry
-            # keeps constant states exact steady states
-            w = u - ad.narrow(u, -1, 0, 1)
-            # a stack of (1, d) @ (d, d) products: each row rounds the same
-            # whatever the batch size, which a single (B, d) gemm does not
-            return ad.reshape(ad.reshape(w, lead + (1, d)) @ op, lead + (d,))
-
-        return Rhs(fn, d)
+    if is_cd:
+        return Rhs(lambda t, u: linear(u), mesh.n_dof)
 
     def fn(t, u):
         shape = u.shape
-        uu = ad.reshape(u, shape[:-1] + (E, n))
-        du = _tendency(cfg, mesh, uu)
-        return ad.reshape(du, shape)
+        conv = _convection(cfg, mesh, ad.reshape(u, shape[:-1] + (E, n)))
+        return linear(u) + ad.reshape(conv, shape)
 
-    return Rhs(fn, d)
+    return Rhs(fn, mesh.n_dof)
 
 
 def filter_project(field, target_order):

@@ -54,16 +54,6 @@ class ButcherTableau:
             raise ValueError(f"{self.name}: c_i != sum_j a_ij")
 
     @functools.cached_property
-    def terms(self):
-        """(indices, weights) of the non-zero entries of each row of a, then
-        of b: the slopes that each stage input and the update combine."""
-        return [
-            (tuple(j for j, w in enumerate(row) if w != 0.0),
-             tuple(float(w) for w in row if w != 0.0))
-            for row in (*self.a, self.b)
-        ]
-
-    @functools.cached_property
     def active_stages(self):
         """Stages whose slope actually reaches the update (b_i or a chain)."""
         s = self.stages
@@ -74,6 +64,27 @@ class ButcherTableau:
             )
             active[i] = used
         return active
+
+    @functools.cached_property
+    def _plans(self):
+        return {}  # dt -> plan; one entry per step size this tableau takes
+
+    def plan(self, dt):
+        """One step of size dt, cached per dt: each active stage as
+        (i, c_i * dt, slope indices, weights), then the update's (slope
+        indices, weights).  The indices and weights are those of the
+        non-zero entries of the stage's row of a, or of b, times dt."""
+        plan = self._plans.get(dt)
+        if plan is None:
+            rows = [
+                (tuple(j for j, w in enumerate(row) if w != 0.0),
+                 tuple(dt * float(w) for w in row if w != 0.0))
+                for row in (*self.a, self.b)
+            ]
+            stages = tuple((i, self.c[i] * dt, *rows[i])
+                           for i in range(self.stages) if self.active_stages[i])
+            plan = self._plans[dt] = (stages, rows[-1])
+        return plan
 
 
 def tableau_rk4():
@@ -182,26 +193,21 @@ def erk_step(tableau, rhs, t, u, dt):
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
-    c = tableau.c
-    active = tableau.active_stages
-    terms = tableau.terms
-    ks = []
-    for i in range(tableau.stages):
-        if not active[i]:
-            ks.append(None)
-            continue
-        ki = rhs(t + c[i] * dt, _combine(u, dt, *terms[i], ks))
+    stages, (idx, weights) = tableau.plan(dt)
+    ks = [None] * tableau.stages
+    for i, offset, stage_idx, stage_weights in stages:
+        ki = rhs(t + offset, _combine(u, stage_idx, stage_weights, ks))
         _check_finite(_raw(ki), "non-finite or blown-up value at stage {stage}", t, stage=i)
-        ks.append(ki)
-    return _combine(u, dt, *terms[-1], ks)
+        ks[i] = ki
+    return _combine(u, idx, weights, ks)
 
 
-def _combine(u, dt, idx, weights, ks):
-    """u + sum_j (dt * weights[j]) * ks[idx[j]] as one ``lincomb`` (one tape
-    node when u or the slopes are taped)."""
+def _combine(u, idx, coeffs, ks):
+    """u + sum_j coeffs[j] * ks[idx[j]] as one ``lincomb`` (one tape node
+    when u or the slopes are taped)."""
     if not idx:
         return u
-    return ad.lincomb(u, [dt * w for w in weights], [ks[j] for j in idx])
+    return ad.lincomb(u, coeffs, [ks[j] for j in idx])
 
 
 @dataclass

@@ -159,6 +159,14 @@ def test_single_step_gradient_matches_hand_chain_rule():
     assert g == pytest.approx(expected, rel=1e-12)
 
 
+def _ring_stencil(n_blocks, n, seed):
+    # a random periodic block stencil over offsets -2..2 and its adjoint
+    blocks = [np.random.default_rng(seed + k).normal(size=(n, n)) for k in range(5)]
+    elems = (np.arange(n_blocks)[:, None] + np.arange(-2, 3)) % n_blocks
+    idx = (elems[:, :, None] * n + np.arange(n)).reshape(n_blocks, 5 * n)
+    return idx, np.concatenate(blocks), np.concatenate([b.T for b in blocks[::-1]])
+
+
 # One finite-difference case per primitive; test_every_primitive_has_a_vjp_and_a_case
 # checks that the tapes of these cases cover every op in autodiff._FWD.
 FD_CASES = [
@@ -181,6 +189,7 @@ FD_CASES = [
     ("arith", lambda t, p: ad.sum_all((p[0] - p[1] * 0.25) * t.const(np.arange(12.0).reshape(3, 4) / 10.0) + (-p[0] + 1.5) / 4.0), [(3, 4), (3, 4)]),
     # u broadcasts against the slopes, so its gradient is summed back down
     ("lincomb", lambda t, p: ad.sum_all(ad.lincomb(p[0], [0.5, -1.25], [p[1], p[2]]) * t.const(np.arange(12.0).reshape(3, 4))), [(4,), (3, 4), (3, 4)]),
+    ("stencil", lambda t, p: ad.sum_all(ad.stencil(p[0], *_ring_stencil(6, 2, 1)) * t.const(np.arange(36.0).reshape(3, 12) / 9.0)), [(3, 12)]),
 ]
 
 
@@ -198,6 +207,23 @@ def test_every_primitive_has_a_vjp_and_a_case():
         _, tape = ad.record(build, [np.ones(s) for s in shapes])
         covered.update(op for op, _, _ in tape.ops)
     assert set(ad._FWD) - covered == set()
+
+
+@pytest.mark.parametrize("stencil", [
+    _ring_stencil(3, 2, 0),  # offsets -2..2 fold onto three blocks
+    _ring_stencil(7, 3, 0),
+    dg.linear_stencil(dg.PdeConfig(dg.CONVECTION_DIFFUSION, kappa=1e-2, a=1.0), dg.make_mesh(4, 4)),
+    dg.linear_stencil(dg.PdeConfig(dg.CONVECTION_DIFFUSION, kappa=1e-4, a=-0.7), dg.make_mesh(50, 5)),
+], ids=["ring3", "ring7", "cd4", "cd50"])
+def test_stencil_vjp_is_the_adjoint_map(stencil):
+    # <stencil(x), g> = <x, vjp(g)> for a batch of states and adjoints
+    d = stencil[0].size // 5
+    rng = np.random.default_rng(d)
+    x, g = rng.normal(size=(2, 3, d))
+    _, tape = ad.record(lambda t, p: ad.sum_all(ad.stencil(p[0], *stencil) * t.const(g)), [x])
+    (gx,) = ad.backward(tape)
+    lhs, rhs = np.vdot(ad.stencil(x, *stencil), g), np.vdot(x, gx)
+    assert abs(lhs - rhs) <= 1e-13 * np.linalg.norm(x) * np.linalg.norm(gx)
 
 
 def _chain(u, coeffs, ks):

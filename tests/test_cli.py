@@ -13,11 +13,14 @@ from sgnode.ode import integrate, load_trajectory, tableau_rk4
 
 
 def smoke_config(tmp_path, experiment="cd", **overrides):
+    model = {"kappa": 1e-3, "n_elem": 8, "order_high": 3, "order_low": 1}
+    if experiment == "cd":
+        model["a"] = 1.0  # Burgers has no convection velocity to set
     cfg = {
         "experiment": experiment,
         "seed": 5,
         "out_dir": str(tmp_path / "run"),
-        "model": {"a": 1.0, "kappa": 1e-3, "n_elem": 8, "order_high": 3, "order_low": 1},
+        "model": model,
         "data": {"n_traj": 2, "dt": 1e-3, "t_final": 0.02},
         "training": {
             "epochs": 2, "batch_size": 4, "window": 2, "dt": 2e-3,
@@ -87,6 +90,27 @@ def test_invalid_value_is_config_error_naming_its_section(
     assert str(e.value).startswith(section)
     assert main(["generate", "--config", str(path)]) == 2
     assert capsys.readouterr().err.startswith(f"config error: {section}")
+
+
+@pytest.mark.parametrize("experiment,section,key,value", [
+    ("burgers", "model", "a", 1.0),
+    ("cd", "model", "k0", 10),
+    ("cd", "model", "n_synth", 32768),
+    ("cd", "data", "spinup", 0.0),
+    ("burgers", "data", "spinup", 3.0),
+])
+def test_a_key_the_experiment_never_reads_is_config_error(
+    tmp_path, capsys, experiment, section, key, value
+):
+    path = smoke_config(tmp_path, experiment)
+    cfg = json.loads(path.read_text())
+    cfg[section][key] = value
+    path.write_text(json.dumps(cfg))
+    with pytest.raises(ConfigError) as e:
+        load_config(path)
+    assert str(e.value).startswith(f"{section}: unknown keys ['{key}']")
+    assert main(["generate", "--config", str(path)]) == 2
+    assert f"['{key}']" in capsys.readouterr().err
 
 
 def test_l96_desk_config_values_and_types():

@@ -255,7 +255,8 @@ def test_courant_numbers_use_min_lgl_spacing():
     (dg.VISCOUS_BURGERS, dict(kappa=0.005)),
 ])
 def test_taped_tendency_records_no_leaf(kind, extra):
-    # the operator matrices ride in matconst nodes, not on the tape as leaves
+    # the stencil and the operator matrices ride in their nodes, not on the
+    # tape as leaves; Burgers' convective chain still takes matconst products
     mesh = dg.make_mesh(6, 2, 0.0, 1.0)
     rhs = dg.rhs_semidiscrete(dg.PdeConfig(kind, **extra), mesh)
     tape = ad.Tape()
@@ -263,37 +264,54 @@ def test_taped_tendency_records_no_leaf(kind, extra):
     before = len(tape)
     du = rhs(0.0, u)
     added = [op for op, _, _ in tape.ops[before:]]
-    assert "leaf" not in added and "matconst" in added
+    assert "leaf" not in added and added.count("stencil") == 1
+    assert ("matconst" in added) == (kind == dg.VISCOUS_BURGERS)
     assert np.array_equal(du.value, rhs(0.0, u.value))
 
 
 CD = [dg.PdeConfig(dg.CONVECTION_DIFFUSION, kappa=1e-4, a=1.0),
       dg.PdeConfig(dg.CONVECTION_DIFFUSION, kappa=0.01, a=-0.7)]
+BURGERS = dg.PdeConfig(dg.VISCOUS_BURGERS, kappa=0.005)
+# E = 2, 3, 4 fold the +-2 offsets of the stencil onto the same element
 GRID = [(2, 1), (3, 2), (4, 4), (50, 1), (50, 5), (64, 8)]
+
+
+def _chain(cfg, mesh, u):
+    lead = u.shape[:-1]
+    return dg._tendency(cfg, mesh, u.reshape(lead + (mesh.n_elem, mesh.order + 1))).reshape(u.shape)
+
+
+def _rel(got, ref):
+    return np.max(np.abs(got - ref)) / np.max(np.abs(ref))
 
 
 @pytest.mark.parametrize("cfg", CD)
 @pytest.mark.parametrize("n_elem,p", GRID)
 def test_cd_operator_matches_the_tendency_chain(cfg, n_elem, p):
     mesh = dg.make_mesh(n_elem, p)
-    E, n, d = mesh.n_elem, mesh.order + 1, mesh.n_dof
+    d = mesh.n_dof
     rhs = dg.rhs_semidiscrete(cfg, mesh)
     rng = np.random.default_rng(10 * n_elem + p)
     for shape in ((d,), (1, d), (7, d)):
         u = rng.normal(size=shape)
-        chain = dg._tendency(cfg, mesh, u.reshape(shape[:-1] + (E, n))).reshape(shape)
         got = rhs(0.0, u)
         assert got.shape == shape
-        assert np.max(np.abs(got - chain)) <= 1e-14 * np.max(np.abs(chain))
+        assert _rel(got, _chain(cfg, mesh, u)) <= 1e-14
 
 
 @pytest.mark.parametrize("cfg", CD)
 @pytest.mark.parametrize("n_elem,p", GRID)
 def test_cd_operator_rolled_from_one_element_equals_the_identity_response(cfg, n_elem, p):
+    # the stencil, built from one element of a five-element ring, applied to
+    # every unit vector of the mesh: exact once the ring fits in the mesh
     mesh = dg.make_mesh(n_elem, p)
     d = mesh.n_dof
-    full = dg._tendency(cfg, mesh, np.eye(d).reshape(d, n_elem, p + 1)).reshape(d, d)
-    assert np.array_equal(dg.linear_operator(cfg, mesh), full)
+    full = _chain(cfg, mesh, np.eye(d))
+    got = ad.stencil(np.eye(d), *dg.linear_stencil(cfg, mesh))
+    if n_elem >= 5:
+        assert np.array_equal(got, full)
+    else:
+        assert _rel(got, full) <= 1e-14
 
 
 def test_taped_cd_tendency_is_one_operator_product():
@@ -304,9 +322,31 @@ def test_taped_cd_tendency_is_one_operator_product():
     before = len(tape)
     rhs(0.0, u)
     added = [op for op, _, _ in tape.ops[before:]]
-    assert len(added) <= 5 and "leaf" not in added and added.count("matconst") == 1
+    assert len(added) <= 3 and "leaf" not in added and added.count("stencil") == 1
 
 
 def test_burgers_has_no_linear_operator():
+    # its diffusion part is the stencil of the a = 0 convection-diffusion operator
     with pytest.raises(ValueError):
-        dg.linear_operator(dg.PdeConfig(dg.VISCOUS_BURGERS, kappa=0.005), dg.make_mesh(4, 1))
+        dg.linear_stencil(BURGERS, dg.make_mesh(4, 1))
+
+
+@pytest.mark.parametrize("p", [1, 8])
+def test_burgers_split_matches_the_tendency_chain(p):
+    mesh = dg.make_mesh(64, p, 0.0, 2 * np.pi)
+    rhs = dg.rhs_semidiscrete(BURGERS, mesh)
+    u = np.random.default_rng(p).normal(size=(5, mesh.n_dof))
+    assert _rel(rhs(0.0, u), _chain(BURGERS, mesh, u)) <= 1e-14
+
+
+@pytest.mark.parametrize("cfg,n_elem,p", [
+    (CD[0], 50, 5), (CD[1], 50, 1), (BURGERS, 64, 1), (BURGERS, 64, 8),
+])
+@pytest.mark.parametrize("batch", [1, 7, 100])
+def test_each_row_of_a_batch_rounds_as_it_does_alone(cfg, n_elem, p, batch):
+    mesh = dg.make_mesh(n_elem, p)
+    rhs = dg.rhs_semidiscrete(cfg, mesh)
+    us = np.random.default_rng(batch).normal(size=(batch, mesh.n_dof))
+    block = rhs(0.0, us)
+    for i in range(batch):
+        assert np.array_equal(block[i], rhs(0.0, us[i:i + 1])[0])
