@@ -41,7 +41,7 @@ def cmd_generate(args):
 def cmd_train(args):
     cfg = _load(args)
     trajs = experiments.load_dataset(cfg)
-    out = Path(cfg.out_dir)
+    out = cfg.out_dir
     out.mkdir(parents=True, exist_ok=True)
     tag = "discrete" if args.discrete else "continuous"
 
@@ -71,7 +71,7 @@ def cmd_train(args):
     for epoch, params in result.checkpoints:
         mlp.save_params(params, out / f"checkpoint_{tag}_{epoch:06d}.sgnp")
     loss_path = out / f"loss_{tag}.csv"
-    loss_path.write_text("\n".join(training.loss_history_rows(result.history)) + "\n")
+    diagnostics.write_csv(loss_path, ("epoch", "train_loss", "test_loss"), result.history)
     print(f"wrote {ckpt} and {loss_path}")
     return 0
 
@@ -93,9 +93,8 @@ def cmd_predict(args):
     u0 = experiments.variant_initial_state(cfg, variant, ref, truth)
     n_steps = int(round(cfg.prediction.t_final / dt))
     traj = experiments.predict(cfg, params, u0, dt, n_steps, variant)
-    out = Path(args.out or cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    path = out / (args.name or f"pred_{variant}.sgnt")
+    cfg.out_dir.mkdir(parents=True, exist_ok=True)
+    path = cfg.out_dir / (args.name or f"pred_{variant}.sgnt")
     save_trajectory(traj, path)
     print(f"wrote {path} ({len(traj)} states at dt={dt})")
     return 0
@@ -105,7 +104,7 @@ def cmd_evaluate(args):
     cfg = _load(args)
     pred = load_trajectory(args.pred)
     ref = load_trajectory(args.ref)
-    out = Path(args.out or cfg.out_dir)
+    out = cfg.out_dir
     out.mkdir(parents=True, exist_ok=True)
     mesh_l = None
     if cfg.experiment == "l96":
@@ -124,7 +123,7 @@ def cmd_evaluate(args):
             diagnostics.export_xt(traj, xt_path, mesh=mesh_l)
             print(f"wrote {xt_path}")
     if cfg.experiment == "burgers":
-        n = 64 if experiments.pde_meshes(cfg.model)[1].order == 1 else 512
+        n = 64 if mesh_l.order == 1 else 512
         for label, traj in (("pred", pred), ("ref", ref)):
             f = dg.field_from_flat(mesh_l, traj.states[-1])
             spath = out / f"spectrum_{label}.csv"
@@ -139,20 +138,14 @@ def cmd_sweep(args):
         raise ConfigError("the timestep sweep is defined for the PDE experiments")
     trajs = experiments.load_dataset(cfg)
     ref = trajs[args.traj_index]
-    pcfg = experiments.pde_config(cfg.experiment, cfg.model)
-    _, mesh_l = experiments.pde_meshes(cfg.model)
     params_c = experiments.load_net(cfg, args.checkpoint)
     params_d = experiments.load_net(cfg, args.checkpoint_discrete)
     dts = [float(x) for x in args.dts.split(",")]
     times = [float(x) for x in args.times.split(",")]
-    rows = diagnostics.timestep_sweep(
-        pcfg, mesh_l, params_c, params_d, ref, dts, times,
-        tableau=cfg.prediction.tableau,
-    )
-    out = Path(args.out or cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    path = out / "sweep.csv"
-    diagnostics.write_sweep(rows, path)
+    rows = experiments.timestep_sweep(cfg, params_c, params_d, ref, dts, times)
+    cfg.out_dir.mkdir(parents=True, exist_ok=True)
+    path = cfg.out_dir / "sweep.csv"
+    diagnostics.write_csv(path, ("method", "dt", "t", "rel_error"), rows)
     print(f"wrote {path}")
     return 0
 
@@ -173,13 +166,9 @@ def cmd_time(args):
         params = mlp.zero_params(*experiments.source_dims(cfg))
         print("no --checkpoint given; timing the source net with zero weights")
     rows = experiments.run_timings(cfg, ref, truth, params)
-    out = Path(args.out or cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    path = out / "timings.csv"
-    with open(path, "w") as f:
-        f.write("variant,dt,first_ms,warm_median_ms\n")
-        for v, dt, first, warm in rows:
-            f.write(f"{v},{dt:.17g},{first:.17g},{warm:.17g}\n")
+    cfg.out_dir.mkdir(parents=True, exist_ok=True)
+    path = cfg.out_dir / "timings.csv"
+    diagnostics.write_csv(path, ("variant", "dt", "first_ms", "warm_median_ms"), rows)
     print(f"wrote {path}")
     for v, dt, first, warm in rows:
         print(f"  {v:10s} dt={dt:<8g} first {first:8.2f} ms   warm median {warm:8.2f} ms")

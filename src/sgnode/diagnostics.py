@@ -1,4 +1,4 @@
-"""Error metrics, kinetic energy spectra, timestep sweeps, and CSV exports.
+"""Error metrics, kinetic energy spectra, and CSV exports.
 
 Spectrum convention, pinned by the sin(x) anchor: with U the unnormalized
 N-point transform of the uniform samples, the per-side density is
@@ -15,10 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dg
-from .errors import BlowupError
-from .training import predict_augmented, predict_discrete
-
-FLOAT_FMT = ".17g"
 
 
 @dataclass
@@ -109,40 +105,26 @@ def log_spectrum_distance(spec_a, spec_b, k_lo=1, k_hi=None):
     return float(np.sqrt(np.sum((la - lb) ** 2)))
 
 
-def timestep_sweep(pde_cfg, mesh_low, params_cont, params_disc, ref, dt_list, eval_times, tableau="rk4"):
-    """Relative errors of the continuous and discrete corrections per dt.
+def _cell(v):
+    if v is None:
+        return ""
+    if isinstance(v, (str, int, np.integer)):
+        return str(v)
+    return format(v, ".17g")
 
-    Returns rows (method, dt, time, rel_err); a blown-up run records
-    float('inf') instead of aborting the sweep.
-    """
-    rhs_low = dg.rhs_semidiscrete(pde_cfg, mesh_low)
-    u0 = ref.states[0]
-    horizon = max(eval_times)
-    methods = (
-        ("continuous", predict_augmented, params_cont),
-        ("discrete", predict_discrete, params_disc),
-    )
-    rows = []
-    for dt in dt_list:
-        n_steps = int(round(horizon / dt))
-        for method, rollout, params in methods:
-            try:
-                traj = rollout(params, rhs_low, tableau, u0, dt, n_steps, t0=ref.t0)
-            except BlowupError:
-                rows.extend((method, dt, t_eval, float("inf")) for t_eval in eval_times)
-                continue
-            rep = compare_fields(traj, ref, mesh_low)
-            for t_eval in eval_times:
-                j = int(np.argmin(np.abs(rep.times - t_eval)))
-                if abs(rep.times[j] - t_eval) > 1e-9 + 1e-6 * dt:
-                    rows.append((method, dt, t_eval, float("nan")))
-                else:
-                    rows.append((method, dt, t_eval, float(rep.rel[j])))
-    return rows
+
+def write_csv(path, header, rows):
+    """One header line of column names, then one line per row.  Floats are
+    written with 17 significant digits, so they read back bit-exact; ints
+    and strings as they are; None as an empty cell."""
+    with open(path, "w") as f:
+        f.write(",".join(header) + "\n")
+        for row in rows:
+            f.write(",".join(map(_cell, row)) + "\n")
 
 
 def export_xt(traj, path, mesh=None):
-    """Long-format CSV of (t, x, u), t-major then x; 17 significant digits.
+    """Long-format CSV of (t, x, u), t-major then x.
 
     With a mesh, x is the physical nodal coordinate; without one, the
     component index.
@@ -151,31 +133,15 @@ def export_xt(traj, path, mesh=None):
         xs = mesh.node_coords().reshape(-1)
     else:
         xs = np.arange(traj.dim, dtype=np.float64)
-    times = traj.times
-    with open(path, "w") as f:
-        f.write("t,x,u\n")
-        for i, t in enumerate(times):
-            row = traj.states[i]
-            for x, u in zip(xs, row):
-                f.write(f"{t:{FLOAT_FMT}},{x:{FLOAT_FMT}},{u:{FLOAT_FMT}}\n")
+    write_csv(path, ("t", "x", "u"), (
+        (t, x, u) for t, row in zip(traj.times, traj.states) for x, u in zip(xs, row)
+    ))
 
 
 def write_error_report(report, path):
-    with open(path, "w") as f:
-        f.write("t,l2_error,rel_error,max_abs\n")
-        for t, a, b, c in zip(report.times, report.l2, report.rel, report.max_abs):
-            f.write(f"{t:{FLOAT_FMT}},{a:{FLOAT_FMT}},{b:{FLOAT_FMT}},{c:{FLOAT_FMT}}\n")
+    write_csv(path, ("t", "l2_error", "rel_error", "max_abs"),
+              zip(report.times, report.l2, report.rel, report.max_abs))
 
 
 def write_spectrum(spec, path):
-    with open(path, "w") as f:
-        f.write("k,E\n")
-        for k, e in zip(spec.k, spec.e):
-            f.write(f"{int(k)},{e:{FLOAT_FMT}}\n")
-
-
-def write_sweep(rows, path):
-    with open(path, "w") as f:
-        f.write("method,dt,t,rel_error\n")
-        for method, dt, t, err in rows:
-            f.write(f"{method},{dt:{FLOAT_FMT}},{t:{FLOAT_FMT}},{err:{FLOAT_FMT}}\n")
+    write_csv(path, ("k", "E"), zip(spec.k, spec.e))

@@ -3,9 +3,9 @@
 Each experiment knows how to build its meshes/right-hand sides, generate and
 filter reference data, build the source-augmented right-hand side that
 training differentiates through, train the discrete post-correction
-baseline, and roll out every prediction variant.  The finite-difference
-gradient check and the variant timings behind ``sgnode gradcheck`` and
-``sgnode time`` live here too.
+baseline, and roll out every prediction variant.  The timestep sweep, the
+finite-difference gradient check and the variant timings behind ``sgnode
+sweep``, ``sgnode gradcheck`` and ``sgnode time`` live here too.
 """
 
 from __future__ import annotations
@@ -19,8 +19,8 @@ from pathlib import Path
 import numpy as np
 
 from . import autodiff as ad
-from . import dg, lorenz96, mlp, training
-from .errors import ConfigError
+from . import diagnostics, dg, lorenz96, mlp, training
+from .errors import BlowupError, ConfigError
 from .ode import Trajectory, integrate, get_tableau, load_trajectory, save_trajectory
 
 
@@ -239,6 +239,39 @@ def variant_initial_state(cfg, variant, ref_filtered, ref_truth=None):
     return ref_filtered.states[0]
 
 
+def timestep_sweep(cfg, params_cont, params_disc, ref, dts, eval_times):
+    """Relative errors of the continuous and discrete corrections per dt,
+    rolled out from the reference's first state.
+
+    Returns rows (method, dt, time, rel_err); a blown-up run records
+    float('inf') instead of aborting the sweep, and an eval time off the
+    run's grid float('nan').
+    """
+    _, mesh_l = pde_meshes(cfg.model)
+    horizon = max(eval_times)
+    methods = (
+        ("continuous", "augmented", params_cont),
+        ("discrete", "discrete", params_disc),
+    )
+    rows = []
+    for dt in dts:
+        n_steps = int(round(horizon / dt))
+        for method, variant, params in methods:
+            try:
+                traj = predict(cfg, params, ref.states[0], dt, n_steps, variant, t0=ref.t0)
+            except BlowupError:
+                rows.extend((method, dt, t_eval, float("inf")) for t_eval in eval_times)
+                continue
+            rep = diagnostics.compare_fields(traj, ref, mesh_l)
+            for t_eval in eval_times:
+                j = int(np.argmin(np.abs(rep.times - t_eval)))
+                if abs(rep.times[j] - t_eval) > 1e-9 + 1e-6 * dt:
+                    rows.append((method, dt, t_eval, float("nan")))
+                else:
+                    rows.append((method, dt, t_eval, float(rep.rel[j])))
+    return rows
+
+
 def run_timings(cfg, ref, truth, params, variants=None):
     """Median-of-repeats wall times per prediction variant at its stable dt."""
     tcfg = cfg.timing
@@ -255,7 +288,13 @@ def run_timings(cfg, ref, truth, params, variants=None):
         times = []
         for _ in range(tcfg.repeats + 1):
             t0 = time.perf_counter()
-            predict(cfg, params, u0, dt, n_steps, variant)
+            try:
+                predict(cfg, params, u0, dt, n_steps, variant)
+            except BlowupError as e:
+                raise BlowupError(
+                    f"variant {variant} at dt={dt:g}: {e}", stage=e.stage, step=e.step,
+                    time=e.time, sample=e.sample, epoch=e.epoch,
+                ) from e
             times.append((time.perf_counter() - t0) * 1e3)
         rows.append((variant, dt, times[0], float(np.median(times[1:]))))
     return rows

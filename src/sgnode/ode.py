@@ -54,26 +54,14 @@ class ButcherTableau:
             raise ValueError(f"{self.name}: c_i != sum_j a_ij")
 
     @functools.cached_property
-    def active_stages(self):
-        """Stages whose slope actually reaches the update (b_i or a chain)."""
-        s = self.stages
-        active = [False] * s
-        for i in range(s - 1, -1, -1):
-            used = self.b[i] != 0.0 or any(
-                active[j] and self.a[j, i] != 0.0 for j in range(i + 1, s)
-            )
-            active[i] = used
-        return active
-
-    @functools.cached_property
     def _plans(self):
         return {}  # dt -> plan; one entry per step size this tableau takes
 
     def plan(self, dt):
-        """One step of size dt, cached per dt: each active stage as
-        (i, c_i * dt, slope indices, weights), then the update's (slope
-        indices, weights).  The indices and weights are those of the
-        non-zero entries of the stage's row of a, or of b, times dt."""
+        """One step of size dt, cached per dt: each stage as (i, c_i * dt,
+        slope indices, weights), then the update's (slope indices, weights).
+        The indices and weights are those of the non-zero entries of the
+        stage's row of a, or of b, times dt."""
         plan = self._plans.get(dt)
         if plan is None:
             rows = [
@@ -81,8 +69,7 @@ class ButcherTableau:
                  tuple(dt * float(w) for w in row if w != 0.0))
                 for row in (*self.a, self.b)
             ]
-            stages = tuple((i, self.c[i] * dt, *rows[i])
-                           for i in range(self.stages) if self.active_stages[i])
+            stages = tuple((i, self.c[i] * dt, *rows[i]) for i in range(self.stages))
             plan = self._plans[dt] = (stages, rows[-1])
         return plan
 
@@ -101,12 +88,12 @@ def tableau_rk4():
 
 
 def tableau_tsit5():
-    """Tsitouras' 7-stage fifth-order scheme (2011 coefficients).
+    """Tsitouras' fifth-order scheme (2011 coefficients), six stages.
 
-    The seventh stage carries zero weight in the propagating solution (it
-    belongs to the embedded pair) and is skipped by the stepper.
+    The pair's seventh, first-same-as-last stage only feeds the embedded
+    error estimate, which a fixed-step solver never uses, so it is left out.
     """
-    a = np.zeros((7, 7))
+    a = np.zeros((6, 6))
     a[1, 0] = 0.161
     a[2, 0] = -0.008480655492356989
     a[2, 1] = 0.335480655492357
@@ -129,10 +116,8 @@ def tableau_tsit5():
         1.379008574103742,
         -3.290069515436081,
         2.324710524099774,
-        0.0,
     ])
-    a[6, :] = b
-    c = np.array([0.0, 0.161, 0.327, 0.9, 0.9800255409045097, 1.0, 1.0])
+    c = np.array([0.0, 0.161, 0.327, 0.9, 0.9800255409045097, 1.0])
     tab = ButcherTableau("tsit5", a, b, c)
     tab.validate()
     return tab

@@ -19,7 +19,8 @@ import numpy as np
 from . import autodiff as ad
 from . import mlp
 from .errors import BlowupError, ConfigError
-from .ode import erk_step, get_tableau, integrate
+# integrate is not called here, but perfbench/spans.py patches training.integrate
+from .ode import erk_step, get_tableau, integrate  # noqa: F401
 
 
 @dataclass
@@ -238,35 +239,23 @@ class TrainResult:
     checkpoints: list = field(default_factory=list)  # (epoch, MlpParams)
 
 
-def _close_epoch(result, cfg, epoch, train_loss, test_loss, on_epoch):
-    """Record a finished epoch: its history row, the periodic checkpoint
-    every cfg.checkpoint_every epochs, and the callback."""
-    result.history.append((epoch, train_loss, test_loss))
-    if cfg.checkpoint_every and epoch % cfg.checkpoint_every == 0:
-        result.checkpoints.append((epoch, result.params.copy()))
-    if on_epoch:
-        on_epoch(epoch, train_loss, test_loss)
+def _fit(cfg, d_in, d_out, init, on_epoch, step_loss, test_loss=None):
+    """The epoch loop of both trainers.
 
-
-def train(trajs, cfg, rhs_builder, d_in, d_out, init=None, on_epoch=None):
-    """Full loop: sample, record, backward, update; held-out loss every
-    cfg.test_every epochs on freshly sampled windows from the test range."""
+    Each epoch takes cfg.steps_per_epoch optimizer steps, each on
+    `step_loss(params, epoch, step)` -> (loss, tape).  It then records the
+    history row (the last step's loss and `test_loss(params, epoch)`, or
+    None), the periodic checkpoint every cfg.checkpoint_every epochs, and
+    the callback.
+    """
     params = init.copy() if init is not None else mlp.init_params(d_in, d_out, cfg.seed)
     opt = opt_init(cfg, params)
     plist = mlp.param_list(params)
-    train_rng, test_rng = split_ranges(trajs, cfg)
-    stride = _stride(cfg.dt, trajs[0].dt)
-    # drop held-out ranges too short to hold one window
-    test_rng = [r for r in test_rng if r[2] - r[1] >= cfg.window * stride]
     result = TrainResult(params=params, history=[])
     for epoch in range(1, cfg.epochs + 1):
-        train_loss = None
         for step in range(cfg.steps_per_epoch):
-            batch = sample_windows(
-                trajs, cfg, epoch_seed=[cfg.seed, 101, epoch, step], ranges=train_rng
-            )
             try:
-                train_loss, tape = node_loss(params, batch, rhs_builder, cfg.tableau)
+                train_loss, tape = step_loss(params, epoch, step)
             except BlowupError as e:
                 raise BlowupError(
                     f"training rollout blew up at epoch {epoch}: {e}",
@@ -274,14 +263,38 @@ def train(trajs, cfg, rhs_builder, d_in, d_out, init=None, on_epoch=None):
                     epoch=epoch,
                 ) from e
             opt_step(opt, plist, ad.backward(tape))
-        test_loss = None
+        held_out = test_loss(params, epoch) if test_loss else None
+        result.history.append((epoch, train_loss, held_out))
+        if cfg.checkpoint_every and epoch % cfg.checkpoint_every == 0:
+            result.checkpoints.append((epoch, params.copy()))
+        if on_epoch:
+            on_epoch(epoch, train_loss, held_out)
+    return result
+
+
+def train(trajs, cfg, rhs_builder, d_in, d_out, init=None, on_epoch=None):
+    """Full loop: sample, record, backward, update; held-out loss every
+    cfg.test_every epochs on freshly sampled windows from the test range."""
+    train_rng, test_rng = split_ranges(trajs, cfg)
+    stride = _stride(cfg.dt, trajs[0].dt)
+    # drop held-out ranges too short to hold one window
+    test_rng = [r for r in test_rng if r[2] - r[1] >= cfg.window * stride]
+
+    def step_loss(params, epoch, step):
+        batch = sample_windows(
+            trajs, cfg, epoch_seed=[cfg.seed, 101, epoch, step], ranges=train_rng
+        )
+        return node_loss(params, batch, rhs_builder, cfg.tableau)
+
+    def test_loss(params, epoch):
         if test_rng and cfg.test_every and (epoch % cfg.test_every == 0 or epoch == cfg.epochs):
             tb = sample_windows(
                 trajs, cfg, epoch_seed=[cfg.seed, 202, epoch], ranges=test_rng
             )
-            test_loss = rollout_loss_value(params, tb, rhs_builder, cfg.tableau)
-        _close_epoch(result, cfg, epoch, train_loss, test_loss, on_epoch)
-    return result
+            return rollout_loss_value(params, tb, rhs_builder, cfg.tableau)
+        return None
+
+    return _fit(cfg, d_in, d_out, init, on_epoch, step_loss, test_loss)
 
 
 def discrete_forcing_dataset(filtered_trajs, dt_coarse, rhs_low, tableau, ranges=None):
@@ -313,14 +326,11 @@ def discrete_forcing_dataset(filtered_trajs, dt_coarse, rhs_low, tableau, ranges
 
 def train_discrete_forcing(inputs, targets, cfg, d_in, d_out, init=None, on_epoch=None):
     """Plain MLP regression input -> forcing with the configured optimizer."""
-    params = init.copy() if init is not None else mlp.init_params(d_in, d_out, cfg.seed)
-    opt = opt_init(cfg, params)
-    plist = mlp.param_list(params)
     n_total = inputs.shape[0]
-    result = TrainResult(params=params, history=[])
-    for epoch in range(1, cfg.epochs + 1):
+
+    def step_loss(params, epoch, step):
         rng = np.random.Generator(
-            np.random.PCG64(np.random.SeedSequence([cfg.seed, 303, epoch]))
+            np.random.PCG64(np.random.SeedSequence([cfg.seed, 303, epoch, step]))
         )
         pick = rng.integers(0, n_total, size=min(cfg.batch_size, n_total))
         xb, yb = inputs[pick], targets[pick]
@@ -330,16 +340,9 @@ def train_discrete_forcing(inputs, targets, cfg, d_in, d_out, init=None, on_epoc
             r = mlp.forward(ws, bs, tape.const(xb)) - tape.const(yb)
             return ad.sum_all(ad.square(r)) * (1.0 / xb.shape[0])
 
-        loss, tape = ad.record(build, plist)
-        opt_step(opt, plist, ad.backward(tape))
-        _close_epoch(result, cfg, epoch, loss, None, on_epoch)
-    return result
+        return ad.record(build, mlp.param_list(params))
 
-
-def predict_augmented(params, rhs_plain, tableau, u0, dt, n_steps, t0=0.0, meta=None):
-    """Rollout of the source-augmented continuous system."""
-    fn = augmented(rhs_plain, params.weights, params.biases)
-    return integrate(get_tableau(tableau), fn, u0, t0, dt, n_steps, meta=meta)
+    return _fit(cfg, d_in, d_out, init, on_epoch, step_loss)
 
 
 def discrete_correction(params, dt):
@@ -348,24 +351,3 @@ def discrete_correction(params, dt):
         return u_stepped + dt * mlp.forward_params(params, u_prev)
 
     return correct
-
-
-def predict_discrete(params, rhs_low, tableau, u0, dt, n_steps, t0=0.0, meta=None):
-    """ERK step of the plain low-order operator, then the Euler post-correction.
-
-    The corrected state is carried forward into the next step.
-    """
-    return integrate(
-        get_tableau(tableau), rhs_low, u0, t0, dt, n_steps, meta=meta,
-        post_step=discrete_correction(params, dt),
-    )
-
-
-def loss_history_rows(history):
-    """CSV rows (epoch, train, test) with 17-significant-digit floats."""
-    rows = ["epoch,train_loss,test_loss"]
-    for epoch, tr, te in history:
-        t1 = "" if tr is None else format(tr, ".17g")
-        t2 = "" if te is None else format(te, ".17g")
-        rows.append(f"{epoch},{t1},{t2}")
-    return rows

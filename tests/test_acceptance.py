@@ -6,6 +6,7 @@ to watch the lines appear.  Total runtime is dominated by the three desk
 trainings (roughly ten minutes on a laptop-class CPU).
 """
 
+import dataclasses
 import time
 
 import numpy as np
@@ -48,7 +49,7 @@ def cd_desk():
     )
     disc = training.train_discrete_forcing(xs, ys, cfg.training_discrete, 100, 100)
     wall = time.perf_counter() - t0
-    return dict(cfg=cfg, pcfg=pcfg, mesh_h=mesh_h, mesh_l=mesh_l, rhs_l=rhs_l,
+    return dict(cfg=cfg, mesh_h=mesh_h, mesh_l=mesh_l, rhs_l=rhs_l,
                 filtered=filtered, cont=cont.params, disc=disc.params,
                 train_wall=wall)
 
@@ -91,7 +92,7 @@ def burgers_desk():
     res = training.train(
         [ref], cfg.training, lambda ws, bs: training.augmented(rhs_l, ws, bs), 128, 128
     )
-    return dict(cfg=cfg, pcfg=pcfg, mesh_h=mesh_h, mesh_l=mesh_l, rhs_l=rhs_l,
+    return dict(cfg=cfg, mesh_h=mesh_h, mesh_l=mesh_l, rhs_l=rhs_l,
                 ic=ic, ref=ref, truth=tr, params=res.params)
 
 
@@ -249,9 +250,8 @@ def test_c06_cd_reproduction_desk_scale(cd_desk):
     ref = cd_desk["filtered"][0]
     u0 = ref.states[0]
     n_steps = int(round(cfg.prediction.t_final / cfg.prediction.dt))
-    pred_aug = training.predict_augmented(
-        cd_desk["cont"], cd_desk["rhs_l"], cfg.prediction.tableau, u0,
-        cfg.prediction.dt, n_steps,
+    pred_aug = experiments.predict(
+        cfg, cd_desk["cont"], u0, cfg.prediction.dt, n_steps, "augmented"
     )
     pred_low = integrate(
         tableau_tsit5(), cd_desk["rhs_l"], u0, 0.0, cfg.prediction.dt, n_steps
@@ -269,9 +269,10 @@ def test_c06_cd_reproduction_desk_scale(cd_desk):
 def test_c07_timestep_insensitivity(cd_desk):
     cfg = cd_desk["cfg"]
     ref = cd_desk["filtered"][0]
-    rows = diagnostics.timestep_sweep(
-        cd_desk["pcfg"], cd_desk["mesh_l"], cd_desk["cont"], cd_desk["disc"], ref,
-        [1e-4, 2e-4, 5e-4, 1e-3, 2e-3], [cfg.data.t_final], tableau="rk4",
+    rk4 = dataclasses.replace(cfg, prediction=dataclasses.replace(cfg.prediction, tableau="rk4"))
+    rows = experiments.timestep_sweep(
+        rk4, cd_desk["cont"], cd_desk["disc"], ref,
+        [1e-4, 2e-4, 5e-4, 1e-3, 2e-3], [cfg.data.t_final],
     )
     cont = {dt: e for m, dt, t, e in rows if m == "continuous"}
     disc = {dt: e for m, dt, t, e in rows if m == "discrete"}
@@ -338,9 +339,8 @@ def test_c09_spectrum_diagnostics(burgers_desk):
     ref = burgers_desk["ref"]
     u0 = ref.states[0]
     n_steps = int(round(cfg.prediction.t_final / cfg.prediction.dt))
-    pred_aug = training.predict_augmented(
-        burgers_desk["params"], burgers_desk["rhs_l"], "tsit5", u0,
-        cfg.prediction.dt, n_steps,
+    pred_aug = experiments.predict(
+        cfg, burgers_desk["params"], u0, cfg.prediction.dt, n_steps, "augmented"
     )
     pred_low = integrate(tableau_tsit5(), burgers_desk["rhs_l"], u0, 0.0,
                          cfg.prediction.dt, n_steps)

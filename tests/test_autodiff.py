@@ -254,7 +254,7 @@ def test_lincomb_is_bit_identical_to_the_chain_it_replaces():
 
 
 def test_a_tsit5_step_records_one_lincomb_per_stage_combination():
-    # five stage inputs and the update; the seventh stage never runs
+    # five stage inputs (stage 0 is u itself) and the update
     tape = ad.Tape()
     u = tape.param(np.ones((2, 3)))
     before = len(tape)

@@ -315,6 +315,23 @@ def test_timing_command(tmp_path):
     assert main(["time", "--config", str(path)]) == 0
 
 
+def test_timing_blowup_names_its_variant_and_dt(tmp_path, capsys):
+    timing = {"repeats": 1, "t_final": 5.0, "tableau": "rk4", "dts": {"low": 0.5}}
+    path = smoke_config(tmp_path, timing=timing)
+    main(["generate", "--config", str(path)])
+    capsys.readouterr()
+    assert main(["time", "--config", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical blowup: variant low at dt=0.5: ")
+    cfg = load_config(path)
+    ref = experiments.load_dataset(cfg)[0]
+    truth = experiments.load_dataset(cfg, kind="truth")[0]
+    with pytest.raises(BlowupError) as e:
+        run_timings(cfg, ref, truth, mlp.zero_params(16, 16))
+    assert (e.value.step, e.value.stage) == (2, 2)
+    assert isinstance(e.value.__cause__, BlowupError)
+
+
 def test_gradcheck_command(tmp_path):
     path = smoke_config(tmp_path)
     assert main(["gradcheck", "--config", str(path), "--sample", "16"]) == 0

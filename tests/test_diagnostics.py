@@ -3,7 +3,8 @@ import csv
 import numpy as np
 import pytest
 
-from sgnode import dg, diagnostics, mlp
+from sgnode import dg, diagnostics, experiments, mlp
+from sgnode.config import RunConfig
 from sgnode.ode import Trajectory, integrate, tableau_rk4
 
 
@@ -169,6 +170,17 @@ def test_error_report_and_spectrum_csv(tmp_path):
     assert lines[1] == "1,0.25"
 
 
+def test_write_csv_formats_each_cell_as_the_writers_it_replaced(tmp_path):
+    row = (None, 3, np.int64(7), float("inf"), float("nan"), np.float64(0.1), 0.3, "discrete")
+    path = tmp_path / "cells.csv"
+    diagnostics.write_csv(path, ("a", "b"), [row])
+    old = ["", f"{3}", f"{int(np.int64(7))}"] + [
+        f"{x:.17g}" for x in (float("inf"), float("nan"), np.float64(0.1), 0.3)
+    ] + ["discrete"]
+    assert path.read_text() == "a,b\n" + ",".join(old) + "\n"
+    assert path.read_text().splitlines()[1] == ",3,7,inf,nan,0.10000000000000001,0.29999999999999999,discrete"
+
+
 def test_timestep_sweep_zero_nets_match_plain_low_order():
     mesh_l = dg.make_mesh(10, 1, 0.0, 1.0)
     cfg = dg.PdeConfig(dg.CONVECTION_DIFFUSION, kappa=1e-3, a=1.0)
@@ -176,9 +188,13 @@ def test_timestep_sweep_zero_nets_match_plain_low_order():
     u0 = dg.field_from_function(mesh_l, lambda x: np.sin(2 * np.pi * x))
     ref = integrate(tableau_rk4(), rhs, u0.flat, 0.0, 1e-3, 100)
     zero = mlp.zero_params(mesh_l.n_dof, mesh_l.n_dof)
-    rows = diagnostics.timestep_sweep(
-        cfg, mesh_l, zero, zero, ref, [1e-3, 2e-3], [0.05, 0.1], tableau="rk4"
-    )
+    run_cfg = RunConfig.from_dict({
+        "experiment": "cd", "out_dir": "unused",
+        "model": {"a": 1.0, "kappa": 1e-3, "n_elem": 10, "order_high": 2,
+                  "order_low": 1, "domain": [0.0, 1.0]},
+        "prediction": {"tableau": "rk4"},
+    })
+    rows = experiments.timestep_sweep(run_cfg, zero, zero, ref, [1e-3, 2e-3], [0.05, 0.1])
     by_key = {(m, dt, t): e for m, dt, t, e in rows}
     for dt in (1e-3, 2e-3):
         for t in (0.05, 0.1):

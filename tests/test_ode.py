@@ -70,9 +70,6 @@ def test_tsit5_observed_order():
 
 def test_tsit5_skips_unused_final_stage():
     tab = tableau_tsit5()
-    active = tab.active_stages
-    assert active[:6] == [True] * 6 and not active[6]
-    assert tab.active_stages is active  # computed once per tableau
     calls = []
 
     def rhs(t, u):

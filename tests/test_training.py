@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from sgnode import autodiff as ad
-from sgnode import dg, mlp, training
+from sgnode import dg, diagnostics, experiments, mlp, training
+from sgnode.config import RunConfig
 from sgnode.errors import BlowupError, ConfigError
 from sgnode.ode import Trajectory, erk_step, integrate, tableau_rk4
 
@@ -296,8 +297,12 @@ class TestTrainLoop:
         assert err.time == pytest.approx(cfg.dt)
         assert "epoch 2" in str(err) and "sample 3" in str(err)
 
-    def test_loss_history_rows_format(self):
-        rows = training.loss_history_rows([(1, 0.5, None), (2, 0.25, 0.3)])
+    def test_loss_history_rows_format(self, tmp_path):
+        path = tmp_path / "loss.csv"
+        diagnostics.write_csv(
+            path, ("epoch", "train_loss", "test_loss"), [(1, 0.5, None), (2, 0.25, 0.3)]
+        )
+        rows = path.read_text().splitlines()
         assert rows[0] == "epoch,train_loss,test_loss"
         assert rows[1] == "1,0.5,"
         assert rows[2] == "2,0.25,0.29999999999999999"
@@ -316,6 +321,15 @@ class TestDiscreteForcing:
             t0=0.0, dt=1e-3, states=dg.project_states(mesh_h, tr.states, 1), meta={}
         )
         return mesh_l, rhs_l, filt
+
+    def _cd_run_config(self):
+        # the low-order half of _cd_setup as a run configuration, RK4 rollouts
+        return RunConfig.from_dict({
+            "experiment": "cd", "out_dir": "unused",
+            "model": {"a": 1.0, "kappa": 1e-3, "n_elem": 10, "order_high": 3,
+                      "order_low": 1, "domain": [0.0, 1.0]},
+            "prediction": {"tableau": "rk4"},
+        })
 
     def test_exact_low_solver_gives_zero_targets(self):
         # if the "filtered" data is itself generated by the low operator, the
@@ -337,7 +351,7 @@ class TestDiscreteForcing:
         mesh_l, rhs_l, filt = self._cd_setup()
         params = mlp.zero_params(mesh_l.n_dof, mesh_l.n_dof)
         u0 = filt.states[0]
-        pred = training.predict_discrete(params, rhs_l, "rk4", u0, 1e-3, 20)
+        pred = experiments.predict(self._cd_run_config(), params, u0, 1e-3, 20, "discrete")
         plain = integrate(tableau_rk4(), rhs_l, u0, 0.0, 1e-3, 20)
         assert np.array_equal(pred.states, plain.states)
 
@@ -346,7 +360,7 @@ class TestDiscreteForcing:
         params = mlp.zero_params(mesh_l.n_dof, mesh_l.n_dof)
         params.biases[3][:] = 0.25
         u0 = filt.states[0]
-        pred = training.predict_discrete(params, rhs_l, "rk4", u0, 1e-3, 1)
+        pred = experiments.predict(self._cd_run_config(), params, u0, 1e-3, 1, "discrete")
         plain = erk_step(tableau_rk4(), rhs_l, 0.0, u0, 1e-3)
         assert np.max(np.abs(pred.states[1] - (plain + 1e-3 * 0.25))) < 1e-15
 
@@ -358,6 +372,22 @@ class TestDiscreteForcing:
         X, Y = training.discrete_forcing_dataset([filt], 1e-3, rhs_l, "rk4")
         res = training.train_discrete_forcing(X, Y, cfg, mesh_l.n_dof, mesh_l.n_dof)
         assert res.history[-1][1] < res.history[0][1]
+
+    def test_takes_steps_per_epoch_optimizer_steps(self, monkeypatch):
+        mesh_l, rhs_l, filt = self._cd_setup()
+        X, Y = training.discrete_forcing_dataset([filt], 1e-3, rhs_l, "rk4")
+        steps = []
+        opt_step = training.opt_step
+        monkeypatch.setattr(
+            training, "opt_step", lambda *a: (steps.append(None), opt_step(*a))
+        )
+        cfg = training.TrainConfig(epochs=3, batch_size=8, steps_per_epoch=4, seed=5)
+        res = training.train_discrete_forcing(X, Y, cfg, mesh_l.n_dof, mesh_l.n_dof)
+        assert len(steps) == 12 and len(res.history) == 3
+        # batches are seeded [seed, 303, epoch, step]; SeedSequence pads its
+        # entropy with zeros, so step 0 draws the batch of seed [seed, 303, epoch]
+        pad = np.random.SeedSequence([5, 303, 1, 0]).generate_state(4)
+        assert np.array_equal(pad, np.random.SeedSequence([5, 303, 1]).generate_state(4))
 
 
 def test_gradient_fidelity_small_rollout():
