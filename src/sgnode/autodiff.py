@@ -3,11 +3,15 @@
 A loss is built by composing ``Var`` handles that live on a ``Tape``.  The op
 set is intentionally closed: exactly what MLP evaluation, the model
 right-hand sides, and mean-squared losses unrolled through explicit
-Runge-Kutta steps need (product with a constant matrix, fused dense layer,
-Runge-Kutta stage combination, periodic block stencil, broadcast add/mul,
-abs, max, square, roll, slice/concat, repeat, reshape, full sum).
-``backward`` walks the tape once in reverse and returns the gradient of the
-recorded scalar with respect to every registered parameter array.
+Runge-Kutta steps need.  Its 16 primitives are ``mul`` (broadcast
+product), ``smul`` and ``sadd`` (scalar product and shift), ``matconst``
+(product with a constant matrix), ``dense`` (fused network layer),
+``lincomb`` (Runge-Kutta stage combination, and every ``+`` and ``-``
+between arrays), ``stencil`` (periodic block stencil), ``abs``, ``max2``,
+``square``, ``sumall``, ``reshape``, ``roll``, ``narrow``, ``concat`` and
+``repeat``.  ``backward`` walks the tape once in reverse and returns the
+gradient of the recorded scalar with respect to every registered parameter
+array.
 
 The fused ``dense`` node (``h @ W.T + b``, optionally through ReLU) stores
 only the layer's output, and a product with a constant matrix keeps the
@@ -17,9 +21,10 @@ coefficients in the node.  ``stencil`` applies a banded periodic linear
 map as a gather and one product per row, with the adjoint stencil in the
 node, so its reverse sweep costs what its forward does.
 
-The same model code runs untaped: every dispatch helper below falls through
-to plain numpy when its arguments are ndarrays, so prediction and training
-share one implementation of each right-hand side.
+Each primitive has one forward rule in ``_FWD``.  ``_apply`` records it on
+the tape of a ``Var`` argument, or evaluates it directly when every argument
+is an ndarray, so the same model code runs taped and untaped, and prediction
+and training share one implementation of each right-hand side.
 """
 
 from __future__ import annotations
@@ -64,78 +69,65 @@ def _unbroadcast(g, shape):
     return g
 
 
-def _dense_fwd(relu, h, w, b):
+def _dense_fwd(relu, xs):
+    h, w, b = xs
     z = h @ w.T
-    if z.ndim == 1:
-        z = z[None, :]  # a single input row still gives a (1, d_out) batch
     z += b
     if relu:
         np.maximum(z, 0.0, out=z)
     return z
 
 
-def _lincomb_fwd(coeffs, u, *ks):
+def _lincomb_fwd(coeffs, xs):
     # left to right, so the sum rounds as the chain u + c0*k0 + c1*k1 + ... does
-    out = u + coeffs[0] * ks[0]
-    for c, k in zip(coeffs[1:], ks[1:], strict=True):
+    out = xs[0] + coeffs[0] * xs[1]
+    for c, k in zip(coeffs[1:], xs[2:], strict=True):
         out += c * k
     return out
 
 
-def _stencil_fwd(aux, x):
+def _stencil_fwd(aux, xs):
     # aux is (idx, s, s_adj); row e of the gather holds the entries that
     # output block e reads.  The stacked matmul is one (n_blocks, k*n) @
     # (k*n, n) product per batch row, so each row rounds as it would alone.
     idx, s, _ = aux
+    (x,) = xs
     return (np.take(x, idx, axis=-1) @ s).reshape(x.shape)
 
 
-def _roll(a, shift, axis):
-    """np.roll along one axis, by slicing: the last `shift` entries move to
-    the front.  Same values, without np.roll's generic axis handling."""
+def _roll_fwd(aux, xs):
+    """np.roll by aux = (shift, axis), by slicing: the last `shift` entries
+    move to the front.  Same values, without np.roll's generic axis
+    handling."""
+    shift, axis = aux
+    (a,) = xs
     n = a.shape[axis]
     s = shift % n if n else 0
-    lead = (slice(None),) * (axis % a.ndim)
+    lead = (slice(None),) * axis
     return np.concatenate((a[lead + (slice(n - s, None),)], a[lead + (slice(0, n - s),)]), axis=axis)
 
 
-# Forward rules: fn(aux, *input_values) -> value.
+# Forward rules: fn(aux, input_values) -> value, axes in aux non-negative.
+# One input sequence keeps _apply's untaped call plain: a star call cost ~0.25 us
+# more (CPython 3.11, 2-core x86-64), ~10% of a Burgers p = 1 tendency.
 _FWD = {
-    "add": lambda aux, a, b: a + b,
-    "sub": lambda aux, a, b: a - b,
-    "mul": lambda aux, a, b: a * b,
-    "neg": lambda aux, a: -a,
-    "smul": lambda aux, a: a * aux,
-    "sadd": lambda aux, a: a + aux,
-    "matconst": lambda aux, a: a @ aux,
+    "mul": lambda aux, xs: xs[0] * xs[1],
+    "smul": lambda aux, xs: xs[0] * aux,
+    "sadd": lambda aux, xs: xs[0] + aux,
+    "matconst": lambda aux, xs: xs[0] @ aux,
     "dense": _dense_fwd,  # aux is the relu flag
     "lincomb": _lincomb_fwd,  # aux is the coefficient tuple
     "stencil": _stencil_fwd,  # aux is (idx, s, s_adj)
-    "abs": lambda aux, a: np.abs(a),
-    "max2": lambda aux, a, b: np.maximum(a, b),
-    "square": lambda aux, a: a * a,
-    "sumall": lambda aux, a: np.sum(a),
-    "reshape": lambda aux, a: np.reshape(a, aux),
-    "roll": lambda aux, a: _roll(a, aux[0], aux[1]),
-    "narrow": lambda aux, a: _narrow_fwd(aux, a),
-    "concat": lambda aux, *xs: np.concatenate(xs, axis=aux),
-    "repeat": lambda aux, a: np.repeat(a, aux[0], axis=aux[1]),
+    "abs": lambda aux, xs: np.abs(xs[0]),
+    "max2": lambda aux, xs: np.maximum(xs[0], xs[1]),
+    "square": lambda aux, xs: xs[0] * xs[0],
+    "sumall": lambda aux, xs: np.sum(xs[0]),
+    "reshape": lambda aux, xs: np.reshape(xs[0], aux),
+    "roll": _roll_fwd,
+    "narrow": lambda aux, xs: xs[0][aux],  # aux is the index tuple
+    "concat": lambda aux, xs: np.concatenate(xs, axis=aux),
+    "repeat": lambda aux, xs: np.repeat(xs[0], aux[0], axis=aux[1]),
 }
-
-
-def _narrow_fwd(aux, a):
-    axis, start, length = aux
-    idx = [slice(None)] * a.ndim
-    idx[axis] = slice(start, start + length)
-    return a[tuple(idx)]
-
-
-def _vjp_add(aux, g, out, a, b):
-    return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
-
-
-def _vjp_sub(aux, g, out, a, b):
-    return _unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)
 
 
 def _vjp_mul(aux, g, out, a, b):
@@ -159,7 +151,7 @@ def _vjp_lincomb(aux, g, out, u, *ks):
 def _vjp_stencil(aux, g, out, x):
     # the transposed map is the same gather with the adjoint blocks
     idx, _, s_adj = aux
-    return (_stencil_fwd((idx, s_adj, None), g),)
+    return (_stencil_fwd((idx, s_adj, None), (g,)),)
 
 
 def _vjp_max2(aux, g, out, a, b):
@@ -168,11 +160,8 @@ def _vjp_max2(aux, g, out, a, b):
 
 
 def _vjp_narrow(aux, g, out, a):
-    axis, start, length = aux
     ga = np.zeros_like(a)
-    idx = [slice(None)] * a.ndim
-    idx[axis] = slice(start, start + length)
-    ga[tuple(idx)] = g
+    ga[aux] = g
     return (ga,)
 
 
@@ -190,10 +179,7 @@ def _vjp_repeat(aux, g, out, a):
 # VJP rules: fn(aux, g, out_value, *input_values) -> per-input gradients.
 # They never write into g: backward hands one adjoint array to several nodes.
 _VJP = {
-    "add": _vjp_add,
-    "sub": _vjp_sub,
     "mul": _vjp_mul,
-    "neg": lambda aux, g, out, a: (-g,),
     "smul": lambda aux, g, out, a: (g * aux,),
     "sadd": lambda aux, g, out, a: (g,),
     "matconst": lambda aux, g, out, a: (_unbroadcast(g @ np.swapaxes(aux, -1, -2), a.shape),),
@@ -202,10 +188,11 @@ _VJP = {
     "stencil": _vjp_stencil,
     "abs": lambda aux, g, out, a: (g * np.sign(a),),
     "max2": _vjp_max2,
+    # one term 2*a*g; mul(a, a) would add g*a twice and move Burgers gradient bits
     "square": lambda aux, g, out, a: (2.0 * a * g,),
     "sumall": lambda aux, g, out, a: (g * np.ones_like(a),),
     "reshape": lambda aux, g, out, a: (np.reshape(g, a.shape),),
-    "roll": lambda aux, g, out, a: (_roll(g, -aux[0], aux[1]),),
+    "roll": lambda aux, g, out, a: (_roll_fwd((-aux[0], aux[1]), (g,)),),
     "narrow": _vjp_narrow,
     "concat": _vjp_concat,
     "repeat": _vjp_repeat,
@@ -245,9 +232,7 @@ class Tape:
         return v
 
     def _push(self, name, args, aux):
-        if name not in _FWD:
-            raise TapeError(f"unsupported primitive: {name}")
-        val = _FWD[name](aux, *(self.vals[i] for i in args))
+        val = _FWD[name](aux, [self.vals[i] for i in args])
         self.ops.append((name, args, aux))
         self.vals.append(val)
         return Var(self, len(self.vals) - 1)
@@ -265,7 +250,7 @@ class Tape:
             if name == "leaf":
                 vals[i] = overrides.get(i, self.vals[i])
             else:
-                vals[i] = _FWD[name](aux, *(vals[j] for j in args))
+                vals[i] = _FWD[name](aux, [vals[j] for j in args])
         return float(vals[self.out])
 
 
@@ -298,41 +283,44 @@ class Var:
             return other
         return self.tape.const(other)
 
+    # Sums and differences of arrays are lincomb nodes with coefficient +-1:
+    # a + 1.0*b and a + (-1.0)*b round as a + b and a - b do, and so do
+    # their adjoints g*1.0 and g*(-1.0).
     def __add__(self, other):
         if isinstance(other, (int, float)):
-            return self.tape._push("sadd", (self.i,), float(other))
-        return self.tape._push("add", (self.i, self._lift(other).i), None)
+            return _apply("sadd", float(other), self)
+        return _apply("lincomb", (1.0,), self, other)
 
     __radd__ = __add__
 
     def __sub__(self, other):
         if isinstance(other, (int, float)):
-            return self.tape._push("sadd", (self.i,), -float(other))
-        return self.tape._push("sub", (self.i, self._lift(other).i), None)
+            return _apply("sadd", -float(other), self)
+        return _apply("lincomb", (-1.0,), self, other)
 
     def __rsub__(self, other):
-        return self.tape._push("sub", (self._lift(other).i, self.i), None)
+        return _apply("lincomb", (-1.0,), other, self)
 
     def __mul__(self, other):
         if isinstance(other, (int, float)):
-            return self.tape._push("smul", (self.i,), float(other))
-        return self.tape._push("mul", (self.i, self._lift(other).i), None)
+            return _apply("smul", float(other), self)
+        return _apply("mul", None, self, other)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         if not isinstance(other, (int, float)):
             raise TapeError("Var division is supported by scalars only")
-        return self.tape._push("smul", (self.i,), 1.0 / float(other))
+        return _apply("smul", 1.0 / float(other), self)
 
     def __neg__(self):
-        return self.tape._push("neg", (self.i,), None)
+        return _apply("smul", -1.0, self)
 
     def __matmul__(self, other):
         if isinstance(other, Var):
             raise TapeError("Var @ Var is not recorded; the right operand must be constant")
         # a constant matrix rides in the node; no leaf, no gradient for it
-        return self.tape._push("matconst", (self.i,), np.asarray(other, dtype=np.float64))
+        return _apply("matconst", np.asarray(other, dtype=np.float64), self)
 
 
 def record(build, params):
@@ -428,56 +416,45 @@ def grad_check(build, params, h=1e-6, sample=None, seed=0, atol=0.0):
     return max_rel
 
 
-def _dispatch(x):
-    return isinstance(x, Var)
+def _apply(name, aux, *args):
+    """Primitive `name` on args: recorded on the tape of the first Var among
+    them, with the other arguments as constant leaves, or evaluated by its
+    forward rule when every argument is an array."""
+    for v in args:
+        if isinstance(v, Var):
+            return v.tape._push(name, tuple(v._lift(x).i for x in args), aux)
+    return _FWD[name](aux, args)
 
 
 def absolute(x):
-    if _dispatch(x):
-        return x.tape._push("abs", (x.i,), None)
-    return np.abs(x)
+    return _apply("abs", None, x)
 
 
 def maximum(a, b):
-    if _dispatch(a) or _dispatch(b):
-        v = a if _dispatch(a) else b
-        a = v._lift(a)
-        b = v._lift(b)
-        return v.tape._push("max2", (a.i, b.i), None)
-    return np.maximum(a, b)
+    return _apply("max2", None, a, b)
 
 
 def square(x):
-    if _dispatch(x):
-        return x.tape._push("square", (x.i,), None)
-    return x * x
+    return _apply("square", None, x)
 
 
 def sum_all(x):
     """Sum every entry down to a scalar."""
-    if _dispatch(x):
-        return x.tape._push("sumall", (x.i,), None)
-    return np.sum(x)
+    return _apply("sumall", None, x)
 
 
 def roll(x, shift, axis=-1):
-    if _dispatch(x):
-        axis = axis % x.ndim
-        return x.tape._push("roll", (x.i,), (int(shift), axis))
-    return _roll(x, int(shift), axis)
+    return _apply("roll", (int(shift), axis % x.ndim), x)
 
 
 def dense(h, w, b, relu):
     """One network layer, h @ w.T + b, through ReLU when `relu` is set.
 
     Taped, this is a single node over (h, w, b) that stores only the layer
-    output.  A 1-D `h` gives a (1, d_out) result.
+    output.  Shapes follow matmul: a 1-D `h` is one row and gives a 1-D
+    (d_out,) result.
     """
-    vs = [x for x in (h, w, b) if _dispatch(x)]
-    if vs:
-        ids = tuple(vs[0]._lift(x).i for x in (h, w, b))
-        return vs[0].tape._push("dense", ids, bool(relu))
-    return _dense_fwd(relu, h, w, b)
+    return _apply("dense", bool(relu), h, w, b)
 
 
 def lincomb(u, coeffs, ks):
@@ -486,12 +463,7 @@ def lincomb(u, coeffs, ks):
     Taped, this is a single node over (u, *ks) with the scalar coefficients
     in the node; the values equal the chain of scalar products and adds.
     """
-    xs = (u, *ks)
-    for v in xs:
-        if _dispatch(v):
-            ids = tuple(v._lift(x).i for x in xs)
-            return v.tape._push("lincomb", ids, tuple(coeffs))
-    return _lincomb_fwd(coeffs, *xs)
+    return _apply("lincomb", tuple(coeffs), u, *ks)
 
 
 def stencil(x, idx, s, s_adj):
@@ -504,40 +476,22 @@ def stencil(x, idx, s, s_adj):
     blocks of s transposed and in reverse offset order.  Taped, this is
     one node that holds the three arrays.
     """
-    if _dispatch(x):
-        return x.tape._push("stencil", (x.i,), (idx, s, s_adj))
-    return _stencil_fwd((idx, s, s_adj), x)
+    return _apply("stencil", (idx, s, s_adj), x)
 
 
 def reshape(x, shape):
-    if _dispatch(x):
-        return x.tape._push("reshape", (x.i,), tuple(shape))
-    return np.reshape(x, shape)
+    return _apply("reshape", tuple(shape), x)
 
 
 def concatenate(xs, axis=-1):
-    vs = [x for x in xs if _dispatch(x)]
-    if vs:
-        tape = vs[0].tape
-        ids = tuple(vs[0]._lift(x).i for x in xs)
-        axis = axis % tape.vals[ids[0]].ndim
-        return tape._push("concat", ids, axis)
-    return np.concatenate(xs, axis=axis)
+    return _apply("concat", axis % xs[0].ndim, *xs)
 
 
 def narrow(x, axis, start, length):
     """Contiguous slice of `length` entries starting at `start` along `axis`."""
-    if _dispatch(x):
-        axis = axis % x.ndim
-        return x.tape._push("narrow", (x.i,), (axis, int(start), int(length)))
-    idx = [slice(None)] * x.ndim
-    idx[axis % x.ndim] = slice(start, start + length)
-    return x[tuple(idx)]
+    return _apply("narrow", (slice(None),) * (axis % x.ndim) + (slice(start, start + length),), x)
 
 
 def repeat_elems(x, reps, axis=-1):
     """Repeat each entry `reps` times consecutively along `axis`."""
-    if _dispatch(x):
-        axis = axis % x.ndim
-        return x.tape._push("repeat", (x.i,), (int(reps), axis))
-    return np.repeat(x, reps, axis=axis)
+    return _apply("repeat", (int(reps), axis % x.ndim), x)

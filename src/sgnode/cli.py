@@ -196,7 +196,8 @@ def main(argv=None):
         p.add_argument("--config", required=True, help="JSON run configuration")
         p.add_argument("--seed", type=int, default=None,
                        help="override the config seed and both training seeds")
-        p.add_argument("--out", default=None, help="override output directory")
+        p.add_argument("--out", default=None, help="run directory instead of the config's out_dir: "
+                       "outputs are written there, and manifest.json and the dataset read from it")
 
     p = sub.add_parser("generate", help="write reference/filtered trajectories")
     common(p)

@@ -78,10 +78,7 @@ def rhs_coupled(cfg):
 def _source(cfg, weights, biases, x):
     if cfg.source_scope == "per_component":
         return mlp.forward_per_component(weights, biases, x)
-    flat = x.ndim == 1
-    x2 = ad.reshape(x, (1, -1)) if flat else x
-    out = mlp.forward(weights, biases, x2)
-    return ad.reshape(out, (-1,)) if flat else out
+    return mlp.forward(weights, biases, x)
 
 
 def rhs_slow_neural(cfg, params):

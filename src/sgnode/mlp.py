@@ -95,7 +95,8 @@ def param_list(params):
 
 
 def forward(weights, biases, x):
-    """Evaluate the net on rows of x: (batch, d_in) -> (batch, d_out).
+    """Evaluate the net on rows of x: (batch, d_in) -> (batch, d_out), and
+    a single (d_in,) state -> (d_out,).
 
     One fused ``ad.dense`` per layer, ReLU on all but the last.
     """
@@ -114,10 +115,7 @@ def forward_per_component(weights, biases, x):
 
 def forward_params(params, x):
     """Numpy convenience wrapper; accepts (d_in,) or (batch, d_in)."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim == 1:
-        return forward(params.weights, params.biases, x[None, :])[0]
-    return forward(params.weights, params.biases, x)
+    return forward(params.weights, params.biases, np.asarray(x, dtype=np.float64))
 
 
 def save_params(params, path):

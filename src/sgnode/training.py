@@ -85,6 +85,11 @@ def _stride(train_dt, data_dt):
     return stride
 
 
+def _whole(trajs):
+    """Every trajectory as one (traj index, 0, last state index) range."""
+    return [(i, 0, len(tr) - 1) for i, tr in enumerate(trajs)]
+
+
 def split_ranges(trajs, cfg):
     """(train, test) index ranges per trajectory under the configured split.
 
@@ -92,28 +97,26 @@ def split_ranges(trajs, cfg):
     windows constrained inside [lo, hi].  Trajectory split: whole
     trajectories go to either side.
     """
-    n_traj = len(trajs)
     if cfg.split_axis == "trajectory":
-        n_train = max(1, int(round(cfg.split * n_traj)))
-        train = [(i, 0, len(trajs[i]) - 1) for i in range(n_train)]
-        test = [(i, 0, len(trajs[i]) - 1) for i in range(n_train, n_traj)]
-    else:
-        train, test = [], []
-        for i, tr in enumerate(trajs):
-            cut = int(round(cfg.split * (len(tr) - 1)))
-            train.append((i, 0, cut))
-            if cut < len(tr) - 1:
-                test.append((i, cut, len(tr) - 1))
-    return train, [r for r in test if r]
+        n_train = max(1, int(round(cfg.split * len(trajs))))
+        whole = _whole(trajs)
+        return whole[:n_train], whole[n_train:]
+    train, test = [], []
+    for i, tr in enumerate(trajs):
+        cut = int(round(cfg.split * (len(tr) - 1)))
+        train.append((i, 0, cut))
+        if cut < len(tr) - 1:
+            test.append((i, cut, len(tr) - 1))
+    return train, test
 
 
-def sample_windows(trajs, cfg, epoch_seed, ranges=None, batch_size=None):
+def sample_windows(trajs, cfg, epoch_seed, ranges=None):
     """Uniformly random m-step windows, reproducible from epoch_seed."""
     stride = _stride(cfg.dt, trajs[0].dt)
     m = cfg.window
-    n = batch_size or cfg.batch_size
+    n = cfg.batch_size
     if ranges is None:
-        ranges = [(i, 0, len(trajs[i]) - 1) for i in range(len(trajs))]
+        ranges = _whole(trajs)
     usable = [(ti, lo, hi) for ti, lo, hi in ranges if hi - lo >= m * stride]
     if not usable:
         raise ConfigError(
@@ -303,19 +306,19 @@ def discrete_forcing_dataset(filtered_trajs, dt_coarse, rhs_low, tableau, ranges
     Inputs are filtered states u_n; targets are
     (u_{n+1}^filtered - ERKstep(u_n)) / dt_coarse, i.e. the forcing a single
     forward-Euler correction would need at this specific timestep size.
+    `ranges` are the (traj index, lo, hi) state ranges to draw from, as
+    split_ranges gives them; None takes every trajectory whole.
     """
     tab = get_tableau(tableau)
     stride = _stride(dt_coarse, filtered_trajs[0].dt)
     xs, ys = [], []
-    for ti, tr in enumerate(filtered_trajs):
-        lo, hi = 0, len(tr) - 1
-        if ranges is not None:
-            lo, hi = ranges[ti][1], ranges[ti][2]
+    for ti, lo, hi in _whole(filtered_trajs) if ranges is None else ranges:
         idx = np.arange(lo, hi - stride + 1, stride)
         if idx.size == 0:
             continue
-        x = tr.states[idx]
-        x_next = tr.states[idx + stride]
+        states = filtered_trajs[ti].states
+        x = states[idx]
+        x_next = states[idx + stride]
         stepped = erk_step(tab, rhs_low, 0.0, x, dt_coarse)
         xs.append(x)
         ys.append((x_next - stepped) / dt_coarse)

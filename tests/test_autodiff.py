@@ -344,12 +344,69 @@ def test_mlp_forward_records_one_node_per_layer_and_no_leaf():
     assert added == ["dense"] * 4
 
 
-def test_untaped_mlp_forward_of_one_row_is_a_batch_of_one():
+def test_mlp_forward_of_one_state_is_one_row():
+    # dense follows matmul: a 1-D input is one row and gives a 1-D output
     params = mlp.init_params(3, 2, seed=0, hidden=8)
     x = np.array([0.1, -0.2, 0.3])
     out = mlp.forward(params.weights, params.biases, x)
-    assert out.shape == (1, 2)
-    assert np.array_equal(out, mlp.forward(params.weights, params.biases, x[None, :]))
+    assert out.shape == (2,)
+    assert np.array_equal(out, mlp.forward(params.weights, params.biases, x[None, :])[0])
+
+
+_C = np.arange(12.0).reshape(3, 4) / 7.0
+
+
+@pytest.mark.parametrize("f,shapes,op,signs", [
+    (lambda a, b: a + b, [(3, 4), (3, 4)], "lincomb", (1, 1)),
+    (lambda a, b: a - b, [(3, 4), (3, 4)], "lincomb", (1, -1)),
+    (lambda a: _C - a, [(3, 4)], "lincomb", (-1,)),
+    (lambda a, b: a - b, [(3, 4), (4,)], "lincomb", (1, -1)),  # b broadcasts over rows
+    (lambda a: -a, [(3, 4)], "smul", (-1,)),
+], ids=["add", "sub", "ndarray_sub", "broadcast_sub", "neg"])
+def test_sums_differences_and_negation_record_lincomb_and_smul(f, shapes, op, signs):
+    rng = np.random.default_rng(len(shapes))
+    xs = [rng.normal(size=s) for s in shapes]
+    w = rng.normal(size=(3, 4))
+    tape = ad.Tape()
+    out = f(*[tape.param(x) for x in xs])
+    assert tape.ops[out.i][0] == op
+    assert np.array_equal(out.value, f(*xs))
+    tape.out = ad.sum_all(out * w).i
+    # the adjoint reaching `out` is w, so each operand receives +-w, summed
+    # over the rows it was broadcast across
+    for g, x, sign in zip(ad.backward(tape), xs, signs, strict=True):
+        assert np.array_equal(g, sign * (w if x.shape == w.shape else w.sum(axis=0)))
+
+
+# Each public helper with the shapes of its array arguments.
+HELPER_CASES = {
+    "absolute": (ad.absolute, [(2, 3, 12)]),
+    "maximum": (ad.maximum, [(2, 3, 12), (2, 3, 12)]),
+    "square": (ad.square, [(2, 3, 12)]),
+    "sum_all": (ad.sum_all, [(2, 3, 12)]),
+    "roll": (lambda a: ad.roll(a, 5, -2), [(2, 3, 12)]),
+    "dense": (lambda h, w, b: ad.dense(h, w, b, relu=True), [(2, 3, 12), (5, 12), (5,)]),
+    "lincomb": (lambda u, k0, k1: ad.lincomb(u, [0.5, -1.25], [k0, k1]), [(12,), (3, 12), (3, 12)]),
+    "stencil": (lambda a: ad.stencil(a, *_ring_stencil(6, 2, 1)), [(2, 3, 12)]),
+    "reshape": (lambda a: ad.reshape(a, (6, -1)), [(2, 3, 12)]),
+    "concatenate": (lambda a, b: ad.concatenate([a, b], axis=-2), [(2, 3, 12), (2, 1, 12)]),
+    "narrow": (lambda a: ad.narrow(a, -1, 3, 4), [(2, 3, 12)]),
+    "repeat_elems": (lambda a: ad.repeat_elems(a, 3, 1), [(2, 3, 12)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(
+    set(ad.__all__) - {"Tape", "Var", "TapeError", "record", "backward", "grad_check"}
+))
+def test_helper_on_arrays_returns_the_value_it_records(name):
+    helper, shapes = HELPER_CASES[name]
+    rng = np.random.default_rng(zlib.crc32(name.encode()))
+    xs = [rng.normal(size=s) for s in shapes]
+    tape = ad.Tape()
+    taped = helper(*[tape.param(x) for x in xs])
+    plain = helper(*xs)
+    assert isinstance(taped, ad.Var) and not isinstance(plain, ad.Var)
+    assert np.shape(plain) == taped.shape and np.array_equal(plain, taped.value)
 
 
 def test_grads_of_a_shared_adjoint_do_not_alias():

@@ -134,6 +134,17 @@ def test_missing_manifest_is_config_error(tmp_path):
     assert main(["train", "--config", str(path)]) == 2
 
 
+def test_out_is_the_run_directory_the_manifest_is_read_from(tmp_path, capsys):
+    path = smoke_config(tmp_path)
+    assert main(["generate", "--config", str(path)]) == 0
+    elsewhere = tmp_path / "elsewhere"
+    assert main(["predict", "--config", str(path), "--variant", "low", "--out", str(elsewhere)]) == 2
+    assert str(elsewhere / "manifest.json") in capsys.readouterr().err
+    with pytest.raises(SystemExit):
+        main(["predict", "--help"])
+    assert "manifest.json" in capsys.readouterr().out
+
+
 def test_generate_train_predict_evaluate_cycle(tmp_path):
     path = smoke_config(tmp_path)
     assert main(["generate", "--config", str(path)]) == 0
@@ -250,6 +261,24 @@ def test_discrete_targets_use_the_configured_tableau(tmp_path, monkeypatch):
     monkeypatch.setattr(training, "discrete_forcing_dataset", recording)
     experiments.train_discrete(cfg, experiments.load_dataset(cfg))
     assert seen == ["tsit5"]
+
+
+def test_discrete_training_with_a_trajectory_split(tmp_path):
+    # the training ranges list only the first two of four trajectories
+    train = {"epochs": 1, "batch_size": 4, "window": 2, "dt": 2e-3, "tableau": "rk4",
+             "split": 0.5, "split_axis": "trajectory"}
+    path = smoke_config(tmp_path, data={"n_traj": 4, "dt": 1e-3, "t_final": 0.02},
+                        training_discrete=train)
+    assert main(["generate", "--config", str(path)]) == 0
+    assert main(["train", "--config", str(path), "--discrete"]) == 0
+    cfg = load_config(path)
+    trajs = experiments.load_dataset(cfg)
+    rhs = dg.rhs_semidiscrete(experiments.pde_config("cd", cfg.model), experiments.pde_meshes(cfg.model)[1])
+    train_rng, _ = training.split_ranges(trajs, cfg.training_discrete)
+    split = training.discrete_forcing_dataset(trajs, 2e-3, rhs, "rk4", ranges=train_rng)
+    whole = training.discrete_forcing_dataset(trajs[:2], 2e-3, rhs, "rk4")
+    for a, b in zip(split, whole, strict=True):
+        assert np.array_equal(a, b)
 
 
 def test_discrete_training_and_sweep(tmp_path):
