@@ -3,23 +3,25 @@
 A loss is built by composing ``Var`` handles that live on a ``Tape``.  The op
 set is intentionally closed: exactly what MLP evaluation, the model
 right-hand sides, and mean-squared losses unrolled through explicit
-Runge-Kutta steps need.  Its 16 primitives are ``mul`` (broadcast
-product), ``smul`` and ``sadd`` (scalar product and shift), ``matconst``
-(product with a constant matrix), ``dense`` (fused network layer),
-``lincomb`` (Runge-Kutta stage combination, and every ``+`` and ``-``
-between arrays), ``stencil`` (periodic block stencil), ``abs``, ``max2``,
-``square``, ``sumall``, ``reshape``, ``roll``, ``narrow``, ``concat`` and
-``repeat``.  ``backward`` walks the tape once in reverse and returns the
-gradient of the recorded scalar with respect to every registered parameter
-array.
+Runge-Kutta steps need.  Its 14 primitives are ``mul`` (broadcast
+product), ``smul`` and ``sadd`` (scalar product and shift), ``dense``
+(fused network layer), ``lincomb`` (Runge-Kutta stage combination, and
+every ``+`` and ``-`` between arrays), ``stencil`` (periodic block
+stencil), ``burgers`` (the DG viscous Burgers tendency), ``square``,
+``sumall``, ``reshape``, ``roll``, ``narrow``, ``concat`` and ``repeat``.
+``backward`` walks the tape once in reverse and returns the gradient of the
+recorded scalar with respect to every registered parameter array.
 
 The fused ``dense`` node (``h @ W.T + b``, optionally through ReLU) stores
-only the layer's output, and a product with a constant matrix keeps the
-matrix in the node instead of on the tape as a leaf.  ``lincomb``
-(``u + sum_j c_j k_j``) is one node per stage combination, with the scalar
-coefficients in the node.  ``stencil`` applies a banded periodic linear
-map as a gather and one product per row, with the adjoint stencil in the
-node, so its reverse sweep costs what its forward does.
+only the layer's output.  ``lincomb`` (``u + sum_j c_j k_j``) is one node
+per stage combination, with the scalar coefficients in the node.
+``stencil`` applies a banded periodic linear map as a gather and one
+product per row, with the adjoint stencil in the node, so its reverse sweep
+costs what its forward does.  ``burgers`` is a whole Burgers right-hand
+side in one node: the diffusion stencil plus the Lax-Friedrichs convective
+flux, with a hand-written VJP.  Constant operands ride in the nodes, so a
+product with a constant matrix never lifts a leaf; ``Var @ x`` is not
+recorded.
 
 Each primitive has one forward rule in ``_FWD``.  ``_apply`` records it on
 the tape of a ``Var`` argument, or evaluates it directly when every argument
@@ -40,9 +42,8 @@ __all__ = [
     "dense",
     "lincomb",
     "stencil",
+    "burgers",
     "grad_check",
-    "absolute",
-    "maximum",
     "square",
     "sum_all",
     "roll",
@@ -90,9 +91,34 @@ def _stencil_fwd(aux, xs):
     # aux is (idx, s, s_adj); row e of the gather holds the entries that
     # output block e reads.  The stacked matmul is one (n_blocks, k*n) @
     # (k*n, n) product per batch row, so each row rounds as it would alone.
-    idx, s, _ = aux
+    idx, s = aux[0], aux[1]
     (x,) = xs
     return (np.take(x, idx, axis=-1) @ s).reshape(x.shape)
+
+
+def _burgers_fwd(aux, xs):
+    # aux is (idx, s, s_adj, faces, weak, lift_adj): the diffusion stencil,
+    # the (2, E+1) flat indices of the minus and plus traces at faces 0..E
+    # (face e lies between elements e-1 and e, and face E is face 0 again),
+    # the (n+2, n) weak-form lift of one element, and the VJP's adjoint lift
+    # (see dg.burgers_operator).  The elementwise order and the two products
+    # are those of the dg._tendency chain, so the values are bit-identical
+    # to it; the traces are gathered face-contiguous because the flux's
+    # ufuncs run faster on contiguous rows.
+    faces, weak = aux[3], aux[4]
+    (u,) = xs
+    lin = _stencil_fwd(aux, (u - u[..., 0:1],))
+    n = weak.shape[1]
+    ue = u.reshape(u.shape[:-1] + (faces.shape[1] - 1, n))
+    tr = np.take(u, faces, axis=-1)
+    um, up = tr[..., 0, :], tr[..., 1, :]
+    tau = np.maximum(np.abs(um), np.abs(up))
+    fstar = (0.25 * (um * um + up * up) + 0.5 * tau * (um - up))[..., None]
+    flux = 0.5 * (ue * ue)
+    f_l = flux[..., 0:1]
+    jumps = (flux - f_l, flux[..., n - 1:] - fstar[..., 1:, :], f_l - fstar[..., :-1, :])
+    lin += (np.concatenate(jumps, axis=-1) @ weak).reshape(u.shape)
+    return lin
 
 
 def _roll_fwd(aux, xs):
@@ -114,12 +140,10 @@ _FWD = {
     "mul": lambda aux, xs: xs[0] * xs[1],
     "smul": lambda aux, xs: xs[0] * aux,
     "sadd": lambda aux, xs: xs[0] + aux,
-    "matconst": lambda aux, xs: xs[0] @ aux,
     "dense": _dense_fwd,  # aux is the relu flag
     "lincomb": _lincomb_fwd,  # aux is the coefficient tuple
     "stencil": _stencil_fwd,  # aux is (idx, s, s_adj)
-    "abs": lambda aux, xs: np.abs(xs[0]),
-    "max2": lambda aux, xs: np.maximum(xs[0], xs[1]),
+    "burgers": _burgers_fwd,  # aux is (idx, s, s_adj, faces, weak, lift_adj)
     "square": lambda aux, xs: xs[0] * xs[0],
     "sumall": lambda aux, xs: np.sum(xs[0]),
     "reshape": lambda aux, xs: np.reshape(xs[0], aux),
@@ -150,13 +174,40 @@ def _vjp_lincomb(aux, g, out, u, *ks):
 
 def _vjp_stencil(aux, g, out, x):
     # the transposed map is the same gather with the adjoint blocks
-    idx, _, s_adj = aux
-    return (_stencil_fwd((idx, s_adj, None), (g,)),)
+    return (_stencil_fwd((aux[0], aux[2]), (g,)),)
 
 
-def _vjp_max2(aux, g, out, a, b):
-    mask = a >= b  # ties send the gradient to the first argument
-    return _unbroadcast(g * mask, a.shape), _unbroadcast(g * ~mask, b.shape)
+def _vjp_burgers(aux, g, out, u):
+    idx, _, s_adj, faces, _, lift_adj = aux
+    n = lift_adj.shape[0]
+    shape = u.shape[:-1] + (faces.shape[1] - 1, n)
+    # diffusion: the adjoint stencil, then the adjoint of u - u[..., 0:1]
+    gu = _stencil_fwd((idx, s_adj), (g,))
+    gu[..., 0] -= gu.sum(axis=-1)
+    # the adjoint lift gives each element's volume-flux adjoint and its
+    # right- and left-face flux adjoints; face e is the right face of
+    # element e-1
+    gz = g.reshape(shape) @ lift_adj
+    gfs = gz[..., n + 1] + np.concatenate((gz[..., -1:, n], gz[..., :-1, n]), axis=-1)
+    # the volume flux u^2/2 has Jacobian diag(u)
+    gue = gz[..., :n] * u.reshape(shape)
+    # the face flux has one diagonal per trace; tau = max(|um|, |up|)
+    # follows |um| on a tie, and |x| has slope sign(0) = 0 at 0
+    tr = np.take(u, faces[:, :-1], axis=-1)
+    um, up = tr[..., 0, :], tr[..., 1, :]
+    am, ap = np.abs(um), np.abs(up)
+    first = am >= ap
+    tau = np.where(first, am, ap)
+    jump = um - up
+    half = 0.5 * gfs
+    gm = half * (um + tau + jump * np.where(first, np.sign(um), 0.0))
+    gp = half * (up - tau + jump * np.where(first, 0.0, np.sign(up)))
+    # the trace scatter: up at face e is the first node of element e, um
+    # the last node of element e-1
+    gue[..., 0] += gp
+    gue[..., n - 1] += np.concatenate((gm[..., 1:], gm[..., :1]), axis=-1)
+    gu += gue.reshape(u.shape)
+    return (gu,)
 
 
 def _vjp_narrow(aux, g, out, a):
@@ -182,12 +233,10 @@ _VJP = {
     "mul": _vjp_mul,
     "smul": lambda aux, g, out, a: (g * aux,),
     "sadd": lambda aux, g, out, a: (g,),
-    "matconst": lambda aux, g, out, a: (_unbroadcast(g @ np.swapaxes(aux, -1, -2), a.shape),),
     "dense": _vjp_dense,
     "lincomb": _vjp_lincomb,
     "stencil": _vjp_stencil,
-    "abs": lambda aux, g, out, a: (g * np.sign(a),),
-    "max2": _vjp_max2,
+    "burgers": _vjp_burgers,
     # one term 2*a*g; mul(a, a) would add g*a twice and move Burgers gradient bits
     "square": lambda aux, g, out, a: (2.0 * a * g,),
     "sumall": lambda aux, g, out, a: (g * np.ones_like(a),),
@@ -241,8 +290,8 @@ class Tape:
         """Recompute the recorded scalar from (optionally perturbed) leaves.
 
         `overrides` maps leaf id -> replacement array.  Data-dependent ops
-        (dense ReLU, max) are re-evaluated, so this is a true re-execution of the
-        recorded function.
+        (dense ReLU, the Burgers flux) are re-evaluated, so this is a true
+        re-execution of the recorded function.
         """
         overrides = overrides or {}
         vals = [None] * len(self.vals)
@@ -317,10 +366,7 @@ class Var:
         return _apply("smul", -1.0, self)
 
     def __matmul__(self, other):
-        if isinstance(other, Var):
-            raise TapeError("Var @ Var is not recorded; the right operand must be constant")
-        # a constant matrix rides in the node; no leaf, no gradient for it
-        return _apply("matconst", np.asarray(other, dtype=np.float64), self)
+        raise TapeError("Var @ x is not recorded; use dense, stencil or burgers")
 
 
 def record(build, params):
@@ -426,14 +472,6 @@ def _apply(name, aux, *args):
     return _FWD[name](aux, args)
 
 
-def absolute(x):
-    return _apply("abs", None, x)
-
-
-def maximum(a, b):
-    return _apply("max2", None, a, b)
-
-
 def square(x):
     return _apply("square", None, x)
 
@@ -477,6 +515,23 @@ def stencil(x, idx, s, s_adj):
     one node that holds the three arrays.
     """
     return _apply("stencil", (idx, s, s_adj), x)
+
+
+def burgers(u, op):
+    """The DG viscous Burgers tendency of flat states u (..., E*n), for the
+    constants op = (idx, s, s_adj, faces, weak, lift_adj) of
+    ``dg.burgers_operator``.
+
+    (idx, s, s_adj) is the diffusion stencil, applied to u - u[..., :1] as
+    ``stencil`` does.  faces indexes the minus and plus traces (um, up) at
+    each face; the Lax-Friedrichs face flux
+    (um^2 + up^2)/4 + max(|um|, |up|)(um - up)/2 and the volume flux u^2/2
+    reach the tendency through weak, the (n+2, n) lift of one element's
+    volume flux and its right- and left-face jumps.  lift_adj is the
+    adjoint of that lift as a map from the volume flux and the two face
+    fluxes.  Taped, this is one node that holds the constants.
+    """
+    return _apply("burgers", op, u)
 
 
 def reshape(x, shape):

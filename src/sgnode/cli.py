@@ -31,6 +31,16 @@ def _load(args):
     return cfg
 
 
+def _pick(trajs, index):
+    """trajs[index] for a --traj-index, which must lie in 0..n-1."""
+    if not 0 <= index < len(trajs):
+        raise ConfigError(
+            f"--traj-index {index} is out of range: the dataset has {len(trajs)} "
+            f"trajectories, 0..{len(trajs) - 1}"
+        )
+    return trajs[index]
+
+
 def cmd_generate(args):
     cfg = _load(args)
     manifest = experiments.generate(cfg)
@@ -80,11 +90,10 @@ def cmd_predict(args):
     cfg = _load(args)
     variant = args.variant or cfg.prediction.variant
     dt = args.dt_override or cfg.prediction.dt
-    trajs = experiments.load_dataset(cfg)
-    ref = trajs[args.traj_index]
+    ref = _pick(experiments.load_dataset(cfg), args.traj_index)
     truth = None
     if variant == "high" and cfg.experiment != "l96":
-        truth = experiments.load_dataset(cfg, kind="truth")[args.traj_index]
+        truth = _pick(experiments.load_dataset(cfg, kind="truth"), args.traj_index)
     params = None
     if variant in ("augmented", "discrete", "slow"):
         if not args.checkpoint:
@@ -104,15 +113,25 @@ def cmd_evaluate(args):
     cfg = _load(args)
     pred = load_trajectory(args.pred)
     ref = load_trajectory(args.ref)
-    out = cfg.out_dir
-    out.mkdir(parents=True, exist_ok=True)
     mesh_l = None
     if cfg.experiment == "l96":
-        if ref.dim > pred.dim:  # the slow-only prediction against the full truth
-            k = experiments.l96_config(cfg.model).K
-            ref = dataclasses.replace(ref, states=ref.states[:, :k])
+        lcfg = experiments.l96_config(cfg.model)
+        dims = (lcfg.K, lcfg.K * (lcfg.J + 1))  # the slow variables, or all
     else:
         _, mesh_l = experiments.pde_meshes(cfg.model)
+        dims = (mesh_l.n_dof,)
+    for flag, traj in (("--pred", pred), ("--ref", ref)):
+        if traj.dim not in dims:
+            raise ConfigError(
+                f"{flag} has state dimension {traj.dim}; a {cfg.experiment} run's "
+                f"states have {' or '.join(map(str, dims))}"
+            )
+    if ref.dim > pred.dim:  # the slow-only prediction against the full truth
+        ref = dataclasses.replace(ref, states=ref.states[:, :pred.dim])
+    if ref.dim != pred.dim:
+        raise ConfigError(f"--pred has state dimension {pred.dim} but --ref has {ref.dim}")
+    out = cfg.out_dir
+    out.mkdir(parents=True, exist_ok=True)
     rep = diagnostics.compare_fields(pred, ref, mesh_l)
     err_path = out / "errors.csv"
     diagnostics.write_error_report(rep, err_path)
@@ -136,8 +155,7 @@ def cmd_sweep(args):
     cfg = _load(args)
     if cfg.experiment == "l96":
         raise ConfigError("the timestep sweep is defined for the PDE experiments")
-    trajs = experiments.load_dataset(cfg)
-    ref = trajs[args.traj_index]
+    ref = _pick(experiments.load_dataset(cfg), args.traj_index)
     params_c = experiments.load_net(cfg, args.checkpoint)
     params_d = experiments.load_net(cfg, args.checkpoint_discrete)
     dts = [float(x) for x in args.dts.split(",")]
@@ -154,9 +172,8 @@ def cmd_time(args):
     cfg = _load(args)
     if cfg.experiment == "l96":
         raise ConfigError("timing variants are defined for the PDE experiments")
-    trajs = experiments.load_dataset(cfg)
-    ref = trajs[args.traj_index]
-    truth = experiments.load_dataset(cfg, kind="truth")[args.traj_index]
+    ref = _pick(experiments.load_dataset(cfg), args.traj_index)
+    truth = _pick(experiments.load_dataset(cfg, kind="truth"), args.traj_index)
     if args.checkpoint:
         params = experiments.load_net(cfg, args.checkpoint)
     else:

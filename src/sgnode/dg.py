@@ -5,18 +5,21 @@ quadrature with 2(p+1) points, central fluxes for the diffusion pair and
 Lax-Friedrichs for convection.  The diffusion gradient variable is
 eliminated inside each tendency evaluation.
 
-The tendency is written against the autodiff dispatch helpers so the same
-code serves plain integration (numpy) and taped training rollouts; batched
-states carry shape (..., n_elem, p+1) internally and flatten to
-(..., n_elem*(p+1)) at the solver interface.
+The tendency takes batched states of shape (..., n_elem*(p+1)) at the
+solver interface and works on (..., n_elem, p+1) element blocks inside.
+The same right-hand side serves plain integration (numpy) and taped
+training rollouts, as one autodiff primitive per call.
 
 The linear part of each tendency couples an element to its two neighbours
 on either side only.  It is assembled once per (config, mesh) into a
 periodic block stencil (``linear_stencil``): five element blocks of
 response per output element, applied as one ``autodiff.stencil`` gather
-and product.  That is all of convection-diffusion (three tape nodes per
-call instead of ~45) and the diffusion part of Burgers, which evaluates
-only its convective flux chain on every call.
+and product.  That is all of convection-diffusion.  Viscous Burgers is one
+``autodiff.burgers`` node per call: the stencil of its diffusion plus the
+Lax-Friedrichs convective flux, with a hand-written VJP (Hesthaven &
+Warburton, *Nodal Discontinuous Galerkin Methods*, 2008, ch. 5).  The
+numpy chain ``_tendency`` assembles the stencils and is the reference the
+tests compare both against.
 """
 
 from __future__ import annotations
@@ -189,54 +192,51 @@ def field_from_function(mesh, fn):
 def _weak_form(mesh, vol, right, left):
     """Tendency of per-element volume data (..., E, p+1) and right- and
     left-face jumps (..., E, 1), as one product with ``mesh.weak``."""
-    return ad.concatenate([vol, right, left], -1) @ mesh.weak
+    return np.concatenate([vol, right, left], -1) @ mesh.weak
 
 
 def _divergence(mesh, flux, face_flux):
     """Weak-form tendency of a volume flux (..., E, p+1) and a numerical
     flux per face (..., E, 1), face i between elements i-1 and i."""
-    n = mesh.order + 1
-    f_r = ad.narrow(flux, -1, n - 1, 1)
-    f_l = ad.narrow(flux, -1, 0, 1)
-    return _weak_form(mesh, flux - f_l, f_r - ad.roll(face_flux, -1, -2), f_l - face_flux)
+    f_r = flux[..., -1:]
+    f_l = flux[..., :1]
+    return _weak_form(mesh, flux - f_l, f_r - np.roll(face_flux, -1, -2), f_l - face_flux)
 
 
 def _diffusion(cfg, mesh, u):
     """The linear diffusion part of the tendency of u (..., n_elem, p+1)."""
-    n = mesh.order + 1
-    u_r = ad.narrow(u, -1, n - 1, 1)            # (..., E, 1) right-endpoint trace
-    u_l = ad.narrow(u, -1, 0, 1)                # left-endpoint trace
+    u_r = u[..., -1:]                           # (..., E, 1) right-endpoint trace
+    u_l = u[..., :1]                            # left-endpoint trace
     # auxiliary q ~ -kappa u_x with central interface values.  Volume terms
     # see per-element-centred data (the stiffness operator annihilates
     # constants analytically); this keeps constant states exact steady
     # states instead of leaving ~1e-12 roundoff residue.
-    ustar = 0.5 * (ad.roll(u_r, 1, -2) + u_l)   # central value at face i
-    ustar_right = ad.roll(ustar, -1, -2)        # value at each element's right face
+    ustar = 0.5 * (np.roll(u_r, 1, -2) + u_l)   # central value at face i
+    ustar_right = np.roll(ustar, -1, -2)        # value at each element's right face
     q = cfg.kappa * _weak_form(mesh, u - u_l, u_r - ustar_right, u_l - ustar)
-    qstar = 0.5 * (ad.roll(ad.narrow(q, -1, n - 1, 1), 1, -2) + ad.narrow(q, -1, 0, 1))
+    qstar = 0.5 * (np.roll(q[..., -1:], 1, -2) + q[..., :1])
     return _divergence(mesh, q, qstar)
 
 
 def _convection(cfg, mesh, u):
     """The convective part of the tendency, with the Lax-Friedrichs flux."""
-    n = mesh.order + 1
-    um = ad.roll(ad.narrow(u, -1, n - 1, 1), 1, -2)  # minus-side value at face i
-    up = ad.narrow(u, -1, 0, 1)                      # plus-side value at face i
+    um = np.roll(u[..., -1:], 1, -2)  # minus-side value at face i
+    up = u[..., :1]                   # plus-side value at face i
     if cfg.kind == CONVECTION_DIFFUSION:
         fstar = 0.5 * cfg.a * (um + up) + 0.5 * abs(cfg.a) * (um - up)
         flux = cfg.a * u
     else:
-        tau = ad.maximum(ad.absolute(um), ad.absolute(up))
-        fstar = 0.25 * (ad.square(um) + ad.square(up)) + 0.5 * tau * (um - up)
-        flux = 0.5 * ad.square(u)
+        tau = np.maximum(np.abs(um), np.abs(up))
+        fstar = 0.25 * (um * um + up * up) + 0.5 * tau * (um - up)
+        flux = 0.5 * (u * u)
     return _divergence(mesh, flux, fstar)
 
 
 def _tendency(cfg, mesh, u):
     """Semi-discrete RHS on element-shaped states u (..., n_elem, p+1).
 
-    The reference chain: ``linear_stencil`` assembles it once per (config,
-    mesh), and Burgers runs only its convective part on every call.
+    The numpy reference chain: ``linear_stencil`` and ``burgers_operator``
+    assemble their stencils from it once per (config, mesh).
     """
     return _diffusion(cfg, mesh, u) + _convection(cfg, mesh, u)
 
@@ -270,31 +270,55 @@ def linear_stencil(cfg, mesh):
     return idx, s, s_adj
 
 
+@functools.lru_cache(maxsize=None)
+def burgers_operator(cfg, mesh):
+    """The read-only constants (idx, s, s_adj, faces, weak, lift_adj) of
+    ``autodiff.burgers`` for a viscous Burgers config.
+
+    (idx, s, s_adj) is the stencil of the a = 0 convection-diffusion
+    operator, Burgers' diffusion.  Column e of the (2, E+1) faces holds the
+    flat indices of the minus trace (the last node of element e-1) and the
+    plus trace (the first node of element e) at face e, for e = 0..E: the
+    last column repeats face 0, the right face of element E-1, so that each
+    element's left and right fluxes are two slices of one face flux.
+    weak is ``Mesh1D.weak``.  An element's volume flux f and its right- and
+    left-face fluxes (fr, fl) enter weak as [f - f_0, f_n-1 - fr, f_0 - fl];
+    lift_adj, (n, n+2), maps the tendency's adjoint to the adjoints of
+    [f, fr, fl] in one product.
+    """
+    if cfg.kind != VISCOUS_BURGERS:
+        raise ValueError(f"{cfg.kind} has no Burgers operator")
+    E, n = mesh.n_elem, mesh.order + 1
+    idx, s, s_adj = linear_stencil(PdeConfig(CONVECTION_DIFFUSION, cfg.kappa), mesh)
+    e = np.arange(E + 1)
+    faces = np.stack([(e - 1) % E * n + n - 1, e % E * n])
+    weak = mesh.weak.copy()
+    # the weak-form input as a linear map of [f, fr, fl]
+    q = np.zeros((n + 2, n + 2))
+    q[:n, :n] = np.eye(n)
+    q[:n, 0] -= 1.0
+    q[n, n - 1] = q[n + 1, 0] = 1.0
+    q[n, n] = q[n + 1, n + 1] = -1.0
+    lift_adj = weak.T @ q
+    for a in (faces, weak, lift_adj):
+        a.flags.writeable = False  # one cached operator serves every caller
+    return idx, s, s_adj, faces, weak, lift_adj
+
+
 def rhs_semidiscrete(cfg, mesh):
     """Flat-vector RHS suitable for the ERK stepper; batch-shape agnostic.
 
-    The linear part is one ``autodiff.stencil``: all of convection-diffusion,
-    and Burgers' diffusion as the stencil of the a = 0 operator.  Each row
-    of a batch rounds the same as it would alone.
+    Convection-diffusion is one ``autodiff.stencil``, viscous Burgers one
+    ``autodiff.burgers``.  Each row of a batch rounds the same as it would
+    alone.
     """
-    E, n = mesh.n_elem, mesh.order + 1
-    is_cd = cfg.kind == CONVECTION_DIFFUSION
-    st = linear_stencil(cfg if is_cd else PdeConfig(CONVECTION_DIFFUSION, cfg.kappa), mesh)
-
-    def linear(u):
-        # the stencil annihilates constants only to roundoff; taking out
-        # one entry keeps constant states exact steady states
-        return ad.stencil(u - ad.narrow(u, -1, 0, 1), *st)
-
-    if is_cd:
-        return Rhs(lambda t, u: linear(u), mesh.n_dof)
-
-    def fn(t, u):
-        shape = u.shape
-        conv = _convection(cfg, mesh, ad.reshape(u, shape[:-1] + (E, n)))
-        return linear(u) + ad.reshape(conv, shape)
-
-    return Rhs(fn, mesh.n_dof)
+    if cfg.kind == VISCOUS_BURGERS:
+        op = burgers_operator(cfg, mesh)
+        return Rhs(lambda t, u: ad.burgers(u, op), mesh.n_dof)
+    st = linear_stencil(cfg, mesh)
+    # the stencil annihilates constants only to roundoff; taking out one
+    # entry keeps constant states exact steady states
+    return Rhs(lambda t, u: ad.stencil(u - ad.narrow(u, -1, 0, 1), *st), mesh.n_dof)
 
 
 def filter_project(field, target_order):

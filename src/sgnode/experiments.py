@@ -273,20 +273,25 @@ def timestep_sweep(cfg, params_cont, params_disc, ref, dts, eval_times):
 
 
 def run_timings(cfg, ref, truth, params, variants=None):
-    """Median-of-repeats wall times per prediction variant at its stable dt."""
+    """Wall times per prediction variant at its stable dt: the first run and
+    the median of the repeats.
+
+    The variants run in interleaved rounds: round 0 is every variant's first
+    run, and each later round repeats every variant once, so drift in the
+    machine's load reaches all variants alike.
+    """
     tcfg = cfg.timing
     cfg = dataclasses.replace(
         cfg, prediction=dataclasses.replace(cfg.prediction, tableau=tcfg.tableau)
     )
-    rows = []
+    runs = []
     for variant in variants or tcfg.VARIANTS:
-        if variant not in tcfg.dts:
-            continue
-        dt = tcfg.dts[variant]
-        u0 = variant_initial_state(cfg, variant, ref, truth)
-        n_steps = int(round(tcfg.t_final / dt))
-        times = []
-        for _ in range(tcfg.repeats + 1):
+        if variant in tcfg.dts:
+            dt = tcfg.dts[variant]
+            u0 = variant_initial_state(cfg, variant, ref, truth)
+            runs.append((variant, dt, u0, int(round(tcfg.t_final / dt)), []))
+    for _ in range(tcfg.repeats + 1):
+        for variant, dt, u0, n_steps, times in runs:
             t0 = time.perf_counter()
             try:
                 predict(cfg, params, u0, dt, n_steps, variant)
@@ -296,8 +301,7 @@ def run_timings(cfg, ref, truth, params, variants=None):
                     time=e.time, sample=e.sample, epoch=e.epoch,
                 ) from e
             times.append((time.perf_counter() - t0) * 1e3)
-        rows.append((variant, dt, times[0], float(np.median(times[1:]))))
-    return rows
+    return [(v, dt, times[0], float(np.median(times[1:]))) for v, dt, _, _, times in runs]
 
 
 def window_problem(experiment, seed=0):

@@ -159,7 +159,7 @@ def _check_finite(v, what, t, **where):
     named as the sample.
     """
     a = np.abs(v)
-    if float(np.max(a)) <= BLOWUP_LIMIT:  # NaN fails the comparison too
+    if a.max() <= BLOWUP_LIMIT:  # NaN fails the comparison too
         return
     sample = None
     if a.ndim == 2:

@@ -26,7 +26,7 @@ def test_replay_reproduces_recorded_loss_exactly():
     def build(tape, pvars):
         (th,) = pvars
         x = tape.const(rng.normal(size=6))
-        return ad.sum_all(ad.square(th * x + ad.maximum(th, 0.0)))
+        return ad.sum_all(ad.square(th * x + (ad.square(th) + 0.5)))
 
     loss, tape = ad.record(build, [theta])
     assert tape.replay() == loss
@@ -117,7 +117,7 @@ def test_mlp_rollout_gradient_matches_finite_differences():
         ws, bs = pvars[0::2], pvars[1::2]
 
         def rhs(t, u):
-            return u @ mat.T + mlp.forward(ws, bs, u)
+            return ad.dense(u, mat, np.zeros(2), relu=False) + mlp.forward(ws, bs, u)
 
         u = tape.const(u0)
         loss = None
@@ -167,6 +167,17 @@ def _ring_stencil(n_blocks, n, seed):
     return idx, np.concatenate(blocks), np.concatenate([b.T for b in blocks[::-1]])
 
 
+# the Burgers tendency on four elements of order 2 and on six of order 1,
+# its entries of order 1
+_BURGERS_P2 = dg.burgers_operator(
+    dg.PdeConfig(dg.VISCOUS_BURGERS, kappa=0.05), dg.make_mesh(4, 2, 0.0, 2 * np.pi)
+)
+_BURGERS_P1 = dg.burgers_operator(
+    dg.PdeConfig(dg.VISCOUS_BURGERS, kappa=0.05), dg.make_mesh(6, 1, 0.0, 2 * np.pi)
+)
+_RAMP = (np.arange(36.0).reshape(3, 12) + 1.0) / 36.0
+
+
 # One finite-difference case per primitive; test_every_primitive_has_a_vjp_and_a_case
 # checks that the tapes of these cases cover every op in autodiff._FWD.
 FD_CASES = [
@@ -174,18 +185,22 @@ FD_CASES = [
     ("narrow", lambda t, p: ad.sum_all(ad.narrow(p[0], -1, 1, 2) * t.const(np.ones((3, 2)))), [(3, 4)]),
     ("concat", lambda t, p: ad.sum_all(ad.concatenate([p[0], p[1]], -1) * t.const(np.arange(21.0).reshape(3, 7))), [(3, 4), (3, 3)]),
     ("repeat", lambda t, p: ad.sum_all(ad.repeat_elems(p[0], 3, -1) * t.const(np.arange(36.0).reshape(3, 12))), [(3, 4)]),
-    ("maximum", lambda t, p: ad.sum_all(ad.maximum(p[0], t.const(np.zeros((3, 4)))) * t.const(np.arange(12.0).reshape(3, 4))), [(3, 4)]),
-    ("abs", lambda t, p: ad.sum_all(ad.absolute(p[0]) * t.const(np.arange(12.0).reshape(3, 4))), [(3, 4)]),
+    # the Burgers weights vary, so no gradient entry cancels to roundoff: the
+    # tendency conserves the integral of u, and uniform weights zero the
+    # gradient at p = 1
+    ("burgers", lambda t, p: ad.sum_all(ad.burgers(p[0], _BURGERS_P2) * t.const(_RAMP)), [(3, 12)]),
+    ("burgers_flat", lambda t, p: ad.sum_all(ad.burgers(p[0], _BURGERS_P2) * t.const(_RAMP[0])), [(12,)]),
     # the DG face exchange rolls along the element axis, not the last one
     ("roll_rows", lambda t, p: ad.sum_all(ad.roll(p[0], 1, -2) * t.const(np.arange(24.0).reshape(2, 3, 4))), [(2, 3, 4)]),
-    ("maximum_pair", lambda t, p: ad.sum_all(ad.maximum(p[0], p[1]) * t.const(np.arange(12.0).reshape(3, 4))), [(3, 4), (3, 4)]),
+    ("burgers_p1", lambda t, p: ad.sum_all(ad.burgers(p[0], _BURGERS_P1) * t.const((np.arange(24.0).reshape(2, 12) % 5 - 2.0) / 2.0)), [(2, 12)]),
     ("bias_broadcast", lambda t, p: ad.sum_all(ad.square(t.const(np.arange(20.0).reshape(5, 4) / 7.0) + ad.reshape(p[0], (1, -1)))), [(4,)]),
-    ("matconst", lambda t, p: ad.sum_all((p[0] @ (np.arange(20.0).reshape(5, 4) / 10.0)) * t.const(np.arange(4.0))), [(2, 3, 5)]),
+    # the (4,) factor broadcasts over rows, so its gradient is summed back down
+    ("mul_broadcast", lambda t, p: ad.sum_all(p[0] * p[1] * t.const(np.arange(12.0).reshape(3, 4) / 7.0)), [(3, 4), (4,)]),
     # dense inputs kept away from 0 and sums free of cancellation, so the
     # central differences resolve every gradient entry; 8 * b kills about a quarter of the units
-    ("dense_relu", lambda t, p: ad.sum_all(ad.dense(ad.absolute(p[0]) + 0.5, ad.absolute(p[1]) + 0.5, p[2] * 8.0, relu=True)), [(5, 3), (4, 3), (4,)]),
-    ("dense_linear", lambda t, p: ad.sum_all(ad.dense(ad.absolute(p[0]) + 0.5, ad.absolute(p[1]) + 0.5, p[2] * 8.0, relu=False)), [(5, 3), (4, 3), (4,)]),
-    ("dense_row", lambda t, p: ad.sum_all(ad.dense(ad.absolute(p[0]) + 0.5, ad.absolute(p[1]) + 0.5, p[2] * 8.0, relu=True)), [(3,), (4, 3), (4,)]),
+    ("dense_relu", lambda t, p: ad.sum_all(ad.dense(ad.square(p[0]) + 0.5, ad.square(p[1]) + 0.5, p[2] * 8.0, relu=True)), [(5, 3), (4, 3), (4,)]),
+    ("dense_linear", lambda t, p: ad.sum_all(ad.dense(ad.square(p[0]) + 0.5, ad.square(p[1]) + 0.5, p[2] * 8.0, relu=False)), [(5, 3), (4, 3), (4,)]),
+    ("dense_row", lambda t, p: ad.sum_all(ad.dense(ad.square(p[0]) + 0.5, ad.square(p[1]) + 0.5, p[2] * 8.0, relu=True)), [(3,), (4, 3), (4,)]),
     ("arith", lambda t, p: ad.sum_all((p[0] - p[1] * 0.25) * t.const(np.arange(12.0).reshape(3, 4) / 10.0) + (-p[0] + 1.5) / 4.0), [(3, 4), (3, 4)]),
     # u broadcasts against the slopes, so its gradient is summed back down
     ("lincomb", lambda t, p: ad.sum_all(ad.lincomb(p[0], [0.5, -1.25], [p[1], p[2]]) * t.const(np.arange(12.0).reshape(3, 4))), [(4,), (3, 4), (3, 4)]),
@@ -258,7 +273,7 @@ def test_a_tsit5_step_records_one_lincomb_per_stage_combination():
     tape = ad.Tape()
     u = tape.param(np.ones((2, 3)))
     before = len(tape)
-    erk_step(tableau_tsit5(), lambda t, x: x @ np.eye(3), 0.0, u, 0.1)
+    erk_step(tableau_tsit5(), lambda t, x: ad.square(x), 0.0, u, 0.1)
     added = [op for op, _, _ in tape.ops[before:]]
     assert added.count("lincomb") == 6 and "smul" not in added and "add" not in added
 
@@ -380,14 +395,13 @@ def test_sums_differences_and_negation_record_lincomb_and_smul(f, shapes, op, si
 
 # Each public helper with the shapes of its array arguments.
 HELPER_CASES = {
-    "absolute": (ad.absolute, [(2, 3, 12)]),
-    "maximum": (ad.maximum, [(2, 3, 12), (2, 3, 12)]),
     "square": (ad.square, [(2, 3, 12)]),
     "sum_all": (ad.sum_all, [(2, 3, 12)]),
     "roll": (lambda a: ad.roll(a, 5, -2), [(2, 3, 12)]),
     "dense": (lambda h, w, b: ad.dense(h, w, b, relu=True), [(2, 3, 12), (5, 12), (5,)]),
     "lincomb": (lambda u, k0, k1: ad.lincomb(u, [0.5, -1.25], [k0, k1]), [(12,), (3, 12), (3, 12)]),
     "stencil": (lambda a: ad.stencil(a, *_ring_stencil(6, 2, 1)), [(2, 3, 12)]),
+    "burgers": (lambda a: ad.burgers(a, _BURGERS_P2), [(2, 3, 12)]),
     "reshape": (lambda a: ad.reshape(a, (6, -1)), [(2, 3, 12)]),
     "concatenate": (lambda a, b: ad.concatenate([a, b], axis=-2), [(2, 3, 12), (2, 1, 12)]),
     "narrow": (lambda a: ad.narrow(a, -1, 3, 4), [(2, 3, 12)]),
@@ -444,6 +458,13 @@ def test_product_of_two_vars_is_rejected():
 
     with pytest.raises(ad.TapeError):
         ad.record(build, [np.ones((2, 2)), np.ones((2, 2))])
+
+
+def test_product_with_a_constant_matrix_is_rejected():
+    # constant products are dense, stencil or burgers nodes; @ records nothing
+    tape = ad.Tape()
+    with pytest.raises(ad.TapeError):
+        tape.param(np.ones((2, 2))) @ np.eye(2)
 
 
 def test_unsupported_division_by_var():

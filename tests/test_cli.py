@@ -9,7 +9,7 @@ from sgnode.cli import main
 from sgnode.experiments import run_timings
 from sgnode.config import load_config
 from sgnode.errors import BlowupError, ConfigError
-from sgnode.ode import integrate, load_trajectory, tableau_rk4
+from sgnode.ode import Trajectory, integrate, load_trajectory, save_trajectory, tableau_rk4
 
 
 def smoke_config(tmp_path, experiment="cd", **overrides):
@@ -143,6 +143,52 @@ def test_out_is_the_run_directory_the_manifest_is_read_from(tmp_path, capsys):
     with pytest.raises(SystemExit):
         main(["predict", "--help"])
     assert "manifest.json" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command,extra", [
+    ("predict", ["--variant", "low"]),
+    ("sweep", ["--checkpoint", "c.sgnp", "--checkpoint-discrete", "d.sgnp"]),
+    ("time", []),
+])
+@pytest.mark.parametrize("index", [2, 99, -1])
+def test_traj_index_out_of_range_is_config_error(tmp_path, capsys, command, extra, index):
+    path = smoke_config(tmp_path)
+    assert main(["generate", "--config", str(path)]) == 0
+    capsys.readouterr()
+    argv = [command, "--config", str(path), "--traj-index", str(index), *extra]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"--traj-index {index} is out of range" in err and "0..1" in err
+
+
+@pytest.mark.parametrize("pred_dim,ref_dim", [(36, 16), (16, 36), (16, 24)])
+def test_evaluate_rejects_states_of_another_dimension(tmp_path, capsys, pred_dim, ref_dim):
+    # an L96 trajectory (K = 36) under a CD config whose low mesh has 16 dofs
+    path = smoke_config(tmp_path)
+    files = {}
+    for name, d in (("pred", pred_dim), ("ref", ref_dim)):
+        files[name] = tmp_path / f"{name}.sgnt"
+        save_trajectory(Trajectory(0.0, 0.1, np.zeros((3, d))), files[name])
+    argv = ["evaluate", "--config", str(path), "--pred", str(files["pred"]), "--ref", str(files["ref"])]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "state dimension" in err
+
+
+def test_evaluate_rejects_a_full_prediction_against_slow_truth(tmp_path, capsys):
+    # K = 8 slow and K(J+1) = 40 variables are both l96 states, but the
+    # full prediction cannot be compared with a slow-only reference
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({
+        "experiment": "l96", "seed": 2, "out_dir": str(tmp_path / "run"),
+        "model": {"K": 8, "J": 4, "F": 6.0},
+        "data": {"n_traj": 1, "dt": 0.005, "t_final": 0.25, "spinup": 0.5},
+    }))
+    pred, ref = tmp_path / "pred.sgnt", tmp_path / "ref.sgnt"
+    save_trajectory(Trajectory(0.0, 0.1, np.zeros((3, 40))), pred)
+    save_trajectory(Trajectory(0.0, 0.1, np.zeros((3, 8))), ref)
+    assert main(["evaluate", "--config", str(path), "--pred", str(pred), "--ref", str(ref)]) == 2
+    assert "--pred has state dimension 40 but --ref has 8" in capsys.readouterr().err
 
 
 def test_generate_train_predict_evaluate_cycle(tmp_path):

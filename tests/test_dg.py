@@ -256,7 +256,7 @@ def test_courant_numbers_use_min_lgl_spacing():
 ])
 def test_taped_tendency_records_no_leaf(kind, extra):
     # the stencil and the operator matrices ride in their nodes, not on the
-    # tape as leaves; Burgers' convective chain still takes matconst products
+    # tape as leaves; Burgers is one node per call
     mesh = dg.make_mesh(6, 2, 0.0, 1.0)
     rhs = dg.rhs_semidiscrete(dg.PdeConfig(kind, **extra), mesh)
     tape = ad.Tape()
@@ -264,8 +264,11 @@ def test_taped_tendency_records_no_leaf(kind, extra):
     before = len(tape)
     du = rhs(0.0, u)
     added = [op for op, _, _ in tape.ops[before:]]
-    assert "leaf" not in added and added.count("stencil") == 1
-    assert ("matconst" in added) == (kind == dg.VISCOUS_BURGERS)
+    assert "leaf" not in added
+    if kind == dg.VISCOUS_BURGERS:
+        assert added == ["burgers"]
+    else:
+        assert added.count("stencil") == 1
     assert np.array_equal(du.value, rhs(0.0, u.value))
 
 
@@ -337,6 +340,64 @@ def test_burgers_split_matches_the_tendency_chain(p):
     rhs = dg.rhs_semidiscrete(BURGERS, mesh)
     u = np.random.default_rng(p).normal(size=(5, mesh.n_dof))
     assert _rel(rhs(0.0, u), _chain(BURGERS, mesh, u)) <= 1e-14
+
+
+@pytest.mark.parametrize("p", [1, 2, 8])
+@pytest.mark.parametrize("n_elem", [2, 3, 64])
+def test_burgers_node_is_bit_identical_to_the_stencil_and_convective_chain(n_elem, p):
+    # the fused node repeats the chain's elementwise order and its two
+    # products: the diffusion stencil, then the convective lift
+    mesh = dg.make_mesh(n_elem, p, 0.0, 2 * np.pi)
+    rhs = dg.rhs_semidiscrete(BURGERS, mesh)
+    st = dg.linear_stencil(dg.PdeConfig(dg.CONVECTION_DIFFUSION, BURGERS.kappa), mesh)
+    rng = np.random.default_rng(10 * n_elem + p)
+    for shape in ((mesh.n_dof,), (1, mesh.n_dof), (7, mesh.n_dof)):
+        u = rng.normal(size=shape)
+        u.flat[::5] = 0.0  # some traces at 0
+        lead = shape[:-1]
+        conv = dg._convection(BURGERS, mesh, u.reshape(lead + (n_elem, p + 1))).reshape(shape)
+        ref = ad.stencil(u - u[..., :1], *st) + conv
+        assert np.array_equal(rhs(0.0, u), ref)
+
+
+def _frozen_branch_tendency(mesh, u, first, s_m, s_p):
+    # the Burgers tendency of u (E, n) with tau = max(|um|, |up|) replaced by
+    # the branch the VJP takes: s_m * um where `first`, else s_p * up.  It is
+    # quadratic in u, so central differences give its Jacobian to roundoff.
+    um = np.roll(u[..., -1:], 1, -2)
+    up = u[..., :1]
+    tau = np.where(first, s_m * um, s_p * up)
+    fstar = 0.25 * (um * um + up * up) + 0.5 * tau * (um - up)
+    return dg._diffusion(BURGERS, mesh, u) + dg._divergence(mesh, 0.5 * (u * u), fstar)
+
+
+def test_burgers_vjp_takes_the_chain_subgradient_at_its_kinks():
+    # faces with um = up, um = -up, um = 0, up = 0 and um = up = 0: a tie of
+    # |um| and |up| sends the gradient through |um| (it matters at um = -up),
+    # and |x| takes slope sign(0) = 0 at 0, which tau's factor um - up
+    # zeroes wherever it could enter
+    E, p = 5, 2
+    mesh = dg.make_mesh(E, p, 0.0, 2 * np.pi)
+    u = np.random.default_rng(3).normal(size=(E, p + 1))
+    for e, (um, up) in enumerate([(0.7, 0.7), (0.5, -0.5), (0.0, 0.3), (-0.4, 0.0), (0.0, 0.0)]):
+        u[e - 1, -1], u[e, 0] = um, up
+    um0, up0 = np.roll(u[:, -1:], 1, 0), u[:, :1]
+    first = np.abs(um0) >= np.abs(up0)
+    s_m, s_p = np.sign(um0), np.sign(up0)
+    g = np.random.default_rng(4).normal(size=mesh.n_dof)
+
+    def frozen(x):
+        return _frozen_branch_tendency(mesh, x.reshape(E, p + 1), first, s_m, s_p).reshape(-1)
+
+    h = 1e-4
+    fd = np.array([
+        np.dot(frozen(u.reshape(-1) + h * e_i) - frozen(u.reshape(-1) - h * e_i), g) / (2 * h)
+        for e_i in np.eye(mesh.n_dof)
+    ])
+    rhs = dg.rhs_semidiscrete(BURGERS, mesh)
+    _, tape = ad.record(lambda t, pv: ad.sum_all(rhs(0.0, pv[0]) * t.const(g)), [u.reshape(-1)])
+    (vjp,) = ad.backward(tape)
+    assert np.max(np.abs(vjp - fd)) <= 1e-9 * np.max(np.abs(fd))
 
 
 @pytest.mark.parametrize("cfg,n_elem,p", [

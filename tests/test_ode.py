@@ -119,6 +119,37 @@ def test_nonfinite_stage_raises():
         erk_step(tableau_rk4(), rhs, 0.0, np.array([1.0]), 0.1)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 2e12, -2e12])
+@pytest.mark.parametrize("where", ["stage", "step"])
+@pytest.mark.parametrize("batched", [False, True])
+def test_a_bad_value_raises_blowup_naming_stage_or_step(bad, where, batched):
+    # one bad entry, in a stage slope or in the stepped state, fails the check
+    u0 = np.ones((3, 4)) if batched else np.ones(4)
+
+    def poison(u):
+        out = np.zeros_like(u)
+        out[(1, 2) if batched else 2] = bad
+        return out
+
+    calls = []
+
+    def rhs(t, u):
+        calls.append(t)
+        return poison(u) if where == "stage" and len(calls) == 6 else np.zeros_like(u)
+
+    def post_step(t, u_prev, u_stepped):
+        return u_stepped + poison(u_stepped) if where == "step" and t > 0.15 else u_stepped
+
+    with pytest.raises(BlowupError) as e:
+        integrate(tableau_rk4(), rhs, u0, 0.0, 0.1, 5, post_step=post_step)
+    if where == "stage":  # the second stage of the second step
+        assert (e.value.step, e.value.stage) == (1, 1)
+    else:  # after the third step
+        assert (e.value.step, e.value.stage) == (2, None)
+    assert e.value.sample == (1 if batched else None)
+    assert (", sample 1" in str(e.value)) == batched
+
+
 def test_integrate_zero_steps_returns_initial_state():
     tr = integrate(tableau_rk4(), lambda t, u: -u, np.array([2.0, 3.0]), 0.5, 0.1, 0)
     assert len(tr) == 1

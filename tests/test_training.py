@@ -8,6 +8,12 @@ from sgnode.errors import BlowupError, ConfigError
 from sgnode.ode import Trajectory, erk_step, integrate, tableau_rk4
 
 
+def linear_rhs(mat):
+    # u @ mat.T as one dense node with a zero bias, so a tape can record it
+    zero = np.zeros(len(mat))
+    return lambda t, u: ad.dense(u, mat, zero, relu=False)
+
+
 def toy_trajectory(n_states=41, d=3, dt=0.01, seed=0):
     rng = np.random.default_rng(seed)
     mat = -0.4 * np.eye(d) + 0.1 * rng.normal(size=(d, d))
@@ -81,7 +87,7 @@ class TestNodeLoss:
         params = mlp.zero_params(3, 3)
 
         def builder(ws, bs):
-            return lambda t, u: u @ mat.T  # ignores the zero net entirely
+            return linear_rhs(mat)  # ignores the zero net entirely
 
         loss, tape = training.node_loss(params, batch, builder, "rk4")
         assert loss < 1e-28
@@ -119,7 +125,7 @@ class TestNodeLoss:
         params = mlp.init_params(3, 3, seed=4, hidden=8)
 
         def builder(ws, bs):
-            return lambda t, u: u @ mat.T + mlp.forward(ws, bs, u)
+            return training.augmented(linear_rhs(mat), ws, bs)
 
         loss, _ = training.node_loss(params, batch, builder, "rk4")
         loss_np = training.rollout_loss_value(params, batch, builder, "rk4")
@@ -133,7 +139,7 @@ class TestNodeLoss:
         params = mlp.init_params(3, 3, seed=4, hidden=8)
 
         def builder(ws, bs):
-            return training.augmented(lambda t, u: u @ mat.T, ws, bs)
+            return training.augmented(linear_rhs(mat), ws, bs)
 
         for k in range(20):
             batch = training.sample_windows([traj], cfg, epoch_seed=[k])
@@ -237,7 +243,7 @@ class TestTrainLoop:
         )
 
         def builder(ws, bs):
-            return lambda t, u: u @ mat.T + mlp.forward(ws, bs, u)
+            return training.augmented(linear_rhs(mat), ws, bs)
 
         return [traj], cfg, builder
 
