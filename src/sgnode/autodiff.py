@@ -116,8 +116,12 @@ def _burgers_fwd(aux, xs):
     fstar = (0.25 * (um * um + up * up) + 0.5 * tau * (um - up))[..., None]
     flux = 0.5 * (ue * ue)
     f_l = flux[..., 0:1]
-    jumps = (flux - f_l, flux[..., n - 1:] - fstar[..., 1:, :], f_l - fstar[..., :-1, :])
-    lin += (np.concatenate(jumps, axis=-1) @ weak).reshape(u.shape)
+    # the weak-form input [volume jump, right jump, left jump], written in place
+    z = np.empty(flux.shape[:-1] + (n + 2,))
+    np.subtract(flux, f_l, out=z[..., :n])
+    np.subtract(flux[..., n - 1:], fstar[..., 1:, :], out=z[..., n:n + 1])
+    np.subtract(f_l, fstar[..., :-1, :], out=z[..., n + 1:])
+    lin += (z @ weak).reshape(u.shape)
     return lin
 
 

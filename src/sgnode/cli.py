@@ -44,7 +44,7 @@ def _pick(trajs, index):
 def cmd_generate(args):
     cfg = _load(args)
     manifest = experiments.generate(cfg)
-    print(f"wrote {len(manifest['files'])} trajectories to {cfg.out_dir}")
+    print(f"wrote {len(manifest.files)} trajectories to {cfg.out_dir}")
     return 0
 
 
@@ -113,19 +113,26 @@ def cmd_evaluate(args):
     cfg = _load(args)
     pred = load_trajectory(args.pred)
     ref = load_trajectory(args.ref)
-    mesh_l = None
+    mesh_h = mesh_l = None
     if cfg.experiment == "l96":
         lcfg = experiments.l96_config(cfg.model)
         dims = (lcfg.K, lcfg.K * (lcfg.J + 1))  # the slow variables, or all
     else:
-        _, mesh_l = experiments.pde_meshes(cfg.model)
-        dims = (mesh_l.n_dof,)
+        mesh_h, mesh_l = experiments.pde_meshes(cfg.model)
+        dims = (mesh_l.n_dof, mesh_h.n_dof)
     for flag, traj in (("--pred", pred), ("--ref", ref)):
         if traj.dim not in dims:
             raise ConfigError(
                 f"{flag} has state dimension {traj.dim}; a {cfg.experiment} run's "
                 f"states have {' or '.join(map(str, dims))}"
             )
+    if mesh_h is not None:
+        # high-order states are compared as generate filters them
+        pred, ref = (
+            dataclasses.replace(tr, states=dg.project_states(mesh_h, tr.states, mesh_l.order))
+            if tr.dim == mesh_h.n_dof else tr
+            for tr in (pred, ref)
+        )
     if ref.dim > pred.dim:  # the slow-only prediction against the full truth
         ref = dataclasses.replace(ref, states=ref.states[:, :pred.dim])
     if ref.dim != pred.dim:

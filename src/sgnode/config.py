@@ -1,11 +1,13 @@
-"""JSON run configurations with strict schema validation.
+"""JSON run configurations and dataset manifests with strict schema validation.
 
 Every knob of the three experiments lives in one JSON document per run.
 Each section is parsed straight into the dataclass that uses it: the
 allowed keys are its fields, each value is checked against its field's
 type, and range and choice constraints are the class's own.  Unknown keys
 and bad values are rejected with their full path, so typos fail loudly
-instead of silently falling back to defaults.
+instead of silently falling back to defaults.  The ``manifest.json`` that
+``generate`` writes is parsed by the same rules and checked against the
+config that reads it.
 """
 
 from __future__ import annotations
@@ -18,8 +20,8 @@ import typing
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from . import dg, experiments, lorenz96
-from .errors import ConfigError
+from . import dg, lorenz96
+from .errors import ConfigError, FormatError
 from .ode import get_tableau
 from .training import TrainConfig
 
@@ -37,6 +39,18 @@ _PDE_MODEL = {
 _L96_DATA = ("spinup",)
 
 
+def pde_config(experiment, model):
+    kind = dg.VISCOUS_BURGERS if experiment == "burgers" else dg.CONVECTION_DIFFUSION
+    return dg.PdeConfig(kind=kind, kappa=model["kappa"], a=model.get("a", 0.0))
+
+
+def pde_meshes(model):
+    dom = tuple(model["domain"])
+    high = dg.make_mesh(model["n_elem"], model["order_high"], *dom)
+    low = dg.make_mesh(model["n_elem"], model["order_low"], *dom)
+    return high, low
+
+
 def _check_keys(d, allowed, path):
     unknown = set(d) - set(allowed)
     if unknown:
@@ -46,6 +60,8 @@ def _check_keys(d, allowed, path):
 def _value(x, hint, path):
     """x checked against the field type `hint`: no bool where a number is
     expected, ints widen to float, and containers are checked per item."""
+    if dataclasses.is_dataclass(hint):
+        return _section(hint, x, path)
     origin, args = typing.get_origin(hint), typing.get_args(hint)
     if origin is dict:
         return {k: _value(v, args[1], f"{path}.{k}") for k, v in _value(x, dict, path).items()}
@@ -66,8 +82,12 @@ def _section(cls, d, path, unused=()):
     """Dataclass `cls` built from the JSON object d found at `path`; the
     fields named in `unused` are rejected like unknown keys."""
     hints = typing.get_type_hints(cls)
-    allowed = [f.name for f in dataclasses.fields(cls) if f.name not in unused]
-    _check_keys(_value(d, dict, path), allowed, path)
+    fields = [f for f in dataclasses.fields(cls) if f.name not in unused]
+    _check_keys(_value(d, dict, path), [f.name for f in fields], path)
+    missing = [f.name for f in fields if f.name not in d
+               and f.default is f.default_factory is dataclasses.MISSING]
+    if missing:
+        raise ConfigError(f"{path}: missing keys {missing}")
     kwargs = {k: _value(v, hints[k], f"{path}.{k}") for k, v in d.items()}
     try:
         return cls(**kwargs)
@@ -191,8 +211,8 @@ def _model(experiment, d):
     try:
         if model["order_low"] >= model["order_high"]:
             raise ValueError("order_low must be below order_high")
-        experiments.pde_config(experiment, model)
-        experiments.pde_meshes(model)
+        pde_config(experiment, model)
+        pde_meshes(model)
         if experiment == "burgers":
             dg.check_synthesis(model["k0"], model["n_synth"])
     except ValueError as e:
@@ -211,3 +231,61 @@ def load_config(path, base_dir=None):
     if not isinstance(raw, dict):
         raise ConfigError(f"{p}: top level must be a JSON object")
     return RunConfig.from_dict(raw, base_dir=base_dir)
+
+
+@dataclass
+class ManifestEntry:
+    name: str    # a file in the run directory
+    kind: str
+    index: int
+    sha256: str
+
+    def __post_init__(self):
+        if self.name in ("", "..") or "\0" in self.name or Path(self.name).name != self.name:
+            raise ValueError(f"name must be a file in the run directory, got {self.name!r}")
+        _choice(self.kind, ("truth", "filtered"), "kind")
+        if self.index < 0:
+            raise ValueError(f"index must be >= 0, got {self.index}")
+
+
+@dataclass
+class Manifest:
+    """The manifest.json of a run directory, as ``generate`` writes it."""
+
+    experiment: str
+    seed: int
+    data: dict
+    model: dict
+    files: list[ManifestEntry]
+
+
+def _run_keys(experiment, model, data):
+    """What a dataset depends on, keyed by dotted name."""
+    return {"experiment": experiment, **{f"model.{k}": v for k, v in model.items()},
+            **{f"data.{k}": v for k, v in data.items()}}
+
+
+def load_manifest(cfg):
+    """The manifest in cfg's run directory, parsed through the schema above.
+
+    A manifest that does not parse is a FormatError; one written for
+    another experiment, model or data section than cfg's a ConfigError
+    naming the keys that differ.
+    """
+    path = Path(cfg.out_dir) / "manifest.json"
+    if not path.exists():
+        raise ConfigError(f"no manifest at {path}; run generate first")
+    try:
+        manifest = _section(Manifest, json.loads(path.read_bytes()), "manifest")
+    except ValueError as e:  # bad JSON or UTF-8, or a ConfigError from the schema
+        raise FormatError(f"{path}: {e}") from e
+    ours = _run_keys(cfg.experiment, cfg.model, dataclasses.asdict(cfg.data))
+    theirs = _run_keys(manifest.experiment, manifest.model, manifest.data)
+    differ = [k for k in {**ours, **theirs}
+              if k not in ours or k not in theirs or ours[k] != theirs[k]]
+    if differ:
+        k = differ[0]
+        also = f"; {', '.join(differ[1:])} differ too" if differ[1:] else ""
+        raise ConfigError(f"{path} was generated for another run: {k} is "
+                          f"{theirs.get(k)!r} there and {ours.get(k)!r} in the config{also}")
+    return manifest

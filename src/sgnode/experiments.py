@@ -20,24 +20,13 @@ import numpy as np
 
 from . import autodiff as ad
 from . import diagnostics, dg, lorenz96, mlp, training
+from .config import Manifest, ManifestEntry, load_manifest, pde_config, pde_meshes
 from .errors import BlowupError, ConfigError
 from .ode import Trajectory, integrate, get_tableau, load_trajectory, save_trajectory
 
 
 def l96_config(model):
     return lorenz96.L96Config(**model)
-
-
-def pde_config(experiment, model):
-    kind = dg.VISCOUS_BURGERS if experiment == "burgers" else dg.CONVECTION_DIFFUSION
-    return dg.PdeConfig(kind=kind, kappa=model["kappa"], a=model.get("a", 0.0))
-
-
-def pde_meshes(model):
-    dom = tuple(model["domain"])
-    high = dg.make_mesh(model["n_elem"], model["order_high"], *dom)
-    low = dg.make_mesh(model["n_elem"], model["order_low"], *dom)
-    return high, low
 
 
 def source_dims(cfg):
@@ -107,9 +96,7 @@ def generate(cfg):
     def emit(traj, name, kind, index):
         path = out / name
         save_trajectory(traj, path)
-        entries.append(
-            {"name": name, "kind": kind, "index": index, "sha256": sha256_file(path)}
-        )
+        entries.append(ManifestEntry(name, kind, index, sha256_file(path)))
 
     if cfg.experiment == "l96":
         lcfg = l96_config(cfg.model)
@@ -131,31 +118,20 @@ def generate(cfg):
                 emit(traj, f"truth_{i:04d}.sgnt", "truth", i)
             emit(filtered, f"filtered_{i:04d}.sgnt", "filtered", i)
 
-    manifest = {
-        "experiment": cfg.experiment,
-        "seed": cfg.seed,
-        "data": cfg.data.__dict__,
-        "model": cfg.model,
-        "files": entries,
-    }
-    (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
+    manifest = Manifest(cfg.experiment, cfg.seed, cfg.data.__dict__, cfg.model, entries)
+    text = json.dumps(dataclasses.asdict(manifest), indent=2, sort_keys=True)
+    (out / "manifest.json").write_text(text)
     return manifest
 
 
 def load_dataset(cfg, kind=None):
     """Trajectories recorded in the manifest, in index order."""
-    out = Path(cfg.out_dir)
-    mpath = out / "manifest.json"
-    if not mpath.exists():
-        raise ConfigError(f"no manifest at {mpath}; run generate first")
-    manifest = json.loads(mpath.read_text())
+    manifest = load_manifest(cfg)
     want = kind or ("truth" if cfg.experiment == "l96" else "filtered")
-    files = sorted(
-        (e for e in manifest["files"] if e["kind"] == want), key=lambda e: e["index"]
-    )
+    files = sorted((e for e in manifest.files if e.kind == want), key=lambda e: e.index)
     if not files:
         raise ConfigError(f"manifest has no {want!r} trajectories")
-    return [load_trajectory(out / e["name"]) for e in files]
+    return [load_trajectory(Path(cfg.out_dir) / e.name) for e in files]
 
 
 def rhs_builder_for(cfg):

@@ -12,6 +12,7 @@ fixed by the array layout.
 
 from __future__ import annotations
 
+import ctypes
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -242,6 +243,27 @@ class TrainResult:
     checkpoints: list = field(default_factory=list)  # (epoch, MlpParams)
 
 
+def _keep_freed_heap():
+    """Have glibc malloc keep freed memory in the heap for reuse.
+
+    Each training step frees its tape (~300 MB on the L96 desk run) and the
+    next step allocates as much again.  By default glibc serves arrays over
+    a few MB from fresh mappings and returns the freed top of the heap to
+    the OS, so every step faulted its tape's pages back in: 394,000 minor
+    faults in 6 L96 desk epochs, against 150 with these settings, and 8-15%
+    more wall time (2-core x86-64, glibc 2.36).  Arrays up to 32 MiB then
+    come from the heap, which is never trimmed; values are unchanged.
+    Elsewhere than glibc this does nothing.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(-3, 32 << 20)   # M_MMAP_THRESHOLD, its largest allowed value
+    mallopt(-1, 2**31 - 1)  # M_TRIM_THRESHOLD
+
+
 def _fit(cfg, d_in, d_out, init, on_epoch, step_loss, test_loss=None):
     """The epoch loop of both trainers.
 
@@ -250,7 +272,12 @@ def _fit(cfg, d_in, d_out, init, on_epoch, step_loss, test_loss=None):
     history row (the last step's loss and `test_loss(params, epoch)`, or
     None), the periodic checkpoint every cfg.checkpoint_every epochs, and
     the callback.
+
+    A step's tape is dropped as soon as its gradients are out, so only one
+    tape is ever alive: the held-out loss and the next step's recording
+    run with the last one freed, and the next step reuses its memory.
     """
+    _keep_freed_heap()
     params = init.copy() if init is not None else mlp.init_params(d_in, d_out, cfg.seed)
     opt = opt_init(cfg, params)
     plist = mlp.param_list(params)
@@ -265,7 +292,9 @@ def _fit(cfg, d_in, d_out, init, on_epoch, step_loss, test_loss=None):
                     stage=e.stage, step=e.step, time=e.time, sample=e.sample,
                     epoch=epoch,
                 ) from e
-            opt_step(opt, plist, ad.backward(tape))
+            grads = ad.backward(tape)
+            del tape
+            opt_step(opt, plist, grads)
         held_out = test_loss(params, epoch) if test_loss else None
         result.history.append((epoch, train_loss, held_out))
         if cfg.checkpoint_every and epoch % cfg.checkpoint_every == 0:

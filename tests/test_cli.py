@@ -134,6 +134,58 @@ def test_missing_manifest_is_config_error(tmp_path):
     assert main(["train", "--config", str(path)]) == 2
 
 
+def _without(d, key):
+    return {k: v for k, v in d.items() if k != key}
+
+
+@pytest.mark.parametrize("corrupt", [
+    lambda text, m: text[: len(text) // 2],
+    lambda text, m: json.dumps(m["files"]),
+    lambda text, m: json.dumps(_without(m, "files")),
+    lambda text, m: json.dumps(dict(m, files=m["files"][0])),
+    lambda text, m: json.dumps(dict(m, files=[_without(m["files"][0], "sha256")])),
+    lambda text, m: json.dumps(dict(m, files=[dict(m["files"][0], index="0")])),
+    lambda text, m: json.dumps(dict(m, files=[dict(m["files"][0], kind="raw")])),
+    lambda text, m: json.dumps(dict(m, files=[dict(m["files"][0], name="../cfg.json")])),
+    lambda text, m: json.dumps(dict(m, files=[dict(m["files"][0], name="a\0b")])),
+    lambda text, m: json.dumps(dict(m, files=[dict(m["files"][0], extra=1)])),
+    lambda text, m: json.dumps(dict(m, model=[])),
+], ids=["truncated", "array", "no-files", "files-not-a-list", "entry-without-sha256",
+        "string-index", "unknown-kind", "name-outside-the-run", "nul-in-name", "unknown-entry-key",
+        "model-not-an-object"])
+def test_a_malformed_manifest_is_a_format_error(tmp_path, capsys, corrupt):
+    path = smoke_config(tmp_path)
+    assert main(["generate", "--config", str(path)]) == 0
+    mpath = tmp_path / "run" / "manifest.json"
+    text = mpath.read_text()
+    mpath.write_text(corrupt(text, json.loads(text)))
+    capsys.readouterr()
+    assert main(["train", "--config", str(path)]) == 4
+    assert capsys.readouterr().err.startswith(f"i/o error: {mpath}: ")
+
+
+@pytest.mark.parametrize("experiment,section,key,value,message", [
+    ("burgers", None, None, None, "experiment is 'cd' there and 'burgers' in the config"),
+    ("cd", "model", "n_elem", 10, "model.n_elem is 8 there and 10 in the config"),
+    ("cd", "model", "kappa", 2e-3, "model.kappa is 0.001 there and 0.002 in the config"),
+    ("cd", "data", "t_final", 0.03, "data.t_final is 0.02 there and 0.03 in the config"),
+])
+def test_a_manifest_of_another_run_is_config_error_naming_the_key(
+    tmp_path, capsys, experiment, section, key, value, message
+):
+    assert main(["generate", "--config", str(smoke_config(tmp_path))]) == 0
+    path = smoke_config(tmp_path, experiment)  # the same run directory
+    if section:
+        cfg = json.loads(path.read_text())
+        cfg[section][key] = value
+        path.write_text(json.dumps(cfg))
+    capsys.readouterr()
+    for command in (["train"], ["predict", "--variant", "low"]):
+        assert main(command + ["--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "manifest.json" in err and message in err
+
+
 def test_out_is_the_run_directory_the_manifest_is_read_from(tmp_path, capsys):
     path = smoke_config(tmp_path)
     assert main(["generate", "--config", str(path)]) == 0
@@ -173,6 +225,46 @@ def test_evaluate_rejects_states_of_another_dimension(tmp_path, capsys, pred_dim
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and "state dimension" in err
+
+
+def test_evaluate_scores_a_high_order_prediction_on_the_low_mesh(tmp_path):
+    path = smoke_config(tmp_path, "burgers")
+    out = tmp_path / "run"
+    assert main(["generate", "--config", str(path)]) == 0
+    assert main(["predict", "--config", str(path), "--variant", "high"]) == 0
+    high = load_trajectory(out / "pred_high.sgnt")
+    mesh_h, mesh_l = experiments.pde_meshes(load_config(path).model)
+    assert high.dim == mesh_h.n_dof
+    projected = dataclasses.replace(high, states=dg.project_states(mesh_h, high.states, 1))
+    save_trajectory(projected, tmp_path / "projected.sgnt")
+    reports = {}
+    preds = {"high": out / "pred_high.sgnt", "projected": tmp_path / "projected.sgnt"}
+    for name, pred in preds.items():
+        argv = ["evaluate", "--config", str(path), "--pred", str(pred),
+                "--ref", str(out / "filtered_0000.sgnt"), "--out", str(tmp_path / name)]
+        assert main(argv) == 0
+        reports[name] = [(tmp_path / name / f).read_bytes()
+                         for f in ("errors.csv", "spectrum_pred.csv", "spectrum_ref.csv")]
+    assert reports["high"] == reports["projected"]
+
+
+@pytest.mark.parametrize("pred_dim,ref_dim", [(32, 31), (33, 32), (48, 16), (32, 64)])
+def test_evaluate_takes_only_the_low_and_high_mesh_dimensions(tmp_path, capsys, pred_dim, ref_dim):
+    # the smoke CD config's low mesh has 16 dofs and its high mesh 32
+    path = smoke_config(tmp_path)
+    files = {}
+    for name, d in (("pred", pred_dim), ("ref", ref_dim)):
+        files[name] = tmp_path / f"{name}.sgnt"
+        save_trajectory(Trajectory(0.0, 0.1, np.ones((3, d))), files[name])
+    argv = ["evaluate", "--config", str(path),
+            "--pred", str(files["pred"]), "--ref", str(files["ref"])]
+    assert main(argv) == 2
+    assert "state dimension" in capsys.readouterr().err
+    # a high-order state against a low-order one is scored
+    save_trajectory(Trajectory(0.0, 0.1, np.ones((3, 16))), files["ref"])
+    for pred in (32, 16):
+        save_trajectory(Trajectory(0.0, 0.1, np.ones((3, pred))), files["pred"])
+        assert main(argv) == 0
 
 
 def test_evaluate_rejects_a_full_prediction_against_slow_truth(tmp_path, capsys):

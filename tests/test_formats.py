@@ -1,6 +1,8 @@
 """Corrupted artifacts: every load of a mutated or truncated `.sgnt` or
-`.sgnp` file gives a FormatError or a valid object, never another error."""
+`.sgnp` file gives a FormatError or a valid object, never another error,
+and so does every load of a dataset through a mutated `manifest.json`."""
 
+import json
 import struct
 
 import numpy as np
@@ -8,8 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sgnode import mlp
-from sgnode.errors import FormatError
+from sgnode import experiments, mlp
+from sgnode.config import load_config
+from sgnode.errors import ConfigError, FormatError
 from sgnode.ode import Trajectory, load_trajectory, save_trajectory
 
 # derandomized, so each run replays the same inputs; no example database on disk
@@ -76,6 +79,71 @@ def test_corrupt_network_files_load_or_raise_format_error(tmp_path):
         params = loads_or_raises_format_error(path, blob, mlp.load_params)
         if params is not None:
             params.check()
+
+    check()
+
+
+DELETE = object()
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4)
+    | st.sampled_from(["..", "", "a/b", "\0", "truth", "filtered"]),
+    lambda inner: st.lists(inner, max_size=2)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=2),
+    max_leaves=4,
+)
+
+
+def _paths(x, at=()):
+    yield at
+    items = x.items() if isinstance(x, dict) else enumerate(x) if isinstance(x, list) else ()
+    for k, v in items:
+        yield from _paths(v, at + (k,))
+
+
+def edits(good):
+    """Copies of the JSON object `good` with one value replaced by another
+    JSON value, or deleted."""
+
+    def edit(at, new):
+        obj = json.loads(json.dumps(good))
+        if not at:
+            return {} if new is DELETE else new
+        parent = obj
+        for k in at[:-1]:
+            parent = parent[k]
+        if new is DELETE:
+            del parent[at[-1]]
+        else:
+            parent[at[-1]] = new
+        return obj
+
+    at = st.sampled_from(list(_paths(good)))
+    return st.builds(edit, at, st.just(DELETE) | JSON_VALUES)
+
+
+def test_corrupt_manifests_load_or_raise_format_or_config_error(tmp_path):
+    # a mutated manifest parses, names a file that is not there (OSError),
+    # or no longer matches the config (ConfigError)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({
+        "experiment": "cd", "seed": 1, "out_dir": str(tmp_path / "run"),
+        "model": {"a": 1.0, "kappa": 1e-3, "n_elem": 4, "order_high": 2, "order_low": 1},
+        "data": {"n_traj": 2, "dt": 1e-3, "t_final": 0.002},
+    }))
+    cfg = load_config(path)
+    experiments.generate(cfg)
+    manifest = cfg.out_dir / "manifest.json"
+    good = manifest.read_bytes()
+
+    @FUZZ
+    @given(corruptions(good) | edits(json.loads(good)).map(lambda m: json.dumps(m).encode()))
+    def check(blob):
+        manifest.write_bytes(blob)
+        try:
+            trajs = experiments.load_dataset(cfg)
+        except (FormatError, ConfigError, OSError):
+            return
+        assert all(tr.dim == 8 for tr in trajs)
 
     check()
 

@@ -1,8 +1,13 @@
+import platform
+import resource
+import tracemalloc
+import weakref
+
 import numpy as np
 import pytest
 
 from sgnode import autodiff as ad
-from sgnode import dg, diagnostics, experiments, mlp, training
+from sgnode import dg, diagnostics, experiments, lorenz96, mlp, training
 from sgnode.config import RunConfig
 from sgnode.errors import BlowupError, ConfigError
 from sgnode.ode import Trajectory, erk_step, integrate, tableau_rk4
@@ -394,6 +399,97 @@ class TestDiscreteForcing:
         # entropy with zeros, so step 0 draws the batch of seed [seed, 303, epoch]
         pad = np.random.SeedSequence([5, 303, 1, 0]).generate_state(4)
         assert np.array_equal(pad, np.random.SeedSequence([5, 303, 1]).generate_state(4))
+
+
+class TestOneTapeAlive:
+    """A training step's tape is freed once its gradients are out."""
+
+    def _run(self, monkeypatch, trainer, steps):
+        # live tapes seen as each step starts recording, as the held-out loss
+        # runs and at the end of each epoch
+        tapes, seen = [], {"record": [], "held_out": [], "epoch": []}
+        live = lambda: sum(r() is not None for r in tapes)
+        record, held_out = ad.record, training.rollout_loss_value
+
+        def recording(build, params):
+            seen["record"].append(live())
+            loss, tape = record(build, params)
+            tapes.append(weakref.ref(tape))
+            return loss, tape
+
+        def holding_out(*args):
+            seen["held_out"].append(live())
+            return held_out(*args)
+
+        monkeypatch.setattr(ad, "record", recording)
+        monkeypatch.setattr(training, "rollout_loss_value", holding_out)
+        on_epoch = lambda *row: seen["epoch"].append(live())
+        if trainer == "train":
+            trajs, cfg, builder = TestTrainLoop()._setup(3)
+            cfg.steps_per_epoch, cfg.test_every = steps, 1
+            training.train(trajs, cfg, builder, 3, 3, on_epoch=on_epoch)
+        else:
+            rng = np.random.default_rng(0)
+            cfg = training.TrainConfig(epochs=3, batch_size=8, steps_per_epoch=steps, seed=5)
+            training.train_discrete_forcing(
+                rng.normal(size=(20, 3)), rng.normal(size=(20, 3)), cfg, 3, 3,
+                on_epoch=on_epoch,
+            )
+        return len(tapes), seen
+
+    @pytest.mark.parametrize("steps", [1, 2])
+    @pytest.mark.parametrize("trainer", ["train", "discrete"])
+    def test_no_finished_tape_outlives_its_step(self, monkeypatch, trainer, steps):
+        n_tapes, seen = self._run(monkeypatch, trainer, steps)
+        assert n_tapes == 3 * steps
+        assert seen["record"] == [0] * (3 * steps)
+        assert seen["held_out"] == ([0] * 3 if trainer == "train" else [])
+        assert seen["epoch"] == [0] * 3
+
+    def _small_l96(self):
+        # K = 36, J = 10, batch 20, window 5, RK4: one tape holds ~60 MB
+        lcfg = lorenz96.L96Config(K=36, J=10, F=6.0, source_scope="per_component")
+        trajs = lorenz96.generate_truth(lcfg, 2, 0.005, 0.1, 0.1, seed=0)
+        cfg = training.TrainConfig(
+            epochs=4, batch_size=20, window=5, dt=0.005, tableau="rk4", seed=0,
+            split=0.5, split_axis="trajectory", test_every=1,
+        )
+        builder = lambda ws, bs: lorenz96.rhs_coupled_neural(lcfg, ws, bs)
+        return trajs, cfg, builder, lcfg.source_dims
+
+    def test_training_peaks_at_one_tape(self):
+        trajs, cfg, builder, dims = self._small_l96()
+        params = mlp.init_params(*dims, seed=0)
+        batch = training.sample_windows(trajs[:1], cfg, epoch_seed=[0, 1])
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tape = training.node_loss(params, batch, builder, "rk4")[1]
+            one_tape = tracemalloc.get_traced_memory()[1] - base
+            del tape
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            training.train(trajs, cfg, builder, *dims)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.3 * one_tape, (peak / 2**20, one_tape / 2**20)
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc malloc only")
+    def test_later_steps_reuse_the_freed_tape_pages(self):
+        trajs, cfg, builder, dims = self._small_l96()
+        params = mlp.init_params(*dims, seed=0)
+        batch = training.sample_windows(trajs[:1], cfg, epoch_seed=[0, 1])
+        tape = training.node_loss(params, batch, builder, "rk4")[1]
+        one_tape = sum(v.nbytes for v in tape.vals)
+        del tape
+        training.train(trajs, cfg, builder, *dims)  # the heap grows to hold a tape
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        training.train(trajs, cfg, builder, *dims)
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+        faulted = faults * resource.getpagesize()
+        # four steps that faulted their tapes in afresh would fault ~4 tapes
+        assert faulted < 0.1 * one_tape, (faulted / 2**20, one_tape / 2**20)
 
 
 def test_gradient_fidelity_small_rollout():
