@@ -24,9 +24,11 @@ product with a constant matrix never lifts a leaf; ``Var @ x`` is not
 recorded.
 
 Each primitive has one forward rule in ``_FWD``.  ``_apply`` records it on
-the tape of a ``Var`` argument, or evaluates it directly when every argument
-is an ndarray, so the same model code runs taped and untaped, and prediction
-and training share one implementation of each right-hand side.
+the tape of a ``Var`` argument, lifting ndarray operands as constant leaves,
+or evaluates it directly when every argument is an ndarray.  So a loss
+builder ``build(params)`` is one forward path: ``record`` runs it on
+parameter Vars, and the held-out loss, prediction and ``grad_check``'s
+finite differences run it on plain arrays.
 """
 
 from __future__ import annotations
@@ -274,10 +276,6 @@ class Tape:
         self.vals.append(x)
         return Var(self, len(self.vals) - 1)
 
-    def const(self, x):
-        """Register a non-trainable input array."""
-        return self._leaf(x)
-
     def param(self, x):
         """Register a trainable parameter array; gradients flow to it."""
         v = self._leaf(x)
@@ -289,22 +287,6 @@ class Tape:
         self.ops.append((name, args, aux))
         self.vals.append(val)
         return Var(self, len(self.vals) - 1)
-
-    def replay(self, overrides=None):
-        """Recompute the recorded scalar from (optionally perturbed) leaves.
-
-        `overrides` maps leaf id -> replacement array.  Data-dependent ops
-        (dense ReLU, the Burgers flux) are re-evaluated, so this is a true
-        re-execution of the recorded function.
-        """
-        overrides = overrides or {}
-        vals = [None] * len(self.vals)
-        for i, (name, args, aux) in enumerate(self.ops):
-            if name == "leaf":
-                vals[i] = overrides.get(i, self.vals[i])
-            else:
-                vals[i] = _FWD[name](aux, [vals[j] for j in args])
-        return float(vals[self.out])
 
 
 class Var:
@@ -334,7 +316,7 @@ class Var:
             if other.tape is not self.tape:
                 raise TapeError("cannot mix Vars from different tapes")
             return other
-        return self.tape.const(other)
+        return self.tape._leaf(other)
 
     # Sums and differences of arrays are lincomb nodes with coefficient +-1:
     # a + 1.0*b and a + (-1.0)*b round as a + b and a - b do, and so do
@@ -374,16 +356,16 @@ class Var:
 
 
 def record(build, params):
-    """Run `build(tape, param_vars)` and capture it on a fresh tape.
+    """Run `build(param_vars)` and capture it on a fresh tape.
 
-    `params` is a sequence of numpy arrays; `build` must return a scalar Var.
-    Returns (loss value, tape).
+    `params` is a sequence of numpy arrays and `build` returns a scalar: a
+    Var, or a plain value when no parameter reaches the loss, which is then
+    a constant with zero gradient.  Returns (loss value, tape).
     """
     tape = Tape()
-    pvars = [tape.param(p) for p in params]
-    out = build(tape, pvars)
+    out = build([tape.param(p) for p in params])
     if not isinstance(out, Var):
-        raise TapeError("loss builder must return a tape Var")
+        out = tape._leaf(out)
     if np.size(out.value) != 1:
         raise TapeError(f"loss must be scalar, got shape {out.shape}")
     tape.out = out.i
@@ -423,10 +405,12 @@ def backward(tape):
 def grad_check(build, params, h=1e-6, sample=None, seed=0, atol=0.0):
     """Max relative disagreement between tape gradients and central differences.
 
-    The finite differences re-run the recorded computation via tape replay
-    with one parameter entry perturbed by +/-h.  `sample` limits the check to
-    that many entries per parameter tensor (always including the entry with
-    the largest tape gradient); None checks every entry.  Returns
+    The finite differences evaluate `build` untaped, as prediction and the
+    held-out loss do, on the parameter list with one entry perturbed by
+    +/-h; so a builder whose untaped value differs from its taped one fails
+    the check.  `sample` limits the check to that many entries per parameter
+    tensor (always including the entry with the largest tape gradient); None
+    checks every entry.  Returns
     max over checked entries of |g_ad - g_fd| / max(1e-12, atol, |g_ad| + |g_fd|).
 
     With atol=0 this is a pure relative comparison.  Central differences
@@ -437,12 +421,12 @@ def grad_check(build, params, h=1e-6, sample=None, seed=0, atol=0.0):
     """
     if h <= 0:
         raise ValueError("h must be positive")
-    loss, tape = record(build, params)
-    grads = backward(tape)
+    grads = backward(record(build, params)[1])
+    trial = [np.asarray(p, dtype=np.float64) for p in params]
     rng = np.random.default_rng(seed)
     max_rel = 0.0
-    for pid, g in zip(tape.param_ids, grads):
-        base = tape.vals[pid]
+    for k, g in enumerate(grads):
+        base = trial[k]
         n = base.size
         if n == 0:
             continue
@@ -454,15 +438,16 @@ def grad_check(build, params, h=1e-6, sample=None, seed=0, atol=0.0):
             if top not in idxs:
                 idxs = np.append(idxs, top)
         for flat in idxs:
-            pert = base.copy()
+            trial[k] = pert = base.copy()
             pert.flat[flat] += h
-            fp = tape.replay({pid: pert})
+            fp = float(build(trial))
             pert.flat[flat] -= 2 * h
-            fm = tape.replay({pid: pert})
+            fm = float(build(trial))
             fd = (fp - fm) / (2 * h)
             ad = g.flat[flat]
             rel = max(0.0, abs(ad - fd) - atol) / max(1e-12, abs(ad) + abs(fd))
             max_rel = max(max_rel, rel)
+        trial[k] = base
     return max_rel
 
 

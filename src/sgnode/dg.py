@@ -128,10 +128,6 @@ class Mesh1D:
         """Nodal basis values at reference points r, shape (len(r), p+1)."""
         return _legendre_vandermonde(r, self.order) @ self._vinv
 
-    def min_node_spacing(self):
-        """Smallest physical distance between LGL points (Courant length)."""
-        return float(np.min(np.diff(self.nodes))) * self.jac
-
     def projection_to(self, target_order):
         """Elementwise L2-projection matrix onto order `target_order` nodes."""
         L = int(target_order)
@@ -458,10 +454,3 @@ def eval_uniform(field, n_pts):
         if np.any(mask):
             out[mask] = mesh.basis_at(r[mask]) @ field.coeffs[el]
     return out
-
-
-def courant_numbers(cfg, mesh, dt, velocity=None):
-    """(convective Courant number, diffusion number) at the min LGL spacing."""
-    dx = mesh.min_node_spacing()
-    v = abs(cfg.a) if velocity is None else abs(velocity)
-    return v * dt / dx, cfg.kappa * dt / dx ** 2

@@ -328,5 +328,5 @@ def run_gradcheck(experiment, seed=0, sample=64, h=1e-5, floor=True):
     if floor:
         # slots with gradients below the central-difference resolution
         # (~ulp(loss)/h) are held to absolute agreement at that floor
-        atol = 64.0 * np.finfo(float).eps * max(1.0, abs(build(None, plist))) / h
+        atol = 64.0 * np.finfo(float).eps * max(1.0, abs(build(plist))) / h
     return ad.grad_check(build, plist, h=h, sample=sample, seed=seed, atol=atol)

@@ -113,11 +113,6 @@ def forward_per_component(weights, biases, x):
     return ad.reshape(forward(weights, biases, flat), shape)
 
 
-def forward_params(params, x):
-    """Numpy convenience wrapper; accepts (d_in,) or (batch, d_in)."""
-    return forward(params.weights, params.biases, np.asarray(x, dtype=np.float64))
-
-
 def save_params(params, path):
     """Layout: magic, u32 version, u32 n_layers, per layer (u32 rows, u32
     cols, f64 row-major data, u32 bias_len, f64 bias), u64 seed."""

@@ -150,19 +150,19 @@ def augmented(rhs, weights, biases):
 
 
 def make_loss_builder(batch, rhs_builder, tableau):
-    """Tape builder for the windowed rollout MSE.
+    """Loss builder `build(params)` for the windowed rollout MSE.
 
     `rhs_builder(weights, biases)` must yield the augmented right-hand side
-    f(t, u) for (n, d)-shaped states built from the given parameter handles.
-    Called with tape None and plain parameter arrays, the builder evaluates
-    the same loss in numpy.
+    f(t, u) for (n, d)-shaped states built from the given parameters.  On
+    tape Vars the builder records the loss (see ``ad.record``); on plain
+    parameter arrays it evaluates the same loss in numpy.
     """
     tab = get_tableau(tableau)
 
-    def build(tape, pvars):
+    def build(pvars):
         ws, bs = pvars[0::2], pvars[1::2]
         rhs = rhs_builder(ws, bs)
-        u = batch.x0 if tape is None else tape.const(batch.x0)
+        u = batch.x0
         loss = None
         t = 0.0
         for l in range(batch.window):
@@ -190,7 +190,7 @@ def node_loss(params, batch, rhs_builder, tableau):
 def rollout_loss_value(params, batch, rhs_builder, tableau):
     """Same loss evaluated in plain numpy (no tape); used for test metrics."""
     build = make_loss_builder(batch, rhs_builder, tableau)
-    return float(build(None, mlp.param_list(params)))
+    return float(build(mlp.param_list(params)))
 
 
 @dataclass
@@ -367,9 +367,9 @@ def train_discrete_forcing(inputs, targets, cfg, d_in, d_out, init=None, on_epoc
         pick = rng.integers(0, n_total, size=min(cfg.batch_size, n_total))
         xb, yb = inputs[pick], targets[pick]
 
-        def build(tape, pvars):
+        def build(pvars):
             ws, bs = pvars[0::2], pvars[1::2]
-            r = mlp.forward(ws, bs, tape.const(xb)) - tape.const(yb)
+            r = mlp.forward(ws, bs, xb) - yb
             return ad.sum_all(ad.square(r)) * (1.0 / xb.shape[0])
 
         return ad.record(build, mlp.param_list(params))
@@ -380,6 +380,6 @@ def train_discrete_forcing(inputs, targets, cfg, d_in, d_out, init=None, on_epoc
 def discrete_correction(params, dt):
     """Post-step hook adding the Euler correction dt * NN(u_n) to each step."""
     def correct(t, u_prev, u_stepped):
-        return u_stepped + dt * mlp.forward_params(params, u_prev)
+        return u_stepped + dt * mlp.forward(params.weights, params.biases, u_prev)
 
     return correct

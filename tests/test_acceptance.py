@@ -135,7 +135,7 @@ def test_c01_taylor_remainder_is_second_order():
             norm = np.sqrt(sum(np.vdot(v, v) for v in vs))
             vs = [v / norm for v in vs]
             slope = sum(np.vdot(g, v) for g, v in zip(grads, vs))
-            js = np.array([build(None, [p + h * v for p, v in zip(plist, vs)]) for h in hs])
+            js = np.array([build([p + h * v for p, v in zip(plist, vs)]) for h in hs])
             for out, s in ((rates[exp], slope), (off_rates[exp], slope * (1 + 1e-3))):
                 rem = np.log10(np.abs(js - loss - hs * s))
                 out.append(((rem[0] - rem[-1]) / 3, rem[-2] - rem[-1]))

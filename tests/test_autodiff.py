@@ -8,7 +8,7 @@ from sgnode import dg, lorenz96, mlp, training
 from sgnode.ode import erk_step, integrate, tableau_rk4, tableau_tsit5
 
 
-def quadratic(tape, pvars):
+def quadratic(pvars):
     (theta,) = pvars
     return ad.sum_all(ad.square(theta))
 
@@ -19,19 +19,6 @@ def test_quadratic_loss_value_and_tape():
     assert len(tape) <= 5  # one leaf, square, sum in our encoding
 
 
-def test_replay_reproduces_recorded_loss_exactly():
-    rng = np.random.default_rng(0)
-    theta = rng.normal(size=6)
-
-    def build(tape, pvars):
-        (th,) = pvars
-        x = tape.const(rng.normal(size=6))
-        return ad.sum_all(ad.square(th * x + (ad.square(th) + 0.5)))
-
-    loss, tape = ad.record(build, [theta])
-    assert tape.replay() == loss
-
-
 def test_quadratic_gradient_analytic():
     loss, tape = ad.record(quadratic, [np.array([1.0, 2.0])])
     assert np.array_equal(ad.backward(tape)[0], [2.0, 4.0])
@@ -39,9 +26,9 @@ def test_quadratic_gradient_analytic():
 
 
 def test_dead_relu_kills_gradient():
-    def build(tape, pvars):
+    def build(pvars):
         (w,) = pvars
-        return ad.sum_all(ad.dense(tape.const(np.array([[-3.0]])), w, np.zeros(1), relu=True))
+        return ad.sum_all(ad.dense(np.array([[-3.0]]), w, np.zeros(1), relu=True))
 
     loss, tape = ad.record(build, [np.array([[4.0]])])
     assert loss == 0.0
@@ -49,10 +36,10 @@ def test_dead_relu_kills_gradient():
 
 
 def test_relu_subgradient_zero_at_origin():
-    def build(tape, pvars):
+    def build(pvars):
         (b,) = pvars
         # zero weights: each unit's pre-activation is its bias
-        return ad.sum_all(ad.dense(tape.const(np.ones((1, 2))), np.zeros((3, 2)), b, relu=True))
+        return ad.sum_all(ad.dense(np.ones((1, 2)), np.zeros((3, 2)), b, relu=True))
 
     loss, tape = ad.record(build, [np.array([-1.0, 0.0, 2.0])])
     g = ad.backward(tape)[0]
@@ -60,8 +47,8 @@ def test_relu_subgradient_zero_at_origin():
 
 
 def test_gradient_of_parameter_independent_loss_is_zero():
-    def build(tape, pvars):
-        return ad.sum_all(ad.square(tape.const(np.arange(3.0))))
+    def build(pvars):
+        return ad.sum_all(ad.square(np.arange(3.0)))
 
     loss, tape = ad.record(build, [np.ones(4)])
     g = ad.backward(tape)[0]
@@ -75,14 +62,14 @@ def test_gradient_linearity_in_loss():
     x2 = rng.normal(size=5)
     a, b = 1.7, -0.4
 
-    def l1(tape, pvars):
-        return ad.sum_all(ad.square(pvars[0] - tape.const(x1)))
+    def l1(pvars):
+        return ad.sum_all(ad.square(pvars[0] - x1))
 
-    def l2(tape, pvars):
-        return ad.sum_all(ad.square(pvars[0] * tape.const(x2)))
+    def l2(pvars):
+        return ad.sum_all(ad.square(pvars[0] * x2))
 
-    def combo(tape, pvars):
-        return l1(tape, pvars) * a + l2(tape, pvars) * b
+    def combo(pvars):
+        return l1(pvars) * a + l2(pvars) * b
 
     g1 = ad.backward(ad.record(l1, [theta])[1])[0]
     g2 = ad.backward(ad.record(l2, [theta])[1])[0]
@@ -95,8 +82,8 @@ def test_grad_check_quadratic():
 
 
 def test_grad_check_zero_params():
-    def build(tape, pvars):
-        return ad.sum_all(tape.const(np.ones(2)))
+    def build(pvars):
+        return ad.sum_all(np.ones(2))
 
     assert ad.grad_check(build, [], h=1e-6) == 0.0
 
@@ -106,6 +93,19 @@ def test_grad_check_requires_positive_h():
         ad.grad_check(quadratic, [np.ones(2)], h=0.0)
 
 
+def test_grad_check_flags_a_builder_whose_untaped_value_differs():
+    # the finite differences run the builder untaped; a builder that
+    # computes another loss there disagrees with its own tape
+    def build(pvars):
+        scale = 1.0 if isinstance(pvars[0], ad.Var) else 2.0
+        return ad.sum_all(ad.square(pvars[0])) * scale
+
+    theta = [np.array([1.0, -2.0])]
+    assert ad.record(build, theta)[0] == 5.0 and float(build(theta)) == 10.0
+    # tape gradient 2*theta against differences of 4*theta: 2/6 apart
+    assert ad.grad_check(build, theta, h=1e-6) == pytest.approx(1.0 / 3.0, rel=1e-6)
+
+
 def test_mlp_rollout_gradient_matches_finite_differences():
     # 2-state toy rhs, 3-step unrolled RK4 MSE, full finite-difference sweep
     params = mlp.init_params(2, 2, seed=4, hidden=8)
@@ -113,19 +113,19 @@ def test_mlp_rollout_gradient_matches_finite_differences():
     u0 = np.array([[0.3, -0.2]])
     targets = [np.array([[0.4, -0.1]]), np.array([[0.5, 0.0]]), np.array([[0.6, 0.1]])]
 
-    def build(tape, pvars):
+    def build(pvars):
         ws, bs = pvars[0::2], pvars[1::2]
 
         def rhs(t, u):
             return ad.dense(u, mat, np.zeros(2), relu=False) + mlp.forward(ws, bs, u)
 
-        u = tape.const(u0)
+        u = u0
         loss = None
         t = 0.0
         for tgt in targets:
             u = erk_step(tableau_rk4(), rhs, t, u, 0.1)
             t += 0.1
-            s = ad.sum_all(ad.square(u - tape.const(tgt)))
+            s = ad.sum_all(ad.square(u - tgt))
             loss = s if loss is None else loss + s
         return loss * (1.0 / 3.0)
 
@@ -140,14 +140,14 @@ def test_single_step_gradient_matches_hand_chain_rule():
     theta = 0.37
     u0, y, h = 1.4, 1.9, 0.1
 
-    def build(tape, pvars):
+    def build(pvars):
         (th,) = pvars
 
         def rhs(t, u):
             return th * u
 
-        u = erk_step(tableau_rk4(), rhs, 0.0, tape.const(np.array([[u0]])), h)
-        return ad.sum_all(ad.square(u - tape.const(np.array([[y]]))))
+        u = erk_step(tableau_rk4(), rhs, 0.0, np.array([[u0]]), h)
+        return ad.sum_all(ad.square(u - np.array([[y]])))
 
     loss, tape = ad.record(build, [np.array([[theta]])])
     g = ad.backward(tape)[0][0, 0]
@@ -181,30 +181,30 @@ _RAMP = (np.arange(36.0).reshape(3, 12) + 1.0) / 36.0
 # One finite-difference case per primitive; test_every_primitive_has_a_vjp_and_a_case
 # checks that the tapes of these cases cover every op in autodiff._FWD.
 FD_CASES = [
-    ("roll", lambda t, p: ad.sum_all(ad.roll(p[0], 2, -1) * t.const(np.arange(12.0).reshape(3, 4))), [(3, 4)]),
-    ("narrow", lambda t, p: ad.sum_all(ad.narrow(p[0], -1, 1, 2) * t.const(np.ones((3, 2)))), [(3, 4)]),
-    ("concat", lambda t, p: ad.sum_all(ad.concatenate([p[0], p[1]], -1) * t.const(np.arange(21.0).reshape(3, 7))), [(3, 4), (3, 3)]),
-    ("repeat", lambda t, p: ad.sum_all(ad.repeat_elems(p[0], 3, -1) * t.const(np.arange(36.0).reshape(3, 12))), [(3, 4)]),
+    ("roll", lambda p: ad.sum_all(ad.roll(p[0], 2, -1) * np.arange(12.0).reshape(3, 4)), [(3, 4)]),
+    ("narrow", lambda p: ad.sum_all(ad.narrow(p[0], -1, 1, 2) * np.ones((3, 2))), [(3, 4)]),
+    ("concat", lambda p: ad.sum_all(ad.concatenate([p[0], p[1]], -1) * np.arange(21.0).reshape(3, 7)), [(3, 4), (3, 3)]),
+    ("repeat", lambda p: ad.sum_all(ad.repeat_elems(p[0], 3, -1) * np.arange(36.0).reshape(3, 12)), [(3, 4)]),
     # the Burgers weights vary, so no gradient entry cancels to roundoff: the
     # tendency conserves the integral of u, and uniform weights zero the
     # gradient at p = 1
-    ("burgers", lambda t, p: ad.sum_all(ad.burgers(p[0], _BURGERS_P2) * t.const(_RAMP)), [(3, 12)]),
-    ("burgers_flat", lambda t, p: ad.sum_all(ad.burgers(p[0], _BURGERS_P2) * t.const(_RAMP[0])), [(12,)]),
+    ("burgers", lambda p: ad.sum_all(ad.burgers(p[0], _BURGERS_P2) * _RAMP), [(3, 12)]),
+    ("burgers_flat", lambda p: ad.sum_all(ad.burgers(p[0], _BURGERS_P2) * _RAMP[0]), [(12,)]),
     # the DG face exchange rolls along the element axis, not the last one
-    ("roll_rows", lambda t, p: ad.sum_all(ad.roll(p[0], 1, -2) * t.const(np.arange(24.0).reshape(2, 3, 4))), [(2, 3, 4)]),
-    ("burgers_p1", lambda t, p: ad.sum_all(ad.burgers(p[0], _BURGERS_P1) * t.const((np.arange(24.0).reshape(2, 12) % 5 - 2.0) / 2.0)), [(2, 12)]),
-    ("bias_broadcast", lambda t, p: ad.sum_all(ad.square(t.const(np.arange(20.0).reshape(5, 4) / 7.0) + ad.reshape(p[0], (1, -1)))), [(4,)]),
+    ("roll_rows", lambda p: ad.sum_all(ad.roll(p[0], 1, -2) * np.arange(24.0).reshape(2, 3, 4)), [(2, 3, 4)]),
+    ("burgers_p1", lambda p: ad.sum_all(ad.burgers(p[0], _BURGERS_P1) * ((np.arange(24.0).reshape(2, 12) % 5 - 2.0) / 2.0)), [(2, 12)]),
+    ("bias_broadcast", lambda p: ad.sum_all(ad.square(np.arange(20.0).reshape(5, 4) / 7.0 + ad.reshape(p[0], (1, -1)))), [(4,)]),
     # the (4,) factor broadcasts over rows, so its gradient is summed back down
-    ("mul_broadcast", lambda t, p: ad.sum_all(p[0] * p[1] * t.const(np.arange(12.0).reshape(3, 4) / 7.0)), [(3, 4), (4,)]),
+    ("mul_broadcast", lambda p: ad.sum_all(p[0] * p[1] * (np.arange(12.0).reshape(3, 4) / 7.0)), [(3, 4), (4,)]),
     # dense inputs kept away from 0 and sums free of cancellation, so the
     # central differences resolve every gradient entry; 8 * b kills about a quarter of the units
-    ("dense_relu", lambda t, p: ad.sum_all(ad.dense(ad.square(p[0]) + 0.5, ad.square(p[1]) + 0.5, p[2] * 8.0, relu=True)), [(5, 3), (4, 3), (4,)]),
-    ("dense_linear", lambda t, p: ad.sum_all(ad.dense(ad.square(p[0]) + 0.5, ad.square(p[1]) + 0.5, p[2] * 8.0, relu=False)), [(5, 3), (4, 3), (4,)]),
-    ("dense_row", lambda t, p: ad.sum_all(ad.dense(ad.square(p[0]) + 0.5, ad.square(p[1]) + 0.5, p[2] * 8.0, relu=True)), [(3,), (4, 3), (4,)]),
-    ("arith", lambda t, p: ad.sum_all((p[0] - p[1] * 0.25) * t.const(np.arange(12.0).reshape(3, 4) / 10.0) + (-p[0] + 1.5) / 4.0), [(3, 4), (3, 4)]),
+    ("dense_relu", lambda p: ad.sum_all(ad.dense(ad.square(p[0]) + 0.5, ad.square(p[1]) + 0.5, p[2] * 8.0, relu=True)), [(5, 3), (4, 3), (4,)]),
+    ("dense_linear", lambda p: ad.sum_all(ad.dense(ad.square(p[0]) + 0.5, ad.square(p[1]) + 0.5, p[2] * 8.0, relu=False)), [(5, 3), (4, 3), (4,)]),
+    ("dense_row", lambda p: ad.sum_all(ad.dense(ad.square(p[0]) + 0.5, ad.square(p[1]) + 0.5, p[2] * 8.0, relu=True)), [(3,), (4, 3), (4,)]),
+    ("arith", lambda p: ad.sum_all((p[0] - p[1] * 0.25) * (np.arange(12.0).reshape(3, 4) / 10.0) + (-p[0] + 1.5) / 4.0), [(3, 4), (3, 4)]),
     # u broadcasts against the slopes, so its gradient is summed back down
-    ("lincomb", lambda t, p: ad.sum_all(ad.lincomb(p[0], [0.5, -1.25], [p[1], p[2]]) * t.const(np.arange(12.0).reshape(3, 4))), [(4,), (3, 4), (3, 4)]),
-    ("stencil", lambda t, p: ad.sum_all(ad.stencil(p[0], *_ring_stencil(6, 2, 1)) * t.const(np.arange(36.0).reshape(3, 12) / 9.0)), [(3, 12)]),
+    ("lincomb", lambda p: ad.sum_all(ad.lincomb(p[0], [0.5, -1.25], [p[1], p[2]]) * np.arange(12.0).reshape(3, 4)), [(4,), (3, 4), (3, 4)]),
+    ("stencil", lambda p: ad.sum_all(ad.stencil(p[0], *_ring_stencil(6, 2, 1)) * (np.arange(36.0).reshape(3, 12) / 9.0)), [(3, 12)]),
 ]
 
 
@@ -235,7 +235,7 @@ def test_stencil_vjp_is_the_adjoint_map(stencil):
     d = stencil[0].size // 5
     rng = np.random.default_rng(d)
     x, g = rng.normal(size=(2, 3, d))
-    _, tape = ad.record(lambda t, p: ad.sum_all(ad.stencil(p[0], *stencil) * t.const(g)), [x])
+    _, tape = ad.record(lambda p: ad.sum_all(ad.stencil(p[0], *stencil) * g), [x])
     (gx,) = ad.backward(tape)
     lhs, rhs = np.vdot(ad.stencil(x, *stencil), g), np.vdot(x, gx)
     assert abs(lhs - rhs) <= 1e-13 * np.linalg.norm(x) * np.linalg.norm(gx)
@@ -256,8 +256,8 @@ def test_lincomb_is_bit_identical_to_the_chain_it_replaces():
     weight = rng.normal(size=(4, 7))
 
     def build_with(combine):
-        def build(tape, pvars):
-            return ad.sum_all(ad.square(combine(pvars[0], coeffs, pvars[1:])) * tape.const(weight))
+        def build(pvars):
+            return ad.sum_all(ad.square(combine(pvars[0], coeffs, pvars[1:])) * weight)
 
         return build
 
@@ -338,8 +338,8 @@ def test_fused_mlp_gradients_equal_the_unfused_composition(d, rows):
     x = rng.normal(size=(rows, d))
     y = rng.normal(size=(rows, d))
 
-    def build(tape, pvars):
-        return ad.sum_all(ad.square(mlp.forward(pvars[0::2], pvars[1::2], tape.const(x)) - y))
+    def build(pvars):
+        return ad.sum_all(ad.square(mlp.forward(pvars[0::2], pvars[1::2], x) - y))
 
     fused_loss, fused = ad.record(build, mlp.param_list(params))
     ref_loss, ref_grads = _reference_loss_and_gradients(params.weights, params.biases, x, y)
@@ -352,7 +352,7 @@ def test_mlp_forward_records_one_node_per_layer_and_no_leaf():
     params = mlp.init_params(3, 2, seed=0, hidden=8)
     tape = ad.Tape()
     ws_bs = [tape.param(p) for p in mlp.param_list(params)]
-    x = tape.const(np.ones((4, 3)))
+    x = tape.param(np.ones((4, 3)))
     before = len(tape)
     mlp.forward(ws_bs[0::2], ws_bs[1::2], x)
     added = [op for op, _, _ in tape.ops[before:]]
@@ -424,7 +424,7 @@ def test_helper_on_arrays_returns_the_value_it_records(name):
 
 
 def test_grads_of_a_shared_adjoint_do_not_alias():
-    def build(tape, pvars):
+    def build(pvars):
         a, b = pvars
         return ad.sum_all(a + b)
 
@@ -445,7 +445,7 @@ def test_mixing_tapes_is_rejected():
 
 
 def test_nonscalar_loss_rejected():
-    def build(tape, pvars):
+    def build(pvars):
         return pvars[0] * 2.0
 
     with pytest.raises(ad.TapeError):
@@ -453,7 +453,7 @@ def test_nonscalar_loss_rejected():
 
 
 def test_product_of_two_vars_is_rejected():
-    def build(tape, pvars):
+    def build(pvars):
         return ad.sum_all(pvars[0] @ pvars[1])
 
     with pytest.raises(ad.TapeError):
@@ -468,7 +468,7 @@ def test_product_with_a_constant_matrix_is_rejected():
 
 
 def test_unsupported_division_by_var():
-    def build(tape, pvars):
+    def build(pvars):
         return pvars[0] / pvars[0]
 
     with pytest.raises(ad.TapeError):
@@ -483,9 +483,9 @@ def test_batched_gradient_accumulation_is_sample_order_invariant():
     perm = rng.permutation(6)
 
     def build_for(xb, yb):
-        def build(tape, pvars):
+        def build(pvars):
             ws, bs = pvars[0::2], pvars[1::2]
-            r = mlp.forward(ws, bs, tape.const(xb)) - tape.const(yb)
+            r = mlp.forward(ws, bs, xb) - yb
             return ad.sum_all(ad.square(r)) * (1.0 / xb.shape[0])
 
         return build

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -499,9 +500,37 @@ def test_timing_blowup_names_its_variant_and_dt(tmp_path, capsys):
     assert isinstance(e.value.__cause__, BlowupError)
 
 
-def test_gradcheck_command(tmp_path):
+def test_gradcheck_command(tmp_path, capsys):
     path = smoke_config(tmp_path)
     assert main(["gradcheck", "--config", str(path), "--sample", "16"]) == 0
+    # the floor absorbs every difference; the floor-free figure shows them
+    out = capsys.readouterr().out
+    floored, raw = (float(x) for x in re.findall(r"error (\S+) \(without the atol floor: (\S+)\)", out)[0])
+    assert floored < 1e-4 and 0.0 < raw < 1e-2
+
+
+@pytest.mark.parametrize("command,extra,flag", [
+    ("sweep", ["--dts", "0"], "--dts"),
+    ("sweep", ["--dts", "abc"], "--dts"),
+    ("sweep", ["--dts=-1e-3"], "--dts"),
+    ("sweep", ["--dts", "1e-3,,2e-3"], "--dts"),
+    ("sweep", ["--times=-1"], "--times"),
+    ("sweep", ["--times", "inf"], "--times"),
+    ("predict", ["--dt-override=-1e-3"], "--dt-override"),
+    ("predict", ["--dt-override", "0"], "--dt-override"),
+    ("predict", ["--dt-override", "nan"], "--dt-override"),
+    ("gradcheck", ["--sample", "-1"], "--sample"),
+    ("gradcheck", ["--sample", "1.5"], "--sample"),
+    ("gradcheck", ["--tolerance", "0"], "--tolerance"),
+])
+def test_a_bad_numeric_flag_exits_2_naming_it(tmp_path, capsys, command, extra, flag):
+    path = smoke_config(tmp_path)
+    required = {"sweep": ["--checkpoint", "c.sgnp", "--checkpoint-discrete", "d.sgnp"]}
+    with pytest.raises(SystemExit) as e:
+        main([command, "--config", str(path), *required.get(command, []), *extra])
+    assert e.value.code == 2
+    err = capsys.readouterr().err
+    assert f"error: argument {flag}: " in err and "Traceback" not in err
 
 
 def test_l96_smoke_cycle(tmp_path):

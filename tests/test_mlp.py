@@ -43,7 +43,7 @@ def test_glorot_limits():
 def test_zero_net_outputs_zero():
     p = mlp.zero_params(5, 5)
     x = np.random.default_rng(0).normal(size=(3, 5))
-    assert np.array_equal(mlp.forward_params(p, x), np.zeros((3, 5)))
+    assert np.array_equal(mlp.forward(p.weights, p.biases, x), np.zeros((3, 5)))
 
 
 def test_hand_computed_single_path():
@@ -55,9 +55,9 @@ def test_hand_computed_single_path():
     p.weights[2][0, 0] = 0.5
     p.weights[3][0, 0] = 3.0
     p.biases[3][0] = -0.2
-    assert mlp.forward_params(p, np.array([0.3]))[0] == pytest.approx(1.0, abs=1e-15)
+    assert mlp.forward(p.weights, p.biases, np.array([0.3]))[0] == pytest.approx(1.0, abs=1e-15)
     # negative input dies at the first relu; only the output bias survives
-    assert mlp.forward_params(p, np.array([-1.0]))[0] == pytest.approx(-0.2, abs=1e-15)
+    assert mlp.forward(p.weights, p.biases, np.array([-1.0]))[0] == pytest.approx(-0.2, abs=1e-15)
 
 
 def test_piecewise_linearity_away_from_kinks():
@@ -65,7 +65,7 @@ def test_piecewise_linearity_away_from_kinks():
     rng = np.random.default_rng(4)
     u = rng.normal(size=6)
     v = rng.normal(size=6)
-    f = lambda x: mlp.forward_params(p, x)
+    f = lambda x: mlp.forward(p.weights, p.biases, x)
     # difference quotient is constant in epsilon while no relu crosses zero
     d1 = (f(u + 1e-4 * v) - f(u)) / 1e-4
     d2 = (f(u + 5e-5 * v) - f(u)) / 5e-5
@@ -91,9 +91,9 @@ def test_forward_batch_matches_single():
     # is to rounding, not bitwise
     p = mlp.init_params(5, 2, seed=7)
     xs = np.random.default_rng(8).normal(size=(4, 5))
-    batch = mlp.forward_params(p, xs)
+    batch = mlp.forward(p.weights, p.biases, xs)
     for i in range(4):
-        assert np.max(np.abs(batch[i] - mlp.forward_params(p, xs[i]))) < 1e-14
+        assert np.max(np.abs(batch[i] - mlp.forward(p.weights, p.biases, xs[i]))) < 1e-14
 
 
 def test_per_component_matches_scalar_loop():
@@ -102,7 +102,7 @@ def test_per_component_matches_scalar_loop():
     out = mlp.forward_per_component(p.weights, p.biases, x)
     for i in range(2):
         for k in range(6):
-            single = mlp.forward_params(p, np.array([x[i, k]]))[0]
+            single = mlp.forward(p.weights, p.biases, np.array([x[i, k]]))[0]
             assert abs(out[i, k] - single) < 1e-14
 
 
@@ -115,7 +115,7 @@ def test_save_load_roundtrip_bit_exact(tmp_path):
         assert np.array_equal(a, b)
     assert q.seed == 13
     x = np.random.default_rng(1).normal(size=(3, 6))
-    assert np.array_equal(mlp.forward_params(p, x), mlp.forward_params(q, x))
+    assert np.array_equal(mlp.forward(p.weights, p.biases, x), mlp.forward(q.weights, q.biases, x))
 
 
 def test_load_truncated_file(tmp_path):
