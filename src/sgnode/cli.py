@@ -46,6 +46,17 @@ def _positive(kind):
     return parse
 
 
+def _seed(text):
+    """argparse type: a seed, an integer >= 0 as the config's seeds are."""
+    try:
+        value = int(text)
+        if value >= 0:
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"{text!r} is not a non-negative integer")
+
+
 def _positive_floats(text):
     """argparse type: a comma-separated list of positive floats."""
     return [_positive(float)(x) for x in text.split(",")]
@@ -238,7 +249,7 @@ def main(argv=None):
 
     def common(p):
         p.add_argument("--config", required=True, help="JSON run configuration")
-        p.add_argument("--seed", type=int, default=None,
+        p.add_argument("--seed", type=_seed, default=None,
                        help="override the config seed and both training seeds")
         p.add_argument("--out", default=None, help="run directory instead of the config's out_dir: "
                        "outputs are written there, and manifest.json and the dataset read from it")

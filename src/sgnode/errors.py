@@ -1,6 +1,9 @@
 """Shared exception types, and the checked reads the binary loaders share."""
 
+import math
 import os
+
+import numpy as np
 
 
 class BlowupError(RuntimeError):
@@ -34,9 +37,24 @@ def read_exact(f, n, path, what):
     n comes from a file header, so it is checked against the bytes left in
     the file before reading: a garbled count must not reach ``f.read``.
     """
+    _require(f, n, path, what)
+    return f.read(n)
+
+
+def read_array(f, shape, path, what):
+    """A little-endian f8 array of `shape` read from binary file f straight
+    into place, or FormatError; its size is checked as read_exact checks n."""
+    n = 8 * math.prod(shape)
+    _require(f, n, path, what)
+    out = np.empty(shape, dtype="<f8")
+    if f.readinto(out) != n:
+        raise FormatError(f"{path}: truncated while reading {what}")
+    return out
+
+
+def _require(f, n, path, what):
     if n > os.fstat(f.fileno()).st_size - f.tell():
         raise FormatError(f"{path}: truncated while reading {what}")
-    return f.read(n)
 
 
 def check_fully_read(f, path):

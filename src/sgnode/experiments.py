@@ -10,10 +10,12 @@ sweep``, ``sgnode gradcheck`` and ``sgnode time`` live here too.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import hashlib
 import json
 import time
+from collections.abc import Sequence
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +24,13 @@ from . import autodiff as ad
 from . import diagnostics, dg, lorenz96, mlp, training
 from .config import Manifest, ManifestEntry, load_manifest, pde_config, pde_meshes
 from .errors import BlowupError, ConfigError
-from .ode import Trajectory, integrate, get_tableau, load_trajectory, save_trajectory
+from .ode import Trajectory, TrajectoryWriter, integrate, get_tableau, load_trajectory
+from .ode import save_trajectory  # noqa: F401 -- perfbench's spans wrap experiments.save_trajectory
+
+# State history one chunk of `generate` holds: the (steps, n_traj * d) block
+# of one `integrate` call.  The chunk being written and the next one being
+# computed can be alive together.
+CHUNK_BYTES = 4 << 20
 
 
 def l96_config(model):
@@ -44,6 +52,7 @@ def load_net(cfg, path):
 
 
 def sha256_file(path):
+    """The sha256 hex digest of the file at `path`, read in 1 MiB blocks."""
     h = hashlib.sha256()
     with open(path, "rb") as f:
         for chunk in iter(lambda: f.read(1 << 20), b""):
@@ -51,13 +60,9 @@ def sha256_file(path):
     return h.hexdigest()
 
 
-def pde_truth(cfg):
-    """Reference trajectories of a PDE experiment on the high-order mesh.
-
-    All initial conditions advance together as one (n_traj, d) RK4 rollout,
-    so a blowup's sample is the trajectory index.  Each trajectory's states
-    are a column slice of the shared block, not a copy.
-    """
+def _pde_problem(cfg):
+    """The high-order right-hand side of a PDE experiment, its (n_traj, d)
+    initial states and each trajectory's stored metadata."""
     pcfg = pde_config(cfg.experiment, cfg.model)
     mesh_h, _ = pde_meshes(cfg.model)
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
@@ -75,63 +80,148 @@ def pde_truth(cfg):
         meta.update(p=str(mesh_h.order), n_elem=str(mesh_h.n_elem), kappa=repr(pcfg.kappa))
         u0s.append(u0.flat)
         metas.append(meta)
+    return dg.rhs_semidiscrete(pcfg, mesh_h), np.stack(u0s), metas
+
+
+def pde_truth(cfg):
+    """Reference trajectories of a PDE experiment on the high-order mesh.
+
+    All initial conditions advance together as one (n_traj, d) RK4 rollout,
+    so a blowup's sample is the trajectory index.  Each trajectory's states
+    are a column slice of the shared block, not a copy.
+    """
+    rhs, u0s, metas = _pde_problem(cfg)
     n_steps = int(round(cfg.data.t_final / cfg.data.dt))
-    block = integrate(
-        get_tableau("rk4"), dg.rhs_semidiscrete(pcfg, mesh_h), np.stack(u0s),
-        0.0, cfg.data.dt, n_steps,
-    ).states
-    d = mesh_h.n_dof
+    block = integrate(get_tableau("rk4"), rhs, u0s, 0.0, cfg.data.dt, n_steps).states
+    d = u0s.shape[1]
     return [
         Trajectory(t0=0.0, dt=cfg.data.dt, states=block[:, i * d:(i + 1) * d], meta=meta)
         for i, meta in enumerate(metas)
     ]
 
 
+def _march(rhs, u0, dt, n_steps):
+    """The n_steps + 1 states of an RK4 run of the (n_traj, d) block u0 from
+    t = 0, yielded as (rows, n_traj * d) time chunks of about CHUNK_BYTES:
+    the first starts with u0, each later one with the state after the last.
+    Every step rounds as in one `integrate` call, and so does a blowup."""
+    tab = get_tableau("rk4")
+    per_chunk = max(1, CHUNK_BYTES // (8 * u0.size))
+    u, done = u0, 0
+    while True:
+        n = min(per_chunk, n_steps - done)
+        states = integrate(tab, rhs, u, 0.0, dt, n, first_step=done).states
+        yield states if done == 0 else states[1:]
+        done += n
+        if done == n_steps:
+            return
+        u = states[-1].reshape(u0.shape).copy()
+
+
+def _stream(out, rhs, u0, dt, n_steps, files):
+    """March u0 as `_march` does and write every file as the chunks arrive.
+
+    `files` lists (name, kind, index, meta, d, project): the file holds the
+    states of trajectory `index` (columns index * d0 onwards of the block,
+    d0 = u0.shape[1]), each chunk mapped by `project` to rows of d entries
+    (None: stored as they are).  Returns the files' manifest entries, with
+    the sha256 of the bytes written.
+    """
+    d0 = u0.shape[1]
+    with contextlib.ExitStack() as stack:
+        writers = [
+            stack.enter_context(TrajectoryWriter(out / name, d, n_steps + 1, 0.0, dt, meta))
+            for name, _, _, meta, d, _ in files
+        ]
+        for rows in _march(rhs, u0, dt, n_steps):
+            for w, (_, _, i, _, _, project) in zip(writers, files):
+                own = rows[:, i * d0:(i + 1) * d0]
+                w.write(own if project is None else project(own))
+        return [ManifestEntry(name, kind, i, w.close())
+                for w, (name, kind, i, *_) in zip(writers, files)]
+
+
 def generate(cfg):
-    """Write reference (and filtered) trajectories plus a manifest."""
+    """Write reference (and filtered) trajectories plus a manifest.
+
+    Every trajectory advances in one (n_traj, d) RK4 block, as
+    `lorenz96.generate_truth` and `pde_truth` run it, and the files are
+    written chunk by chunk as it advances, so memory does not grow with
+    t_final.
+    """
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    entries = []
-
-    def emit(traj, name, kind, index):
-        path = out / name
-        save_trajectory(traj, path)
-        entries.append(ManifestEntry(name, kind, index, sha256_file(path)))
-
+    # a run that fails part way must leave no manifest naming its files
+    (out / "manifest.json").unlink(missing_ok=True)
+    data = cfg.data
+    n_steps = int(round(data.t_final / data.dt))
     if cfg.experiment == "l96":
         lcfg = l96_config(cfg.model)
-        trajs = lorenz96.generate_truth(
-            lcfg, cfg.data.n_traj, cfg.data.dt, cfg.data.spinup, cfg.data.t_final,
-            seed=cfg.seed,
-        )
-        for i, tr in enumerate(trajs):
-            emit(tr, f"truth_{i:04d}.sgnt", "truth", i)
+        rhs = lorenz96.rhs_coupled(lcfg)
+        u0 = lorenz96.initial_states(lcfg, data.n_traj, cfg.seed)
+        for rows in _march(rhs, u0, data.dt, int(round(data.spinup / data.dt))):
+            pass  # the spin-up is not stored
+        u0 = rows[-1].reshape(u0.shape).copy()
+        files = [
+            (f"truth_{i:04d}.sgnt", "truth", i, meta, lcfg.dim, None)
+            for i, meta in enumerate(lorenz96.truth_meta(lcfg, data.n_traj, data.spinup, cfg.seed))
+        ]
     else:
+        rhs, u0, metas = _pde_problem(cfg)
         mesh_h, mesh_l = pde_meshes(cfg.model)
-        for i, traj in enumerate(pde_truth(cfg)):
-            filtered = Trajectory(
-                t0=traj.t0, dt=traj.dt,
-                states=dg.project_states(mesh_h, traj.states, mesh_l.order),
-                meta={**traj.meta, "p": str(mesh_l.order), "filtered": "true"},
-            )
-            if cfg.data.store_high:
-                emit(traj, f"truth_{i:04d}.sgnt", "truth", i)
-            emit(filtered, f"filtered_{i:04d}.sgnt", "filtered", i)
 
-    manifest = Manifest(cfg.experiment, cfg.seed, cfg.data.__dict__, cfg.model, entries)
+        def project(states):
+            return dg.project_states(mesh_h, states, mesh_l.order)
+
+        files = []
+        for i, meta in enumerate(metas):
+            if data.store_high:
+                files.append((f"truth_{i:04d}.sgnt", "truth", i, meta, mesh_h.n_dof, None))
+            filtered = {**meta, "p": str(mesh_l.order), "filtered": "true"}
+            files.append((f"filtered_{i:04d}.sgnt", "filtered", i, filtered, mesh_l.n_dof, project))
+    entries = _stream(out, rhs, u0, data.dt, n_steps, files)
+
+    manifest = Manifest(cfg.experiment, cfg.seed, data.__dict__, cfg.model, entries)
     text = json.dumps(dataclasses.asdict(manifest), indent=2, sort_keys=True)
     (out / "manifest.json").write_text(text)
     return manifest
 
 
+class Dataset(Sequence):
+    """The trajectories of one kind in a run directory, in index order.
+
+    Its length comes from the manifest; trajectory i is read, and checked
+    against the manifest's sha256, the first time it is used, then kept.
+    A file that does not load is a FormatError at that use.
+    """
+
+    def __init__(self, out_dir, entries):
+        self._dir = Path(out_dir)
+        self._entries = entries
+        self._loaded = [None] * len(entries)
+
+    def __len__(self):
+        return len(self._entries)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(len(self))[index]]
+        i = range(len(self))[index]
+        if self._loaded[i] is None:
+            e = self._entries[i]
+            self._loaded[i] = load_trajectory(self._dir / e.name, sha256=e.sha256)
+        return self._loaded[i]
+
+
 def load_dataset(cfg, kind=None):
-    """Trajectories recorded in the manifest, in index order."""
+    """The trajectories recorded in the manifest, in index order, read on
+    first use (see Dataset)."""
     manifest = load_manifest(cfg)
     want = kind or ("truth" if cfg.experiment == "l96" else "filtered")
     files = sorted((e for e in manifest.files if e.kind == want), key=lambda e: e.index)
     if not files:
         raise ConfigError(f"manifest has no {want!r} trajectories")
-    return [load_trajectory(Path(cfg.out_dir) / e.name) for e in files]
+    return Dataset(cfg.out_dir, files)
 
 
 def rhs_builder_for(cfg):

@@ -115,6 +115,28 @@ def random_initial_state(cfg, rng):
     return np.concatenate([x, y])
 
 
+def initial_states(cfg, n_traj, seed):
+    """(n_traj, dim) random states, trajectory i drawn from seed + i."""
+    return np.stack([
+        random_initial_state(cfg, np.random.Generator(np.random.PCG64(seed + i)))
+        for i in range(n_traj)
+    ])
+
+
+def truth_meta(cfg, n_traj, spinup_t, seed):
+    """The stored metadata of each of n_traj truth trajectories."""
+    meta = {
+        "model": "l96",
+        "K": str(cfg.K),
+        "J": str(cfg.J),
+        "c": repr(cfg.c),
+        "h": repr(cfg.h),
+        "F": repr(cfg.F),
+        "spinup": repr(spinup_t),
+    }
+    return [{**meta, "seed": str(seed + i)} for i in range(n_traj)]
+
+
 def generate_truth(cfg, n_traj, dt, spinup_t, t_final, seed, tableau=None):
     """Spin up from random states, then record t_final/dt steps per trajectory.
 
@@ -127,26 +149,13 @@ def generate_truth(cfg, n_traj, dt, spinup_t, t_final, seed, tableau=None):
     rhs = rhs_coupled(cfg)
     n_spin = int(round(spinup_t / dt))
     n_keep = int(round(t_final / dt))
-    z0 = np.stack([
-        random_initial_state(cfg, np.random.Generator(np.random.PCG64(seed + i)))
-        for i in range(n_traj)
-    ])
+    z0 = initial_states(cfg, n_traj, seed)
     if n_spin:
         # copied out, so the spin-up history is freed before the recorded run
         z0 = integrate(tab, rhs, z0, 0.0, dt, n_spin).states[-1].reshape(z0.shape).copy()
     block = integrate(tab, rhs, z0, 0.0, dt, n_keep).states
     d = cfg.dim
-    meta = {
-        "model": "l96",
-        "K": str(cfg.K),
-        "J": str(cfg.J),
-        "c": repr(cfg.c),
-        "h": repr(cfg.h),
-        "F": repr(cfg.F),
-        "spinup": repr(spinup_t),
-    }
     return [
-        Trajectory(t0=0.0, dt=dt, states=block[:, i * d:(i + 1) * d],
-                   meta={**meta, "seed": str(seed + i)})
-        for i in range(n_traj)
+        Trajectory(t0=0.0, dt=dt, states=block[:, i * d:(i + 1) * d], meta=meta)
+        for i, meta in enumerate(truth_meta(cfg, n_traj, spinup_t, seed))
     ]

@@ -10,6 +10,7 @@ and records a single tape node when taped.
 from __future__ import annotations
 
 import functools
+import hashlib
 import json
 import struct
 from dataclasses import dataclass, field
@@ -17,12 +18,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .errors import BlowupError, FormatError, check_fully_read, read_exact
+from .errors import BlowupError, FormatError, check_fully_read, read_array, read_exact
 
 BLOWUP_LIMIT = 1e12
 
 _MAGIC = b"SGNT"
 _VERSION = 1
+_HEADER = struct.Struct("<IIQdd")  # version, d, count, t0, dt
 
 
 @dataclass(frozen=True)
@@ -216,11 +218,14 @@ class Trajectory:
         return self.states.shape[0]
 
 
-def integrate(tableau, rhs, u0, t0, dt, n_steps, meta=None, post_step=None):
+def integrate(tableau, rhs, u0, t0, dt, n_steps, meta=None, post_step=None, first_step=0):
     """March n_steps fixed steps; returns all n_steps + 1 states.
 
     `post_step(t, u_prev, u_stepped)`, when given, maps each ERK step's
-    result to the state carried forward (a discrete correction).
+    result to the state carried forward (a discrete correction).  With
+    `first_step`, u0 is the state after that many steps of a run that
+    started at t0: steps, their times and a blowup are numbered as in that
+    run, so a run marched in pieces fails as it would in one.
     """
     if n_steps < 0:
         raise ValueError("n_steps must be >= 0")
@@ -230,8 +235,9 @@ def integrate(tableau, rhs, u0, t0, dt, n_steps, meta=None, post_step=None):
     states = np.empty((n_steps + 1, u0.size), dtype=np.float64)
     states[0] = u0.ravel()
     u = u0
-    t = t0
-    for n in range(n_steps):
+    for k in range(n_steps):
+        n = first_step + k
+        t = t0 + n * dt
         try:
             stepped = erk_step(tableau, rhs, t, u, dt)
         except BlowupError as e:
@@ -239,41 +245,92 @@ def integrate(tableau, rhs, u0, t0, dt, n_steps, meta=None, post_step=None):
             raise
         u = stepped if post_step is None else post_step(t, u, stepped)
         _check_finite(u, "state blew up after step {step}", t, step=n)
-        states[n + 1] = np.ravel(u)
-        t = t0 + (n + 1) * dt
-    return Trajectory(t0=t0, dt=dt, states=states, meta=dict(meta or {}))
+        states[k + 1] = np.ravel(u)
+    return Trajectory(t0=t0 + first_step * dt, dt=dt, states=states, meta=dict(meta or {}))
+
+
+class TrajectoryWriter:
+    """A `.sgnt` file written in blocks of rows as they are computed.
+
+    The header and metadata are fixed when the file opens, so `write` takes
+    the `count` rows of `d` states in time order, in blocks of any length,
+    and `close` appends the metadata.  Every byte is hashed as it is
+    written: `close` returns the file's sha256.
+    """
+
+    def __init__(self, path, d, count, t0, dt, meta):
+        self.path = path
+        self._d = d
+        self._left = count
+        self._blob = json.dumps(meta, sort_keys=True).encode("utf-8")
+        self._sha = hashlib.sha256()
+        self._f = open(path, "wb")
+        self._put(_MAGIC + _HEADER.pack(_VERSION, d, count, t0, dt))
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._f.close()
+
+    def _put(self, buf):
+        self._sha.update(buf)
+        self._f.write(buf)
+
+    def write(self, rows):
+        """Append a (n, d) block of states, written from its buffer."""
+        rows = np.ascontiguousarray(rows, dtype="<f8")
+        if rows.ndim != 2 or rows.shape[1] != self._d or rows.shape[0] > self._left:
+            raise ValueError(
+                f"{self.path}: a block of shape {rows.shape} does not fit the "
+                f"{self._left} rows of {self._d} states left"
+            )
+        self._left -= rows.shape[0]
+        self._put(rows)
+
+    def close(self):
+        """Write the metadata, close the file and return its sha256 hex digest."""
+        if self._left:
+            raise ValueError(f"{self.path}: {self._left} rows were never written")
+        self._put(struct.pack("<I", len(self._blob)) + self._blob)
+        self._f.close()
+        return self._sha.hexdigest()
 
 
 def save_trajectory(traj, path):
     """Binary layout: magic, u32 version, u32 d, u64 count, f64 t0, f64 dt,
     count*d little-endian f64 states, u32-length-prefixed UTF-8 JSON meta."""
     states = np.ascontiguousarray(traj.states, dtype="<f8")
-    count, d = states.shape
-    blob = json.dumps(traj.meta, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as f:
-        f.write(_MAGIC)
-        f.write(struct.pack("<IIQdd", _VERSION, d, count, traj.t0, traj.dt))
-        f.write(states.tobytes())
-        f.write(struct.pack("<I", len(blob)))
-        f.write(blob)
+    with TrajectoryWriter(path, states.shape[1], states.shape[0], traj.t0, traj.dt,
+                          traj.meta) as w:
+        w.write(states)
+        w.close()
 
 
-def load_trajectory(path):
-    header = struct.calcsize("<IIQdd")
+def load_trajectory(path, sha256=None):
+    """The trajectory saved at `path`.  With `sha256`, the hex digest the
+    file must have: the bytes are hashed from memory as they are read, and
+    another digest is a FormatError."""
     with open(path, "rb") as f:
-        head = read_exact(f, 4, path, "magic")
-        if head != _MAGIC:
-            raise FormatError(f"{path}: bad magic {head!r}, expected {_MAGIC!r}")
-        version, d, count, t0, dt = struct.unpack("<IIQdd", read_exact(f, header, path, "header"))
+        magic = read_exact(f, 4, path, "magic")
+        if magic != _MAGIC:
+            raise FormatError(f"{path}: bad magic {magic!r}, expected {_MAGIC!r}")
+        header = read_exact(f, _HEADER.size, path, "header")
+        version, d, count, t0, dt = _HEADER.unpack(header)
         if version != _VERSION:
             raise FormatError(f"{path}: unsupported version {version}")
         if d == 0:
             raise FormatError(f"{path}: state dimension is 0")
-        payload = read_exact(f, count * d * 8, path, "state block")
-        states = np.frombuffer(payload, dtype="<f8").reshape(count, d).copy()
-        (blob_len,) = struct.unpack("<I", read_exact(f, 4, path, "metadata length"))
-        blob = read_exact(f, blob_len, path, "metadata")
+        states = read_array(f, (count, d), path, "state block")
+        length = read_exact(f, 4, path, "metadata length")
+        blob = read_exact(f, struct.unpack("<I", length)[0], path, "metadata")
         check_fully_read(f, path)
+    if sha256 is not None:
+        h = hashlib.sha256()
+        for part in (magic, header, states, length, blob):
+            h.update(part)
+        if h.hexdigest() != sha256:
+            raise FormatError(f"{path}: sha256 is {h.hexdigest()}, expected {sha256}")
     try:
         meta = json.loads(blob.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as e:

@@ -1,16 +1,20 @@
 import dataclasses
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from sgnode import dg, experiments, mlp, training
+from sgnode import dg, experiments, lorenz96, mlp, training
 from sgnode.cli import main
 from sgnode.experiments import run_timings
 from sgnode.config import load_config
-from sgnode.errors import BlowupError, ConfigError
-from sgnode.ode import Trajectory, integrate, load_trajectory, save_trajectory, tableau_rk4
+from sgnode.errors import BlowupError, ConfigError, FormatError
+from sgnode.ode import Rhs, Trajectory, integrate, load_trajectory, save_trajectory, tableau_rk4
 
 
 def smoke_config(tmp_path, experiment="cd", **overrides):
@@ -522,10 +526,15 @@ def test_gradcheck_command(tmp_path, capsys):
     ("gradcheck", ["--sample", "-1"], "--sample"),
     ("gradcheck", ["--sample", "1.5"], "--sample"),
     ("gradcheck", ["--tolerance", "0"], "--tolerance"),
+    ("gradcheck", ["--seed=1.5"], "--seed"),
+    ("generate", ["--seed", "x"], "--seed"),
+    *((command, ["--seed", "-1"], "--seed") for command in (
+        "generate", "train", "predict", "evaluate", "sweep", "time", "gradcheck")),
 ])
 def test_a_bad_numeric_flag_exits_2_naming_it(tmp_path, capsys, command, extra, flag):
     path = smoke_config(tmp_path)
-    required = {"sweep": ["--checkpoint", "c.sgnp", "--checkpoint-discrete", "d.sgnp"]}
+    required = {"sweep": ["--checkpoint", "c.sgnp", "--checkpoint-discrete", "d.sgnp"],
+                "evaluate": ["--pred", "p.sgnt", "--ref", "r.sgnt"]}
     with pytest.raises(SystemExit) as e:
         main([command, "--config", str(path), *required.get(command, []), *extra])
     assert e.value.code == 2
@@ -625,7 +634,9 @@ def test_store_high_false_keeps_filtered_only(tmp_path):
 
 
 @pytest.mark.parametrize("experiment,n_traj", [("cd", 3), ("burgers", 2)])
-def test_generate_writes_the_bytes_of_one_rollout_per_trajectory(tmp_path, experiment, n_traj):
+def test_generate_writes_the_bytes_of_one_rollout_per_trajectory(
+    tmp_path, monkeypatch, experiment, n_traj
+):
     model = {"kappa": 5e-3, "n_elem": 8, "order_high": 3, "order_low": 1}
     if experiment == "burgers":
         model.update(k0=2, n_synth=64)
@@ -652,6 +663,104 @@ def test_generate_writes_the_bytes_of_one_rollout_per_trajectory(tmp_path, exper
         assert filtered.states.tobytes() == dg.project_states(mesh_h, alone, 1).tobytes()
         if experiment == "cd":
             assert truth.meta["phi"] == filtered.meta["phi"] == repr(phase)
+    manifest = (cfg.out_dir / "manifest.json").read_bytes()
+    for entry in json.loads(manifest)["files"]:
+        assert experiments.sha256_file(cfg.out_dir / entry["name"]) == entry["sha256"]
+    # a budget of 1 byte writes every step as its own chunk, with the same bytes
+    monkeypatch.setattr(experiments, "CHUNK_BYTES", 1)
+    cfg.out_dir = tmp_path / "one_step_chunks"
+    experiments.generate(cfg)
+    assert (cfg.out_dir / "manifest.json").read_bytes() == manifest
+
+
+def test_l96_generate_writes_the_bytes_of_generate_truth(tmp_path, monkeypatch):
+    monkeypatch.setattr(experiments, "CHUNK_BYTES", 1)  # spin-up and record in 1-step chunks
+    path = smoke_config(tmp_path, "l96", model=L96_MODEL,
+                        data={"n_traj": 3, "dt": 0.005, "t_final": 0.05, "spinup": 0.1})
+    cfg = load_config(path)
+    experiments.generate(cfg)
+    lcfg = experiments.l96_config(cfg.model)
+    for i, tr in enumerate(lorenz96.generate_truth(lcfg, 3, 0.005, 0.1, 0.05, seed=cfg.seed)):
+        written = load_trajectory(cfg.out_dir / f"truth_{i:04d}.sgnt")
+        assert written.states.tobytes() == tr.states.tobytes()
+        assert written.meta == tr.meta
+
+
+def test_a_blowup_in_a_later_chunk_names_its_global_step(tmp_path, monkeypatch):
+    # trajectory 1 grows ~7x per step and blows up well past the first chunk
+    plain = dg.rhs_semidiscrete
+
+    def growing(pcfg, mesh):
+        rhs = plain(pcfg, mesh)
+        return Rhs(lambda t, u: rhs(t, u) + 2e3 * u * (np.arange(len(u)) == 1)[:, None], rhs.dim)
+
+    monkeypatch.setattr(dg, "rhs_semidiscrete", growing)
+    monkeypatch.setattr(experiments, "CHUNK_BYTES", 1)
+    cfg = load_config(smoke_config(tmp_path, data={"n_traj": 3, "dt": 1e-3, "t_final": 0.05}))
+    errors = []
+    for run in (experiments.generate, experiments.pde_truth):  # chunked, then one call
+        with pytest.raises(BlowupError) as e:
+            run(cfg)
+        errors.append(e.value)
+    chunked, whole = errors
+    assert chunked.step > 1 and chunked.sample == 1
+    assert (chunked.step, chunked.stage, chunked.time, chunked.sample, str(chunked)) == (
+        whole.step, whole.stage, whole.time, whole.sample, str(whole))
+    assert not (cfg.out_dir / "manifest.json").exists()
+
+
+_PEAK_RSS = """
+import resource, sys
+from sgnode import experiments
+from sgnode.config import load_config
+cfg = load_config(sys.argv[1])
+cfg.data.t_final = float(sys.argv[2])
+experiments.generate(cfg)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
+
+
+def test_generate_peak_rss_is_flat_in_t_final(tmp_path):
+    # cd-desk's mesh: 10 trajectories of 300 states hold 12 MB of history per
+    # 0.05 of t_final, which a generate holding the whole block would add
+    path = smoke_config(
+        tmp_path, model={"a": 1.0, "kappa": 1e-4, "n_elem": 50, "order_high": 5, "order_low": 1},
+        data={"n_traj": 10, "dt": 1e-4, "t_final": 0.05},
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(experiments.__file__).parents[1]))
+    peaks = []
+    for t_final in (0.05, 0.2):
+        proc = subprocess.run([sys.executable, "-c", _PEAK_RSS, str(path), str(t_final)],
+                              env=env, capture_output=True, text=True, check=True)
+        peaks.append(int(proc.stdout) / 1024)  # ru_maxrss is in KiB on Linux
+    assert abs(peaks[1] - peaks[0]) < 4.0, peaks
+
+
+def test_a_dataset_reads_each_trajectory_on_first_use(tmp_path, capsys):
+    path = smoke_config(tmp_path)
+    assert main(["generate", "--config", str(path)]) == 0
+    cfg = load_config(path)
+    broken = cfg.out_dir / "filtered_0001.sgnt"
+    broken.write_bytes(broken.read_bytes()[:100])
+    trajs = experiments.load_dataset(cfg)
+    assert len(trajs) == 2
+    assert trajs[0].dim == 16 and trajs[-2] is trajs[0]
+    with pytest.raises(FormatError, match="filtered_0001.sgnt: truncated"):
+        trajs[1]
+    capsys.readouterr()
+    assert main(["train", "--config", str(path)]) == 4
+    assert "filtered_0001.sgnt" in capsys.readouterr().err
+
+
+def test_a_swapped_dataset_file_exits_4_naming_it(tmp_path, capsys):
+    path = smoke_config(tmp_path)
+    assert main(["generate", "--config", str(path)]) == 0
+    out = tmp_path / "run"
+    (out / "filtered_0000.sgnt").write_bytes((out / "filtered_0001.sgnt").read_bytes())
+    capsys.readouterr()
+    assert main(["train", "--config", str(path)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("i/o error: ") and "filtered_0000.sgnt: sha256 is " in err
 
 
 def test_generate_blowup_names_the_trajectory(tmp_path, monkeypatch):

@@ -123,7 +123,8 @@ def edits(good):
 
 def test_corrupt_manifests_load_or_raise_format_or_config_error(tmp_path):
     # a mutated manifest parses, names a file that is not there (OSError),
-    # or no longer matches the config (ConfigError)
+    # or no longer matches the config (ConfigError); a file's errors surface
+    # when the dataset reads it, so the trajectories are read inside the try
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({
         "experiment": "cd", "seed": 1, "out_dir": str(tmp_path / "run"),
@@ -140,10 +141,10 @@ def test_corrupt_manifests_load_or_raise_format_or_config_error(tmp_path):
     def check(blob):
         manifest.write_bytes(blob)
         try:
-            trajs = experiments.load_dataset(cfg)
+            dims = [tr.dim for tr in experiments.load_dataset(cfg)]
         except (FormatError, ConfigError, OSError):
             return
-        assert all(tr.dim == 8 for tr in trajs)
+        assert all(d == 8 for d in dims)
 
     check()
 
