@@ -3,25 +3,26 @@
 A loss is built by composing ``Var`` handles that live on a ``Tape``.  The op
 set is intentionally closed: exactly what MLP evaluation, the model
 right-hand sides, and mean-squared losses unrolled through explicit
-Runge-Kutta steps need.  Its 14 primitives are ``mul`` (broadcast
-product), ``smul`` and ``sadd`` (scalar product and shift), ``dense``
-(fused network layer), ``lincomb`` (Runge-Kutta stage combination, and
-every ``+`` and ``-`` between arrays), ``stencil`` (periodic block
-stencil), ``burgers`` (the DG viscous Burgers tendency), ``square``,
-``sumall``, ``reshape``, ``roll``, ``narrow``, ``concat`` and ``repeat``.
-``backward`` walks the tape once in reverse and returns the gradient of the
-recorded scalar with respect to every registered parameter array.
+Runge-Kutta steps need.  Its 10 primitives are ``smul`` (scalar
+product), ``dense`` (fused network layer), ``lincomb`` (Runge-Kutta stage
+combination, and every ``+`` and ``-`` between arrays), ``stencil``
+(periodic block stencil), ``burgers`` (the DG viscous Burgers tendency),
+``l96`` (the two-scale Lorenz 96 tendency), ``square``, ``sumall``,
+``reshape`` and ``narrow``.  ``backward`` walks the tape once in reverse
+and returns the gradient of the recorded scalar with respect to every
+registered parameter array.
 
 The fused ``dense`` node (``h @ W.T + b``, optionally through ReLU) stores
 only the layer's output.  ``lincomb`` (``u + sum_j c_j k_j``) is one node
 per stage combination, with the scalar coefficients in the node.
 ``stencil`` applies a banded periodic linear map as a gather and one
 product per row, with the adjoint stencil in the node, so its reverse sweep
-costs what its forward does.  ``burgers`` is a whole Burgers right-hand
-side in one node: the diffusion stencil plus the Lax-Friedrichs convective
-flux, with a hand-written VJP.  Constant operands ride in the nodes, so a
-product with a constant matrix never lifts a leaf; ``Var @ x`` is not
-recorded.
+costs what its forward does.  ``burgers`` and ``l96`` are each a whole
+right-hand side in one node with a hand-written VJP: the diffusion stencil
+plus the Lax-Friedrichs convective flux, and the slow and fast Lorenz 96
+rings with the slow equation's source as an input.  Constant operands ride
+in the nodes, so a product with a constant matrix never lifts a leaf.
+``Var @ x``, ``Var * Var`` and ``Var + scalar`` are not recorded.
 
 Each primitive has one forward rule in ``_FWD``.  ``_apply`` records it on
 the tape of a ``Var`` argument, lifting ndarray operands as constant leaves,
@@ -45,14 +46,12 @@ __all__ = [
     "lincomb",
     "stencil",
     "burgers",
+    "l96",
     "grad_check",
     "square",
     "sum_all",
-    "roll",
     "reshape",
-    "concatenate",
     "narrow",
-    "repeat_elems",
 ]
 
 
@@ -127,41 +126,58 @@ def _burgers_fwd(aux, xs):
     return lin
 
 
-def _roll_fwd(aux, xs):
-    """np.roll by aux = (shift, axis), by slicing: the last `shift` entries
-    move to the front.  Same values, without np.roll's generic axis
-    handling."""
-    shift, axis = aux
-    (a,) = xs
-    n = a.shape[axis]
-    s = shift % n if n else 0
-    lead = (slice(None),) * axis
-    return np.concatenate((a[lead + (slice(n - s, None),)], a[lead + (slice(0, n - s),)]), axis=axis)
+def _ring(a, before, after):
+    """The last axis of `a`, a ring of n entries, padded with its last
+    `before` and its first `after` entries: a[..., (k + s) % n] is at
+    index before + k + s for -before <= k + s < n + after."""
+    n = a.shape[-1]
+    return np.concatenate((a[..., n - before:], a, a[..., :after]), axis=-1)
 
 
-# Forward rules: fn(aux, input_values) -> value, axes in aux non-negative.
+def _l96_fwd(aux, xs):
+    # aux is (K, J, c, h, F).  Each neighbour is a slice of its ring padded
+    # once, and the elementwise order is that of the chain
+    #   slow:  (-x[k-1]) * (x[k-2] - x[k+1]) - x[k] + F + source[k]
+    #   fast:  c * (((-J) * y[i+1]) * (y[i+2] - y[i-1]) - y[i] + (h/J) * x[i // J])
+    # so the values are bit-identical to it.  J = 0 is the slow equation alone.
+    K, J, c, h, F = aux
+    z, src = xs
+    out = np.empty(z.shape)
+    x = z[..., :K]
+    xp = _ring(x, 2, 1)  # x[k + s] is xp[..., k + 2 + s]
+    a = np.negative(xp[..., 1:K + 1])
+    a *= xp[..., :K] - xp[..., 3:]
+    a -= x
+    a += F
+    np.add(a, src, out=out[..., :K])
+    if J:
+        n = K * J
+        y = z[..., K:]
+        yp = _ring(y, 1, 2)  # y[i + s] is yp[..., i + 1 + s]
+        b = (-J) * yp[..., 2:n + 2]
+        b *= yp[..., 3:] - yp[..., :n]
+        b -= y
+        blocks = b.reshape(b.shape[:-1] + (K, J))
+        blocks += (h / J) * x[..., None]
+        np.multiply(b, c, out=out[..., K:])
+    return out
+
+
+# Forward rules: fn(aux, input_values) -> value.
 # One input sequence keeps _apply's untaped call plain: a star call cost ~0.25 us
 # more (CPython 3.11, 2-core x86-64), ~10% of a Burgers p = 1 tendency.
 _FWD = {
-    "mul": lambda aux, xs: xs[0] * xs[1],
     "smul": lambda aux, xs: xs[0] * aux,
-    "sadd": lambda aux, xs: xs[0] + aux,
     "dense": _dense_fwd,  # aux is the relu flag
     "lincomb": _lincomb_fwd,  # aux is the coefficient tuple
     "stencil": _stencil_fwd,  # aux is (idx, s, s_adj)
     "burgers": _burgers_fwd,  # aux is (idx, s, s_adj, faces, weak, lift_adj)
+    "l96": _l96_fwd,  # aux is (K, J, c, h, F)
     "square": lambda aux, xs: xs[0] * xs[0],
     "sumall": lambda aux, xs: np.sum(xs[0]),
     "reshape": lambda aux, xs: np.reshape(xs[0], aux),
-    "roll": _roll_fwd,
     "narrow": lambda aux, xs: xs[0][aux],  # aux is the index tuple
-    "concat": lambda aux, xs: np.concatenate(xs, axis=aux),
-    "repeat": lambda aux, xs: np.repeat(xs[0], aux[0], axis=aux[1]),
 }
-
-
-def _vjp_mul(aux, g, out, a, b):
-    return _unbroadcast(g * b, a.shape), _unbroadcast(g * a, b.shape)
 
 
 def _vjp_dense(aux, g, out, h, w, b):
@@ -216,41 +232,56 @@ def _vjp_burgers(aux, g, out, u):
     return (gu,)
 
 
+def _vjp_l96(aux, g, out, z, src):
+    K, J, c, h, _ = aux
+    gz = np.empty(z.shape)
+    gs, gx = g[..., :K], gz[..., :K]
+    # slow: the adjoint gs*(x[k-2] - x[k+1]) of -x[k-1] reaches x[k-1]
+    # negated, and q = gs*x[k-1] reaches x[k+1] and, negated, x[k-2]
+    xp = _ring(z[..., :K], 2, 1)
+    ga = _ring(gs * (xp[..., :K] - xp[..., 3:]), 0, 1)
+    qp = _ring(gs * xp[..., 1:K + 1], 1, 2)
+    np.subtract(qp[..., :K], qp[..., 3:], out=gx)
+    gx -= ga[..., 1:]
+    gx -= gs
+    if J:
+        # fast, on the adjoint gc of the bracket: r = gc*(y[i+2] - y[i-1])
+        # reaches y[i+1], and s = gc*y[i+1] reaches y[i+2] and, negated,
+        # y[i-1], each times -J; the drive sums each block into x[k]
+        n = K * J
+        gc = g[..., K:] * c
+        yp = _ring(z[..., K:], 1, 2)
+        rp = _ring(gc * (yp[..., 3:] - yp[..., :n]), 1, 0)
+        sp = _ring(gc * yp[..., 2:n + 2], 2, 1)
+        t = rp[..., :n] + sp[..., :n]
+        t -= sp[..., 3:]
+        gy = gz[..., K:]
+        np.multiply(t, -J, out=gy)
+        gy -= gc
+        gx += (h / J) * gc.reshape(gc.shape[:-1] + (K, J)).sum(axis=-1)
+    return gz, _unbroadcast(gs, src.shape)
+
+
 def _vjp_narrow(aux, g, out, a):
     ga = np.zeros_like(a)
     ga[aux] = g
     return (ga,)
 
 
-def _vjp_concat(aux, g, out, *xs):
-    sizes = [x.shape[aux] for x in xs]
-    return tuple(np.split(g, np.cumsum(sizes)[:-1], axis=aux))
-
-
-def _vjp_repeat(aux, g, out, a):
-    reps, axis = aux
-    shape = a.shape[:axis] + (a.shape[axis], reps) + a.shape[axis + 1:]
-    return (g.reshape(shape).sum(axis=axis + 1),)
-
-
 # VJP rules: fn(aux, g, out_value, *input_values) -> per-input gradients.
 # They never write into g: backward hands one adjoint array to several nodes.
 _VJP = {
-    "mul": _vjp_mul,
     "smul": lambda aux, g, out, a: (g * aux,),
-    "sadd": lambda aux, g, out, a: (g,),
     "dense": _vjp_dense,
     "lincomb": _vjp_lincomb,
     "stencil": _vjp_stencil,
     "burgers": _vjp_burgers,
+    "l96": _vjp_l96,
     # one term 2*a*g; mul(a, a) would add g*a twice and move Burgers gradient bits
     "square": lambda aux, g, out, a: (2.0 * a * g,),
     "sumall": lambda aux, g, out, a: (g * np.ones_like(a),),
     "reshape": lambda aux, g, out, a: (np.reshape(g, a.shape),),
-    "roll": lambda aux, g, out, a: (_roll_fwd((-aux[0], aux[1]), (g,)),),
     "narrow": _vjp_narrow,
-    "concat": _vjp_concat,
-    "repeat": _vjp_repeat,
 }
 
 
@@ -320,39 +351,49 @@ class Var:
 
     # Sums and differences of arrays are lincomb nodes with coefficient +-1:
     # a + 1.0*b and a + (-1.0)*b round as a + b and a - b do, and so do
-    # their adjoints g*1.0 and g*(-1.0).
+    # their adjoints g*1.0 and g*(-1.0).  Products and quotients are by
+    # scalars only.
     def __add__(self, other):
         if isinstance(other, (int, float)):
-            return _apply("sadd", float(other), self)
+            raise _unrecorded("Var + scalar")
         return _apply("lincomb", (1.0,), self, other)
 
     __radd__ = __add__
 
     def __sub__(self, other):
         if isinstance(other, (int, float)):
-            return _apply("sadd", -float(other), self)
+            raise _unrecorded("Var - scalar")
         return _apply("lincomb", (-1.0,), self, other)
 
     def __rsub__(self, other):
+        if isinstance(other, (int, float)):
+            raise _unrecorded("scalar - Var")
         return _apply("lincomb", (-1.0,), other, self)
 
     def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return _apply("smul", float(other), self)
-        return _apply("mul", None, self, other)
+        if not isinstance(other, (int, float)):
+            raise _unrecorded("Var * array")
+        return _apply("smul", float(other), self)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         if not isinstance(other, (int, float)):
-            raise TapeError("Var division is supported by scalars only")
+            raise _unrecorded("Var / array")
         return _apply("smul", 1.0 / float(other), self)
 
     def __neg__(self):
         return _apply("smul", -1.0, self)
 
     def __matmul__(self, other):
-        raise TapeError("Var @ x is not recorded; use dense, stencil or burgers")
+        raise _unrecorded("Var @ x")
+
+
+def _unrecorded(what):
+    return TapeError(
+        f"{what} is not recorded; the tape records Var +- array, Var * and / "
+        f"scalar and the primitives {', '.join(_FWD)}"
+    )
 
 
 def record(build, params):
@@ -470,10 +511,6 @@ def sum_all(x):
     return _apply("sumall", None, x)
 
 
-def roll(x, shift, axis=-1):
-    return _apply("roll", (int(shift), axis % x.ndim), x)
-
-
 def dense(h, w, b, relu):
     """One network layer, h @ w.T + b, through ReLU when `relu` is set.
 
@@ -523,19 +560,26 @@ def burgers(u, op):
     return _apply("burgers", op, u)
 
 
+def l96(z, source, aux):
+    """The two-scale Lorenz 96 tendency of states z (..., K(1+J)) whose
+    slow equation takes `source` (..., K) as its coupling, for
+    aux = (K, J, c, h, F).
+
+    The state is [x_1..x_K, y] with the fast variables y one ring of K*J
+    in k-major blocks:
+      dx_k = -x_{k-1} (x_{k-2} - x_{k+1}) - x_k + F + source_k
+      dy_i = c (-J y_{i+1} (y_{i+2} - y_{i-1}) - y_i + (h/J) x_{i//J})
+    source broadcasts over z's leading axes.  With J = 0, z is (..., K)
+    and this is the slow equation alone.  Taped, this is one node over
+    (z, source) that stores only the tendency.
+    """
+    return _apply("l96", tuple(aux), z, source)
+
+
 def reshape(x, shape):
     return _apply("reshape", tuple(shape), x)
-
-
-def concatenate(xs, axis=-1):
-    return _apply("concat", axis % xs[0].ndim, *xs)
 
 
 def narrow(x, axis, start, length):
     """Contiguous slice of `length` entries starting at `start` along `axis`."""
     return _apply("narrow", (slice(None),) * (axis % x.ndim) + (slice(start, start + length),), x)
-
-
-def repeat_elems(x, reps, axis=-1):
-    """Repeat each entry `reps` times consecutively along `axis`."""
-    return _apply("repeat", (int(reps), axis % x.ndim), x)

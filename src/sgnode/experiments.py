@@ -292,17 +292,17 @@ def predict(cfg, params, u0, dt, n_steps, variant, t0=0.0):
 
 def variant_initial_state(cfg, variant, ref_filtered, ref_truth=None):
     """Initial flat state for a prediction variant (filtered state for
-    low-order variants, unfiltered truth for the high-order one)."""
-    if variant == "high":
-        if cfg.experiment == "l96":
-            return ref_filtered.states[0]  # the l96 dataset is the truth itself
+    low-order variants, unfiltered truth for the high-order one), copied,
+    so it does not keep its trajectory alive."""
+    u0 = ref_filtered.states[0]
+    # the l96 dataset is the truth itself
+    if variant == "high" and cfg.experiment != "l96":
         if ref_truth is None:
             raise ConfigError("high-order prediction needs a stored truth trajectory")
-        return ref_truth.states[0]
+        u0 = ref_truth.states[0]
     if cfg.experiment == "l96" and variant == "slow":
-        lcfg = l96_config(cfg.model)
-        return ref_filtered.states[0][: lcfg.K]
-    return ref_filtered.states[0]
+        u0 = u0[: l96_config(cfg.model).K]
+    return u0.copy()
 
 
 def timestep_sweep(cfg, params_cont, params_disc, ref, dts, eval_times):

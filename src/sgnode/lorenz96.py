@@ -4,6 +4,8 @@ State layout is a flat vector [X_1..X_K, Y_flat] where the fast variables
 form a single ring of length K*J in k-major blocks: Y_flat[k*J + j] holds
 the j-th fast variable attached to slow component k, and the j+1 neighbour
 of the last entry in block k is the first entry of block k+1 (cyclic).
+Every right-hand side here is one ``autodiff.l96`` call; they differ only in
+the slow equation's source and in whether the fast ring is present.
 """
 
 from __future__ import annotations
@@ -45,15 +47,9 @@ class L96Config:
         return (1, 1) if self.source_scope == "per_component" else (self.K, self.K)
 
 
-def _slow_tendency(cfg, x, coupling):
-    adv = -ad.roll(x, 1, -1) * (ad.roll(x, 2, -1) - ad.roll(x, -1, -1))
-    return adv - x + cfg.F + coupling
-
-
-def _fast_tendency(cfg, x, y):
-    adv = -cfg.J * ad.roll(y, -1, -1) * (ad.roll(y, -2, -1) - ad.roll(y, 1, -1))
-    drive = (cfg.h / cfg.J) * ad.repeat_elems(x, cfg.J, -1)
-    return cfg.c * (adv - y + drive)
+def _aux(cfg, J):
+    """autodiff.l96's constants; J = 0 leaves out the fast ring."""
+    return (cfg.K, J, cfg.c, cfg.h, cfg.F)
 
 
 def coupling_term(cfg, z):
@@ -64,13 +60,10 @@ def coupling_term(cfg, z):
 
 def rhs_coupled(cfg):
     """Full two-scale dynamics (truth model); numpy states only."""
-    K = cfg.K
+    aux = _aux(cfg, cfg.J)
 
     def fn(t, z):
-        x = z[..., :K]
-        dx = _slow_tendency(cfg, x, coupling_term(cfg, z))
-        dy = _fast_tendency(cfg, x, z[..., K:])
-        return np.concatenate([dx, dy], axis=-1)
+        return ad.l96(z, coupling_term(cfg, z), aux)
 
     return Rhs(fn, cfg.dim)
 
@@ -84,9 +77,10 @@ def _source(cfg, weights, biases, x):
 def rhs_slow_neural(cfg, params):
     """Slow equation alone with the trained source standing in for coupling."""
     mlp.require_dims(params, *cfg.source_dims)
+    aux = _aux(cfg, 0)
 
     def fn(t, x):
-        return _slow_tendency(cfg, x, _source(cfg, params.weights, params.biases, x))
+        return ad.l96(x, _source(cfg, params.weights, params.biases, x), aux)
 
     return Rhs(fn, cfg.K)
 
@@ -97,14 +91,10 @@ def rhs_coupled_neural(cfg, weights, biases):
     Generic over numpy arrays and tape Vars: used for training rollouts over
     the full state and for uncoupled-baseline comparisons.
     """
-    K, J = cfg.K, cfg.J
+    K, aux = cfg.K, _aux(cfg, cfg.J)
 
     def fn(t, z):
-        x = ad.narrow(z, -1, 0, K)
-        y = ad.narrow(z, -1, K, K * J)
-        dx = _slow_tendency(cfg, x, _source(cfg, weights, biases, x))
-        dy = _fast_tendency(cfg, x, y)
-        return ad.concatenate([dx, dy], axis=-1)
+        return ad.l96(z, _source(cfg, weights, biases, ad.narrow(z, -1, 0, K)), aux)
 
     return fn
 

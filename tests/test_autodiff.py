@@ -13,6 +13,17 @@ def quadratic(pvars):
     return ad.sum_all(ad.square(theta))
 
 
+def weighted_sum(x, w):
+    # sum(x * w) for a constant w as one dense row, so the adjoint reaching
+    # x is exactly w
+    w = np.broadcast_to(w, x.shape).reshape(1, -1)
+    return ad.sum_all(ad.dense(ad.reshape(x, (1, -1)), w, np.zeros(1), relu=False))
+
+
+# a 0-d array: Var + _HALF records a lincomb, where Var + 0.5 is not recorded
+_HALF = np.array(0.5)
+
+
 def test_quadratic_loss_value_and_tape():
     loss, tape = ad.record(quadratic, [np.array([1.0, 2.0])])
     assert loss == 5.0
@@ -66,7 +77,7 @@ def test_gradient_linearity_in_loss():
         return ad.sum_all(ad.square(pvars[0] - x1))
 
     def l2(pvars):
-        return ad.sum_all(ad.square(pvars[0] * x2))
+        return ad.sum_all(ad.square(x2 - pvars[0] * 0.5))
 
     def combo(pvars):
         return l1(pvars) * a + l2(pvars) * b
@@ -144,7 +155,7 @@ def test_single_step_gradient_matches_hand_chain_rule():
         (th,) = pvars
 
         def rhs(t, u):
-            return th * u
+            return ad.dense(u, th, np.zeros(1), relu=False)  # theta * u
 
         u = erk_step(tableau_rk4(), rhs, 0.0, np.array([[u0]]), h)
         return ad.sum_all(ad.square(u - np.array([[y]])))
@@ -176,35 +187,42 @@ _BURGERS_P1 = dg.burgers_operator(
     dg.PdeConfig(dg.VISCOUS_BURGERS, kappa=0.05), dg.make_mesh(6, 1, 0.0, 2 * np.pi)
 )
 _RAMP = (np.arange(36.0).reshape(3, 12) + 1.0) / 36.0
+# (K, J, c, h, F) of small two-scale Lorenz 96 rings, and weights under
+# which every gradient entry of the l96 cases exceeds 0.1, so the central
+# differences resolve it
+_L96 = (4, 3, 2.0, 0.5, 1.5)
+_L96_J1 = (5, 1, 3.0, 1.0, 2.0)
+_L96_W = 0.5 + (np.arange(48.0).reshape(3, 16) % 5) / 5.0
 
 
 # One finite-difference case per primitive; test_every_primitive_has_a_vjp_and_a_case
 # checks that the tapes of these cases cover every op in autodiff._FWD.
 FD_CASES = [
-    ("roll", lambda p: ad.sum_all(ad.roll(p[0], 2, -1) * np.arange(12.0).reshape(3, 4)), [(3, 4)]),
-    ("narrow", lambda p: ad.sum_all(ad.narrow(p[0], -1, 1, 2) * np.ones((3, 2))), [(3, 4)]),
-    ("concat", lambda p: ad.sum_all(ad.concatenate([p[0], p[1]], -1) * np.arange(21.0).reshape(3, 7)), [(3, 4), (3, 3)]),
-    ("repeat", lambda p: ad.sum_all(ad.repeat_elems(p[0], 3, -1) * np.arange(36.0).reshape(3, 12)), [(3, 4)]),
+    ("l96", lambda p: weighted_sum(ad.l96(p[0], p[1], _L96), _L96_W), [(3, 16), (3, 4)]),
+    ("narrow", lambda p: ad.sum_all(ad.narrow(p[0], -1, 1, 2)), [(3, 4)]),
+    ("l96_flat", lambda p: weighted_sum(ad.l96(p[0], p[1], _L96), _L96_W[1]), [(16,), (4,)]),
+    # the source broadcasts over the state's leading axes, so its gradient is summed back down
+    ("l96_source_broadcast", lambda p: weighted_sum(ad.l96(p[0], p[1], _L96), _L96_W[:2]), [(2, 16), (4,)]),
     # the Burgers weights vary, so no gradient entry cancels to roundoff: the
     # tendency conserves the integral of u, and uniform weights zero the
     # gradient at p = 1
-    ("burgers", lambda p: ad.sum_all(ad.burgers(p[0], _BURGERS_P2) * _RAMP), [(3, 12)]),
-    ("burgers_flat", lambda p: ad.sum_all(ad.burgers(p[0], _BURGERS_P2) * _RAMP[0]), [(12,)]),
-    # the DG face exchange rolls along the element axis, not the last one
-    ("roll_rows", lambda p: ad.sum_all(ad.roll(p[0], 1, -2) * np.arange(24.0).reshape(2, 3, 4)), [(2, 3, 4)]),
-    ("burgers_p1", lambda p: ad.sum_all(ad.burgers(p[0], _BURGERS_P1) * ((np.arange(24.0).reshape(2, 12) % 5 - 2.0) / 2.0)), [(2, 12)]),
+    ("burgers", lambda p: weighted_sum(ad.burgers(p[0], _BURGERS_P2), _RAMP), [(3, 12)]),
+    ("burgers_flat", lambda p: weighted_sum(ad.burgers(p[0], _BURGERS_P2), _RAMP[0]), [(12,)]),
+    # one fast variable per slow one: the fast ring is as short as the slow
+    ("l96_j1", lambda p: weighted_sum(ad.l96(p[0], p[1], _L96_J1), _L96_W[:, :10]), [(3, 10), (3, 5)]),
+    ("burgers_p1", lambda p: weighted_sum(ad.burgers(p[0], _BURGERS_P1), (np.arange(24.0).reshape(2, 12) % 5 - 2.0) / 2.0), [(2, 12)]),
     ("bias_broadcast", lambda p: ad.sum_all(ad.square(np.arange(20.0).reshape(5, 4) / 7.0 + ad.reshape(p[0], (1, -1)))), [(4,)]),
-    # the (4,) factor broadcasts over rows, so its gradient is summed back down
-    ("mul_broadcast", lambda p: ad.sum_all(p[0] * p[1] * (np.arange(12.0).reshape(3, 4) / 7.0)), [(3, 4), (4,)]),
+    # J = 0: the slow equation alone, as the slow-only prediction runs it
+    ("l96_slow", lambda p: weighted_sum(ad.l96(p[0], p[1], (4, 0) + _L96[2:]), _L96_W[:, :4]), [(3, 4), (3, 4)]),
     # dense inputs kept away from 0 and sums free of cancellation, so the
     # central differences resolve every gradient entry; 8 * b kills about a quarter of the units
-    ("dense_relu", lambda p: ad.sum_all(ad.dense(ad.square(p[0]) + 0.5, ad.square(p[1]) + 0.5, p[2] * 8.0, relu=True)), [(5, 3), (4, 3), (4,)]),
-    ("dense_linear", lambda p: ad.sum_all(ad.dense(ad.square(p[0]) + 0.5, ad.square(p[1]) + 0.5, p[2] * 8.0, relu=False)), [(5, 3), (4, 3), (4,)]),
-    ("dense_row", lambda p: ad.sum_all(ad.dense(ad.square(p[0]) + 0.5, ad.square(p[1]) + 0.5, p[2] * 8.0, relu=True)), [(3,), (4, 3), (4,)]),
-    ("arith", lambda p: ad.sum_all((p[0] - p[1] * 0.25) * (np.arange(12.0).reshape(3, 4) / 10.0) + (-p[0] + 1.5) / 4.0), [(3, 4), (3, 4)]),
+    ("dense_relu", lambda p: ad.sum_all(ad.dense(ad.square(p[0]) + _HALF, ad.square(p[1]) + _HALF, p[2] * 8.0, relu=True)), [(5, 3), (4, 3), (4,)]),
+    ("dense_linear", lambda p: ad.sum_all(ad.dense(ad.square(p[0]) + _HALF, ad.square(p[1]) + _HALF, p[2] * 8.0, relu=False)), [(5, 3), (4, 3), (4,)]),
+    ("dense_row", lambda p: ad.sum_all(ad.dense(ad.square(p[0]) + _HALF, ad.square(p[1]) + _HALF, p[2] * 8.0, relu=True)), [(3,), (4, 3), (4,)]),
+    ("arith", lambda p: weighted_sum(p[0] - p[1] * 0.25 + (_RAMP[:, 4:8] - p[0]) / 4.0 - (-p[1]), _RAMP[:, :4] + 0.5), [(3, 4), (3, 4)]),
     # u broadcasts against the slopes, so its gradient is summed back down
-    ("lincomb", lambda p: ad.sum_all(ad.lincomb(p[0], [0.5, -1.25], [p[1], p[2]]) * np.arange(12.0).reshape(3, 4)), [(4,), (3, 4), (3, 4)]),
-    ("stencil", lambda p: ad.sum_all(ad.stencil(p[0], *_ring_stencil(6, 2, 1)) * (np.arange(36.0).reshape(3, 12) / 9.0)), [(3, 12)]),
+    ("lincomb", lambda p: weighted_sum(ad.lincomb(p[0], [0.5, -1.25], [p[1], p[2]]), np.arange(12.0).reshape(3, 4)), [(4,), (3, 4), (3, 4)]),
+    ("stencil", lambda p: weighted_sum(ad.stencil(p[0], *_ring_stencil(6, 2, 1)), np.arange(36.0).reshape(3, 12) / 9.0), [(3, 12)]),
 ]
 
 
@@ -235,7 +253,7 @@ def test_stencil_vjp_is_the_adjoint_map(stencil):
     d = stencil[0].size // 5
     rng = np.random.default_rng(d)
     x, g = rng.normal(size=(2, 3, d))
-    _, tape = ad.record(lambda p: ad.sum_all(ad.stencil(p[0], *stencil) * g), [x])
+    _, tape = ad.record(lambda p: weighted_sum(ad.stencil(p[0], *stencil), g), [x])
     (gx,) = ad.backward(tape)
     lhs, rhs = np.vdot(ad.stencil(x, *stencil), g), np.vdot(x, gx)
     assert abs(lhs - rhs) <= 1e-13 * np.linalg.norm(x) * np.linalg.norm(gx)
@@ -257,7 +275,7 @@ def test_lincomb_is_bit_identical_to_the_chain_it_replaces():
 
     def build_with(combine):
         def build(pvars):
-            return ad.sum_all(ad.square(combine(pvars[0], coeffs, pvars[1:])) * weight)
+            return weighted_sum(ad.square(combine(pvars[0], coeffs, pvars[1:])), weight)
 
         return build
 
@@ -386,7 +404,7 @@ def test_sums_differences_and_negation_record_lincomb_and_smul(f, shapes, op, si
     out = f(*[tape.param(x) for x in xs])
     assert tape.ops[out.i][0] == op
     assert np.array_equal(out.value, f(*xs))
-    tape.out = ad.sum_all(out * w).i
+    tape.out = weighted_sum(out, w).i
     # the adjoint reaching `out` is w, so each operand receives +-w, summed
     # over the rows it was broadcast across
     for g, x, sign in zip(ad.backward(tape), xs, signs, strict=True):
@@ -397,15 +415,13 @@ def test_sums_differences_and_negation_record_lincomb_and_smul(f, shapes, op, si
 HELPER_CASES = {
     "square": (ad.square, [(2, 3, 12)]),
     "sum_all": (ad.sum_all, [(2, 3, 12)]),
-    "roll": (lambda a: ad.roll(a, 5, -2), [(2, 3, 12)]),
     "dense": (lambda h, w, b: ad.dense(h, w, b, relu=True), [(2, 3, 12), (5, 12), (5,)]),
     "lincomb": (lambda u, k0, k1: ad.lincomb(u, [0.5, -1.25], [k0, k1]), [(12,), (3, 12), (3, 12)]),
     "stencil": (lambda a: ad.stencil(a, *_ring_stencil(6, 2, 1)), [(2, 3, 12)]),
     "burgers": (lambda a: ad.burgers(a, _BURGERS_P2), [(2, 3, 12)]),
+    "l96": (lambda z, s: ad.l96(z, s, _L96), [(2, 3, 16), (3, 4)]),
     "reshape": (lambda a: ad.reshape(a, (6, -1)), [(2, 3, 12)]),
-    "concatenate": (lambda a, b: ad.concatenate([a, b], axis=-2), [(2, 3, 12), (2, 1, 12)]),
     "narrow": (lambda a: ad.narrow(a, -1, 3, 4), [(2, 3, 12)]),
-    "repeat_elems": (lambda a: ad.repeat_elems(a, 3, 1), [(2, 3, 12)]),
 }
 
 
@@ -458,6 +474,24 @@ def test_product_of_two_vars_is_rejected():
 
     with pytest.raises(ad.TapeError):
         ad.record(build, [np.ones((2, 2)), np.ones((2, 2))])
+
+
+@pytest.mark.parametrize("f", [
+    lambda a, b: a * b,
+    lambda a, b: a * b.value,
+    lambda a, b: b.value * a,
+    lambda a, b: a / b.value,
+    lambda a, b: a + 1.5,
+    lambda a, b: 1.5 + a,
+    lambda a, b: a - 2,
+    lambda a, b: 2.0 - a,
+], ids=["var_var", "var_array", "array_var", "div_array", "add_scalar", "scalar_add", "sub_scalar", "scalar_sub"])
+def test_products_of_arrays_and_scalar_shifts_are_rejected_naming_the_primitives(f):
+    tape = ad.Tape()
+    a, b = tape.param(np.ones(3)), tape.param(np.full(3, 2.0))
+    with pytest.raises(ad.TapeError) as e:
+        f(a, b)
+    assert all(op in str(e.value) for op in ad._FWD)
 
 
 def test_product_with_a_constant_matrix_is_rejected():

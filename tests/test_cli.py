@@ -128,6 +128,22 @@ def test_l96_desk_config_values_and_types():
     assert [type(v) for v in cfg.data.__dict__.values()] == [type(v) for v in data.values()]
 
 
+@pytest.mark.parametrize("config,variants", [
+    ("configs/cd-desk.json", ["high", "low", "augmented", "discrete", "low2", "low3"]),
+    ("configs/l96-desk.json", ["high", "low", "augmented", "slow"]),
+])
+def test_the_initial_state_shares_no_memory_with_its_trajectory(config, variants):
+    # a row view would keep the whole trajectory alive through a rollout
+    cfg = load_config(config)
+    filtered = Trajectory(t0=0.0, dt=0.1, states=np.arange(120.0).reshape(3, 40), meta={})
+    truth = Trajectory(t0=0.0, dt=0.1, states=-np.arange(120.0).reshape(3, 40), meta={})
+    for variant in variants:
+        u0 = experiments.variant_initial_state(cfg, variant, filtered, truth)
+        ref = truth if variant == "high" and cfg.experiment != "l96" else filtered
+        assert np.array_equal(u0, ref.states[0][: 36 if variant == "slow" else None]), variant
+        assert not np.shares_memory(u0, filtered.states) and not np.shares_memory(u0, truth.states)
+
+
 def test_config_error_exit_code(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{not json")

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from sgnode import autodiff as ad
 from sgnode import lorenz96 as l96
-from sgnode import mlp
+from sgnode import mlp, training
 from sgnode.errors import BlowupError
 from sgnode.ode import tableau_rk4, integrate
 
@@ -121,6 +122,99 @@ def test_global_scope_source_dims():
     params = mlp.init_params(36, 36, seed=0)
     out = l96.rhs_slow_neural(cfg, params)(0.0, np.zeros(36))
     assert out.shape == (36,)
+
+
+def _chain(cfg, z, source):
+    # the roll/repeat/concatenate chain that autodiff.l96 replaced, in its
+    # elementwise order
+    K, J = cfg.K, cfg.J
+    x, y = z[..., :K], z[..., K:]
+    dx = -np.roll(x, 1, -1) * (np.roll(x, 2, -1) - np.roll(x, -1, -1)) - x + cfg.F + source
+    adv = -J * np.roll(y, -1, -1) * (np.roll(y, -2, -1) - np.roll(y, 1, -1))
+    dy = cfg.c * (adv - y + (cfg.h / J) * np.repeat(x, J, axis=-1))
+    return np.concatenate([dx, dy], axis=-1)
+
+
+def _chain_vjp(cfg, z, g):
+    # the chain's reverse sweep, one op at a time: the adjoint of each
+    # product reaches both factors, and each roll's adjoint rolls back
+    K, J = cfg.K, cfg.J
+    x, y = z[..., :K], z[..., K:]
+    gs, gc = g[..., :K], g[..., K:] * cfg.c
+    a, d = -np.roll(x, 1, -1), np.roll(x, 2, -1) - np.roll(x, -1, -1)
+    gx = -np.roll(gs * d, -1, -1) + np.roll(gs * a, -2, -1) - np.roll(gs * a, 1, -1) - gs
+    b, e = -J * np.roll(y, -1, -1), np.roll(y, -2, -1) - np.roll(y, 1, -1)
+    gy = -J * np.roll(gc * e, 1, -1) + np.roll(gc * b, 2, -1) - np.roll(gc * b, -1, -1) - gc
+    gx = gx + (cfg.h / J) * gc.reshape(gc.shape[:-1] + (K, J)).sum(axis=-1)
+    return np.concatenate([gx, gy], axis=-1), gs
+
+
+_RINGS = [l96.L96Config(), l96.L96Config(K=4, J=1, c=3.0, h=0.5, F=2.0), l96.L96Config(K=5, J=3, h=2.0)]
+
+
+@pytest.mark.parametrize("cfg", _RINGS, ids=["desk", "k4j1", "k5j3"])
+@pytest.mark.parametrize("lead", [(), (1,), (7,), (2, 3)])
+def test_l96_node_is_bit_identical_to_the_chain(cfg, lead):
+    rng = np.random.default_rng(len(lead) + cfg.K)
+    z = rng.normal(scale=4.0, size=lead + (cfg.dim,))
+    source = rng.normal(size=lead + (cfg.K,))
+    want = _chain(cfg, z, source)
+    aux = (cfg.K, cfg.J, cfg.c, cfg.h, cfg.F)
+    assert ad.l96(z, source, aux).tobytes() == want.tobytes()
+    tape = ad.Tape()
+    assert ad.l96(tape.param(z), tape.param(source), aux).value.tobytes() == want.tobytes()
+    # J = 0 is the slow equation alone
+    slow = ad.l96(z[..., :cfg.K], source, (cfg.K, 0, cfg.c, cfg.h, cfg.F))
+    assert slow.tobytes() == np.ascontiguousarray(want[..., :cfg.K]).tobytes()
+    # the truth model is the node with the exact coupling as its source
+    truth = _chain(cfg, z, l96.coupling_term(cfg, z))
+    assert l96.rhs_coupled(cfg)(0.0, z).tobytes() == truth.tobytes()
+
+
+@pytest.mark.parametrize("cfg", _RINGS, ids=["desk", "k4j1", "k5j3"])
+@pytest.mark.parametrize("lead", [(), (5,)])
+def test_l96_gradient_matches_the_chain_to_roundoff(cfg, lead):
+    rng = np.random.default_rng(11 + len(lead))
+    z = rng.normal(scale=4.0, size=lead + (cfg.dim,))
+    source = rng.normal(size=lead + (cfg.K,))
+    g = rng.normal(size=z.shape)
+    aux = (cfg.K, cfg.J, cfg.c, cfg.h, cfg.F)
+
+    def build(p):
+        # sum(l96 * g) as one dense row, so the adjoint reaching the node is g
+        out = ad.reshape(ad.l96(p[0], p[1], aux), (1, -1))
+        return ad.sum_all(ad.dense(out, g.reshape(1, -1), np.zeros(1), relu=False))
+
+    gz, gsrc = ad.backward(ad.record(build, [z, source])[1])
+    want_z, want_src = _chain_vjp(cfg, z, g)
+    assert np.max(np.abs(gz - want_z)) <= 1e-14 * np.max(np.abs(want_z))
+    assert np.array_equal(gsrc, want_src)
+
+
+@pytest.mark.parametrize("scope", ["per_component", "global"])
+def test_a_training_step_records_one_l96_node_per_rhs_call(scope):
+    cfg = l96.L96Config(K=6, J=3, source_scope=scope)
+    trajs = l96.generate_truth(cfg, 2, 0.005, 0.0, 0.05, seed=1)
+    tcfg = training.TrainConfig(epochs=1, batch_size=4, window=3, dt=0.005, tableau="rk4", split=1.0)
+    batch = training.sample_windows(trajs, tcfg, epoch_seed=[0])
+    calls = []
+
+    def builder(ws, bs):
+        fn = l96.rhs_coupled_neural(cfg, ws, bs)
+
+        def counted(t, z):
+            calls.append(t)
+            return fn(t, z)
+
+        return counted
+
+    params = mlp.init_params(*cfg.source_dims, seed=0)
+    _, tape = training.node_loss(params, batch, builder, "rk4")
+    ops = [op for op, _, _ in tape.ops]
+    # four RK4 stages per step; the first reads the plain window start, but
+    # its source is taped, so that call records a node too
+    assert len(calls) == 4 * tcfg.window
+    assert ops.count("l96") == len(calls)
 
 
 def test_coupled_neural_agrees_between_1d_and_batched():

@@ -284,7 +284,7 @@ class TestTrainLoop:
 
     def test_blowup_carries_epoch_step_stage_and_sample(self):
         trajs, cfg, builder = self._setup(5)
-        poison = np.ones((cfg.batch_size, 3))
+        poison = np.zeros((cfg.batch_size, 3))
         poison[3] = np.nan
         built = []
 
@@ -297,7 +297,7 @@ class TestTrainLoop:
                 calls.append(t)
                 k = rhs(t, u)
                 # RK4: the sixth slope is stage 1 of window step 1
-                return k * poison if len(built) == 2 and len(calls) == 6 else k
+                return k + poison if len(built) == 2 and len(calls) == 6 else k
 
             return fn
 
