@@ -209,7 +209,9 @@ def cmd_time(args):
     if cfg.experiment == "l96":
         raise ConfigError("timing variants are defined for the PDE experiments")
     ref = _pick(experiments.load_dataset(cfg), args.traj_index)
-    truth = _pick(experiments.load_dataset(cfg, kind="truth"), args.traj_index)
+    truth = None
+    if "high" in cfg.timing.dts:
+        truth = _pick(experiments.load_dataset(cfg, kind="truth"), args.traj_index)
     if args.checkpoint:
         params = experiments.load_net(cfg, args.checkpoint)
     else:

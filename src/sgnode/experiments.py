@@ -24,13 +24,8 @@ from . import autodiff as ad
 from . import diagnostics, dg, lorenz96, mlp, training
 from .config import Manifest, ManifestEntry, load_manifest, pde_config, pde_meshes
 from .errors import BlowupError, ConfigError
-from .ode import Trajectory, TrajectoryWriter, integrate, get_tableau, load_trajectory
+from .ode import Trajectory, TrajectoryWriter, integrate, get_tableau, load_trajectory, march
 from .ode import save_trajectory  # noqa: F401 -- perfbench's spans wrap experiments.save_trajectory
-
-# State history one chunk of `generate` holds: the (steps, n_traj * d) block
-# of one `integrate` call.  The chunk being written and the next one being
-# computed can be alive together.
-CHUNK_BYTES = 4 << 20
 
 
 def l96_config(model):
@@ -83,43 +78,9 @@ def _pde_problem(cfg):
     return dg.rhs_semidiscrete(pcfg, mesh_h), np.stack(u0s), metas
 
 
-def pde_truth(cfg):
-    """Reference trajectories of a PDE experiment on the high-order mesh.
-
-    All initial conditions advance together as one (n_traj, d) RK4 rollout,
-    so a blowup's sample is the trajectory index.  Each trajectory's states
-    are a column slice of the shared block, not a copy.
-    """
-    rhs, u0s, metas = _pde_problem(cfg)
-    n_steps = int(round(cfg.data.t_final / cfg.data.dt))
-    block = integrate(get_tableau("rk4"), rhs, u0s, 0.0, cfg.data.dt, n_steps).states
-    d = u0s.shape[1]
-    return [
-        Trajectory(t0=0.0, dt=cfg.data.dt, states=block[:, i * d:(i + 1) * d], meta=meta)
-        for i, meta in enumerate(metas)
-    ]
-
-
-def _march(rhs, u0, dt, n_steps):
-    """The n_steps + 1 states of an RK4 run of the (n_traj, d) block u0 from
-    t = 0, yielded as (rows, n_traj * d) time chunks of about CHUNK_BYTES:
-    the first starts with u0, each later one with the state after the last.
-    Every step rounds as in one `integrate` call, and so does a blowup."""
-    tab = get_tableau("rk4")
-    per_chunk = max(1, CHUNK_BYTES // (8 * u0.size))
-    u, done = u0, 0
-    while True:
-        n = min(per_chunk, n_steps - done)
-        states = integrate(tab, rhs, u, 0.0, dt, n, first_step=done).states
-        yield states if done == 0 else states[1:]
-        done += n
-        if done == n_steps:
-            return
-        u = states[-1].reshape(u0.shape).copy()
-
-
 def _stream(out, rhs, u0, dt, n_steps, files):
-    """March u0 as `_march` does and write every file as the chunks arrive.
+    """March u0 with RK4 in `ode.march`'s time chunks and write every file
+    as the chunks arrive.
 
     `files` lists (name, kind, index, meta, d, project): the file holds the
     states of trajectory `index` (columns index * d0 onwards of the block,
@@ -133,7 +94,7 @@ def _stream(out, rhs, u0, dt, n_steps, files):
             stack.enter_context(TrajectoryWriter(out / name, d, n_steps + 1, 0.0, dt, meta))
             for name, _, _, meta, d, _ in files
         ]
-        for rows in _march(rhs, u0, dt, n_steps):
+        for rows in march(get_tableau("rk4"), rhs, u0, dt, n_steps):
             for w, (_, _, i, _, _, project) in zip(writers, files):
                 own = rows[:, i * d0:(i + 1) * d0]
                 w.write(own if project is None else project(own))
@@ -142,11 +103,12 @@ def _stream(out, rhs, u0, dt, n_steps, files):
 
 
 def generate(cfg):
-    """Write reference (and filtered) trajectories plus a manifest.
+    """Write reference (and filtered) trajectories plus a manifest: the one
+    data generator of every experiment, read back by `load_dataset`.
 
-    Every trajectory advances in one (n_traj, d) RK4 block, as
-    `lorenz96.generate_truth` and `pde_truth` run it, and the files are
-    written chunk by chunk as it advances, so memory does not grow with
+    Every trajectory advances in one (n_traj, d) RK4 block, so a blowup's
+    sample is the trajectory index, and the files are written as
+    `ode.march` yields its time chunks, so memory does not grow with
     t_final.
     """
     out = Path(cfg.out_dir)
@@ -158,10 +120,7 @@ def generate(cfg):
     if cfg.experiment == "l96":
         lcfg = l96_config(cfg.model)
         rhs = lorenz96.rhs_coupled(lcfg)
-        u0 = lorenz96.initial_states(lcfg, data.n_traj, cfg.seed)
-        for rows in _march(rhs, u0, data.dt, int(round(data.spinup / data.dt))):
-            pass  # the spin-up is not stored
-        u0 = rows[-1].reshape(u0.shape).copy()
+        u0 = lorenz96.spin_up(lcfg, data.n_traj, data.dt, data.spinup, cfg.seed)
         files = [
             (f"truth_{i:04d}.sgnt", "truth", i, meta, lcfg.dim, None)
             for i, meta in enumerate(lorenz96.truth_meta(lcfg, data.n_traj, data.spinup, cfg.seed))

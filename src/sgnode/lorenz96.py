@@ -16,7 +16,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import mlp
-from .ode import Rhs, Trajectory, integrate, tableau_rk4
+from .ode import Rhs, Trajectory, integrate, march, tableau_rk4
 
 
 @dataclass(frozen=True)
@@ -127,23 +127,27 @@ def truth_meta(cfg, n_traj, spinup_t, seed):
     return [{**meta, "seed": str(seed + i)} for i in range(n_traj)]
 
 
-def generate_truth(cfg, n_traj, dt, spinup_t, t_final, seed, tableau=None):
+def spin_up(cfg, n_traj, dt, spinup_t, seed):
+    """The (n_traj, dim) states after spinup_t of the truth model from
+    `initial_states`, marched with RK4 in time chunks of which only the
+    last state is kept."""
+    z0 = initial_states(cfg, n_traj, seed)
+    for rows in march(tableau_rk4(), rhs_coupled(cfg), z0, dt, int(round(spinup_t / dt))):
+        pass
+    return rows[-1].reshape(z0.shape).copy()
+
+
+def generate_truth(cfg, n_traj, dt, spinup_t, t_final, seed):
     """Spin up from random states, then record t_final/dt steps per trajectory.
 
-    All trajectories advance together as one (n_traj, dim) rollout; a
+    All trajectories advance together as one (n_traj, dim) RK4 rollout; a
     blowup's sample is the trajectory index.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
-    tab = tableau or tableau_rk4()
-    rhs = rhs_coupled(cfg)
-    n_spin = int(round(spinup_t / dt))
+    z0 = spin_up(cfg, n_traj, dt, spinup_t, seed)
     n_keep = int(round(t_final / dt))
-    z0 = initial_states(cfg, n_traj, seed)
-    if n_spin:
-        # copied out, so the spin-up history is freed before the recorded run
-        z0 = integrate(tab, rhs, z0, 0.0, dt, n_spin).states[-1].reshape(z0.shape).copy()
-    block = integrate(tab, rhs, z0, 0.0, dt, n_keep).states
+    block = integrate(tableau_rk4(), rhs_coupled(cfg), z0, 0.0, dt, n_keep).states
     d = cfg.dim
     return [
         Trajectory(t0=0.0, dt=dt, states=block[:, i * d:(i + 1) * d], meta=meta)

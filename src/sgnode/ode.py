@@ -1,10 +1,13 @@
 """Fixed-step explicit Runge-Kutta integration and trajectory storage.
 
-The stepper is duck-typed: states may be numpy arrays or autodiff ``Var``
-handles, so the same code advances production runs and the unrolled
-rollouts inside training losses.  Each stage input and the final update is
-one ``autodiff.lincomb``, which sums its terms left to right in both cases
-and records a single tape node when taped.
+`steps` is the one loop over ERK steps: `integrate` collects what it
+yields, `march` cuts a long run into time chunks, and the training loss
+iterates it over a batch of windows.  The stepper is duck-typed: states
+may be numpy arrays or autodiff ``Var`` handles, so the same code advances
+production runs and the unrolled rollouts inside training losses.  Each
+stage input and the final update is one ``autodiff.lincomb``, which sums
+its terms left to right in both cases and records a single tape node when
+taped.
 """
 
 from __future__ import annotations
@@ -21,6 +24,11 @@ from . import autodiff as ad
 from .errors import BlowupError, FormatError, check_fully_read, read_array, read_exact
 
 BLOWUP_LIMIT = 1e12
+
+# State history one chunk of `march` holds: the (steps, n_traj * d) block
+# of one `integrate` call.  The chunk being consumed and the next one being
+# computed can be alive together.
+CHUNK_BYTES = 4 << 20
 
 _MAGIC = b"SGNT"
 _VERSION = 1
@@ -218,14 +226,33 @@ class Trajectory:
         return self.states.shape[0]
 
 
-def integrate(tableau, rhs, u0, t0, dt, n_steps, meta=None, post_step=None, first_step=0):
-    """March n_steps fixed steps; returns all n_steps + 1 states.
+def steps(tableau, rhs, u0, t0, dt, n_steps, post_step=None, first_step=0):
+    """Yield the n_steps states after u0, one per fixed ERK step.
 
     `post_step(t, u_prev, u_stepped)`, when given, maps each ERK step's
     result to the state carried forward (a discrete correction).  With
     `first_step`, u0 is the state after that many steps of a run that
     started at t0: steps, their times and a blowup are numbered as in that
-    run, so a run marched in pieces fails as it would in one.
+    run, so a run marched in pieces fails as it would in one.  Each state
+    is checked as it is stepped, so a blowup is raised before it is yielded.
+    """
+    u = u0
+    for n in range(first_step, first_step + n_steps):
+        t = t0 + n * dt
+        try:
+            stepped = erk_step(tableau, rhs, t, u, dt)
+        except BlowupError as e:
+            e.step = n
+            raise
+        u = stepped if post_step is None else post_step(t, u, stepped)
+        _check_finite(_raw(u), "state blew up after step {step}", t, step=n)
+        yield u
+
+
+def integrate(tableau, rhs, u0, t0, dt, n_steps, meta=None, post_step=None, first_step=0):
+    """March n_steps fixed steps; returns all n_steps + 1 states.
+
+    `post_step` and `first_step` are those of `steps`.
     """
     if n_steps < 0:
         raise ValueError("n_steps must be >= 0")
@@ -234,19 +261,26 @@ def integrate(tableau, rhs, u0, t0, dt, n_steps, meta=None, post_step=None, firs
         raise ValueError(f"state dim {u0.shape[-1]} != rhs dim {rhs.dim}")
     states = np.empty((n_steps + 1, u0.size), dtype=np.float64)
     states[0] = u0.ravel()
-    u = u0
-    for k in range(n_steps):
-        n = first_step + k
-        t = t0 + n * dt
-        try:
-            stepped = erk_step(tableau, rhs, t, u, dt)
-        except BlowupError as e:
-            e.step = n
-            raise
-        u = stepped if post_step is None else post_step(t, u, stepped)
-        _check_finite(u, "state blew up after step {step}", t, step=n)
-        states[k + 1] = np.ravel(u)
+    for k, u in enumerate(steps(tableau, rhs, u0, t0, dt, n_steps, post_step, first_step), 1):
+        states[k] = np.ravel(u)
     return Trajectory(t0=t0 + first_step * dt, dt=dt, states=states, meta=dict(meta or {}))
+
+
+def march(tableau, rhs, u0, dt, n_steps):
+    """The n_steps + 1 states of a run of the (n_traj, d) block u0 from
+    t = 0, yielded as (rows, n_traj * d) time chunks of about CHUNK_BYTES:
+    the first starts with u0, each later one with the state after the last.
+    Every step rounds as in one `integrate` call, and so does a blowup."""
+    per_chunk = max(1, CHUNK_BYTES // (8 * u0.size))
+    u, done = u0, 0
+    while True:
+        n = min(per_chunk, n_steps - done)
+        states = integrate(tableau, rhs, u, 0.0, dt, n, first_step=done).states
+        yield states if done == 0 else states[1:]
+        done += n
+        if done == n_steps:
+            return
+        u = states[-1].reshape(u0.shape).copy()
 
 
 class TrajectoryWriter:

@@ -21,7 +21,7 @@ from . import autodiff as ad
 from . import mlp
 from .errors import BlowupError, ConfigError
 # integrate is not called here, but perfbench/spans.py patches training.integrate
-from .ode import erk_step, get_tableau, integrate  # noqa: F401
+from .ode import erk_step, get_tableau, integrate, steps  # noqa: F401
 
 
 @dataclass
@@ -161,19 +161,10 @@ def make_loss_builder(batch, rhs_builder, tableau):
 
     def build(pvars):
         ws, bs = pvars[0::2], pvars[1::2]
-        rhs = rhs_builder(ws, bs)
-        u = batch.x0
+        rollout = steps(tab, rhs_builder(ws, bs), batch.x0, 0.0, batch.dt, batch.window)
         loss = None
-        t = 0.0
-        for l in range(batch.window):
-            try:
-                u = erk_step(tab, rhs, t, u, batch.dt)
-            except BlowupError as e:
-                e.step = l
-                raise
-            t += batch.dt
-            r = u - batch.targets[l]
-            sq = ad.sum_all(ad.square(r))
+        for u, target in zip(rollout, batch.targets):
+            sq = ad.sum_all(ad.square(u - target))
             loss = sq if loss is None else loss + sq
         return loss * (1.0 / (batch.size * batch.window))
 

@@ -27,17 +27,22 @@ def report(criterion, ok, detail):
 
 # ---------------------------------------------------------------- fixtures
 
+def desk_data(tmp_path_factory, name):
+    """The config of a desk run whose data `generate` wrote to a fresh directory."""
+    cfg = load_config(f"configs/{name}.json")
+    cfg.out_dir = tmp_path_factory.mktemp(name)
+    experiments.generate(cfg)
+    return cfg
+
+
 @pytest.fixture(scope="module")
-def cd_desk():
+def cd_desk(tmp_path_factory):
     """Desk-scale convection-diffusion: data, continuous net, discrete net."""
-    cfg = load_config("configs/cd-desk.json")
+    cfg = desk_data(tmp_path_factory, "cd-desk")
     mesh_h, mesh_l = experiments.pde_meshes(cfg.model)
     pcfg = experiments.pde_config(cfg.experiment, cfg.model)
     rhs_l = dg.rhs_semidiscrete(pcfg, mesh_l)
-    filtered = [
-        Trajectory(t0=tr.t0, dt=tr.dt, states=dg.project_states(mesh_h, tr.states, 1), meta={})
-        for tr in experiments.pde_truth(cfg)
-    ]
+    filtered = experiments.load_dataset(cfg)
 
     t0 = time.perf_counter()
     cont = training.train(
@@ -76,24 +81,20 @@ def l96_desk():
 
 
 @pytest.fixture(scope="module")
-def burgers_desk():
-    cfg = load_config("configs/burgers-desk.json")
-    mesh_h = dg.make_mesh(64, 8, 0.0, 2 * np.pi)
-    mesh_l = dg.make_mesh(64, 1, 0.0, 2 * np.pi)
-    pcfg = dg.PdeConfig(dg.VISCOUS_BURGERS, kappa=cfg.model["kappa"])
-    rhs_h = dg.rhs_semidiscrete(pcfg, mesh_h)
+def burgers_desk(tmp_path_factory):
+    cfg = desk_data(tmp_path_factory, "burgers-desk")
+    mesh_h, mesh_l = experiments.pde_meshes(cfg.model)
+    pcfg = experiments.pde_config(cfg.experiment, cfg.model)
     rhs_l = dg.rhs_semidiscrete(pcfg, mesh_l)
-    ic = dg.burgulence_initial_condition(mesh_h, cfg.model["k0"], cfg.model["n_synth"], seed=cfg.seed)
-    n_steps = int(round(cfg.data.t_final / cfg.data.dt))
-    tr = integrate(tableau_rk4(), rhs_h, ic.flat, 0.0, cfg.data.dt, n_steps)
-    ref = Trajectory(t0=0.0, dt=cfg.data.dt,
-                     states=dg.project_states(mesh_h, tr.states, 1), meta={})
+    ref = experiments.load_dataset(cfg)[0]
+    truth = experiments.load_dataset(cfg, kind="truth")[0]
+    ic = dg.field_from_flat(mesh_h, truth.states[0])
 
     res = training.train(
         [ref], cfg.training, lambda ws, bs: training.augmented(rhs_l, ws, bs), 128, 128
     )
     return dict(cfg=cfg, mesh_h=mesh_h, mesh_l=mesh_l, rhs_l=rhs_l,
-                ic=ic, ref=ref, truth=tr, params=res.params)
+                ic=ic, ref=ref, truth=truth, params=res.params)
 
 
 # ---------------------------------------------------------------- criteria

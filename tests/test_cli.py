@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sgnode import dg, experiments, lorenz96, mlp, training
+from sgnode import dg, experiments, lorenz96, mlp, ode, training
 from sgnode.cli import main
 from sgnode.experiments import run_timings
 from sgnode.config import load_config
@@ -503,6 +503,19 @@ def test_timing_command(tmp_path):
     assert main(["time", "--config", str(path)]) == 0
 
 
+def test_timing_without_high_reads_no_truth(tmp_path):
+    # with data.store_high false only filtered files exist, which is enough
+    # when the high-order variant is not timed
+    timing = {"repeats": 1, "t_final": 0.01, "tableau": "rk4",
+              "dts": {"low": 2e-3, "augmented": 2e-3}}
+    path = smoke_config(tmp_path, timing=timing,
+                        data={"n_traj": 1, "dt": 1e-3, "t_final": 0.02, "store_high": False})
+    assert main(["generate", "--config", str(path)]) == 0
+    assert main(["time", "--config", str(path)]) == 0
+    rows = (tmp_path / "run" / "timings.csv").read_text().splitlines()
+    assert [r.split(",")[0] for r in rows[1:]] == ["low", "augmented"]
+
+
 def test_timing_blowup_names_its_variant_and_dt(tmp_path, capsys):
     timing = {"repeats": 1, "t_final": 5.0, "tableau": "rk4", "dts": {"low": 0.5}}
     path = smoke_config(tmp_path, timing=timing)
@@ -683,14 +696,14 @@ def test_generate_writes_the_bytes_of_one_rollout_per_trajectory(
     for entry in json.loads(manifest)["files"]:
         assert experiments.sha256_file(cfg.out_dir / entry["name"]) == entry["sha256"]
     # a budget of 1 byte writes every step as its own chunk, with the same bytes
-    monkeypatch.setattr(experiments, "CHUNK_BYTES", 1)
+    monkeypatch.setattr(ode, "CHUNK_BYTES", 1)
     cfg.out_dir = tmp_path / "one_step_chunks"
     experiments.generate(cfg)
     assert (cfg.out_dir / "manifest.json").read_bytes() == manifest
 
 
 def test_l96_generate_writes_the_bytes_of_generate_truth(tmp_path, monkeypatch):
-    monkeypatch.setattr(experiments, "CHUNK_BYTES", 1)  # spin-up and record in 1-step chunks
+    monkeypatch.setattr(ode, "CHUNK_BYTES", 1)  # spin-up and record in 1-step chunks
     path = smoke_config(tmp_path, "l96", model=L96_MODEL,
                         data={"n_traj": 3, "dt": 0.005, "t_final": 0.05, "spinup": 0.1})
     cfg = load_config(path)
@@ -711,12 +724,12 @@ def test_a_blowup_in_a_later_chunk_names_its_global_step(tmp_path, monkeypatch):
         return Rhs(lambda t, u: rhs(t, u) + 2e3 * u * (np.arange(len(u)) == 1)[:, None], rhs.dim)
 
     monkeypatch.setattr(dg, "rhs_semidiscrete", growing)
-    monkeypatch.setattr(experiments, "CHUNK_BYTES", 1)
     cfg = load_config(smoke_config(tmp_path, data={"n_traj": 3, "dt": 1e-3, "t_final": 0.05}))
     errors = []
-    for run in (experiments.generate, experiments.pde_truth):  # chunked, then one call
+    for chunk_bytes in (1, ode.CHUNK_BYTES):  # one step per chunk, then one chunk
+        monkeypatch.setattr(ode, "CHUNK_BYTES", chunk_bytes)
         with pytest.raises(BlowupError) as e:
-            run(cfg)
+            experiments.generate(cfg)
         errors.append(e.value)
     chunked, whole = errors
     assert chunked.step > 1 and chunked.sample == 1

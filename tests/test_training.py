@@ -305,8 +305,25 @@ class TestTrainLoop:
             training.train(trajs, cfg, blowing_up_in_epoch_2, 3, 3)
         err = e.value
         assert (err.epoch, err.step, err.stage, err.sample) == (2, 1, 1, 3)
+        # window step n starts at t0 + n * dt, with t0 = 0; no right-hand
+        # side here reads t, so only the message carries it
         assert err.time == pytest.approx(cfg.dt)
         assert "epoch 2" in str(err) and "sample 3" in str(err)
+
+    def test_a_state_past_the_limit_is_a_blowup_under_bounded_slopes(self):
+        # every slope, 0.9e12, passes the stage check; the state two steps of
+        # dt = 1 on does not pass the check each stepped state gets
+        traj, _ = toy_trajectory(dt=1.0)
+        cfg = training.TrainConfig(epochs=1, batch_size=4, window=2, dt=1.0, tableau="rk4")
+
+        def constant_slope(ws, bs):
+            return lambda t, u: np.full(np.shape(u), 0.9e12)
+
+        with pytest.raises(BlowupError) as e:
+            training.train([traj], cfg, constant_slope, 3, 3)
+        err = e.value
+        assert (err.epoch, err.step, err.stage, err.sample) == (1, 1, None, 0)
+        assert "state blew up after step 1" in str(err)
 
     def test_loss_history_rows_format(self, tmp_path):
         path = tmp_path / "loss.csv"
