@@ -120,7 +120,9 @@ def cmd_train(args):
 def cmd_predict(args):
     cfg = _load(args)
     variant = args.variant or cfg.prediction.variant
-    dt = args.dt_override if args.dt_override is not None else cfg.prediction.dt
+    dt = args.dt_override
+    if dt is None:
+        dt = experiments.prediction_dt(cfg, variant)
     ref = _pick(experiments.load_dataset(cfg), args.traj_index)
     truth = None
     if variant == "high" and cfg.experiment != "l96":
@@ -272,7 +274,8 @@ def main(argv=None):
     common(p)
     p.add_argument("--checkpoint", default=None)
     p.add_argument("--variant", default=None)
-    p.add_argument("--dt-override", type=_positive(float), default=None)
+    p.add_argument("--dt-override", type=_positive(float), default=None,
+                   help="step size (default: prediction.dt; data.dt for a full l96 state)")
     p.add_argument("--traj-index", type=int, default=0)
     p.add_argument("--name", default=None, help="output file name")
     p.set_defaults(fn=cmd_predict)

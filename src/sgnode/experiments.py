@@ -249,6 +249,14 @@ def predict(cfg, params, u0, dt, n_steps, variant, t0=0.0):
     return traj
 
 
+def prediction_dt(cfg, variant):
+    """The step a prediction variant takes by default: the data's for the
+    full Lorenz 96 state, whose fast variables need it, else prediction.dt."""
+    if cfg.experiment == "l96" and variant != "slow":
+        return cfg.data.dt
+    return cfg.prediction.dt
+
+
 def variant_initial_state(cfg, variant, ref_filtered, ref_truth=None):
     """Initial flat state for a prediction variant (filtered state for
     low-order variants, unfiltered truth for the high-order one), copied,

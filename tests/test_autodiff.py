@@ -259,6 +259,103 @@ def test_stencil_vjp_is_the_adjoint_map(stencil):
     assert abs(lhs - rhs) <= 1e-13 * np.linalg.norm(x) * np.linalg.norm(gx)
 
 
+# The adjoint identity <J v, w> = <v, J^T w> of each linear primitive, with
+# J^T w from the tape and J v from the forward rule on arrays.
+ADJOINT_CASES = {
+    "stencil": (lambda p: ad.stencil(p[0], *_ring_stencil(6, 2, 3)), [(3, 12)]),
+    # u broadcasts against the slopes
+    "lincomb": (lambda p: ad.lincomb(p[0], [0.5, -1.25], [p[1], p[2]]), [(4,), (3, 4), (3, 4)]),
+    "smul": (lambda p: p[0] * -1.7, [(3, 4)]),
+    "reshape": (lambda p: ad.reshape(p[0], (4, 3)), [(3, 4)]),
+    "narrow": (lambda p: ad.narrow(p[0], -1, 1, 2), [(3, 4)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ADJOINT_CASES))
+def test_linear_primitive_vjps_are_adjoint_maps(name):
+    f, shapes = ADJOINT_CASES[name]
+    for seed in range(20):
+        rng = np.random.default_rng([seed, zlib.crc32(name.encode())])
+        vs = [rng.normal(size=s) for s in shapes]
+        w = rng.normal(size=np.shape(f(vs)))
+        _, tape = ad.record(lambda p: weighted_sum(f(p), w), [rng.normal(size=s) for s in shapes])
+        gs = ad.backward(tape)
+        lhs, rhs = np.vdot(f(vs), w), sum(np.vdot(v, g) for v, g in zip(vs, gs))
+        scale = np.sqrt(sum(np.vdot(v, v) for v in vs) * sum(np.vdot(g, g) for g in gs))
+        assert abs(lhs - rhs) <= 1e-13 * scale, (name, seed)
+
+
+def _dense_case(relu):
+    def case(rng):
+        # every pre-activation is 0.5 or more from ReLU's kink: the bias puts
+        # all rows of even units alive and of odd units dead
+        h, w = rng.normal(size=(5, 3)), rng.normal(size=(4, 3))
+        z = h @ w.T
+        b = np.where(np.arange(4) % 2 == 0, 0.5 - z.min(axis=0), -0.5 - z.max(axis=0))
+        wts = rng.normal(size=(5, 4))
+        return lambda p: weighted_sum(ad.dense(p[0], p[1], p[2], relu), wts), [h, w, b]
+
+    return case
+
+
+def _burgers_case(rng):
+    # order-2 elements: in row 0 each element's first node, in row 1 its
+    # last, exceeds the other end by 0.5 or more, and row 1 is negative; so
+    # |um|, |up| and max(|um|, |up|) stay off their kinks
+    u = rng.uniform(0.5, 1.0, size=(2, 4, 3))
+    u[0, :, 0] += 1.0
+    u[1, :, 2] += 1.0
+    u[1] *= -1.0
+    wts = rng.normal(size=(2, 12))
+    return lambda p: weighted_sum(ad.burgers(p[0], _BURGERS_P2), wts), [u.reshape(2, 12)]
+
+
+def _l96_case(rng):
+    wts = rng.normal(size=(3, 16))
+    return lambda p: weighted_sum(ad.l96(p[0], p[1], _L96), wts), [rng.normal(size=(3, 16)), rng.normal(size=(3, 4))]
+
+
+def _square_case(rng):
+    wts = rng.normal(size=(3, 4))
+    return lambda p: weighted_sum(ad.square(p[0]), wts), [rng.normal(size=(3, 4))]
+
+
+TAYLOR_CASES = {
+    "dense_relu": _dense_case(True),
+    "dense_linear": _dense_case(False),
+    "burgers": _burgers_case,
+    "l96": _l96_case,
+    "square": _square_case,
+}
+
+
+@pytest.mark.parametrize("name", sorted(TAYLOR_CASES))
+def test_primitive_taylor_remainders_are_second_order(name):
+    # after dolfin-adjoint's taylor_test: along a unit direction v,
+    # |J(p + hv) - J(p) - h dJ.v| falls as h^2 only if dJ is right.  The
+    # order is fitted over h 1e-2..1e-5 and over its last decade; a slope
+    # 1e-3 off must leave an O(h) term there, so the check has the power to
+    # see a wrong gradient.
+    hs = np.array([1e-2, 1e-3, 1e-4, 1e-5])
+    for seed in range(20):
+        rng = np.random.default_rng([seed, zlib.crc32(name.encode())])
+        build, params = TAYLOR_CASES[name](rng)
+        loss, tape = ad.record(build, params)
+        grads = ad.backward(tape)
+        vs = [rng.normal(size=p.shape) for p in params]
+        norm = np.sqrt(sum(np.vdot(v, v) for v in vs))
+        vs = [v / norm for v in vs]
+        slope = sum(np.vdot(g, v) for g, v in zip(grads, vs))
+        js = np.array([build([p + h * v for p, v in zip(params, vs)]) for h in hs])
+        for s, second_order in ((slope, True), (slope * (1 + 1e-3), False)):
+            rem = np.log10(np.abs(js - loss - hs * s))
+            fit, last = (rem[0] - rem[-1]) / 3, rem[-2] - rem[-1]
+            if second_order:
+                assert min(fit, last) >= 1.9, (name, seed, fit, last)
+            else:
+                assert last < 1.5, (name, seed, last)
+
+
 def _chain(u, coeffs, ks):
     # the scalar-product-and-add chain that lincomb replaces
     for c, k in zip(coeffs, ks):

@@ -603,6 +603,26 @@ def test_l96_smoke_cycle(tmp_path):
     ]) == 0
 
 
+def test_every_l96_variant_runs_at_its_default_dt(tmp_path):
+    # the full state steps at data.dt, as its fast variables need; the
+    # slow-only state at prediction.dt, at which the full state blows up
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({
+        "experiment": "l96", "seed": 2, "out_dir": str(tmp_path / "run"),
+        "model": {"K": 8, "J": 4, "F": 6.0, "source_scope": "per_component"},
+        "data": {"n_traj": 1, "dt": 0.005, "t_final": 0.25, "spinup": 0.5},
+        "prediction": {"dt": 0.05, "t_final": 0.25, "tableau": "rk4", "variant": "slow"},
+    }))
+    assert main(["generate", "--config", str(path)]) == 0
+    out = tmp_path / "run"
+    mlp.save_params(mlp.init_params(1, 1, seed=1), out / "net.sgnp")
+    for variant, dt in (("high", 0.005), ("low", 0.005), ("augmented", 0.005), ("slow", 0.05)):
+        assert main(["predict", "--config", str(path), "--variant", variant,
+                     "--checkpoint", str(out / "net.sgnp")]) == 0, variant
+        pred = load_trajectory(out / f"pred_{variant}.sgnt")
+        assert (pred.dt, len(pred)) == (dt, int(round(0.25 / dt)) + 1), variant
+
+
 def test_resume_continues_from_checkpoint(tmp_path):
     path = smoke_config(tmp_path)
     main(["generate", "--config", str(path)])
