@@ -24,14 +24,15 @@ rings with the slow equation's source as an input.  Constant operands ride
 in the nodes, so a product with a constant matrix never lifts a leaf.
 ``Var @ x``, ``Var * Var`` and ``Var + scalar`` are not recorded.
 
-``dense`` runs products of at least ``SPLIT_ROWS`` rows on two CPUs: the
-forward writes two blocks of rows from two threads, and the VJP computes the
-input adjoint on a worker thread while the caller sums the weight and bias
-gradients over rows.  The sums are the unsplit calls, and a one-thread BLAS
-matrix product rounds each row the same in a block of rows as in the whole,
-so with BLAS on one thread the bytes do not depend on the CPU count.  The
-worker thread starts with the first such product, and never in a process
-with one CPU.
+``dense`` runs products of at least ``SPLIT_ROWS`` rows on two CPUs.  The
+forward writes two blocks of rows from two threads.  The VJP computes the
+ReLU mask and the input adjoint on the calling thread and defers the weight
+and bias sums over rows, which only parameter leaves read: ``backward``
+runs them on a worker thread, in sweep order, while the sweep goes on.
+The sums are the unsplit calls, and a one-thread BLAS matrix product rounds
+each row the same in a block of rows as in the whole, so with BLAS on one
+thread the bytes do not depend on the CPU count.  The worker thread starts
+with the first such product, and never in a process with one CPU.
 
 Each primitive has one forward rule in ``_FWD``.  ``_apply`` records it on
 the tape of a ``Var`` argument, lifting ndarray operands as constant leaves,
@@ -83,9 +84,11 @@ def _unbroadcast(g, shape):
     return g
 
 
-# Products of at least this many rows use a second CPU.  Forward plus VJP of
-# a 128-wide ReLU layer, split against serial, ran 0.70x as fast at 100
-# rows, 1.08x at 200, 1.15x at 500, 1.22x at 1000 and 1.11x at 3600
+# Products of at least this many rows use a second CPU: the forward splits
+# their rows, and backward sums their weight and bias gradients on the
+# worker.  Forward plus VJP of a 128-wide ReLU layer, split against serial,
+# ran 0.70x as fast at 100 rows, 1.08x at 200, 1.15x at 500, 1.22x at 1000
+# and 1.11x at 3600, with the input adjoint on the worker beside the sums
 # (medians of 7 interleaved rounds; 2-core x86-64 shared with other load,
 # OpenBLAS 0.3.31 on one thread).  Desk products have 36, 100 or 3600 rows.
 SPLIT_ROWS = 1000
@@ -264,26 +267,20 @@ def _vjp_dense(aux, g, out, h, w, b):
     h2 = h.reshape(-1, w.shape[1])
     gh = np.empty(h.shape)
     gh2 = gh.reshape(h2.shape)
-
-    # the input adjoint beside the unsplit sums over rows; a one-unit
-    # output layer's input adjoint is a product of one term
-    def input_adjoint():
-        if len(w) > 1:
-            np.matmul(gz2, w, out=gh2)
-        else:
-            np.multiply(gz2, w[0], out=gh2)
-            # the one-term matmul's +0.0 for a -0.0 product
-            np.add(gh2, 0.0, out=gh2)
+    # a one-unit output layer's input adjoint is a product of one term
+    if len(w) > 1:
+        np.matmul(gz2, w, out=gh2)
+    else:
+        np.multiply(gz2, w[0], out=gh2)
+        # the one-term matmul's +0.0 for a -0.0 product
+        np.add(gh2, 0.0, out=gh2)
 
     def row_sums():
         return gz2.T @ h2, gz2.sum(axis=0)
 
-    if _split(len(gz2)):
-        gw, gb = _concurrently(input_adjoint, row_sums)
-    else:
-        input_adjoint()
-        gw, gb = row_sums()
-    return gh, gw, gb
+    # the weight and bias sums feed only w and b, so a large product leaves
+    # them to backward, which may run them on the worker as the sweep goes on
+    return (gh, row_sums) if _split(len(gz2)) else (gh, *row_sums())
 
 
 def _vjp_lincomb(aux, g, out, u, *ks):
@@ -368,6 +365,8 @@ def _vjp_narrow(aux, g, out, a):
 
 # VJP rules: fn(aux, g, out_value, *input_values) -> per-input gradients.
 # They never write into g: backward hands one adjoint array to several nodes.
+# A rule may end its gradients with a function that returns those of the
+# remaining inputs: deferred work that backward runs later (``dense``).
 _VJP = {
     "smul": lambda aux, g, out, a: (g * aux,),
     "dense": _vjp_dense,
@@ -513,23 +512,67 @@ def record(build, params):
 
 def backward(tape):
     """Reverse sweep: the gradient of the recorded scalar w.r.t. every
-    parameter, as a list aligned with the tape's registration order."""
+    parameter, as a list aligned with the tape's registration order.
+
+    A rule's deferred gradients (see ``_VJP``) whose inputs are all leaves
+    go to the worker thread as one task that adds them into those leaves'
+    adjoints; no node reads a leaf's adjoint, so the sweep goes straight on.
+    Every later addition into such a leaf follows through the worker's
+    first-in first-out queue, so each adjoint sums its terms in sweep order
+    and the bytes are those of the inline sweep.  Before a task is queued,
+    the one before the last is waited on, so at most one earlier task holds
+    its arrays; every task is done before this returns or raises.
+    """
     if tape.out is None:
         raise TapeError("tape has no recorded output; use record()")
     adj = [None] * len(tape.vals)
     adj[tape.out] = np.ones_like(tape.vals[tape.out])
-    for i in range(len(tape.ops) - 1, -1, -1):
-        g = adj[i]
-        if g is None:
-            continue
-        name, args, aux = tape.ops[i]
-        if name == "leaf":
-            continue
-        invals = tuple(tape.vals[j] for j in args)
-        for j, gj in zip(args, _VJP[name](aux, g, tape.vals[i], *invals)):
-            # accumulation is out of place, so adjoints may alias each other
-            adj[j] = np.asarray(gj) if adj[j] is None else adj[j] + gj
-        adj[i] = None  # free as we go
+    queued = set()  # leaves whose adjoints the worker adds into
+    pending = []    # the worker's unfinished tasks, oldest first
+
+    def add(j, gj):
+        # accumulation is out of place, so adjoints may alias each other
+        adj[j] = np.asarray(gj) if adj[j] is None else adj[j] + gj
+
+    def add_later(ids, later):
+        for j, gj in zip(ids, later()):
+            add(j, gj)
+
+    def submit(task, *args):
+        if len(pending) > 1:
+            pending.pop(0).result()
+        pending.append(_worker().submit(task, *args))
+
+    try:
+        for i in range(len(tape.ops) - 1, -1, -1):
+            g = adj[i]
+            if g is None:
+                continue
+            name, args, aux = tape.ops[i]
+            if name == "leaf":
+                continue
+            invals = tuple(tape.vals[j] for j in args)
+            gs = _VJP[name](aux, g, tape.vals[i], *invals)
+            later = gs[-1] if callable(gs[-1]) else None
+            if later is not None:
+                gs = gs[:-1]
+                rest = args[len(gs):]
+                if _worker() is None or any(tape.ops[j][0] != "leaf" for j in rest):
+                    gs, later = gs + later(), None
+            for j, gj in zip(args, gs):
+                if j in queued:
+                    submit(add, j, gj)
+                else:
+                    add(j, gj)
+            if later is not None:
+                queued.update(rest)
+                submit(add_later, rest, later)
+            adj[i] = None  # free as we go
+        while pending:
+            pending.pop(0).result()
+    finally:
+        for task in pending:
+            task.exception()  # waits; the error already raising wins
     grads = []
     for pid in tape.param_ids:
         g = adj[pid]

@@ -1,14 +1,17 @@
 """``dense`` runs its large products on a second thread; every byte of its
-forward and VJP must equal the one-thread rules.
+forward, its VJP and ``backward``'s gradients must equal the one-thread
+rules.
 
 These tests also run under ``taskset -c 0``, where no worker thread starts.
 """
 
+import ctypes
 import multiprocessing
 import os
 import subprocess
 import sys
 import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -49,6 +52,12 @@ def _bytes(*arrays):
     return [(a.shape, a.tobytes()) for a in arrays]
 
 
+def _vjp(*args):
+    """_vjp_dense's gradients, with its deferred weight and bias sums run."""
+    got = ad._vjp_dense(*args)
+    return got[:-1] + got[-1]() if callable(got[-1]) else got
+
+
 @pytest.mark.parametrize("rows,d_in,d_out", SHAPES)
 @pytest.mark.parametrize("relu", [True, False])
 @pytest.mark.parametrize("zeros", [False, True], ids=["normal", "signed_zeros"])
@@ -64,19 +73,115 @@ def test_dense_forward_and_vjp_equal_the_one_thread_rules(rows, d_in, d_out, rel
     g = rng.normal(size=z.shape)
     if zeros:
         g[..., ::2] = 0.0
-    got = ad._vjp_dense(relu, g, z, h, w, b)
+    got = _vjp(relu, g, z, h, w, b)
     assert _bytes(*got) == _bytes(*_serial_vjp(relu, g, z, h, w))
 
 
+class _Counting:
+    """The worker, recording the future of every task submitted to it."""
+
+    def __init__(self, pool):
+        self.pool, self.tasks = pool, []
+
+    def submit(self, fn, *args):
+        self.tasks.append(self.pool.submit(fn, *args))
+        return self.tasks[-1]
+
+
+def _count_tasks(monkeypatch):
+    pool = ad._worker()
+    counting = _Counting(pool)
+    monkeypatch.setattr(ad, "_worker", lambda: None if pool is None else counting)
+    return counting.tasks
+
+
 def test_only_products_of_split_rows_reach_the_worker(monkeypatch):
-    seen = []
-    monkeypatch.setattr(ad, "_concurrently", lambda a, b: seen.append(1) or (a(), b())[1])
+    tasks = _count_tasks(monkeypatch)
     rng = np.random.default_rng(0)
     w, b = rng.normal(size=(8, 4)), np.zeros(8)
+    seen = {}
     for rows in (_T - 1, _T):
-        z = ad._dense_fwd(True, (rng.normal(size=(rows, 4)), w, b))
-        ad._vjp_dense(True, np.ones_like(z), z, np.ones((rows, 4)), w, b)
-    assert len(seen) == (2 if ad._worker() is not None else 0)
+        h = rng.normal(size=(rows, 4))
+        tape = ad.record(lambda p: ad.sum_all(ad.square(ad.dense(h, p[0], p[1], True))), [w, b])[1]
+        forward = len(tasks)
+        ad.backward(tape)
+        seen[rows] = (forward, len(tasks) - forward)
+        tasks.clear()
+    # the forward's row split and the VJP's deferred sums, one task each
+    split = 1 if ad._worker() is not None else 0
+    assert seen == {_T - 1: (0, 0), _T: (split, split)}
+
+
+def _tied_loss(h_big, h_small, c):
+    """One weight and bias feeding, in sweep order, a SPLIT_ROWS-row product,
+    a 100-row product, a lincomb, a product through a non-leaf weight and
+    another large product."""
+    def build(p):
+        w, b = p
+        first = ad.dense(h_big, w, b, True)
+        through = ad.dense(h_big, w * 0.5, b, False)
+        comb = ad.lincomb(w, (0.25,), [c])
+        small = ad.dense(h_small, w, b, True)
+        last = ad.dense(h_big[::-1], w, b, False)
+        terms = [ad.sum_all(ad.square(t)) for t in (first, through, comb, small, last)]
+        return terms[0] + terms[1] + terms[2] + terms[3] + terms[4]
+    return build
+
+
+def test_shared_parameter_gradients_equal_the_inline_sweep(monkeypatch):
+    rng = np.random.default_rng(3)
+    w, b = rng.normal(size=(16, 8)), rng.normal(size=16)
+    build = _tied_loss(rng.normal(size=(_T, 8)), rng.normal(size=(100, 8)), rng.normal(size=(16, 8)))
+    rule = ad._vjp_dense
+
+    def slow(*args):
+        got = rule(*args)
+        if not callable(got[-1]):
+            return got
+
+        def later():
+            time.sleep(0.05)  # the sweep runs ahead of the worker
+            return got[-1]()
+
+        return got[:-1] + (later,)
+
+    monkeypatch.setitem(ad._VJP, "dense", slow)
+    got = ad.backward(ad.record(build, [w, b])[1])
+    monkeypatch.setattr(ad, "_split", lambda rows: False)
+    want = ad.backward(ad.record(build, [w, b])[1])
+    assert _bytes(*got) == _bytes(*want)
+
+
+def test_a_deferred_sum_that_raises_surfaces_from_backward(monkeypatch):
+    tasks = _count_tasks(monkeypatch)
+    rng = np.random.default_rng(4)
+    w, b = rng.normal(size=(16, 8)), rng.normal(size=16)
+    build = _tied_loss(rng.normal(size=(_T, 8)), rng.normal(size=(100, 8)), rng.normal(size=(16, 8)))
+    want = ad.backward(ad.record(build, [w, b])[1])
+    rule, calls = ad._vjp_dense, []
+
+    def failing(aux, g, out, h, w, b):
+        gh, *sums = rule(aux, g, out, h, w, b)
+        calls.append(1)
+        first = len(calls) == 1
+
+        def later():
+            if first:
+                raise FloatingPointError("deferred sum")
+            time.sleep(0.02)  # still running when a sweep that did not wait returns
+            return sums[0]() if callable(sums[0]) else sums
+
+        # deferred here even where the rule computes the sums at once
+        return gh, later
+
+    monkeypatch.setitem(ad._VJP, "dense", failing)
+    tape = ad.record(build, [w, b])[1]
+    with pytest.raises(FloatingPointError, match="deferred sum"):
+        ad.backward(tape)
+    assert all(task.done() for task in tasks)
+    # the worker goes on serving the next sweep
+    monkeypatch.setitem(ad._VJP, "dense", rule)
+    assert _bytes(*ad.backward(tape)) == _bytes(*want)
 
 
 def _split_in_child(h, w, b, want, done):
@@ -100,17 +205,25 @@ def test_a_forked_child_splits_on_a_worker_of_its_own():
         child.kill()
 
 
-def test_callers_on_many_threads_share_the_worker():
-    # more calling threads than cores, switching often: every result must
-    # still be its own serial bytes
+def test_callers_on_many_threads_share_the_worker(monkeypatch):
+    # more calling threads than cores, switching often: every forward and
+    # every sweep must still give its own serial bytes
     rng = np.random.default_rng(2)
     w, b = rng.normal(size=(16, 8)), rng.normal(size=16)
     hs = [rng.normal(size=(_T + k, 8)) for k in range(6)]
     want = [_serial_fwd(True, h, w, b).tobytes() for h in hs]
+    builds = [_tied_loss(h, h[:100], rng.normal(size=(16, 8))) for h in hs]
+    with monkeypatch.context() as inline:
+        inline.setattr(ad, "_split", lambda rows: False)
+        want_grads = [_bytes(*ad.backward(ad.record(build, [w, b])[1])) for build in builds]
     got = [None] * len(hs)
 
     def run(k):
-        got[k] = all(ad._dense_fwd(True, (hs[k], w, b)).tobytes() == want[k] for _ in range(5))
+        got[k] = all(
+            ad._dense_fwd(True, (hs[k], w, b)).tobytes() == want[k]
+            and _bytes(*ad.backward(ad.record(builds[k], [w, b])[1])) == want_grads[k]
+            for _ in range(5)
+        )
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -163,3 +276,31 @@ def test_an_l96_desk_step_on_one_cpu_equals_the_pooled_step():
     assert one[0] == pooled[0]
     assert not one[1]  # one CPU starts no thread
     assert pooled[1] == (len(os.sched_getaffinity(0)) > 1)
+
+
+def _openblas_threads():
+    """The live thread count of the OpenBLAS that numpy loaded, or None."""
+    try:
+        with open("/proc/self/maps") as maps:
+            paths = sorted({line.split()[-1] for line in maps if "openblas" in line.lower()})
+    except OSError:
+        return None
+    names = ("openblas_get_num_threads", "openblas_get_num_threads64_",
+             "scipy_openblas_get_num_threads", "scipy_openblas_get_num_threads64_")
+    for path in paths:
+        lib = ctypes.CDLL(path)
+        for name in names:
+            if hasattr(lib, name):
+                get = getattr(lib, name)
+                get.argtypes, get.restype = (), ctypes.c_int
+                return get()
+    return None
+
+
+def test_the_suite_runs_blas_on_the_pinned_thread_count():
+    # conftest.py sets the count, to 1 unless it is set already, before
+    # numpy loads OpenBLAS, which reads it once
+    live = _openblas_threads()
+    if live is None:
+        pytest.skip("numpy's BLAS exposes no OpenBLAS thread count")
+    assert live == int(os.environ["OPENBLAS_NUM_THREADS"])
