@@ -3,26 +3,26 @@
 A loss is built by composing ``Var`` handles that live on a ``Tape``.  The op
 set is intentionally closed: exactly what MLP evaluation, the model
 right-hand sides, and mean-squared losses unrolled through explicit
-Runge-Kutta steps need.  Its 10 primitives are ``smul`` (scalar
-product), ``dense`` (fused network layer), ``lincomb`` (Runge-Kutta stage
-combination, and every ``+`` and ``-`` between arrays), ``stencil``
-(periodic block stencil), ``burgers`` (the DG viscous Burgers tendency),
-``l96`` (the two-scale Lorenz 96 tendency), ``square``, ``sumall``,
-``reshape`` and ``narrow``.  ``backward`` walks the tape once in reverse
-and returns the gradient of the recorded scalar with respect to every
-registered parameter array.
+Runge-Kutta steps need.  Its 10 primitives are ``smul`` (scalar product),
+``dense`` (fused network layer), ``lincomb`` (Runge-Kutta stage
+combination, and every ``+`` and ``-`` between arrays), ``stencil`` (the
+convection-diffusion tendency), ``burgers`` (the DG viscous Burgers
+tendency), ``l96`` (the two-scale Lorenz 96 tendency), ``square``,
+``sumall``, ``reshape`` and ``narrow`` (the slow variables of a Lorenz 96
+state).  ``backward`` walks the tape once in reverse and returns the
+gradient of the recorded scalar with respect to every parameter array.
 
 The fused ``dense`` node (``h @ W.T + b``, optionally through ReLU) stores
 only the layer's output.  ``lincomb`` (``u + sum_j c_j k_j``) is one node
 per stage combination, with the scalar coefficients in the node.
-``stencil`` applies a banded periodic linear map as a gather and one
-product per row, with the adjoint stencil in the node, so its reverse sweep
-costs what its forward does.  ``burgers`` and ``l96`` are each a whole
-right-hand side in one node with a hand-written VJP: the diffusion stencil
-plus the Lax-Friedrichs convective flux, and the slow and fast Lorenz 96
-rings with the slow equation's source as an input.  Constant operands ride
-in the nodes, so a product with a constant matrix never lifts a leaf.
-``Var @ x``, ``Var * Var`` and ``Var + scalar`` are not recorded.
+``stencil`` applies a banded periodic linear map to ``x - x[..., :1]`` as
+a gather and one product per row, with the adjoint stencil in the node, so
+its reverse sweep costs what its forward does.  ``burgers`` and ``l96`` are
+each a whole right-hand side in one node with a hand-written VJP: the
+``stencil`` rules plus the Lax-Friedrichs flux, and the slow and fast
+Lorenz 96 rings with the slow equation's source as an input.  Constant
+operands ride in the nodes, so a product with a constant matrix never lifts
+a leaf; ``Var @ x``, ``Var * Var`` and ``Var + scalar`` are not recorded.
 
 ``dense`` runs products of at least ``SPLIT_ROWS`` rows on two CPUs.  The
 forward writes two blocks of rows from two threads.  The VJP computes the
@@ -86,11 +86,12 @@ def _unbroadcast(g, shape):
 
 # Products of at least this many rows use a second CPU: the forward splits
 # their rows, and backward sums their weight and bias gradients on the
-# worker.  Forward plus VJP of a 128-wide ReLU layer, split against serial,
-# ran 0.70x as fast at 100 rows, 1.08x at 200, 1.15x at 500, 1.22x at 1000
-# and 1.11x at 3600, with the input adjoint on the worker beside the sums
-# (medians of 7 interleaved rounds; 2-core x86-64 shared with other load,
-# OpenBLAS 0.3.31 on one thread).  Desk products have 36, 100 or 3600 rows.
+# worker.  Desk products have 36, 100 or 3600 rows, so any value from 200
+# to 3600 selects the same products, the 3600-row ones.  Two one-thread
+# 3600x128x128 matrix products on two threads ran 0.87x-2.04x the rate of
+# the pair back to back over 6 rounds, tracking other load on the host;
+# 100-row pairs mostly ran at about 1.0x, and 110- to 128-row pairs at
+# 1.5x-2.0x (2-core x86-64 shared with other load, OpenBLAS 0.3.31).
 SPLIT_ROWS = 1000
 
 
@@ -168,13 +169,19 @@ def _lincomb_fwd(coeffs, xs):
     return out
 
 
-def _stencil_fwd(aux, xs):
-    # aux is (idx, s, s_adj); row e of the gather holds the entries that
-    # output block e reads.  The stacked matmul is one (n_blocks, k*n) @
-    # (k*n, n) product per batch row, so each row rounds as it would alone.
-    idx, s = aux[0], aux[1]
-    (x,) = xs
+def _gather_product(x, idx, s):
+    # row e of the gather holds the entries that output block e reads.  The
+    # stacked matmul is one (n_blocks, k*n) @ (k*n, n) product per batch
+    # row, so each row rounds as it would alone.
     return (np.take(x, idx, axis=-1) @ s).reshape(x.shape)
+
+
+def _stencil_fwd(aux, xs):
+    # aux is (idx, s, s_adj).  The map reads x - x[..., :1]: the stencil
+    # annihilates constants only to roundoff, and taking out one entry
+    # keeps constant states exact steady states.
+    (x,) = xs
+    return _gather_product(x - x[..., :1], aux[0], aux[1])
 
 
 def _burgers_fwd(aux, xs):
@@ -188,7 +195,7 @@ def _burgers_fwd(aux, xs):
     # ufuncs run faster on contiguous rows.
     faces, weak = aux[3], aux[4]
     (u,) = xs
-    lin = _stencil_fwd(aux, (u - u[..., 0:1],))
+    lin = _stencil_fwd(aux, xs)
     n = weak.shape[1]
     ue = u.reshape(u.shape[:-1] + (faces.shape[1] - 1, n))
     tr = np.take(u, faces, axis=-1)
@@ -290,17 +297,17 @@ def _vjp_lincomb(aux, g, out, u, *ks):
 
 
 def _vjp_stencil(aux, g, out, x):
-    # the transposed map is the same gather with the adjoint blocks
-    return (_stencil_fwd((aux[0], aux[2]), (g,)),)
+    # the transposed map is the same gather with the adjoint blocks, then
+    # the adjoint of x - x[..., :1]
+    gx = _gather_product(g, aux[0], aux[2])
+    gx[..., 0] -= gx.sum(axis=-1)
+    return (gx,)
 
 
 def _vjp_burgers(aux, g, out, u):
-    idx, _, s_adj, faces, _, lift_adj = aux
+    faces, lift_adj = aux[3], aux[5]
     n = lift_adj.shape[0]
     shape = u.shape[:-1] + (faces.shape[1] - 1, n)
-    # diffusion: the adjoint stencil, then the adjoint of u - u[..., 0:1]
-    gu = _stencil_fwd((idx, s_adj), (g,))
-    gu[..., 0] -= gu.sum(axis=-1)
     # the adjoint lift gives each element's volume-flux adjoint and its
     # right- and left-face flux adjoints; face e is the right face of
     # element e-1
@@ -323,8 +330,8 @@ def _vjp_burgers(aux, g, out, u):
     # the last node of element e-1
     gue[..., 0] += gp
     gue[..., n - 1] += np.concatenate((gm[..., 1:], gm[..., :1]), axis=-1)
-    gu += gue.reshape(u.shape)
-    return (gu,)
+    # plus the diffusion's adjoint
+    return (_vjp_stencil(aux, g, out, u)[0] + gue.reshape(u.shape),)
 
 
 def _vjp_l96(aux, g, out, z, src):
@@ -672,8 +679,8 @@ def lincomb(u, coeffs, ks):
 
 
 def stencil(x, idx, s, s_adj):
-    """Periodic block stencil on the last axis of x: output block e (n
-    entries) is x[..., idx[e]] @ s.
+    """Periodic block stencil on the last axis of x, centred: output block
+    e (n entries) is c[..., idx[e]] @ s for c = x - x[..., :1].
 
     idx is the (n_blocks, k*n) gather of the blocks that block e reads and
     s the (k*n, n) response to them.  s_adj must be the stencil of the

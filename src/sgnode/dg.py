@@ -13,13 +13,13 @@ training rollouts, as one autodiff primitive per call.
 The linear part of each tendency couples an element to its two neighbours
 on either side only.  It is assembled once per (config, mesh) into a
 periodic block stencil (``linear_stencil``): five element blocks of
-response per output element, applied as one ``autodiff.stencil`` gather
-and product.  That is all of convection-diffusion.  Viscous Burgers is one
-``autodiff.burgers`` node per call: the stencil of its diffusion plus the
-Lax-Friedrichs convective flux, with a hand-written VJP (Hesthaven &
-Warburton, *Nodal Discontinuous Galerkin Methods*, 2008, ch. 5).  The
-numpy chain ``_tendency`` assembles the stencils and is the reference the
-tests compare both against.
+response per output element, applied to the state less its first entry
+as one ``autodiff.stencil`` node.  That is all of convection-diffusion.
+Viscous Burgers is one ``autodiff.burgers`` node per call: the stencil of
+its diffusion plus the Lax-Friedrichs convective flux, with a hand-written
+VJP (Hesthaven & Warburton, *Nodal Discontinuous Galerkin Methods*, 2008,
+ch. 5).  The numpy chain ``_tendency`` assembles the stencils and is the
+reference the tests compare both against.
 """
 
 from __future__ import annotations
@@ -304,17 +304,15 @@ def burgers_operator(cfg, mesh):
 def rhs_semidiscrete(cfg, mesh):
     """Flat-vector RHS suitable for the ERK stepper; batch-shape agnostic.
 
-    Convection-diffusion is one ``autodiff.stencil``, viscous Burgers one
-    ``autodiff.burgers``.  Each row of a batch rounds the same as it would
-    alone.
+    Convection-diffusion is one ``autodiff.stencil`` node, viscous Burgers
+    one ``autodiff.burgers`` node, each centring u on its first entry.  Each
+    row of a batch rounds the same as it would alone.
     """
     if cfg.kind == VISCOUS_BURGERS:
         op = burgers_operator(cfg, mesh)
         return Rhs(lambda t, u: ad.burgers(u, op), mesh.n_dof)
     st = linear_stencil(cfg, mesh)
-    # the stencil annihilates constants only to roundoff; taking out one
-    # entry keeps constant states exact steady states
-    return Rhs(lambda t, u: ad.stencil(u - ad.narrow(u, -1, 0, 1), *st), mesh.n_dof)
+    return Rhs(lambda t, u: ad.stencil(u, *st), mesh.n_dof)
 
 
 def filter_project(field, target_order):
