@@ -39,7 +39,9 @@ the tape of a ``Var`` argument, lifting ndarray operands as constant leaves,
 or evaluates it directly when every argument is an ndarray.  So a loss
 builder ``build(params)`` is one forward path: ``record`` runs it on
 parameter Vars, and the held-out loss, prediction and ``grad_check``'s
-finite differences run it on plain arrays.
+finite differences run it on plain arrays.  Every forward rule keeps its
+inputs' dtype, so a builder run untaped on long-double arrays computes in
+long double throughout.
 """
 
 from __future__ import annotations
@@ -154,7 +156,7 @@ def _dense_fwd(relu, xs):
     # row count
     if not (h.ndim == 2 and len(w) > 1 and _split(len(h))):
         return _dense_rows(h, w, b, relu)
-    z = np.empty((len(h), len(w)))
+    z = np.empty((len(h), len(w)), np.result_type(h, w, b))
     m = len(h) // 2
     _concurrently(lambda: _dense_rows(h[m:], w, b, relu, z[m:]),
                   lambda: _dense_rows(h[:m], w, b, relu, z[:m]))
@@ -205,7 +207,7 @@ def _burgers_fwd(aux, xs):
     flux = 0.5 * (ue * ue)
     f_l = flux[..., 0:1]
     # the weak-form input [volume jump, right jump, left jump], written in place
-    z = np.empty(flux.shape[:-1] + (n + 2,))
+    z = np.empty(flux.shape[:-1] + (n + 2,), flux.dtype)
     np.subtract(flux, f_l, out=z[..., :n])
     np.subtract(flux[..., n - 1:], fstar[..., 1:, :], out=z[..., n:n + 1])
     np.subtract(f_l, fstar[..., :-1, :], out=z[..., n + 1:])
@@ -229,7 +231,7 @@ def _l96_fwd(aux, xs):
     # so the values are bit-identical to it.  J = 0 is the slow equation alone.
     K, J, c, h, F = aux
     z, src = xs
-    out = np.empty(z.shape)
+    out = np.empty(z.shape, np.result_type(z, src))
     x = z[..., :K]
     xp = _ring(x, 2, 1)  # x[k + s] is xp[..., k + 2 + s]
     a = np.negative(xp[..., 1:K + 1])

@@ -184,9 +184,9 @@ def cmd_evaluate(args):
     if cfg.experiment == "burgers":
         n = 64 if mesh_l.order == 1 else 512
         for label, traj in (("pred", pred), ("ref", ref)):
-            f = dg.field_from_flat(mesh_l, traj.states[-1])
+            spec = diagnostics.energy_spectrum(mesh_l, traj.states[-1], n)
             spath = out / f"spectrum_{label}.csv"
-            diagnostics.write_spectrum(diagnostics.energy_spectrum(f, n), spath)
+            diagnostics.write_spectrum(spec, spath)
             print(f"wrote {spath}")
     return 0
 

@@ -5,8 +5,13 @@ quadrature with 2(p+1) points, central fluxes for the diffusion pair and
 Lax-Friedrichs for convection.  The diffusion gradient variable is
 eliminated inside each tendency evaluation.
 
-The tendency takes batched states of shape (..., n_elem*(p+1)) at the
-solver interface and works on (..., n_elem, p+1) element blocks inside.
+A DG state is its flat nodal array everywhere: one state is (n_dof,),
+n_dof = n_elem*(p+1), element-major, and a trajectory or a batch stacks
+states along leading axes.  The filter (``project_states``), the embedding
+into a higher order (``interp_states``) and the broken L2 norm
+(``states_dg_norm``) each map a (n_times, n_dof) block at once.  The
+tendency takes batched states of shape (..., n_dof) at the solver
+interface and works on (..., n_elem, p+1) element blocks inside.
 The same right-hand side serves plain integration (numpy) and taped
 training rollouts, as one autodiff primitive per call.
 
@@ -158,31 +163,9 @@ def make_mesh(n_elem, order, x_left=0.0, x_right=1.0):
     return Mesh1D(n_elem, order, (x_left, x_right))
 
 
-@dataclass
-class DGField:
-    """Nodal coefficients of a piecewise polynomial, shape (n_elem, p+1)."""
-
-    mesh: Mesh1D
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        self.coeffs = np.asarray(self.coeffs, dtype=np.float64)
-        expected = (self.mesh.n_elem, self.mesh.order + 1)
-        if self.coeffs.shape != expected:
-            raise ValueError(f"coefficients {self.coeffs.shape} != mesh layout {expected}")
-
-    @property
-    def flat(self):
-        return self.coeffs.reshape(-1)
-
-
-def field_from_flat(mesh, flat):
-    return DGField(mesh, np.asarray(flat).reshape(mesh.n_elem, mesh.order + 1))
-
-
 def field_from_function(mesh, fn):
-    """Nodal interpolation of a callable of x."""
-    return DGField(mesh, fn(mesh.node_coords()))
+    """Nodal interpolation of a callable of x, as a flat (n_dof,) state."""
+    return np.asarray(fn(mesh.node_coords()), dtype=np.float64).reshape(mesh.n_dof)
 
 
 def _weak_form(mesh, vol, right, left):
@@ -315,52 +298,29 @@ def rhs_semidiscrete(cfg, mesh):
     return Rhs(lambda t, u: ad.stencil(u, *st), mesh.n_dof)
 
 
-def filter_project(field, target_order):
-    """Elementwise L2 projection onto the lower-order space (the filter)."""
-    low = project_states(field.mesh, field.flat[None, :], target_order)[0]
-    return field_from_flat(make_mesh(field.mesh.n_elem, target_order, *field.mesh.domain), low)
+def _per_element(mesh, states, m):
+    """The matrix m applied to every element of a (n_times, n_dof) block,
+    shape (n_times, n_elem, len(m))."""
+    return states.reshape(states.shape[0], mesh.n_elem, mesh.order + 1) @ m.T
 
 
 def project_states(mesh, states, target_order):
     """Apply the filter to a whole (n_times, n_dof) state block at once."""
-    E, n = mesh.n_elem, mesh.order + 1
     g = mesh.projection_to(target_order)
-    block = states.reshape(states.shape[0], E, n) @ g.T
-    return block.reshape(states.shape[0], -1)
+    return _per_element(mesh, states, g).reshape(states.shape[0], -1)
 
 
-def interp_to_order(field, target_order):
-    """Embed a field into a higher-order space by nodal interpolation (exact)."""
-    hi_mesh = make_mesh(field.mesh.n_elem, target_order, *field.mesh.domain)
-    e = hi_mesh.interpolation_from(field.mesh.order)
-    return DGField(hi_mesh, field.coeffs @ e.T)
-
-
-def dg_norm(field):
-    """Broken L2 norm via the mesh quadrature."""
-    return float(states_dg_norm(field.mesh, field.flat[None, :])[0])
-
-
-def dg_error(field_a, field_b):
-    if field_a.mesh is not field_b.mesh and (
-        field_a.mesh.n_elem != field_b.mesh.n_elem
-        or field_a.mesh.order != field_b.mesh.order
-        or field_a.mesh.domain != field_b.mesh.domain
-    ):
-        raise ValueError("fields live on different meshes")
-    return dg_norm(DGField(field_a.mesh, field_a.coeffs - field_b.coeffs))
+def interp_states(mesh, states, target_order):
+    """Embed a (n_times, n_dof) state block into order `target_order` by
+    nodal interpolation (exact)."""
+    e = make_mesh(mesh.n_elem, target_order, *mesh.domain).interpolation_from(mesh.order)
+    return _per_element(mesh, states, e).reshape(states.shape[0], -1)
 
 
 def states_dg_norm(mesh, states):
     """Broken L2 norm of each row of a (n_times, n_dof) block."""
-    E, n = mesh.n_elem, mesh.order + 1
-    uq = states.reshape(states.shape[0], E, n) @ mesh.vq.T
+    uq = _per_element(mesh, states, mesh.vq)
     return np.sqrt(mesh.jac * np.sum(mesh.quad_w * uq * uq, axis=(1, 2)))
-
-
-def dg_integral(field):
-    uq = field.coeffs @ field.mesh.vq.T
-    return float(field.mesh.jac * np.sum(field.mesh.quad_w * uq))
 
 
 def cd_initial_condition(mesh, phase):
@@ -424,25 +384,24 @@ def _barycentric_interp(x_grid_spacing, u_grid, x_query, x0, window=8):
 
 def burgulence_initial_condition(mesh, k0, n_grid, seed):
     """Turbulent initial velocity: spectral synthesis on a fine uniform grid,
-    then interpolation onto the mesh's LGL nodes."""
+    then interpolation onto the mesh's LGL nodes, as a flat (n_dof,) state."""
     u_grid, _ = synthesize_turbulence_signal(k0, n_grid, seed)
     x0, x1 = mesh.domain
     spacing = (x1 - x0) / n_grid
     xq = mesh.node_coords().reshape(-1)
-    vals = _barycentric_interp(spacing, u_grid, xq, x0)
-    return DGField(mesh, vals.reshape(mesh.n_elem, mesh.order + 1))
+    return _barycentric_interp(spacing, u_grid, xq, x0)
 
 
-def eval_uniform(field, n_pts):
-    """Sample the piecewise polynomial at n_pts uniform points (left-closed)."""
-    mesh = field.mesh
+def eval_uniform(mesh, u, n_pts):
+    """Sample the flat state u at n_pts uniform points (left-closed)."""
     x0, x1 = mesh.domain
     E = mesh.n_elem
+    coeffs = np.reshape(u, (E, mesh.order + 1))
     if n_pts % E == 0:
         m = n_pts // E
         r = -1.0 + 2.0 * (np.arange(m) / m)
         b = mesh.basis_at(r)
-        return (field.coeffs @ b.T).reshape(-1)
+        return (coeffs @ b.T).reshape(-1)
     xs = x0 + (x1 - x0) * np.arange(n_pts) / n_pts
     e = np.minimum(((xs - x0) / mesh.h).astype(int), E - 1)
     r = 2.0 * (xs - (x0 + e * mesh.h)) / mesh.h - 1.0
@@ -450,5 +409,5 @@ def eval_uniform(field, n_pts):
     for el in range(E):
         mask = e == el
         if np.any(mask):
-            out[mask] = mesh.basis_at(r[mask]) @ field.coeffs[el]
+            out[mask] = mesh.basis_at(r[mask]) @ coeffs[el]
     return out

@@ -89,20 +89,9 @@ def spectrum_of_samples(u):
     return Spectrum(k=ks, e=side[ks] + side[n - ks])
 
 
-def energy_spectrum(field, n_pts):
-    """Spectrum of a DG field sampled at n_pts uniform points."""
-    return spectrum_of_samples(dg.eval_uniform(field, n_pts))
-
-
-def log_spectrum_distance(spec_a, spec_b, k_lo=1, k_hi=None):
-    """L2 distance between log energy spectra over a shared wavenumber band."""
-    if spec_a.k.size != spec_b.k.size or np.any(spec_a.k != spec_b.k):
-        raise ValueError("spectra live on different wavenumber grids")
-    hi = int(spec_a.k[-1]) if k_hi is None else min(int(k_hi), int(spec_a.k[-1]))
-    mask = (spec_a.k >= k_lo) & (spec_a.k <= hi)
-    la = np.log(np.maximum(spec_a.e[mask], 1e-300))
-    lb = np.log(np.maximum(spec_b.e[mask], 1e-300))
-    return float(np.sqrt(np.sum((la - lb) ** 2)))
+def energy_spectrum(mesh, u, n_pts):
+    """Spectrum of the flat DG state u sampled at n_pts uniform points."""
+    return spectrum_of_samples(dg.eval_uniform(mesh, u, n_pts))
 
 
 def _cell(v):

@@ -73,7 +73,7 @@ def _pde_problem(cfg):
             )
             meta = {"model": "burgers", "k0": str(cfg.model["k0"])}
         meta.update(p=str(mesh_h.order), n_elem=str(mesh_h.n_elem), kappa=repr(pcfg.kappa))
-        u0s.append(u0.flat)
+        u0s.append(u0)
         metas.append(meta)
     return dg.rhs_semidiscrete(pcfg, mesh_h), np.stack(u0s), metas
 
@@ -233,7 +233,7 @@ def predict(cfg, params, u0, dt, n_steps, variant, t0=0.0):
         mesh = mesh_h if variant == "high" else mesh_l
         if variant in ("low2", "low3"):
             mesh = dg.make_mesh(mesh_l.n_elem, 2 if variant == "low2" else 3, *mesh_l.domain)
-            u0 = dg.interp_to_order(dg.field_from_flat(mesh_l, u0), mesh.order).flat
+            u0 = dg.interp_states(mesh_l, u0[None], mesh.order)[0]
         elif variant not in ("high", "low", "augmented", "discrete"):
             raise ConfigError(f"unknown prediction variant {variant!r}")
         rhs = dg.rhs_semidiscrete(pcfg, mesh)
@@ -358,7 +358,7 @@ def window_problem(experiment, seed=0):
             u0 = dg.field_from_function(mesh, lambda x: np.sin(x) + 0.1 * np.cos(2 * x))
             dt = 5e-3
         rhs = dg.rhs_semidiscrete(pcfg, mesh)
-        trajs = [integrate(get_tableau("rk4"), rhs, u0.flat, 0.0, dt, 8)]
+        trajs = [integrate(get_tableau("rk4"), rhs, u0, 0.0, dt, 8)]
         params = mlp.init_params(mesh.n_dof, mesh.n_dof, seed=seed)
         builder = lambda ws, bs: training.augmented(rhs, ws, bs)
 

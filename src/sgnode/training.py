@@ -237,7 +237,7 @@ class TrainResult:
 def _keep_freed_heap():
     """Have glibc malloc keep freed memory in the heap for reuse.
 
-    Each training step frees its tape (~300 MB on the L96 desk run) and the
+    Each training step frees its tape (240 MB on the L96 desk run) and the
     next step allocates as much again.  By default glibc serves arrays over
     a few MB from fresh mappings and returns the freed top of the heap to
     the OS, so every step faulted its tape's pages back in: 394,000 minor

@@ -25,6 +25,32 @@ def report(criterion, ok, detail):
     assert ok, f"criterion {criterion}: {detail}"
 
 
+def mass(mesh, u):
+    """Integral of the flat DG state u by the mesh quadrature."""
+    uq = u.reshape(mesh.n_elem, -1) @ mesh.vq.T
+    return float(mesh.jac * np.sum(mesh.quad_w * uq))
+
+
+def log_spectrum_distance(spec_a, spec_b, k_lo=1, k_hi=None):
+    """L2 distance between log energy spectra over a shared wavenumber band."""
+    if spec_a.k.size != spec_b.k.size or np.any(spec_a.k != spec_b.k):
+        raise ValueError("spectra live on different wavenumber grids")
+    hi = int(spec_a.k[-1]) if k_hi is None else min(int(k_hi), int(spec_a.k[-1]))
+    mask = (spec_a.k >= k_lo) & (spec_a.k <= hi)
+    la = np.log(np.maximum(spec_a.e[mask], 1e-300))
+    lb = np.log(np.maximum(spec_b.e[mask], 1e-300))
+    return float(np.sqrt(np.sum((la - lb) ** 2)))
+
+
+def test_log_spectrum_distance_properties():
+    k = np.arange(1, 32)
+    a = diagnostics.Spectrum(k=k, e=np.exp(-k / 3.0))
+    b = diagnostics.Spectrum(k=k, e=np.exp(-k / 3.0) * 2.0)
+    d = log_spectrum_distance(a, b, 1, 31)
+    assert d == pytest.approx(np.sqrt(31 * np.log(2.0) ** 2), rel=1e-12)
+    assert log_spectrum_distance(a, a) == 0.0
+
+
 # ---------------------------------------------------------------- fixtures
 
 def desk_data(tmp_path_factory, name):
@@ -88,13 +114,12 @@ def burgers_desk(tmp_path_factory):
     rhs_l = dg.rhs_semidiscrete(pcfg, mesh_l)
     ref = experiments.load_dataset(cfg)[0]
     truth = experiments.load_dataset(cfg, kind="truth")[0]
-    ic = dg.field_from_flat(mesh_h, truth.states[0])
 
     res = training.train(
         [ref], cfg.training, lambda ws, bs: training.augmented(rhs_l, ws, bs), 128, 128
     )
     return dict(cfg=cfg, mesh_h=mesh_h, mesh_l=mesh_l, rhs_l=rhs_l,
-                ic=ic, ref=ref, truth=truth, params=res.params)
+                ref=ref, truth=truth, params=res.params)
 
 
 # ---------------------------------------------------------------- criteria
@@ -166,11 +191,11 @@ def test_c02_dg_spatial_order():
             u0 = dg.field_from_function(mesh, lambda x: np.sin(2 * np.pi * x))
             T = 0.25
             dt = 2e-4 * (20 / n_elem)
-            tr = integrate(tableau_rk4(), rhs, u0.flat, 0.0, dt, round(T / dt))
+            tr = integrate(tableau_rk4(), rhs, u0, 0.0, dt, round(T / dt))
             exact = dg.field_from_function(
                 mesh, lambda x: np.sin(2 * np.pi * (x - T)) * np.exp(-1e-4 * (2 * np.pi) ** 2 * T)
             )
-            errs.append(dg.dg_error(dg.field_from_flat(mesh, tr.states[-1]), exact))
+            errs.append(dg.states_dg_norm(mesh, (tr.states[-1] - exact)[None])[0])
         observed[p] = min(np.log2(errs[i] / errs[i + 1]) for i in range(2))
     wall = time.perf_counter() - t0
     ok = all(observed[p] >= p + 0.5 for p in observed) and wall < 120.0
@@ -198,22 +223,23 @@ def test_c04_filter_properties():
     mesh = dg.make_mesh(6, 4, 0.0, 1.0)
     rng = np.random.default_rng(0)
     # idempotence through re-embedding
-    f = dg.DGField(mesh, rng.normal(size=(6, 5)))
-    g1 = dg.filter_project(f, 2)
-    g2 = dg.filter_project(dg.interp_to_order(g1, 4), 2)
-    idem = np.max(np.abs(g2.coeffs - g1.coeffs))
+    f = rng.normal(size=(1, mesh.n_dof))
+    g1 = dg.project_states(mesh, f, 2)
+    g2 = dg.project_states(mesh, dg.interp_states(dg.make_mesh(6, 2, 0.0, 1.0), g1, 4), 2)
+    idem = np.max(np.abs(g2 - g1))
     # Legendre orthogonality: P2 samples project to zero at order 1
     p2 = np.polynomial.legendre.legval(mesh.nodes, [0, 0, 1])
-    ortho = np.max(np.abs(dg.filter_project(dg.DGField(mesh, np.tile(p2, (6, 1))), 1).coeffs))
+    ortho = np.max(np.abs(dg.project_states(mesh, np.tile(p2, (1, 6)), 1)))
     # optimality over 100 random fields
+    low = dg.make_mesh(6, 1, 0.0, 1.0)
     optimal = True
     for _ in range(100):
-        f = dg.DGField(mesh, rng.normal(size=(6, 5)))
-        gu = dg.filter_project(f, 1)
-        base = dg.dg_error(f, dg.interp_to_order(gu, 4))
+        f = rng.normal(size=(1, mesh.n_dof))
+        gu = dg.project_states(mesh, f, 1)
+        base = dg.states_dg_norm(mesh, f - dg.interp_states(low, gu, 4))[0]
         for _ in range(3):
-            v = dg.DGField(gu.mesh, gu.coeffs + 0.3 * rng.normal(size=gu.coeffs.shape))
-            if base > dg.dg_error(f, dg.interp_to_order(v, 4)) + 1e-12:
+            v = gu + 0.3 * rng.normal(size=gu.shape)
+            if base > dg.states_dg_norm(mesh, f - dg.interp_states(low, v, 4))[0] + 1e-12:
                 optimal = False
     ok = idem < 1e-10 and ortho < 1e-10 and optimal
     report(4, ok, f"idempotence {idem:.1e}, orthogonality {ortho:.1e} (< 1e-10), "
@@ -232,10 +258,8 @@ def test_c05_conservation_and_free_stream():
         cfg = dg.PdeConfig(kind, **kw)
         rhs = dg.rhs_semidiscrete(cfg, mesh)
         u0 = ic(mesh)
-        tr = integrate(tableau_rk4(), rhs, u0.flat, 0.0, dt, 1000)
-        drifts[name] = abs(
-            dg.dg_integral(dg.field_from_flat(mesh, tr.states[-1])) - dg.dg_integral(u0)
-        )
+        tr = integrate(tableau_rk4(), rhs, u0, 0.0, dt, 1000)
+        drifts[name] = abs(mass(mesh, tr.states[-1]) - mass(mesh, u0))
         const_resid[name] = float(np.max(np.abs(rhs(0.0, np.full(mesh.n_dof, 2.3)))))
     ok = all(d <= 1e-10 for d in drifts.values()) and all(
         r <= 1e-13 for r in const_resid.values()
@@ -333,7 +357,9 @@ def test_c09_spectrum_diagnostics(burgers_desk):
     spec = diagnostics.spectrum_of_samples(np.sin(2 * np.pi * np.arange(n) / n))
     anchor = abs(spec.e[0] - 0.25) <= 1e-10 and np.max(np.abs(spec.e[1:])) <= 1e-10
     # initial-condition peak
-    spec_ic = diagnostics.energy_spectrum(burgers_desk["ic"], 512)
+    spec_ic = diagnostics.energy_spectrum(
+        burgers_desk["mesh_h"], burgers_desk["truth"].states[0], 512
+    )
     peak = int(spec_ic.k[np.argmax(spec_ic.e)])
     # trained-model spectrum distance vs the plain low-order solver
     cfg = burgers_desk["cfg"]
@@ -350,11 +376,11 @@ def test_c09_spectrum_diagnostics(burgers_desk):
     for t_eval in (0.5, 1.0):
         i_pred = int(round(t_eval / cfg.prediction.dt))
         i_ref = int(round(t_eval / ref.dt))
-        s_ref = diagnostics.energy_spectrum(dg.field_from_flat(mesh_l, ref.states[i_ref]), 64)
-        s_aug = diagnostics.energy_spectrum(dg.field_from_flat(mesh_l, pred_aug.states[i_pred]), 64)
-        s_low = diagnostics.energy_spectrum(dg.field_from_flat(mesh_l, pred_low.states[i_pred]), 64)
-        d_aug = diagnostics.log_spectrum_distance(s_aug, s_ref, 1, 32)
-        d_low = diagnostics.log_spectrum_distance(s_low, s_ref, 1, 32)
+        s_ref = diagnostics.energy_spectrum(mesh_l, ref.states[i_ref], 64)
+        s_aug = diagnostics.energy_spectrum(mesh_l, pred_aug.states[i_pred], 64)
+        s_low = diagnostics.energy_spectrum(mesh_l, pred_low.states[i_pred], 64)
+        d_aug = log_spectrum_distance(s_aug, s_ref, 1, 32)
+        d_low = log_spectrum_distance(s_low, s_ref, 1, 32)
         ratios[t_eval] = d_aug / d_low
     ok = anchor and abs(peak - 10) <= 2 and all(r <= 0.5 for r in ratios.values())
     report(9, ok, f"sin anchor E(1)=1/4: {anchor}; IC spectrum peak k={peak} (10±2); "
@@ -379,7 +405,7 @@ def test_c10_timing_orderings(cd_desk, burgers_desk):
         ref = bundle["filtered"][0] if tag == "cd" else bundle["ref"]
         if tag == "cd":
             ic = dg.cd_initial_condition(bundle["mesh_h"], 0.25)
-            truth = Trajectory(t0=0.0, dt=cfg.data.dt, states=ic.flat[None, :], meta={})
+            truth = Trajectory(t0=0.0, dt=cfg.data.dt, states=ic[None, :], meta={})
         else:
             truth = bundle["truth"]
         rows = run_timings(cfg, ref, truth, mlp.zero_params(d, d))

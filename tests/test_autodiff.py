@@ -243,6 +243,58 @@ def test_every_primitive_has_a_vjp_and_a_case():
     assert set(ad._FWD) - covered == set()
 
 
+def _fwd_inputs():
+    """(name, aux, input values) of every primitive node on the FD cases'
+    tapes, and of a dense product large enough to split its rows."""
+    nodes = [("dense", True, [np.ones((ad.SPLIT_ROWS, 3)), np.ones((4, 3)), np.ones(4)])]
+    for _, build, shapes in FD_CASES:
+        _, tape = ad.record(build, [np.ones(s) for s in shapes])
+        nodes += [(op, aux, [tape.vals[i] for i in args])
+                  for op, args, aux in tape.ops if op != "leaf"]
+    return nodes
+
+
+def test_forward_rules_keep_long_double():
+    seen = set()
+    for name, aux, xs in _fwd_inputs():
+        out = ad._FWD[name](aux, [np.asarray(x, np.longdouble) for x in xs])
+        assert np.asarray(out).dtype == np.longdouble, name
+        seen.add(name)
+    assert seen == set(ad._FWD)
+
+
+@pytest.mark.skipif(
+    np.finfo(np.longdouble).eps == np.finfo(np.float64).eps,
+    reason="np.longdouble is binary64 on this platform, so long-double "
+           "differences resolve nothing the float64 check does not",
+)
+@pytest.mark.parametrize("name,build,shapes", FD_CASES)
+def test_primitive_vjps_match_long_double_finite_differences(name, build, shapes):
+    # float64 tape gradients against central differences of the untaped
+    # builder in long double, which resolve entries far below float64's
+    # ~ulp(loss)/h; grad_check's float() would drop those bits
+    h = np.longdouble(1e-6)
+    worst = 0.0
+    for seed in range(40):
+        rng = np.random.default_rng(seed)
+        params = [rng.normal(size=s) for s in shapes]
+        grads = ad.backward(ad.record(build, params)[1])
+        trial = [p.astype(np.longdouble) for p in params]
+        for k, g in enumerate(grads):
+            base = trial[k]
+            for j in range(base.size):
+                trial[k] = pert = base.copy()
+                pert.flat[j] += h
+                fp = build(trial)
+                pert.flat[j] -= 2 * h
+                fm = build(trial)
+                fd = (fp - fm) / (2 * h)
+                rel = abs(g.flat[j] - fd) / max(1e-12, abs(g.flat[j]) + abs(fd))
+                worst = max(worst, float(rel))
+            trial[k] = base
+    assert worst < 1e-7, (name, worst)
+
+
 @pytest.mark.parametrize("stencil", [
     _ring_stencil(3, 2, 0),  # offsets -2..2 fold onto three blocks
     _ring_stencil(7, 3, 0),
@@ -414,7 +466,7 @@ def test_training_tapes_record_exactly_the_closed_op_set(monkeypatch):
     ):
         mesh = dg.make_mesh(4, 1, *domain)
         rhs = dg.rhs_semidiscrete(dg.PdeConfig(kind, kappa=1e-2, a=1.0), mesh)
-        trajs = [integrate(tableau_rk4(), rhs, dg.field_from_function(mesh, fn).flat, 0.0, dt, 6)]
+        trajs = [integrate(tableau_rk4(), rhs, dg.field_from_function(mesh, fn), 0.0, dt, 6)]
         builder = lambda ws, bs: training.augmented(rhs, ws, bs)
         training.train(trajs, tcfg, builder, mesh.n_dof, mesh.n_dof)
     inputs, targets = training.discrete_forcing_dataset(trajs, dt, rhs, "rk4")

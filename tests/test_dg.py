@@ -6,6 +6,17 @@ from sgnode import dg
 from sgnode.ode import integrate, tableau_rk4
 
 
+def dg_error(mesh, a, b):
+    """Broken L2 norm of the difference of two flat states."""
+    return dg.states_dg_norm(mesh, (a - b)[None])[0]
+
+
+def mass(mesh, u):
+    """Integral of the flat state u by the mesh quadrature."""
+    uq = u.reshape(mesh.n_elem, -1) @ mesh.vq.T
+    return float(mesh.jac * np.sum(mesh.quad_w * uq))
+
+
 def test_lgl_nodes_symmetric_with_endpoints():
     for p in (1, 2, 3, 5, 8):
         nodes = dg.lgl_nodes(p)
@@ -52,13 +63,13 @@ def test_single_mode_semidiscrete_decay_and_phase():
     cfg = dg.PdeConfig(dg.CONVECTION_DIFFUSION, kappa=kappa, a=a)
     rhs = dg.rhs_semidiscrete(cfg, mesh)
     u0 = dg.field_from_function(mesh, lambda x: np.sin(2 * np.pi * alpha * x))
-    tr = integrate(tableau_rk4(), rhs, u0.flat, 0.0, 1e-4, round(T / 1e-4))
+    tr = integrate(tableau_rk4(), rhs, u0, 0.0, 1e-4, round(T / 1e-4))
     exact = dg.field_from_function(
         mesh,
         lambda x: np.sin(2 * np.pi * alpha * (x - a * T))
         * np.exp(-kappa * (2 * np.pi * alpha) ** 2 * T),
     )
-    err = dg.dg_error(dg.field_from_flat(mesh, tr.states[-1]), exact)
+    err = dg_error(mesh, tr.states[-1], exact)
     assert err < 1e-8
 
 
@@ -79,13 +90,13 @@ def test_spatial_convergence_orders():
             u0 = dg.field_from_function(mesh, lambda x: np.sin(2 * np.pi * x))
             T = 0.25
             dt = 2e-4 * (20 / n_elem)
-            tr = integrate(tableau_rk4(), rhs, u0.flat, 0.0, dt, round(T / dt))
+            tr = integrate(tableau_rk4(), rhs, u0, 0.0, dt, round(T / dt))
             exact = dg.field_from_function(
                 mesh,
                 lambda x: np.sin(2 * np.pi * (x - T))
                 * np.exp(-1e-4 * (2 * np.pi) ** 2 * T),
             )
-            errs.append(dg.dg_error(dg.field_from_flat(mesh, tr.states[-1]), exact))
+            errs.append(dg_error(mesh, tr.states[-1], exact))
         orders = [np.log2(errs[i] / errs[i + 1]) for i in range(2)]
         assert min(orders) >= p + 0.5, (p, errs, orders)
 
@@ -95,9 +106,9 @@ def test_conservation_over_integration():
     cfg = dg.PdeConfig(dg.CONVECTION_DIFFUSION, kappa=1e-4, a=1.0)
     rhs = dg.rhs_semidiscrete(cfg, mesh)
     u0 = dg.cd_initial_condition(mesh, 0.37)
-    m0 = dg.dg_integral(u0)
-    tr = integrate(tableau_rk4(), rhs, u0.flat, 0.0, 1e-3, 200)
-    m1 = dg.dg_integral(dg.field_from_flat(mesh, tr.states[-1]))
+    m0 = mass(mesh, u0)
+    tr = integrate(tableau_rk4(), rhs, u0, 0.0, 1e-3, 200)
+    m1 = mass(mesh, tr.states[-1])
     assert abs(m1 - m0) < 1e-12
 
 
@@ -105,80 +116,78 @@ def test_filter_leaves_members_unchanged():
     # elementwise linear data represented at p=5 projects onto itself at p=1
     mesh = dg.make_mesh(6, 5, 0.0, 1.0)
     f = dg.field_from_function(mesh, lambda x: 2.0 * x - 0.3)
-    low = dg.filter_project(f, 1)
-    expect = dg.field_from_function(low.mesh, lambda x: 2.0 * x - 0.3)
-    assert np.max(np.abs(low.coeffs - expect.coeffs)) < 1e-12
+    low = dg.project_states(mesh, f[None], 1)[0]
+    expect = dg.field_from_function(dg.make_mesh(6, 1, 0.0, 1.0), lambda x: 2.0 * x - 0.3)
+    assert np.max(np.abs(low - expect)) < 1e-12
 
 
 def test_filter_idempotent_through_reembedding():
     mesh = dg.make_mesh(6, 4, 0.0, 1.0)
     rng = np.random.default_rng(0)
-    f = dg.DGField(mesh, rng.normal(size=(6, 5)))
-    g1 = dg.filter_project(f, 2)
-    again = dg.filter_project(dg.interp_to_order(g1, 4), 2)
-    assert np.max(np.abs(again.coeffs - g1.coeffs)) < 1e-12
+    f = rng.normal(size=(1, mesh.n_dof))
+    g1 = dg.project_states(mesh, f, 2)
+    again = dg.project_states(mesh, dg.interp_states(dg.make_mesh(6, 2, 0.0, 1.0), g1, 4), 2)
+    assert np.max(np.abs(again - g1)) < 1e-12
 
 
 def test_filter_kills_orthogonal_legendre_mode():
     # nodal samples of P2 on each element project to zero at order 1
     mesh = dg.make_mesh(5, 4, 0.0, 1.0)
     p2 = np.polynomial.legendre.legval(mesh.nodes, [0, 0, 1])
-    f = dg.DGField(mesh, np.tile(p2, (5, 1)))
-    low = dg.filter_project(f, 1)
-    assert np.max(np.abs(low.coeffs)) < 1e-13
+    low = dg.project_states(mesh, np.tile(p2, (1, 5)), 1)
+    assert np.max(np.abs(low)) < 1e-13
 
 
 def test_filter_rejects_upward_projection():
     mesh = dg.make_mesh(4, 2, 0.0, 1.0)
-    f = dg.DGField(mesh, np.zeros((4, 3)))
+    f = np.zeros((1, mesh.n_dof))
     with pytest.raises(ValueError):
-        dg.filter_project(f, 2)
+        dg.project_states(mesh, f, 2)
     with pytest.raises(ValueError):
-        dg.filter_project(f, 3)
+        dg.project_states(mesh, f, 3)
+
+
+def test_interpolation_rejects_downward_embedding():
+    mesh = dg.make_mesh(4, 2, 0.0, 1.0)
+    with pytest.raises(ValueError, match="source order exceeds target"):
+        dg.interp_states(mesh, np.zeros((1, mesh.n_dof)), 1)
 
 
 def test_projection_optimality():
     # || u - Gu || <= || u - v || for sampled low-order candidates v
     mesh = dg.make_mesh(4, 4, 0.0, 1.0)
+    low = dg.make_mesh(4, 1, 0.0, 1.0)
     rng = np.random.default_rng(1)
     for _ in range(25):
-        f = dg.DGField(mesh, rng.normal(size=(4, 5)))
-        gu = dg.filter_project(f, 1)
-        base = dg.dg_error(f, dg.interp_to_order(gu, 4))
+        f = rng.normal(size=(1, mesh.n_dof))
+        gu = dg.project_states(mesh, f, 1)
+        base = dg.states_dg_norm(mesh, f - dg.interp_states(low, gu, 4))[0]
         for _ in range(4):
-            v = dg.DGField(gu.mesh, gu.coeffs + 0.5 * rng.normal(size=gu.coeffs.shape))
-            alt = dg.dg_error(f, dg.interp_to_order(v, 4))
+            v = gu + 0.5 * rng.normal(size=gu.shape)
+            alt = dg.states_dg_norm(mesh, f - dg.interp_states(low, v, 4))[0]
             assert base <= alt + 1e-12
 
 
 def test_dg_norm_values():
     mesh = dg.make_mesh(50, 5, 0.0, 1.0)
-    zero = dg.DGField(mesh, np.zeros((50, 6)))
-    assert dg.dg_norm(zero) == 0.0
-    one = dg.DGField(mesh, np.ones((50, 6)))
-    assert dg.dg_norm(one) == pytest.approx(1.0, abs=1e-14)
     f = dg.field_from_function(mesh, lambda x: np.sin(2 * np.pi * x))
-    assert dg.dg_norm(f) == pytest.approx(1.0 / np.sqrt(2.0), abs=1e-8)
-
-
-def test_dg_error_requires_matching_meshes():
-    a = dg.DGField(dg.make_mesh(4, 1, 0.0, 1.0), np.zeros((4, 2)))
-    b = dg.DGField(dg.make_mesh(5, 1, 0.0, 1.0), np.zeros((5, 2)))
-    with pytest.raises(ValueError):
-        dg.dg_error(a, b)
+    zero, one, sine = dg.states_dg_norm(mesh, np.stack([np.zeros_like(f), np.ones_like(f), f]))
+    assert zero == 0.0
+    assert one == pytest.approx(1.0, abs=1e-14)
+    assert sine == pytest.approx(1.0 / np.sqrt(2.0), abs=1e-8)
 
 
 def test_cd_initial_condition_values_and_norm():
     mesh = dg.make_mesh(50, 5, 0.0, 1.0)
     f = dg.cd_initial_condition(mesh, 0.0)
     # phase 0 at x=0: all four sines vanish
-    assert abs(f.coeffs[0, 0]) < 1e-12
+    assert abs(f[0]) < 1e-12
     x = mesh.node_coords()
     direct = sum(np.sin(2 * np.pi * k * (x - 0.3)) for k in (20, 4, 6, 7))
     f2 = dg.cd_initial_condition(mesh, 0.3)
-    assert np.array_equal(f2.coeffs, direct)
+    assert np.array_equal(f2, direct.reshape(-1))
     # four orthogonal unit modes: norm sqrt(2) up to interpolation error
-    assert dg.dg_norm(f2) == pytest.approx(np.sqrt(2.0), abs=2e-6)
+    assert dg.states_dg_norm(mesh, f2[None])[0] == pytest.approx(np.sqrt(2.0), abs=2e-6)
 
 
 def test_turbulence_signal_realizes_target_spectrum():
@@ -227,17 +236,17 @@ def test_burgulence_ic_interpolation_accuracy():
         series += (2.0 / n) * (
             coeffs[k].real * np.cos(k * xq) - coeffs[k].imag * np.sin(k * xq)
         )
-    assert np.max(np.abs(f.coeffs.reshape(-1) - series)) < 1e-7
+    assert np.max(np.abs(f - series)) < 1e-7
 
 
 def test_eval_uniform_matches_nodal_data():
     mesh = dg.make_mesh(8, 3, 0.0, 2 * np.pi)
     f = dg.field_from_function(mesh, np.sin)
-    u64 = dg.eval_uniform(f, 64)
+    u64 = dg.eval_uniform(mesh, f, 64)
     xs = 2 * np.pi * np.arange(64) / 64
     assert np.max(np.abs(u64 - np.sin(xs))) < 1e-3  # interpolation error only
     # non-divisible count goes through the generic path
-    u60 = dg.eval_uniform(f, 60)
+    u60 = dg.eval_uniform(mesh, f, 60)
     xs60 = 2 * np.pi * np.arange(60) / 60
     assert np.max(np.abs(u60 - np.sin(xs60))) < 1e-3
 

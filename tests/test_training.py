@@ -344,7 +344,7 @@ class TestDiscreteForcing:
         rhs_h = dg.rhs_semidiscrete(cfg, mesh_h)
         rhs_l = dg.rhs_semidiscrete(cfg, mesh_l)
         u0 = dg.field_from_function(mesh_h, lambda x: np.sin(2 * np.pi * x))
-        tr = integrate(tableau_rk4(), rhs_h, u0.flat, 0.0, 1e-3, 60)
+        tr = integrate(tableau_rk4(), rhs_h, u0, 0.0, 1e-3, 60)
         filt = Trajectory(
             t0=0.0, dt=1e-3, states=dg.project_states(mesh_h, tr.states, 1), meta={}
         )
@@ -364,7 +364,7 @@ class TestDiscreteForcing:
         # one-step gap vanishes and so do all regression targets
         mesh_l, rhs_l, _ = self._cd_setup()
         u0 = dg.field_from_function(mesh_l, lambda x: np.sin(2 * np.pi * x))
-        tr = integrate(tableau_rk4(), rhs_l, u0.flat, 0.0, 1e-3, 30)
+        tr = integrate(tableau_rk4(), rhs_l, u0, 0.0, 1e-3, 30)
         X, Y = training.discrete_forcing_dataset([tr], 1e-3, rhs_l, "rk4")
         assert np.max(np.abs(Y)) < 1e-12
 
@@ -515,7 +515,7 @@ def test_gradient_fidelity_small_rollout():
     cfg = dg.PdeConfig(dg.CONVECTION_DIFFUSION, kappa=1e-3, a=1.0)
     rhs = dg.rhs_semidiscrete(cfg, mesh)
     u0 = dg.field_from_function(mesh, lambda x: np.sin(2 * np.pi * x))
-    tr = integrate(tableau_rk4(), rhs, u0.flat, 0.0, 1e-3, 12)
+    tr = integrate(tableau_rk4(), rhs, u0, 0.0, 1e-3, 12)
     tcfg = training.TrainConfig(epochs=1, batch_size=3, window=2, dt=2e-3, seed=0, split=1.0)
     batch = training.sample_windows([tr], tcfg, epoch_seed=[1])
     rng = np.random.default_rng(0)
