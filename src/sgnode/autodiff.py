@@ -599,9 +599,11 @@ def grad_check(build, params, h=1e-6, sample=None, seed=0, atol=0.0):
     The finite differences evaluate `build` untaped, as prediction and the
     held-out loss do, on the parameter list with one entry perturbed by
     +/-h; so a builder whose untaped value differs from its taped one fails
-    the check.  `sample` limits the check to that many entries per parameter
-    tensor (always including the entry with the largest tape gradient); None
-    checks every entry.  Returns
+    the check.  They run in each parameter's dtype (at least float64), so
+    long-double parameters resolve differences float64 cannot.  `sample`
+    limits the check to that many entries per parameter tensor (always
+    including the entry with the largest tape gradient); None checks every
+    entry.  Returns
     max over checked entries of |g_ad - g_fd| / max(1e-12, atol, |g_ad| + |g_fd|).
 
     With atol=0 this is a pure relative comparison.  Central differences
@@ -613,7 +615,7 @@ def grad_check(build, params, h=1e-6, sample=None, seed=0, atol=0.0):
     if h <= 0:
         raise ValueError("h must be positive")
     grads = backward(record(build, params)[1])
-    trial = [np.asarray(p, dtype=np.float64) for p in params]
+    trial = [np.asarray(p, dtype=np.result_type(p, float)) for p in params]
     rng = np.random.default_rng(seed)
     max_rel = 0.0
     for k, g in enumerate(grads):
@@ -631,9 +633,9 @@ def grad_check(build, params, h=1e-6, sample=None, seed=0, atol=0.0):
         for flat in idxs:
             trial[k] = pert = base.copy()
             pert.flat[flat] += h
-            fp = float(build(trial))
+            fp = build(trial)
             pert.flat[flat] -= 2 * h
-            fm = float(build(trial))
+            fm = build(trial)
             fd = (fp - fm) / (2 * h)
             ad = g.flat[flat]
             rel = max(0.0, abs(ad - fd) - atol) / max(1e-12, abs(ad) + abs(fd))

@@ -196,6 +196,11 @@ def cmd_sweep(args):
     if cfg.experiment == "l96":
         raise ConfigError("the timestep sweep is defined for the PDE experiments")
     ref = _pick(experiments.load_dataset(cfg), args.traj_index)
+    for dt in args.dts:
+        try:
+            diagnostics.strides(dt, ref.dt)
+        except ConfigError as e:
+            raise ConfigError(f"--dts entry {dt:g} does not align with the data: {e}") from e
     params_c = experiments.load_net(cfg, args.checkpoint)
     params_d = experiments.load_net(cfg, args.checkpoint_discrete)
     rows = experiments.timestep_sweep(cfg, params_c, params_d, ref, args.dts, args.times)

@@ -67,8 +67,6 @@ def _value(x, hint, path):
         return {k: _value(v, args[1], f"{path}.{k}") for k, v in _value(x, dict, path).items()}
     if origin is list:
         return [_value(v, args[0], path) for v in _value(x, list, path)]
-    if args:  # `float | None`: JSON supplies the value, None is the class default
-        hint = args[0]
     if isinstance(x, bool) != (hint is bool):
         raise ConfigError(f"{path}: expected {hint.__name__}, got {x!r}")
     if hint is float and isinstance(x, int):
@@ -133,9 +131,10 @@ class PredictConfig:
 
 @dataclass
 class TimingConfig:
+    """The `time` command's rollouts, which step at prediction.tableau."""
+
     repeats: int = 10
     t_final: float = 1.0
-    tableau: str = "tsit5"
     dts: dict[str, float] = field(default_factory=dict)  # variant -> stable dt
 
     VARIANTS = ("high", "low", "augmented", "low2", "low3")
@@ -145,7 +144,6 @@ class TimingConfig:
             raise ValueError(
                 f"repeats >= 1 and t_final > 0 required, got {self.repeats}, {self.t_final}"
             )
-        get_tableau(self.tableau)
         for variant, dt in self.dts.items():
             _choice(variant, self.VARIANTS, "dts variant")
             if dt <= 0:
@@ -225,9 +223,9 @@ def load_config(path, base_dir=None):
     if not p.exists():
         raise ConfigError(f"config file not found: {p}")
     try:
-        raw = json.loads(p.read_text())
-    except json.JSONDecodeError as e:
-        raise ConfigError(f"{p}: invalid JSON ({e})") from e
+        raw = json.loads(p.read_text(encoding="utf-8"))
+    except ValueError as e:  # not UTF-8, or not JSON
+        raise ConfigError(f"{p}: not UTF-8 JSON ({e})") from e
     if not isinstance(raw, dict):
         raise ConfigError(f"{p}: top level must be a JSON object")
     return RunConfig.from_dict(raw, base_dir=base_dir)

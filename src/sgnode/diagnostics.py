@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dg
+from .errors import ConfigError
 
 
 @dataclass
@@ -39,23 +40,26 @@ class Spectrum:
     e: np.ndarray  # folded energy density
 
 
+def strides(dt, ref_dt):
+    """(pred stride, ref stride): the steps each grid takes between the
+    times it shares with the other, one of them 1.  A ConfigError names
+    both dts when neither is an integer multiple of the other."""
+    ratio = max(dt, ref_dt) / min(dt, ref_dt)
+    k = int(round(ratio))
+    if abs(ratio - k) > 1e-9 * ratio:
+        raise ConfigError(f"incompatible timesteps: pred dt {dt} vs ref dt {ref_dt}, "
+                          f"neither an integer multiple of the other")
+    return (1, k) if dt >= ref_dt else (k, 1)
+
+
 def _align(pred, ref):
     """Shared (pred indices, ref indices) when one dt is an integer multiple
     of the other and start times coincide; no interpolation ever."""
     if abs(pred.t0 - ref.t0) > 1e-12 * max(1.0, abs(ref.t0)):
-        raise ValueError(f"start times differ: {pred.t0} vs {ref.t0}")
-    ratio = pred.dt / ref.dt
-    if ratio >= 1.0:
-        k = int(round(ratio))
-        if abs(ratio - k) > 1e-9 * ratio:
-            raise ValueError(f"incompatible timesteps {pred.dt} vs {ref.dt}")
-        n = min(len(pred) - 1, (len(ref) - 1) // k)
-        return np.arange(n + 1), np.arange(n + 1) * k
-    k = int(round(1.0 / ratio))
-    if abs(1.0 / ratio - k) > 1e-9 / ratio:
-        raise ValueError(f"incompatible timesteps {pred.dt} vs {ref.dt}")
-    n = min(len(ref) - 1, (len(pred) - 1) // k)
-    return np.arange(n + 1) * k, np.arange(n + 1)
+        raise ConfigError(f"start times differ: pred t0 {pred.t0} vs ref t0 {ref.t0}")
+    sp, sr = strides(pred.dt, ref.dt)
+    n = min((len(pred) - 1) // sp, (len(ref) - 1) // sr)
+    return np.arange(n + 1) * sp, np.arange(n + 1) * sr
 
 
 def compare_fields(pred, ref, mesh=None):

@@ -306,17 +306,14 @@ def timestep_sweep(cfg, params_cont, params_disc, ref, dts, eval_times):
 
 
 def run_timings(cfg, ref, truth, params, variants=None):
-    """Wall times per prediction variant at its stable dt: the first run and
-    the median of the repeats.
+    """Wall times per prediction variant at its stable dt, stepping at
+    prediction.tableau: the first run and the median of the repeats.
 
     The variants run in interleaved rounds: round 0 is every variant's first
     run, and each later round repeats every variant once, so drift in the
     machine's load reaches all variants alike.
     """
     tcfg = cfg.timing
-    cfg = dataclasses.replace(
-        cfg, prediction=dataclasses.replace(cfg.prediction, tableau=tcfg.tableau)
-    )
     runs = []
     for variant in variants or tcfg.VARIANTS:
         if variant in tcfg.dts:

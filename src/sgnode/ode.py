@@ -355,6 +355,9 @@ def load_trajectory(path, sha256=None):
             raise FormatError(f"{path}: unsupported version {version}")
         if d == 0:
             raise FormatError(f"{path}: state dimension is 0")
+        if count == 0 or not (np.isfinite(t0) and 0.0 < dt < np.inf):
+            raise FormatError(f"{path}: header has count {count}, t0 {t0}, dt {dt}; a writer "
+                              f"gives one state or more, a finite t0 and a finite dt > 0")
         states = read_array(f, (count, d), path, "state block")
         length = read_exact(f, 4, path, "metadata length")
         blob = read_exact(f, struct.unpack("<I", length)[0], path, "metadata")

@@ -27,16 +27,12 @@ from .ode import erk_step, get_tableau, integrate, steps  # noqa: F401
 @dataclass
 class TrainConfig:
     epochs: int = 1000
-    batch_size: int = 100        # windows per optimizer step
-    steps_per_epoch: int = 1     # optimizer steps per epoch
+    batch_size: int = 100        # windows per optimizer step, one step per epoch
     window: int = 5              # rollout length m
     dt: float = 1e-3             # training timestep
     tableau: str = "tsit5"
     optimizer: str = "adam"      # adam | adabelief
     lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float | None = None     # default: 1e-8 adam, 1e-16 adabelief
     seed: int = 0
     split: float = 0.75          # train fraction (time range for PDEs, trajectories for L96)
     split_axis: str = "time"     # time | trajectory
@@ -44,8 +40,8 @@ class TrainConfig:
     checkpoint_every: int = 0    # 0: final checkpoint only
 
     def __post_init__(self):
-        if min(self.window, self.batch_size, self.steps_per_epoch) < 1:
-            raise ConfigError("window, batch_size and steps_per_epoch must be >= 1")
+        if min(self.window, self.batch_size) < 1:
+            raise ConfigError("window and batch_size must be >= 1")
         if min(self.epochs, self.seed, self.test_every, self.checkpoint_every) < 0:
             raise ConfigError("epochs, seed, test_every and checkpoint_every must be >= 0")
         get_tableau(self.tableau)
@@ -55,8 +51,6 @@ class TrainConfig:
             raise ConfigError(f"unknown split_axis {self.split_axis!r}")
         if not 0.0 < self.split <= 1.0:
             raise ConfigError("split fraction must be in (0, 1]")
-        if self.eps is None:
-            self.eps = 1e-8 if self.optimizer == "adam" else 1e-16
 
 
 @dataclass
@@ -184,13 +178,15 @@ def rollout_loss_value(params, batch, rhs_builder, tableau):
     return float(build(mlp.param_list(params)))
 
 
+# the moment decay rates of both optimizers, and each one's denominator offset
+BETA1, BETA2 = 0.9, 0.999
+EPS = {"adam": 1e-8, "adabelief": 1e-16}
+
+
 @dataclass
 class OptimState:
     kind: str
     lr: float
-    beta1: float
-    beta2: float
-    eps: float
     m: list = field(default_factory=list)
     v: list = field(default_factory=list)
     t: int = 0
@@ -201,30 +197,25 @@ def opt_init(cfg, params):
     return OptimState(
         kind=cfg.optimizer,
         lr=cfg.lr,
-        beta1=cfg.beta1,
-        beta2=cfg.beta2,
-        eps=cfg.eps,
         m=[np.zeros_like(p) for p in plist],
         v=[np.zeros_like(p) for p in plist],
     )
 
 
 def opt_step(opt, plist, grads):
-    """One Adam/AdaBelief update, in place on the parameter arrays."""
+    """One Adam/AdaBelief update, in place on the parameter arrays: v tracks
+    g^2 for Adam and (g - m)^2 for AdaBelief."""
     opt.t += 1
-    bc1 = 1.0 - opt.beta1 ** opt.t
-    bc2 = 1.0 - opt.beta2 ** opt.t
+    bc1 = 1.0 - BETA1 ** opt.t
+    bc2 = 1.0 - BETA2 ** opt.t
+    eps = EPS[opt.kind]
     for p, g, m, v in zip(plist, grads, opt.m, opt.v):
-        m *= opt.beta1
-        m += (1.0 - opt.beta1) * g
-        if opt.kind == "adam":
-            v *= opt.beta2
-            v += (1.0 - opt.beta2) * (g * g)
-        else:
-            d = g - m
-            v *= opt.beta2
-            v += (1.0 - opt.beta2) * (d * d)
-        p -= opt.lr * (m / bc1) / (np.sqrt(v / bc2) + opt.eps)
+        m *= BETA1
+        m += (1.0 - BETA1) * g
+        d = g if opt.kind == "adam" else g - m
+        v *= BETA2
+        v += (1.0 - BETA2) * (d * d)
+        p -= opt.lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
 
 
 @dataclass
@@ -258,11 +249,10 @@ def _keep_freed_heap():
 def _fit(cfg, d_in, d_out, init, on_epoch, step_loss, test_loss=None):
     """The epoch loop of both trainers.
 
-    Each epoch takes cfg.steps_per_epoch optimizer steps, each on
-    `step_loss(params, epoch, step)` -> (loss, tape).  It then records the
-    history row (the last step's loss and `test_loss(params, epoch)`, or
-    None), the periodic checkpoint every cfg.checkpoint_every epochs, and
-    the callback.
+    Each epoch takes one optimizer step on `step_loss(params, epoch)` ->
+    (loss, tape).  It then records the history row (the step's loss and
+    `test_loss(params, epoch)`, or None), the periodic checkpoint every
+    cfg.checkpoint_every epochs, and the callback.
 
     A step's tape is dropped as soon as its gradients are out, so only one
     tape is ever alive: the held-out loss and the next step's recording
@@ -274,18 +264,17 @@ def _fit(cfg, d_in, d_out, init, on_epoch, step_loss, test_loss=None):
     plist = mlp.param_list(params)
     result = TrainResult(params=params, history=[])
     for epoch in range(1, cfg.epochs + 1):
-        for step in range(cfg.steps_per_epoch):
-            try:
-                train_loss, tape = step_loss(params, epoch, step)
-            except BlowupError as e:
-                raise BlowupError(
-                    f"training rollout blew up at epoch {epoch}: {e}",
-                    stage=e.stage, step=e.step, time=e.time, sample=e.sample,
-                    epoch=epoch,
-                ) from e
-            grads = ad.backward(tape)
-            del tape
-            opt_step(opt, plist, grads)
+        try:
+            train_loss, tape = step_loss(params, epoch)
+        except BlowupError as e:
+            raise BlowupError(
+                f"training rollout blew up at epoch {epoch}: {e}",
+                stage=e.stage, step=e.step, time=e.time, sample=e.sample,
+                epoch=epoch,
+            ) from e
+        grads = ad.backward(tape)
+        del tape
+        opt_step(opt, plist, grads)
         held_out = test_loss(params, epoch) if test_loss else None
         result.history.append((epoch, train_loss, held_out))
         if cfg.checkpoint_every and epoch % cfg.checkpoint_every == 0:
@@ -303,9 +292,9 @@ def train(trajs, cfg, rhs_builder, d_in, d_out, init=None, on_epoch=None):
     # drop held-out ranges too short to hold one window
     test_rng = [r for r in test_rng if r[2] - r[1] >= cfg.window * stride]
 
-    def step_loss(params, epoch, step):
+    def step_loss(params, epoch):
         batch = sample_windows(
-            trajs, cfg, epoch_seed=[cfg.seed, 101, epoch, step], ranges=train_rng
+            trajs, cfg, epoch_seed=[cfg.seed, 101, epoch], ranges=train_rng
         )
         return node_loss(params, batch, rhs_builder, cfg.tableau)
 
@@ -351,9 +340,9 @@ def train_discrete_forcing(inputs, targets, cfg, d_in, d_out, init=None, on_epoc
     """Plain MLP regression input -> forcing with the configured optimizer."""
     n_total = inputs.shape[0]
 
-    def step_loss(params, epoch, step):
+    def step_loss(params, epoch):
         rng = np.random.Generator(
-            np.random.PCG64(np.random.SeedSequence([cfg.seed, 303, epoch, step]))
+            np.random.PCG64(np.random.SeedSequence([cfg.seed, 303, epoch]))
         )
         pick = rng.integers(0, n_total, size=min(cfg.batch_size, n_total))
         xb, yb = inputs[pick], targets[pick]

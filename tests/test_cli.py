@@ -33,7 +33,7 @@ def smoke_config(tmp_path, experiment="cd", **overrides):
             "seed": 1, "split": 0.75, "split_axis": "time", "test_every": 1,
         },
         "prediction": {"dt": 2e-3, "t_final": 0.02, "tableau": "rk4", "variant": "augmented"},
-        "timing": {"repeats": 2, "t_final": 0.02, "tableau": "rk4",
+        "timing": {"repeats": 2, "t_final": 0.02,
                    "dts": {"high": 1e-3, "low": 2e-3, "augmented": 2e-3,
                            "low2": 2e-3, "low3": 1e-3}},
     }
@@ -78,7 +78,6 @@ L96_MODEL = {"K": 8, "J": 4, "F": 6.0, "source_scope": "per_component"}
     ("cd", "training", "lr", "1e-3"),
     ("cd", "training", "tableau", "euler"),
     ("cd", "prediction", "tableau", "euler"),
-    ("cd", "timing", "tableau", "euler"),
     ("cd", "timing", "dts", {"slow": 1e-3}),
 ])
 def test_invalid_value_is_config_error_naming_its_section(
@@ -118,6 +117,25 @@ def test_a_key_the_experiment_never_reads_is_config_error(
     assert f"['{key}']" in capsys.readouterr().err
 
 
+# one optimizer step per epoch, fixed Adam/AdaBelief constants, and `time`
+# stepping at prediction.tableau: these keys are gone
+@pytest.mark.parametrize("section,key,value", [
+    *((section, key, value) for section in ("training", "training_discrete")
+      for key, value in (("steps_per_epoch", 1), ("beta1", 0.9), ("beta2", 0.999),
+                         ("eps", 1e-8))),
+    ("timing", "tableau", "rk4"),
+])
+def test_a_removed_key_is_config_error(tmp_path, capsys, section, key, value):
+    path = smoke_config(tmp_path)
+    cfg = json.loads(path.read_text())
+    cfg[section] = {**cfg.get(section, cfg["training"]), key: value}
+    path.write_text(json.dumps(cfg))
+    with pytest.raises(ConfigError, match=rf"^{section}: unknown keys \['{key}'\]"):
+        load_config(path)
+    assert main(["generate", "--config", str(path)]) == 2
+    assert f"config error: {section}: unknown keys ['{key}']" in capsys.readouterr().err
+
+
 def test_l96_desk_config_values_and_types():
     cfg = load_config("configs/l96-desk.json")
     model = {"K": 36, "J": 10, "c": 10.0, "h": 1.0, "F": 6.0, "source_scope": "per_component"}
@@ -148,6 +166,15 @@ def test_config_error_exit_code(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{not json")
     assert main(["generate", "--config", str(path)]) == 2
+
+
+def test_a_config_that_is_not_utf8_is_config_error_naming_the_file(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes('{"experiment": "cd", "out_dir": "caf\u00e9"}'.encode("latin-1"))
+    with pytest.raises(ConfigError, match="not UTF-8 JSON"):
+        load_config(path)
+    assert main(["generate", "--config", str(path)]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {path}: not UTF-8 JSON")
 
 
 def test_missing_manifest_is_config_error(tmp_path):
@@ -286,6 +313,20 @@ def test_evaluate_takes_only_the_low_and_high_mesh_dimensions(tmp_path, capsys, 
     for pred in (32, 16):
         save_trajectory(Trajectory(0.0, 0.1, np.ones((3, pred))), files["pred"])
         assert main(argv) == 0
+
+
+@pytest.mark.parametrize("t0,dt,named", [
+    (0.0, 0.015, "pred dt 0.015 vs ref dt 0.01"),
+    (0.5, 0.01, "pred t0 0.5 vs ref t0 0.0"),
+])
+def test_evaluate_of_grids_that_do_not_align_is_config_error(tmp_path, capsys, t0, dt, named):
+    path = smoke_config(tmp_path)
+    pred, ref = tmp_path / "pred.sgnt", tmp_path / "ref.sgnt"
+    save_trajectory(Trajectory(t0, dt, np.ones((5, 16))), pred)
+    save_trajectory(Trajectory(0.0, 0.01, np.ones((5, 16))), ref)
+    assert main(["evaluate", "--config", str(path), "--pred", str(pred), "--ref", str(ref)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and named in err
 
 
 def test_evaluate_rejects_a_full_prediction_against_slow_truth(tmp_path, capsys):
@@ -440,7 +481,7 @@ def test_discrete_training_with_a_trajectory_split(tmp_path):
         assert np.array_equal(a, b)
 
 
-def test_discrete_training_and_sweep(tmp_path):
+def test_discrete_training_and_sweep(tmp_path, capsys):
     path = smoke_config(tmp_path)
     main(["generate", "--config", str(path)])
     out = tmp_path / "run"
@@ -457,6 +498,17 @@ def test_discrete_training_and_sweep(tmp_path):
     sweep = (out / "sweep.csv").read_text().splitlines()
     assert sweep[0] == "method,dt,t,rel_error"
     assert len(sweep) == 1 + 2 * 2 * 2
+    # a step that is neither a multiple nor a divisor of the data's 1e-3
+    capsys.readouterr()
+    rc = main([
+        "sweep", "--config", str(path),
+        "--checkpoint", str(out / "checkpoint_continuous.sgnp"),
+        "--checkpoint-discrete", str(out / "checkpoint_discrete.sgnp"),
+        "--dts", "1e-3,1.5e-3", "--times", "0.01,0.02",
+    ])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: --dts entry 0.0015 ") and "ref dt 0.001" in err
 
 
 def test_discrete_training_writes_its_periodic_checkpoints(tmp_path):
@@ -476,16 +528,23 @@ def test_discrete_training_writes_its_periodic_checkpoints(tmp_path):
         assert np.array_equal(a, b)
 
 
-def test_run_timings_leaves_the_config_unchanged(tmp_path):
-    timing = {"repeats": 1, "t_final": 0.01, "tableau": "tsit5", "dts": {"low": 2e-3}}
+def test_run_timings_steps_at_the_prediction_tableau(tmp_path, monkeypatch):
+    timing = {"repeats": 1, "t_final": 0.01, "dts": {"low": 2e-3, "augmented": 2e-3}}
     path = smoke_config(tmp_path, timing=timing)
     main(["generate", "--config", str(path)])
     cfg = load_config(path)
     ref = experiments.load_dataset(cfg)[0]
     truth = experiments.load_dataset(cfg, kind="truth")[0]
-    rows = run_timings(cfg, ref, truth, mlp.zero_params(16, 16))
-    assert [r[0] for r in rows] == ["low"]
-    assert cfg.prediction.tableau == "rk4"
+    stepped = []
+    integrate = experiments.integrate
+    monkeypatch.setattr(experiments, "integrate",
+                        lambda tab, *a, **k: (stepped.append(tab.name), integrate(tab, *a, **k))[1])
+    for tableau in ("rk4", "tsit5"):
+        stepped.clear()
+        cfg.prediction.tableau = tableau
+        rows = run_timings(cfg, ref, truth, mlp.zero_params(16, 16))
+        assert [r[0] for r in rows] == ["low", "augmented"]
+        assert stepped == [tableau] * 4
 
 
 def test_timing_command(tmp_path):
@@ -506,7 +565,7 @@ def test_timing_command(tmp_path):
 def test_timing_without_high_reads_no_truth(tmp_path):
     # with data.store_high false only filtered files exist, which is enough
     # when the high-order variant is not timed
-    timing = {"repeats": 1, "t_final": 0.01, "tableau": "rk4",
+    timing = {"repeats": 1, "t_final": 0.01,
               "dts": {"low": 2e-3, "augmented": 2e-3}}
     path = smoke_config(tmp_path, timing=timing,
                         data={"n_traj": 1, "dt": 1e-3, "t_final": 0.02, "store_high": False})
@@ -517,7 +576,7 @@ def test_timing_without_high_reads_no_truth(tmp_path):
 
 
 def test_timing_blowup_names_its_variant_and_dt(tmp_path, capsys):
-    timing = {"repeats": 1, "t_final": 5.0, "tableau": "rk4", "dts": {"low": 0.5}}
+    timing = {"repeats": 1, "t_final": 5.0, "dts": {"low": 0.5}}
     path = smoke_config(tmp_path, timing=timing)
     main(["generate", "--config", str(path)])
     capsys.readouterr()

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sgnode import experiments, mlp
+from sgnode.cli import main
 from sgnode.config import load_config
 from sgnode.errors import ConfigError, FormatError
 from sgnode.ode import Trajectory, load_trajectory, save_trajectory
@@ -160,3 +161,20 @@ def test_trailing_bytes_are_a_format_error(tmp_path, junk):
         path.write_bytes(path.read_bytes() + junk)
         with pytest.raises(FormatError, match="trailing"):
             load(path)
+
+
+@pytest.mark.parametrize("count,t0,dt", [
+    (0, 0.0, 0.1), (3, np.nan, 0.1), (3, 0.0, 0.0), (3, 0.0, -0.1), (3, 0.0, np.inf),
+], ids=["no-states", "nan-t0", "zero-dt", "negative-dt", "infinite-dt"])
+def test_a_header_no_writer_produces_is_a_format_error(tmp_path, capsys, count, t0, dt):
+    path = tmp_path / "t.sgnt"
+    save_trajectory(Trajectory(t0=t0, dt=dt, states=np.ones((count, 8)), meta={}), path)
+    with pytest.raises(FormatError, match="header has count"):
+        load_trajectory(path)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "experiment": "cd", "out_dir": str(tmp_path / "run"),
+        "model": {"kappa": 1e-3, "n_elem": 4, "order_high": 2, "order_low": 1},
+    }))
+    assert main(["evaluate", "--config", str(cfg), "--pred", str(path), "--ref", str(path)]) == 4
+    assert capsys.readouterr().err.startswith(f"i/o error: {path}: ")

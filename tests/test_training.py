@@ -197,14 +197,16 @@ class TestOptimizers:
             ref -= 0.01 * (m / (1 - 0.9**t)) / (np.sqrt(v / (1 - 0.999**t)) + 1e-8)
         assert plist[0][0, 0] == pytest.approx(ref, rel=1e-14)
 
-    def test_adabelief_constant_gradient_enters_eps_regime(self):
+    def test_adabelief_constant_gradient_enters_eps_regime(self, monkeypatch):
         # with constant g the belief variance collapses and the denominator
-        # approaches eps, so late steps approach -lr*g/eps scale
+        # approaches eps, so late steps approach -lr*g/eps scale; a larger
+        # eps and a faster beta2 reach that regime in 400 steps
+        beta1, beta2, eps = training.BETA1, 0.9, 1e-6
+        monkeypatch.setattr(training, "BETA2", beta2)
+        monkeypatch.setitem(training.EPS, "adabelief", eps)
         params = mlp.zero_params(1, 1)
         plist = mlp.param_list(params)
-        cfg = training.TrainConfig(
-            epochs=1, optimizer="adabelief", lr=1e-6, eps=1e-6, beta2=0.9
-        )
+        cfg = training.TrainConfig(epochs=1, optimizer="adabelief", lr=1e-6)
         opt = training.opt_init(cfg, params)
         g = 2.0
         deltas = []
@@ -214,13 +216,13 @@ class TestOptimizers:
             grads[0][0, 0] = g
             training.opt_step(opt, plist, grads)
             deltas.append(plist[0][0, 0] - before)
-        v_hat = opt.v[0][0, 0] / (1 - cfg.beta2 ** min(opt.t, 1000))
-        assert np.sqrt(v_hat) < 10 * cfg.eps  # belief variance collapsed
-        m_hat = opt.m[0][0, 0] / (1 - cfg.beta1 ** min(opt.t, 1000))
-        expected = -cfg.lr * m_hat / (np.sqrt(v_hat) + cfg.eps)
+        v_hat = opt.v[0][0, 0] / (1 - beta2 ** min(opt.t, 1000))
+        assert np.sqrt(v_hat) < 10 * eps  # belief variance collapsed
+        m_hat = opt.m[0][0, 0] / (1 - beta1 ** min(opt.t, 1000))
+        expected = -cfg.lr * m_hat / (np.sqrt(v_hat) + eps)
         assert deltas[-1] == pytest.approx(expected, rel=1e-9)
         # denominator is eps-dominated: the step approaches -lr*g/eps scale
-        assert abs(deltas[-1]) > 0.1 * cfg.lr * abs(g) / cfg.eps
+        assert abs(deltas[-1]) > 0.1 * cfg.lr * abs(g) / eps
 
     def test_adabelief_differs_from_adam(self):
         rng = np.random.default_rng(2)
@@ -400,20 +402,8 @@ class TestDiscreteForcing:
         X, Y = training.discrete_forcing_dataset([filt], 1e-3, rhs_l, "rk4")
         res = training.train_discrete_forcing(X, Y, cfg, mesh_l.n_dof, mesh_l.n_dof)
         assert res.history[-1][1] < res.history[0][1]
-
-    def test_takes_steps_per_epoch_optimizer_steps(self, monkeypatch):
-        mesh_l, rhs_l, filt = self._cd_setup()
-        X, Y = training.discrete_forcing_dataset([filt], 1e-3, rhs_l, "rk4")
-        steps = []
-        opt_step = training.opt_step
-        monkeypatch.setattr(
-            training, "opt_step", lambda *a: (steps.append(None), opt_step(*a))
-        )
-        cfg = training.TrainConfig(epochs=3, batch_size=8, steps_per_epoch=4, seed=5)
-        res = training.train_discrete_forcing(X, Y, cfg, mesh_l.n_dof, mesh_l.n_dof)
-        assert len(steps) == 12 and len(res.history) == 3
-        # batches are seeded [seed, 303, epoch, step]; SeedSequence pads its
-        # entropy with zeros, so step 0 draws the batch of seed [seed, 303, epoch]
+        # an epoch's batch is seeded [seed, 303, epoch]; SeedSequence pads its
+        # entropy with zeros, so it draws what [seed, 303, epoch, 0] draws
         pad = np.random.SeedSequence([5, 303, 1, 0]).generate_state(4)
         assert np.array_equal(pad, np.random.SeedSequence([5, 303, 1]).generate_state(4))
 
@@ -421,7 +411,7 @@ class TestDiscreteForcing:
 class TestOneTapeAlive:
     """A training step's tape is freed once its gradients are out."""
 
-    def _run(self, monkeypatch, trainer, steps):
+    def _run(self, monkeypatch, trainer):
         # live tapes seen as each step starts recording, as the held-out loss
         # runs and at the end of each epoch
         tapes, seen = [], {"record": [], "held_out": [], "epoch": []}
@@ -443,23 +433,22 @@ class TestOneTapeAlive:
         on_epoch = lambda *row: seen["epoch"].append(live())
         if trainer == "train":
             trajs, cfg, builder = TestTrainLoop()._setup(3)
-            cfg.steps_per_epoch, cfg.test_every = steps, 1
+            cfg.test_every = 1
             training.train(trajs, cfg, builder, 3, 3, on_epoch=on_epoch)
         else:
             rng = np.random.default_rng(0)
-            cfg = training.TrainConfig(epochs=3, batch_size=8, steps_per_epoch=steps, seed=5)
+            cfg = training.TrainConfig(epochs=3, batch_size=8, seed=5)
             training.train_discrete_forcing(
                 rng.normal(size=(20, 3)), rng.normal(size=(20, 3)), cfg, 3, 3,
                 on_epoch=on_epoch,
             )
         return len(tapes), seen
 
-    @pytest.mark.parametrize("steps", [1, 2])
     @pytest.mark.parametrize("trainer", ["train", "discrete"])
-    def test_no_finished_tape_outlives_its_step(self, monkeypatch, trainer, steps):
-        n_tapes, seen = self._run(monkeypatch, trainer, steps)
-        assert n_tapes == 3 * steps
-        assert seen["record"] == [0] * (3 * steps)
+    def test_no_finished_tape_outlives_its_step(self, monkeypatch, trainer):
+        n_tapes, seen = self._run(monkeypatch, trainer)
+        assert n_tapes == 3
+        assert seen["record"] == [0] * 3
         assert seen["held_out"] == ([0] * 3 if trainer == "train" else [])
         assert seen["epoch"] == [0] * 3
 
