@@ -16,7 +16,7 @@ import sys
 from pathlib import Path
 
 from . import diagnostics, dg, experiments, mlp, training
-from .config import load_config
+from .config import check_variant, load_config
 from .errors import BlowupError, ConfigError, FormatError
 from .ode import load_trajectory, save_trajectory
 
@@ -120,6 +120,7 @@ def cmd_train(args):
 def cmd_predict(args):
     cfg = _load(args)
     variant = args.variant or cfg.prediction.variant
+    check_variant(cfg.experiment, variant, "--variant")
     dt = args.dt_override
     if dt is None:
         dt = experiments.prediction_dt(cfg, variant)
@@ -196,13 +197,19 @@ def cmd_sweep(args):
     if cfg.experiment == "l96":
         raise ConfigError("the timestep sweep is defined for the PDE experiments")
     ref = _pick(experiments.load_dataset(cfg), args.traj_index)
-    for dt in args.dts:
-        try:
-            diagnostics.strides(dt, ref.dt)
-        except ConfigError as e:
-            raise ConfigError(f"--dts entry {dt:g} does not align with the data: {e}") from e
     params_c = experiments.load_net(cfg, args.checkpoint)
     params_d = experiments.load_net(cfg, args.checkpoint_discrete)
+    for dt in args.dts:
+        try:
+            _, sr = diagnostics.strides(dt, ref.dt)
+        except ConfigError as e:
+            raise ConfigError(f"--dts entry {dt:g} does not align with the data: {e}") from e
+        shared = ref.times[::sr]  # the times a run at dt shares with the reference
+        for t in args.times:
+            if abs(shared - t).min() > 1e-9 + 1e-6 * dt:
+                raise ConfigError(f"--times entry {t:g} is not a time that a run at --dts entry "
+                                  f"{dt:g} shares with the data: those are {shared[0]:g} to "
+                                  f"{shared[-1]:g} every {sr * ref.dt:g}")
     rows = experiments.timestep_sweep(cfg, params_c, params_d, ref, args.dts, args.times)
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     path = cfg.out_dir / "sweep.csv"

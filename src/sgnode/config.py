@@ -26,6 +26,9 @@ from .ode import get_tableau
 from .training import TrainConfig
 
 EXPERIMENTS = ("l96", "cd", "burgers")
+# the prediction variants each experiment defines
+VARIANTS = {"l96": ("high", "low", "augmented", "slow")}
+VARIANTS["cd"] = VARIANTS["burgers"] = ("high", "low", "augmented", "discrete", "low2", "low3")
 
 # model defaults of the PDE experiments; their keys are the allowed keys, so
 # a key the experiment never reads (Burgers' `a`, CD's `k0`) is rejected
@@ -98,6 +101,13 @@ def _choice(value, choices, what):
         raise ValueError(f"unknown {what} {value!r}; choose from {sorted(choices)}")
 
 
+def check_variant(experiment, variant, what):
+    """Raise ConfigError unless `variant` (given as `what`) is one of the experiment's."""
+    if variant not in VARIANTS[experiment]:
+        raise ConfigError(f"{what}: {variant!r} is not a {experiment} prediction variant; "
+                          f"choose from {', '.join(VARIANTS[experiment])}")
+
+
 @dataclass
 class DataConfig:
     n_traj: int = 1
@@ -118,15 +128,12 @@ class PredictConfig:
     dt: float = 1e-3
     t_final: float = 1.0
     tableau: str = "rk4"
-    variant: str = "augmented"
-
-    VARIANTS = ("augmented", "low", "high", "discrete", "low2", "low3", "slow")
+    variant: str = "augmented"  # one of VARIANTS[experiment], checked by RunConfig
 
     def __post_init__(self):
         if self.dt <= 0 or self.t_final <= 0:
             raise ValueError(f"dt and t_final must be positive, got {self.dt}, {self.t_final}")
         get_tableau(self.tableau)
-        _choice(self.variant, self.VARIANTS, "variant")
 
 
 @dataclass
@@ -178,7 +185,7 @@ class RunConfig:
         out_raw = _value(d["out_dir"], str, "config.out_dir")
         base = Path(base_dir or os.environ.get("SGN_DATA_DIR", "."))
         training = d.get("training", {})
-        return cls(
+        cfg = cls(
             experiment=experiment,
             seed=seed,
             out_dir=Path(out_raw) if os.path.isabs(out_raw) else base / out_raw,
@@ -192,6 +199,8 @@ class RunConfig:
             prediction=_section(PredictConfig, d.get("prediction", {}), "prediction"),
             timing=_section(TimingConfig, d.get("timing", {}), "timing"),
         )
+        check_variant(experiment, cfg.prediction.variant, "prediction.variant")
+        return cfg
 
 
 def _model(experiment, d):

@@ -293,9 +293,9 @@ def rhs_semidiscrete(cfg, mesh):
     """
     if cfg.kind == VISCOUS_BURGERS:
         op = burgers_operator(cfg, mesh)
-        return Rhs(lambda t, u: ad.burgers(u, op), mesh.n_dof)
+        return Rhs(lambda u: ad.burgers(u, op), mesh.n_dof)
     st = linear_stencil(cfg, mesh)
-    return Rhs(lambda t, u: ad.stencil(u, *st), mesh.n_dof)
+    return Rhs(lambda u: ad.stencil(u, *st), mesh.n_dof)
 
 
 def _per_element(mesh, states, m):

@@ -9,18 +9,29 @@ import numpy as np
 class BlowupError(RuntimeError):
     """Integration produced a non-finite or absurdly large state.
 
-    Carries enough provenance (epoch, stage, step, time, sample) to locate
-    the failure inside nested loops; sample is the row of a batched state.
+    Locates the failure inside nested loops: the stage whose slope blew up
+    (None: the stepped state did) and the sample (the row of a batched
+    state), then what each loop stamps on the error as it passes: the step
+    and its start time (`ode.steps`), the epoch (training) and `run`, a
+    caller's label of the rollout.  The message is built from these fields.
     """
 
-    def __init__(self, message, stage=None, step=None, time=None, sample=None,
-                 epoch=None):
-        super().__init__(message)
-        self.epoch = epoch
+    def __init__(self, stage=None, sample=None):
         self.stage = stage
-        self.step = step
-        self.time = time
         self.sample = sample
+        self.step = self.time = self.epoch = self.run = None
+
+    def __str__(self):
+        if self.stage is None:
+            msg = f"state blew up after step {self.step}"
+        else:
+            msg = f"non-finite or blown-up value at stage {self.stage}"
+            msg += "" if self.step is None else f" of step {self.step}"
+        msg += "" if self.time is None else f" (t={self.time:.6g})"
+        msg += "" if self.sample is None else f", sample {self.sample}"
+        if self.epoch is not None:
+            msg = f"training rollout blew up at epoch {self.epoch}: {msg}"
+        return msg if self.run is None else f"{self.run}: {msg}"
 
 
 class ConfigError(ValueError):

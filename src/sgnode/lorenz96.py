@@ -62,7 +62,7 @@ def rhs_coupled(cfg):
     """Full two-scale dynamics (truth model); numpy states only."""
     aux = _aux(cfg, cfg.J)
 
-    def fn(t, z):
+    def fn(z):
         return ad.l96(z, coupling_term(cfg, z), aux)
 
     return Rhs(fn, cfg.dim)
@@ -79,7 +79,7 @@ def rhs_slow_neural(cfg, params):
     mlp.require_dims(params, *cfg.source_dims)
     aux = _aux(cfg, 0)
 
-    def fn(t, x):
+    def fn(x):
         return ad.l96(x, _source(cfg, params.weights, params.biases, x), aux)
 
     return Rhs(fn, cfg.K)
@@ -93,7 +93,7 @@ def rhs_coupled_neural(cfg, weights, biases):
     """
     K, aux = cfg.K, _aux(cfg, cfg.J)
 
-    def fn(t, z):
+    def fn(z):
         return ad.l96(z, _source(cfg, weights, biases, ad.narrow(z, -1, 0, K)), aux)
 
     return fn

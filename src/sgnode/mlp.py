@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .errors import FormatError, check_fully_read, read_exact
+from .errors import FormatError, check_fully_read, read_array, read_exact
 
 HIDDEN_WIDTH = 128
 N_LAYERS = 4
@@ -60,12 +60,12 @@ class MlpParams:
         )
 
 
-def init_params(d_in, d_out, seed, hidden=HIDDEN_WIDTH):
+def init_params(d_in, d_out, seed):
     """Glorot-uniform weights, zero biases, reproducible from the seed."""
     if d_in < 1 or d_out < 1:
         raise ValueError("d_in and d_out must be >= 1")
     rng = np.random.Generator(np.random.PCG64(seed))
-    dims = [d_in, hidden, hidden, hidden, d_out]
+    dims = [d_in, HIDDEN_WIDTH, HIDDEN_WIDTH, HIDDEN_WIDTH, d_out]
     weights, biases = [], []
     for fan_in, fan_out in zip(dims[:-1], dims[1:]):
         limit = np.sqrt(6.0 / (fan_in + fan_out))
@@ -76,8 +76,8 @@ def init_params(d_in, d_out, seed, hidden=HIDDEN_WIDTH):
     return p
 
 
-def zero_params(d_in, d_out, hidden=HIDDEN_WIDTH):
-    dims = [d_in, hidden, hidden, hidden, d_out]
+def zero_params(d_in, d_out):
+    dims = [d_in, HIDDEN_WIDTH, HIDDEN_WIDTH, HIDDEN_WIDTH, d_out]
     return MlpParams(
         weights=[np.zeros((o, i)) for i, o in zip(dims[:-1], dims[1:])],
         biases=[np.zeros(o) for o in dims[1:]],
@@ -141,15 +141,9 @@ def load_params(path):
         weights, biases = [], []
         for i in range(n_layers):
             rows, cols = struct.unpack("<II", read_exact(f, 8, path, f"layer {i} shape"))
-            w = np.frombuffer(
-                read_exact(f, rows * cols * 8, path, f"layer {i} weights"), dtype="<f8"
-            ).reshape(rows, cols).copy()
+            weights.append(read_array(f, (rows, cols), path, f"layer {i} weights"))
             (blen,) = struct.unpack("<I", read_exact(f, 4, path, f"layer {i} bias len"))
-            b = np.frombuffer(
-                read_exact(f, blen * 8, path, f"layer {i} bias"), dtype="<f8"
-            ).copy()
-            weights.append(w)
-            biases.append(b)
+            biases.append(read_array(f, (blen,), path, f"layer {i} bias"))
         (seed,) = struct.unpack("<Q", read_exact(f, 8, path, "seed"))
         check_fully_read(f, path)
     params = MlpParams(weights=weights, biases=biases, seed=seed)

@@ -7,7 +7,8 @@ may be numpy arrays or autodiff ``Var`` handles, so the same code advances
 production runs and the unrolled rollouts inside training losses.  Each
 stage input and the final update is one ``autodiff.lincomb``, which sums
 its terms left to right in both cases and records a single tape node when
-taped.
+taped.  The systems are autonomous: a right-hand side is `rhs(u)`, and
+time enters only trajectories and the step and time of a blowup.
 """
 
 from __future__ import annotations
@@ -42,45 +43,39 @@ class ButcherTableau:
     name: str
     a: np.ndarray  # (s, s), strictly lower triangular
     b: np.ndarray  # (s,)
-    c: np.ndarray  # (s,)
 
     @property
     def stages(self):
         return len(self.b)
 
     def validate(self, tol=1e-14):
-        """Check explicitness and the consistency conditions."""
+        """Check explicitness and first-order consistency."""
         s = self.stages
         if s < 1:
             raise ValueError("tableau needs at least one stage")
-        if self.a.shape != (s, s) or self.c.shape != (s,):
+        if self.a.shape != (s, s):
             raise ValueError("tableau coefficient shapes disagree")
         if np.any(np.triu(self.a) != 0.0):
             raise ValueError(f"{self.name}: a is not strictly lower triangular")
         if abs(self.b.sum() - 1.0) > tol:
             raise ValueError(f"{self.name}: sum(b) = {self.b.sum()!r} != 1")
-        row = self.a.sum(axis=1)
-        if np.max(np.abs(row - self.c)) > 10 * tol:
-            raise ValueError(f"{self.name}: c_i != sum_j a_ij")
 
     @functools.cached_property
     def _plans(self):
         return {}  # dt -> plan; one entry per step size this tableau takes
 
     def plan(self, dt):
-        """One step of size dt, cached per dt: each stage as (i, c_i * dt,
-        slope indices, weights), then the update's (slope indices, weights).
-        The indices and weights are those of the non-zero entries of the
-        stage's row of a, or of b, times dt."""
+        """One step of size dt, cached per dt: each stage's (slope indices,
+        weights), then the update's.  The indices and weights are those of
+        the non-zero entries of the stage's row of a, or of b, times dt."""
         plan = self._plans.get(dt)
         if plan is None:
-            rows = [
+            rows = tuple(
                 (tuple(j for j, w in enumerate(row) if w != 0.0),
                  tuple(dt * float(w) for w in row if w != 0.0))
                 for row in (*self.a, self.b)
-            ]
-            stages = tuple((i, self.c[i] * dt, *rows[i]) for i in range(self.stages))
-            plan = self._plans[dt] = (stages, rows[-1])
+            )
+            plan = self._plans[dt] = (rows[:-1], rows[-1])
         return plan
 
 
@@ -91,8 +86,7 @@ def tableau_rk4():
     a[2, 1] = 0.5
     a[3, 2] = 1.0
     b = np.array([1 / 6, 1 / 3, 1 / 3, 1 / 6])
-    c = np.array([0.0, 0.5, 0.5, 1.0])
-    tab = ButcherTableau("rk4", a, b, c)
+    tab = ButcherTableau("rk4", a, b)
     tab.validate()
     return tab
 
@@ -127,8 +121,7 @@ def tableau_tsit5():
         -3.290069515436081,
         2.324710524099774,
     ])
-    c = np.array([0.0, 0.161, 0.327, 0.9, 0.9800255409045097, 1.0])
-    tab = ButcherTableau("tsit5", a, b, c)
+    tab = ButcherTableau("tsit5", a, b)
     tab.validate()
     return tab
 
@@ -148,40 +141,34 @@ def get_tableau(name):
 
 @dataclass(frozen=True)
 class Rhs:
-    """Right-hand side f(t, u) with a declared state dimension."""
+    """Right-hand side f(u) with a declared state dimension."""
 
     fn: object
     dim: int
 
-    def __call__(self, t, u):
-        return self.fn(t, u)
+    def __call__(self, u):
+        return self.fn(u)
 
 
 def _raw(u):
     return u.value if isinstance(u, ad.Var) else u
 
 
-def _check_finite(v, what, t, **where):
-    """Raise BlowupError if v holds a non-finite or blown-up value.
-
-    `what` is formatted with the `where` provenance only on failure.  A 2-D
-    v is a batched state, one sample per row: the first offending row is
-    named as the sample.
-    """
+def _check_finite(v, stage=None):
+    """Raise BlowupError if v, the slope of `stage` or (None) a stepped
+    state, is not finite or is past BLOWUP_LIMIT.  A 2-D v is a batched
+    state: its first offending row is named as the sample."""
     a = np.abs(v)
     if a.max() <= BLOWUP_LIMIT:  # NaN fails the comparison too
         return
     sample = None
     if a.ndim == 2:
         sample = int(np.argmax(~(np.max(a, axis=-1) <= BLOWUP_LIMIT)))
-    msg = what.format(**where) + f" (t={t:.6g})"
-    if sample is not None:
-        msg += f", sample {sample}"
-    raise BlowupError(msg, time=t, sample=sample, **where)
+    raise BlowupError(stage=stage, sample=sample)
 
 
-def erk_step(tableau, rhs, t, u, dt):
-    """One explicit RK step from (t, u) to t + dt.
+def erk_step(tableau, rhs, u, dt):
+    """One explicit RK step of size dt from u.
 
     `u` may be a numpy array (any leading batch shape) or a tape Var;
     the arithmetic records itself in the latter case.
@@ -189,11 +176,11 @@ def erk_step(tableau, rhs, t, u, dt):
     if dt <= 0:
         raise ValueError("dt must be positive")
     stages, (idx, weights) = tableau.plan(dt)
-    ks = [None] * tableau.stages
-    for i, offset, stage_idx, stage_weights in stages:
-        ki = rhs(t + offset, _combine(u, stage_idx, stage_weights, ks))
-        _check_finite(_raw(ki), "non-finite or blown-up value at stage {stage}", t, stage=i)
-        ks[i] = ki
+    ks = []
+    for i, (stage_idx, stage_weights) in enumerate(stages):
+        k = rhs(_combine(u, stage_idx, stage_weights, ks))
+        _check_finite(_raw(k), stage=i)
+        ks.append(k)
     return _combine(u, idx, weights, ks)
 
 
@@ -229,23 +216,22 @@ class Trajectory:
 def steps(tableau, rhs, u0, t0, dt, n_steps, post_step=None, first_step=0):
     """Yield the n_steps states after u0, one per fixed ERK step.
 
-    `post_step(t, u_prev, u_stepped)`, when given, maps each ERK step's
-    result to the state carried forward (a discrete correction).  With
-    `first_step`, u0 is the state after that many steps of a run that
-    started at t0: steps, their times and a blowup are numbered as in that
-    run, so a run marched in pieces fails as it would in one.  Each state
-    is checked as it is stepped, so a blowup is raised before it is yielded.
-    """
+    `post_step(u_prev, u_stepped)`, when given, maps each ERK step's
+    result to the state carried forward (a discrete correction).  Each
+    state is checked as it is stepped, so a blowup is raised before it is
+    yielded, stamped with its step n and start time t0 + n * dt.  With
+    `first_step`, u0 is the state after that many steps of a run started
+    at t0, and steps are numbered as in that run, so a run marched in
+    pieces fails as it would in one."""
     u = u0
     for n in range(first_step, first_step + n_steps):
-        t = t0 + n * dt
         try:
-            stepped = erk_step(tableau, rhs, t, u, dt)
+            stepped = erk_step(tableau, rhs, u, dt)
+            u = stepped if post_step is None else post_step(u, stepped)
+            _check_finite(_raw(u))
         except BlowupError as e:
-            e.step = n
+            e.step, e.time = n, t0 + n * dt
             raise
-        u = stepped if post_step is None else post_step(t, u, stepped)
-        _check_finite(_raw(u), "state blew up after step {step}", t, step=n)
         yield u
 
 

@@ -7,7 +7,8 @@ rollout of the source-augmented system and consecutive reference states:
 
 All n windows of a batch advance together as one (n, d) block, so tapes
 stay short regardless of batch size and gradient accumulation order is
-fixed by the array layout.
+fixed by the array layout.  Right-hand sides are autonomous, f(u); a
+blowup leaves the epoch loop with its epoch stamped on the error.
 """
 
 from __future__ import annotations
@@ -133,12 +134,12 @@ def sample_windows(trajs, cfg, epoch_seed, ranges=None):
 
 
 def augmented(rhs, weights, biases):
-    """The source-augmented right-hand side f(t, u) + NN(u).
+    """The source-augmented right-hand side f(u) + NN(u).
 
     Works on numpy arrays and on tape handles alike.
     """
-    def fn(t, u):
-        return rhs(t, u) + mlp.forward(weights, biases, u)
+    def fn(u):
+        return rhs(u) + mlp.forward(weights, biases, u)
 
     return fn
 
@@ -147,7 +148,7 @@ def make_loss_builder(batch, rhs_builder, tableau):
     """Loss builder `build(params)` for the windowed rollout MSE.
 
     `rhs_builder(weights, biases)` must yield the augmented right-hand side
-    f(t, u) for (n, d)-shaped states built from the given parameters.  On
+    f(u) for (n, d)-shaped states built from the given parameters.  On
     tape Vars the builder records the loss (see ``ad.record``); on plain
     parameter arrays it evaluates the same loss in numpy.
     """
@@ -267,11 +268,8 @@ def _fit(cfg, d_in, d_out, init, on_epoch, step_loss, test_loss=None):
         try:
             train_loss, tape = step_loss(params, epoch)
         except BlowupError as e:
-            raise BlowupError(
-                f"training rollout blew up at epoch {epoch}: {e}",
-                stage=e.stage, step=e.step, time=e.time, sample=e.sample,
-                epoch=epoch,
-            ) from e
+            e.epoch = epoch
+            raise
         grads = ad.backward(tape)
         del tape
         opt_step(opt, plist, grads)
@@ -328,7 +326,7 @@ def discrete_forcing_dataset(filtered_trajs, dt_coarse, rhs_low, tableau, ranges
         states = filtered_trajs[ti].states
         x = states[idx]
         x_next = states[idx + stride]
-        stepped = erk_step(tab, rhs_low, 0.0, x, dt_coarse)
+        stepped = erk_step(tab, rhs_low, x, dt_coarse)
         xs.append(x)
         ys.append((x_next - stepped) / dt_coarse)
     if not xs:
@@ -359,7 +357,7 @@ def train_discrete_forcing(inputs, targets, cfg, d_in, d_out, init=None, on_epoc
 
 def discrete_correction(params, dt):
     """Post-step hook adding the Euler correction dt * NN(u_n) to each step."""
-    def correct(t, u_prev, u_stepped):
+    def correct(u_prev, u_stepped):
         return u_stepped + dt * mlp.forward(params.weights, params.biases, u_prev)
 
     return correct

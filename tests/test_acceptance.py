@@ -208,7 +208,7 @@ def test_c03_temporal_order():
     def orders(tab):
         errs = []
         for dt in (0.1, 0.05, 0.025):
-            tr = integrate(tab, lambda t, u: -u, np.array([1.0]), 0.0, dt, round(1.0 / dt))
+            tr = integrate(tab, lambda u: -u, np.array([1.0]), 0.0, dt, round(1.0 / dt))
             errs.append(abs(tr.states[-1, 0] - np.exp(-1.0)))
         return [np.log2(errs[i] / errs[i + 1]) for i in range(2)]
 
@@ -260,7 +260,7 @@ def test_c05_conservation_and_free_stream():
         u0 = ic(mesh)
         tr = integrate(tableau_rk4(), rhs, u0, 0.0, dt, 1000)
         drifts[name] = abs(mass(mesh, tr.states[-1]) - mass(mesh, u0))
-        const_resid[name] = float(np.max(np.abs(rhs(0.0, np.full(mesh.n_dof, 2.3)))))
+        const_resid[name] = float(np.max(np.abs(rhs(np.full(mesh.n_dof, 2.3)))))
     ok = all(d <= 1e-10 for d in drifts.values()) and all(
         r <= 1e-13 for r in const_resid.values()
     )
@@ -325,7 +325,7 @@ def test_c08_lorenz96_desk_scale(l96_desk):
             z0s.append(test_trajs[i].states[s])
             z1s.append(test_trajs[i].states[s + 1])
         z0, z1 = np.stack(z0s), np.stack(z1s)
-        pred = erk_step(tableau_rk4(), rhs, 0.0, z0, dt)
+        pred = erk_step(tableau_rk4(), rhs, z0, dt)
         return float(np.mean((pred[:, : lcfg.K] - z1[:, : lcfg.K]) ** 2))
 
     mse_zero = one_step_mse(mlp.zero_params(*lcfg.source_dims))

@@ -117,9 +117,10 @@ def test_grad_check_flags_a_builder_whose_untaped_value_differs():
     assert ad.grad_check(build, theta, h=1e-6) == pytest.approx(1.0 / 3.0, rel=1e-6)
 
 
-def test_mlp_rollout_gradient_matches_finite_differences():
+def test_mlp_rollout_gradient_matches_finite_differences(monkeypatch):
     # 2-state toy rhs, 3-step unrolled RK4 MSE, full finite-difference sweep
-    params = mlp.init_params(2, 2, seed=4, hidden=8)
+    monkeypatch.setattr(mlp, "HIDDEN_WIDTH", 8)
+    params = mlp.init_params(2, 2, seed=4)
     mat = np.array([[-0.5, 0.2], [0.1, -0.3]])
     u0 = np.array([[0.3, -0.2]])
     targets = [np.array([[0.4, -0.1]]), np.array([[0.5, 0.0]]), np.array([[0.6, 0.1]])]
@@ -127,15 +128,13 @@ def test_mlp_rollout_gradient_matches_finite_differences():
     def build(pvars):
         ws, bs = pvars[0::2], pvars[1::2]
 
-        def rhs(t, u):
+        def rhs(u):
             return ad.dense(u, mat, np.zeros(2), relu=False) + mlp.forward(ws, bs, u)
 
         u = u0
         loss = None
-        t = 0.0
         for tgt in targets:
-            u = erk_step(tableau_rk4(), rhs, t, u, 0.1)
-            t += 0.1
+            u = erk_step(tableau_rk4(), rhs, u, 0.1)
             s = ad.sum_all(ad.square(u - tgt))
             loss = s if loss is None else loss + s
         return loss * (1.0 / 3.0)
@@ -154,10 +153,10 @@ def test_single_step_gradient_matches_hand_chain_rule():
     def build(pvars):
         (th,) = pvars
 
-        def rhs(t, u):
+        def rhs(u):
             return ad.dense(u, th, np.zeros(1), relu=False)  # theta * u
 
-        u = erk_step(tableau_rk4(), rhs, 0.0, np.array([[u0]]), h)
+        u = erk_step(tableau_rk4(), rhs, np.array([[u0]]), h)
         return ad.sum_all(ad.square(u - np.array([[y]])))
 
     loss, tape = ad.record(build, [np.array([[theta]])])
@@ -427,7 +426,7 @@ def test_a_tsit5_step_records_one_lincomb_per_stage_combination():
     tape = ad.Tape()
     u = tape.param(np.ones((2, 3)))
     before = len(tape)
-    erk_step(tableau_tsit5(), lambda t, x: ad.square(x), 0.0, u, 0.1)
+    erk_step(tableau_tsit5(), lambda x: ad.square(x), u, 0.1)
     added = [op for op, _, _ in tape.ops[before:]]
     assert added.count("lincomb") == 6 and "smul" not in added and "add" not in added
 
@@ -484,9 +483,10 @@ def _reference_loss_and_gradients(weights, biases, x, y):
 
 
 @pytest.mark.parametrize("d,rows", [(1, 300), (5, 7)])
-def test_fused_mlp_gradients_equal_the_unfused_composition(d, rows):
+def test_fused_mlp_gradients_equal_the_unfused_composition(d, rows, monkeypatch):
     rng = np.random.default_rng(d)
-    params = mlp.init_params(d, d, seed=2, hidden=16)
+    monkeypatch.setattr(mlp, "HIDDEN_WIDTH", 16)
+    params = mlp.init_params(d, d, seed=2)
     for b in params.biases:
         b[:] = rng.normal(scale=0.1, size=b.shape)
     x = rng.normal(size=(rows, d))
@@ -503,7 +503,7 @@ def test_fused_mlp_gradients_equal_the_unfused_composition(d, rows):
 
 
 def test_mlp_forward_records_one_node_per_layer_and_no_leaf():
-    params = mlp.init_params(3, 2, seed=0, hidden=8)
+    params = mlp.init_params(3, 2, seed=0)
     tape = ad.Tape()
     ws_bs = [tape.param(p) for p in mlp.param_list(params)]
     x = tape.param(np.ones((4, 3)))
@@ -515,7 +515,7 @@ def test_mlp_forward_records_one_node_per_layer_and_no_leaf():
 
 def test_mlp_forward_of_one_state_is_one_row():
     # dense follows matmul: a 1-D input is one row and gives a 1-D output
-    params = mlp.init_params(3, 2, seed=0, hidden=8)
+    params = mlp.init_params(3, 2, seed=0)
     x = np.array([0.1, -0.2, 0.3])
     out = mlp.forward(params.weights, params.biases, x)
     assert out.shape == (2,)
@@ -645,9 +645,10 @@ def test_unsupported_division_by_var():
         ad.record(build, [np.ones(2)])
 
 
-def test_batched_gradient_accumulation_is_sample_order_invariant():
+def test_batched_gradient_accumulation_is_sample_order_invariant(monkeypatch):
     rng = np.random.default_rng(9)
-    params = mlp.init_params(3, 3, seed=1, hidden=8)
+    monkeypatch.setattr(mlp, "HIDDEN_WIDTH", 8)
+    params = mlp.init_params(3, 3, seed=1)
     x = rng.normal(size=(6, 3))
     y = rng.normal(size=(6, 3))
     perm = rng.permutation(6)

@@ -416,7 +416,7 @@ def test_checkpoint_shape_mismatch_is_io_error(tmp_path):
     # the second net differs from the 16-dof layout in d_out alone
     for d_in, d_out in ((10, 10), (16, 1)):
         wrong = str(out / f"wrong_{d_in}_{d_out}.sgnp")
-        mlp.save_params(mlp.init_params(d_in, d_out, seed=0, hidden=8), wrong)
+        mlp.save_params(mlp.init_params(d_in, d_out, seed=0), wrong)
         right = str(out / "right.sgnp")
         for argv in (
             ["predict", "--checkpoint", wrong],
@@ -511,6 +511,53 @@ def test_discrete_training_and_sweep(tmp_path, capsys):
     assert err.startswith("config error: --dts entry 0.0015 ") and "ref dt 0.001" in err
 
 
+@pytest.mark.parametrize("times", ["0.0105,0.01", "0.01,0.03"], ids=["off-grid", "past-the-end"])
+def test_a_sweep_time_the_runs_do_not_share_with_the_data_exits_2(tmp_path, capsys, times):
+    # the data has dt 1e-3 up to t = 0.02
+    path = smoke_config(tmp_path)
+    main(["generate", "--config", str(path)])
+    out = tmp_path / "run"
+    for name in ("c.sgnp", "d.sgnp"):
+        mlp.save_params(mlp.zero_params(16, 16), out / name)
+    capsys.readouterr()
+    assert main(["sweep", "--config", str(path), "--checkpoint", str(out / "c.sgnp"),
+                 "--checkpoint-discrete", str(out / "d.sgnp"),
+                 "--dts", "1e-3", "--times", times]) == 2
+    err = capsys.readouterr().err
+    bad = times.split(",")[0 if times.startswith("0.0105") else 1]
+    assert err.startswith(f"config error: --times entry {bad} ") and "--dts entry 0.001" in err
+    assert not (out / "sweep.csv").exists()
+
+
+_CD_VARIANTS = "high, low, augmented, discrete, low2, low3"
+
+
+@pytest.mark.parametrize("checkpoint", [False, True])
+def test_a_variant_the_experiment_lacks_exits_2_listing_its_variants(tmp_path, capsys, checkpoint):
+    path = smoke_config(tmp_path)
+    argv = ["predict", "--config", str(path), "--variant", "slow"]
+    if checkpoint:
+        net = tmp_path / "net.sgnp"
+        mlp.save_params(mlp.zero_params(16, 16), net)
+        argv += ["--checkpoint", str(net)]
+    # no dataset was generated: the variant is checked before any file is read
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err == (f"config error: --variant: 'slow' is not a cd prediction variant; "
+                   f"choose from {_CD_VARIANTS}\n")
+
+
+def test_a_config_variant_the_experiment_lacks_exits_2_at_load(tmp_path, capsys):
+    prediction = {"dt": 0.05, "t_final": 0.25, "tableau": "rk4", "variant": "low2"}
+    path = smoke_config(tmp_path, "l96", model=L96_MODEL, prediction=prediction)
+    assert main(["predict", "--config", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        "config error: prediction.variant: 'low2' is not a l96 prediction variant; "
+        "choose from high, low, augmented, slow\n")
+    with pytest.raises(ConfigError, match="'low2' is not a l96"):
+        load_config(path)
+
+
 def test_discrete_training_writes_its_periodic_checkpoints(tmp_path):
     train = {"epochs": 4, "batch_size": 4, "window": 2, "dt": 2e-3, "tableau": "rk4",
              "seed": 1, "checkpoint_every": 2}
@@ -589,7 +636,7 @@ def test_timing_blowup_names_its_variant_and_dt(tmp_path, capsys):
     with pytest.raises(BlowupError) as e:
         run_timings(cfg, ref, truth, mlp.zero_params(16, 16))
     assert (e.value.step, e.value.stage) == (2, 2)
-    assert isinstance(e.value.__cause__, BlowupError)
+    assert e.value.run == "variant low at dt=0.5"
 
 
 def test_gradcheck_command(tmp_path, capsys):
@@ -800,7 +847,7 @@ def test_a_blowup_in_a_later_chunk_names_its_global_step(tmp_path, monkeypatch):
 
     def growing(pcfg, mesh):
         rhs = plain(pcfg, mesh)
-        return Rhs(lambda t, u: rhs(t, u) + 2e3 * u * (np.arange(len(u)) == 1)[:, None], rhs.dim)
+        return Rhs(lambda u: rhs(u) + 2e3 * u * (np.arange(len(u)) == 1)[:, None], rhs.dim)
 
     monkeypatch.setattr(dg, "rhs_semidiscrete", growing)
     cfg = load_config(smoke_config(tmp_path, data={"n_traj": 3, "dt": 1e-3, "t_final": 0.05}))

@@ -51,7 +51,7 @@ def test_constant_states_are_exact_steady_states(kind, extra):
     mesh = dg.make_mesh(12, 4, 0.0, 1.0)
     rhs = dg.rhs_semidiscrete(cfg, mesh)
     for c in (0.0, 1.0, -3.7):
-        out = rhs(0.0, np.full(mesh.n_dof, c))
+        out = rhs(np.full(mesh.n_dof, c))
         assert np.max(np.abs(out)) <= 1e-13
 
 
@@ -76,7 +76,7 @@ def test_single_mode_semidiscrete_decay_and_phase():
 def test_burgers_constant_state_zero_tendency():
     cfg = dg.PdeConfig(dg.VISCOUS_BURGERS, kappa=0.01)
     mesh = dg.make_mesh(8, 2, 0.0, 2 * np.pi)
-    out = dg.rhs_semidiscrete(cfg, mesh)(0.0, np.full(mesh.n_dof, 2.5))
+    out = dg.rhs_semidiscrete(cfg, mesh)(np.full(mesh.n_dof, 2.5))
     assert np.max(np.abs(out)) == 0.0
 
 
@@ -263,14 +263,14 @@ def test_taped_tendency_records_no_leaf(kind, extra):
     tape = ad.Tape()
     u = tape.param(np.random.default_rng(0).normal(size=(3, rhs.dim)))
     before = len(tape)
-    du = rhs(0.0, u)
+    du = rhs(u)
     added = [op for op, _, _ in tape.ops[before:]]
     assert "leaf" not in added
     if kind == dg.VISCOUS_BURGERS:
         assert added == ["burgers"]
     else:
         assert added.count("stencil") == 1
-    assert np.array_equal(du.value, rhs(0.0, u.value))
+    assert np.array_equal(du.value, rhs(u.value))
 
 
 CD = [dg.PdeConfig(dg.CONVECTION_DIFFUSION, kappa=1e-4, a=1.0),
@@ -298,7 +298,7 @@ def test_cd_operator_matches_the_tendency_chain(cfg, n_elem, p):
     rng = np.random.default_rng(10 * n_elem + p)
     for shape in ((d,), (1, d), (7, d)):
         u = rng.normal(size=shape)
-        got = rhs(0.0, u)
+        got = rhs(u)
         assert got.shape == shape
         assert _rel(got, _chain(cfg, mesh, u)) <= 1e-14
 
@@ -327,7 +327,7 @@ def test_taped_cd_tendency_is_one_operator_product():
     tape = ad.Tape()
     u = tape.param(np.random.default_rng(0).normal(size=(3, rhs.dim)))
     before = len(tape)
-    rhs(0.0, u)
+    rhs(u)
     added = [op for op, _, _ in tape.ops[before:]]
     assert added == ["stencil"]
 
@@ -353,8 +353,8 @@ def test_one_node_cd_tendency_equals_the_centring_chain(cfg, n_elem, p):
         # sum(f(u) * w) as one dense row, so the adjoint reaching f is w
         return lambda pv: ad.sum_all(ad.dense(ad.reshape(f(pv[0]), (1, -1)), w, np.zeros(1), relu=False))
 
-    assert np.array_equal(rhs(0.0, u), chain(u))
-    got_loss, got_tape = ad.record(loss(lambda x: rhs(0.0, x)), [u])
+    assert np.array_equal(rhs(u), chain(u))
+    got_loss, got_tape = ad.record(loss(lambda x: rhs(x)), [u])
     ref_loss, ref_tape = ad.record(loss(chain), [u])
     assert got_loss == ref_loss
     (got,), (ref,) = ad.backward(got_tape), ad.backward(ref_tape)
@@ -372,7 +372,7 @@ def test_burgers_split_matches_the_tendency_chain(p):
     mesh = dg.make_mesh(64, p, 0.0, 2 * np.pi)
     rhs = dg.rhs_semidiscrete(BURGERS, mesh)
     u = np.random.default_rng(p).normal(size=(5, mesh.n_dof))
-    assert _rel(rhs(0.0, u), _chain(BURGERS, mesh, u)) <= 1e-14
+    assert _rel(rhs(u), _chain(BURGERS, mesh, u)) <= 1e-14
 
 
 @pytest.mark.parametrize("p", [1, 2, 8])
@@ -390,7 +390,7 @@ def test_burgers_node_is_bit_identical_to_the_stencil_and_convective_chain(n_ele
         lead = shape[:-1]
         conv = dg._convection(BURGERS, mesh, u.reshape(lead + (n_elem, p + 1))).reshape(shape)
         ref = ad.stencil(u - u[..., :1], *st) + conv
-        assert np.array_equal(rhs(0.0, u), ref)
+        assert np.array_equal(rhs(u), ref)
 
 
 def _frozen_branch_tendency(mesh, u, first, s_m, s_p):
@@ -430,7 +430,7 @@ def test_burgers_vjp_takes_the_chain_subgradient_at_its_kinks():
     rhs = dg.rhs_semidiscrete(BURGERS, mesh)
     # sum(rhs * g) as one dense row, so the adjoint reaching the tendency is g
     _, tape = ad.record(
-        lambda pv: ad.sum_all(ad.dense(rhs(0.0, pv[0]), g[None, :], np.zeros(1), relu=False)),
+        lambda pv: ad.sum_all(ad.dense(rhs(pv[0]), g[None, :], np.zeros(1), relu=False)),
         [u.reshape(-1)],
     )
     (vjp,) = ad.backward(tape)
@@ -445,6 +445,6 @@ def test_each_row_of_a_batch_rounds_as_it_does_alone(cfg, n_elem, p, batch):
     mesh = dg.make_mesh(n_elem, p)
     rhs = dg.rhs_semidiscrete(cfg, mesh)
     us = np.random.default_rng(batch).normal(size=(batch, mesh.n_dof))
-    block = rhs(0.0, us)
+    block = rhs(us)
     for i in range(batch):
-        assert np.array_equal(block[i], rhs(0.0, us[i:i + 1])[0])
+        assert np.array_equal(block[i], rhs(us[i:i + 1])[0])

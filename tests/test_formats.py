@@ -70,9 +70,10 @@ def test_corrupt_trajectory_files_load_or_raise_format_error(tmp_path):
     check()
 
 
-def test_corrupt_network_files_load_or_raise_format_error(tmp_path):
+def test_corrupt_network_files_load_or_raise_format_error(tmp_path, monkeypatch):
     path = tmp_path / "n.sgnp"
-    mlp.save_params(mlp.init_params(2, 1, seed=3, hidden=3), path)
+    monkeypatch.setattr(mlp, "HIDDEN_WIDTH", 3)
+    mlp.save_params(mlp.init_params(2, 1, seed=3), path)
 
     @FUZZ
     @given(corruptions(path.read_bytes()))
@@ -155,7 +156,7 @@ def test_trailing_bytes_are_a_format_error(tmp_path, junk):
     traj = tmp_path / "t.sgnt"
     save_trajectory(Trajectory(t0=0.0, dt=0.1, states=np.ones((2, 3)), meta={}), traj)
     net = tmp_path / "n.sgnp"
-    mlp.save_params(mlp.init_params(2, 1, seed=3, hidden=3), net)
+    mlp.save_params(mlp.init_params(2, 1, seed=3), net)
     for path, load in ((traj, load_trajectory), (net, mlp.load_params)):
         load(path)
         path.write_bytes(path.read_bytes() + junk)

@@ -21,7 +21,7 @@ def test_config_rejects_small_k():
 
 def test_zero_state_tendency_is_pure_forcing():
     cfg = l96.L96Config()
-    dz = l96.rhs_coupled(cfg)(0.0, np.zeros(cfg.dim))
+    dz = l96.rhs_coupled(cfg)(np.zeros(cfg.dim))
     assert np.allclose(dz[: cfg.K], cfg.F)
     assert np.allclose(dz[cfg.K:], 0.0)
 
@@ -31,7 +31,7 @@ def test_hand_expanded_cyclic_term():
     cfg = l96.L96Config(K=4, J=1, c=1.0, h=0.0, F=0.0)
     z = np.zeros(cfg.dim)
     z[0] = 1.0
-    dz = l96.rhs_coupled(cfg)(0.0, z)
+    dz = l96.rhs_coupled(cfg)(z)
     assert np.array_equal(dz[:4], [-1.0, 0.0, 0.0, 0.0])
 
 
@@ -41,8 +41,8 @@ def test_coupling_off_decouples_slow_from_fast():
     x = rng.normal(size=cfg.K)
     y1 = rng.normal(size=cfg.K * cfg.J)
     y2 = rng.normal(size=cfg.K * cfg.J)
-    d1 = l96.rhs_coupled(cfg)(0.0, np.concatenate([x, y1]))
-    d2 = l96.rhs_coupled(cfg)(0.0, np.concatenate([x, y2]))
+    d1 = l96.rhs_coupled(cfg)(np.concatenate([x, y1]))
+    d2 = l96.rhs_coupled(cfg)(np.concatenate([x, y2]))
     assert np.array_equal(d1[: cfg.K], d2[: cfg.K])
 
 
@@ -56,8 +56,8 @@ def test_slow_ring_rotation_equivariance():
         np.roll(x, s),
         np.roll(y.reshape(cfg.K, cfg.J), s, axis=0).reshape(-1),
     ])
-    d = l96.rhs_coupled(cfg)(0.0, z)
-    ds = l96.rhs_coupled(cfg)(0.0, zs)
+    d = l96.rhs_coupled(cfg)(z)
+    ds = l96.rhs_coupled(cfg)(zs)
     assert np.max(np.abs(np.roll(d[: cfg.K], s) - ds[: cfg.K])) < 1e-12
     dy = d[cfg.K:].reshape(cfg.K, cfg.J)
     assert np.max(np.abs(np.roll(dy, s, axis=0).reshape(-1) - ds[cfg.K:])) < 1e-12
@@ -89,7 +89,7 @@ def test_zero_weight_source_reduces_to_uncoupled_slow_model():
     params = mlp.zero_params(1, 1)
     rng = np.random.default_rng(4)
     x = rng.normal(size=cfg.K)
-    got = l96.rhs_slow_neural(cfg, params)(0.0, x)
+    got = l96.rhs_slow_neural(cfg, params)(x)
     bare = -np.roll(x, 1) * (np.roll(x, 2) - np.roll(x, -1)) - x + cfg.F
     assert np.array_equal(got, bare)
 
@@ -104,15 +104,15 @@ def test_constant_source_matches_frozen_coupling():
     const = float(coupling.mean())
     params = mlp.zero_params(1, 1)
     params.biases[3][0] = const
-    got = l96.rhs_slow_neural(cfg, params)(0.0, z[: cfg.K])
-    want = l96.rhs_coupled(cfg)(0.0, z)[: cfg.K] - coupling + const
+    got = l96.rhs_slow_neural(cfg, params)(z[: cfg.K])
+    want = l96.rhs_coupled(cfg)(z)[: cfg.K] - coupling + const
     assert np.max(np.abs(got - want)) < 1e-13
 
 
 def test_slow_neural_shape():
     cfg = l96.L96Config(source_scope="per_component")
     params = mlp.init_params(1, 1, seed=0)
-    out = l96.rhs_slow_neural(cfg, params)(0.0, np.zeros(36))
+    out = l96.rhs_slow_neural(cfg, params)(np.zeros(36))
     assert out.shape == (36,)
 
 
@@ -120,7 +120,7 @@ def test_global_scope_source_dims():
     cfg = l96.L96Config(source_scope="global")
     assert cfg.source_dims == (36, 36)
     params = mlp.init_params(36, 36, seed=0)
-    out = l96.rhs_slow_neural(cfg, params)(0.0, np.zeros(36))
+    out = l96.rhs_slow_neural(cfg, params)(np.zeros(36))
     assert out.shape == (36,)
 
 
@@ -168,7 +168,7 @@ def test_l96_node_is_bit_identical_to_the_chain(cfg, lead):
     assert slow.tobytes() == np.ascontiguousarray(want[..., :cfg.K]).tobytes()
     # the truth model is the node with the exact coupling as its source
     truth = _chain(cfg, z, l96.coupling_term(cfg, z))
-    assert l96.rhs_coupled(cfg)(0.0, z).tobytes() == truth.tobytes()
+    assert l96.rhs_coupled(cfg)(z).tobytes() == truth.tobytes()
 
 
 @pytest.mark.parametrize("cfg", _RINGS, ids=["desk", "k4j1", "k5j3"])
@@ -202,9 +202,9 @@ def test_a_training_step_records_one_l96_node_per_rhs_call(scope):
     def builder(ws, bs):
         fn = l96.rhs_coupled_neural(cfg, ws, bs)
 
-        def counted(t, z):
-            calls.append(t)
-            return fn(t, z)
+        def counted(z):
+            calls.append(z)
+            return fn(z)
 
         return counted
 
@@ -223,9 +223,9 @@ def test_coupled_neural_agrees_between_1d_and_batched():
     fn = l96.rhs_coupled_neural(cfg, params.weights, params.biases)
     rng = np.random.default_rng(7)
     z = rng.normal(size=(3, cfg.dim))
-    batched = fn(0.0, z)
+    batched = fn(z)
     for i in range(3):
-        assert np.max(np.abs(fn(0.0, z[i]) - batched[i])) < 1e-14
+        assert np.max(np.abs(fn(z[i]) - batched[i])) < 1e-14
 
 
 def test_generate_truth_shapes_and_determinism():

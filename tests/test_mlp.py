@@ -149,7 +149,7 @@ def test_init_rejects_bad_dims():
 
 def test_load_huge_layer_shape_is_format_error(tmp_path):
     # rows = cols = 0xFFFFFFFF: the header claims far more bytes than the file has
-    p = mlp.init_params(2, 2, seed=0, hidden=4)
+    p = mlp.init_params(2, 2, seed=0)
     path = tmp_path / "p.sgnp"
     mlp.save_params(p, path)
     raw = bytearray(path.read_bytes())

@@ -16,13 +16,13 @@ from sgnode.ode import Trajectory, erk_step, integrate, tableau_rk4
 def linear_rhs(mat):
     # u @ mat.T as one dense node with a zero bias, so a tape can record it
     zero = np.zeros(len(mat))
-    return lambda t, u: ad.dense(u, mat, zero, relu=False)
+    return lambda u: ad.dense(u, mat, zero, relu=False)
 
 
 def toy_trajectory(n_states=41, d=3, dt=0.01, seed=0):
     rng = np.random.default_rng(seed)
     mat = -0.4 * np.eye(d) + 0.1 * rng.normal(size=(d, d))
-    rhs = lambda t, u: u @ mat.T
+    rhs = lambda u: u @ mat.T
     return integrate(tableau_rk4(), rhs, rng.normal(size=d), 0.0, dt, n_states - 1), mat
 
 
@@ -105,7 +105,7 @@ class TestNodeLoss:
         params = mlp.zero_params(1, 1)
 
         def builder(ws, bs):
-            return lambda t, u: u * 0.0
+            return lambda u: u * 0.0
 
         loss, _ = training.node_loss(params, batch, builder, "rk4")
         assert loss == pytest.approx(0.25, abs=1e-15)
@@ -115,7 +115,7 @@ class TestNodeLoss:
         cfg = training.TrainConfig(epochs=1, batch_size=4, window=2, dt=0.02, seed=1)
         batch = training.sample_windows([traj], cfg, epoch_seed=[3])
         params = mlp.zero_params(3, 3)
-        builder = lambda ws, bs: (lambda t, u: u * 0.0)
+        builder = lambda ws, bs: (lambda u: u * 0.0)
         l1, _ = training.node_loss(params, batch, builder, "rk4")
         # doubling every residual: targets' = 2*targets - x-rollout; with zero
         # dynamics the rollout stays at x0, so shift targets accordingly
@@ -127,7 +127,7 @@ class TestNodeLoss:
         traj, mat = toy_trajectory()
         cfg = training.TrainConfig(epochs=1, batch_size=5, window=3, dt=0.02, seed=2)
         batch = training.sample_windows([traj], cfg, epoch_seed=[5])
-        params = mlp.init_params(3, 3, seed=4, hidden=8)
+        params = mlp.init_params(3, 3, seed=4)
 
         def builder(ws, bs):
             return training.augmented(linear_rhs(mat), ws, bs)
@@ -141,7 +141,7 @@ class TestNodeLoss:
         # one loss definition: the numpy path runs the taped builder untaped
         traj, mat = toy_trajectory()
         cfg = training.TrainConfig(epochs=1, batch_size=5, window=3, dt=0.02, seed=2)
-        params = mlp.init_params(3, 3, seed=4, hidden=8)
+        params = mlp.init_params(3, 3, seed=4)
 
         def builder(ws, bs):
             return training.augmented(linear_rhs(mat), ws, bs)
@@ -154,7 +154,7 @@ class TestNodeLoss:
 
 class TestOptimizers:
     def test_zero_gradient_is_a_fixed_point(self):
-        params = mlp.init_params(2, 2, seed=0, hidden=8)
+        params = mlp.init_params(2, 2, seed=0)
         before = [p.copy() for p in mlp.param_list(params)]
         cfg = training.TrainConfig(epochs=1, optimizer="adam", lr=0.1)
         opt = training.opt_init(cfg, params)
@@ -228,7 +228,7 @@ class TestOptimizers:
         rng = np.random.default_rng(2)
         outs = {}
         for kind in ("adam", "adabelief"):
-            params = mlp.init_params(2, 2, seed=1, hidden=8)
+            params = mlp.init_params(2, 2, seed=1)
             plist = mlp.param_list(params)
             cfg = training.TrainConfig(epochs=1, optimizer=kind, lr=0.01)
             opt = training.opt_init(cfg, params)
@@ -295,9 +295,9 @@ class TestTrainLoop:
             rhs = builder(ws, bs)
             calls = []
 
-            def fn(t, u):
-                calls.append(t)
-                k = rhs(t, u)
+            def fn(u):
+                calls.append(u)
+                k = rhs(u)
                 # RK4: the sixth slope is stage 1 of window step 1
                 return k + poison if len(built) == 2 and len(calls) == 6 else k
 
@@ -307,10 +307,10 @@ class TestTrainLoop:
             training.train(trajs, cfg, blowing_up_in_epoch_2, 3, 3)
         err = e.value
         assert (err.epoch, err.step, err.stage, err.sample) == (2, 1, 1, 3)
-        # window step n starts at t0 + n * dt, with t0 = 0; no right-hand
-        # side here reads t, so only the message carries it
+        # window step n starts at t0 + n * dt, with t0 = 0
         assert err.time == pytest.approx(cfg.dt)
-        assert "epoch 2" in str(err) and "sample 3" in str(err)
+        assert str(err) == ("training rollout blew up at epoch 2: non-finite or blown-up "
+                            "value at stage 1 of step 1 (t=0.02), sample 3")
 
     def test_a_state_past_the_limit_is_a_blowup_under_bounded_slopes(self):
         # every slope, 0.9e12, passes the stage check; the state two steps of
@@ -319,7 +319,7 @@ class TestTrainLoop:
         cfg = training.TrainConfig(epochs=1, batch_size=4, window=2, dt=1.0, tableau="rk4")
 
         def constant_slope(ws, bs):
-            return lambda t, u: np.full(np.shape(u), 0.9e12)
+            return lambda u: np.full(np.shape(u), 0.9e12)
 
         with pytest.raises(BlowupError) as e:
             training.train([traj], cfg, constant_slope, 3, 3)
@@ -391,7 +391,7 @@ class TestDiscreteForcing:
         params.biases[3][:] = 0.25
         u0 = filt.states[0]
         pred = experiments.predict(self._cd_run_config(), params, u0, 1e-3, 1, "discrete")
-        plain = erk_step(tableau_rk4(), rhs_l, 0.0, u0, 1e-3)
+        plain = erk_step(tableau_rk4(), rhs_l, u0, 1e-3)
         assert np.max(np.abs(pred.states[1] - (plain + 1e-3 * 0.25))) < 1e-15
 
     def test_regression_reduces_loss(self):
@@ -498,7 +498,7 @@ class TestOneTapeAlive:
         assert faulted < 0.1 * one_tape, (faulted / 2**20, one_tape / 2**20)
 
 
-def test_gradient_fidelity_small_rollout():
+def test_gradient_fidelity_small_rollout(monkeypatch):
     # node_loss gradient vs central differences on a tiny DG problem
     mesh = dg.make_mesh(6, 1, 0.0, 1.0)
     cfg = dg.PdeConfig(dg.CONVECTION_DIFFUSION, kappa=1e-3, a=1.0)
@@ -509,10 +509,11 @@ def test_gradient_fidelity_small_rollout():
     batch = training.sample_windows([tr], tcfg, epoch_seed=[1])
     rng = np.random.default_rng(0)
     batch.targets = batch.targets + rng.normal(size=batch.targets.shape)
-    params = mlp.init_params(mesh.n_dof, mesh.n_dof, seed=1, hidden=16)
+    monkeypatch.setattr(mlp, "HIDDEN_WIDTH", 16)
+    params = mlp.init_params(mesh.n_dof, mesh.n_dof, seed=1)
 
     def builder(ws, bs):
-        return lambda t, u: rhs(t, u) + mlp.forward(ws, bs, u)
+        return lambda u: rhs(u) + mlp.forward(ws, bs, u)
 
     build = training.make_loss_builder(batch, builder, "rk4")
     err = ad.grad_check(build, mlp.param_list(params), h=1e-5, sample=40, seed=2)
