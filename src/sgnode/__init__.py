@@ -1,34 +1,3 @@
 """Continuous subgrid-source learning through differentiable explicit Runge-Kutta solvers."""
 
 __version__ = "0.1.0"
-
-from .errors import BlowupError, ConfigError, FormatError
-from .ode import (
-    ButcherTableau,
-    Rhs,
-    Trajectory,
-    erk_step,
-    get_tableau,
-    integrate,
-    load_trajectory,
-    save_trajectory,
-    tableau_rk4,
-    tableau_tsit5,
-)
-
-__all__ = [
-    "BlowupError",
-    "ConfigError",
-    "FormatError",
-    "ButcherTableau",
-    "Rhs",
-    "Trajectory",
-    "erk_step",
-    "get_tableau",
-    "integrate",
-    "load_trajectory",
-    "save_trajectory",
-    "tableau_rk4",
-    "tableau_tsit5",
-    "__version__",
-]

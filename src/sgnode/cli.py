@@ -25,8 +25,8 @@ def _load(args):
     cfg = load_config(args.config)
     if args.seed is not None:
         cfg.seed = args.seed
-        cfg.training.seed = args.seed
-        cfg.training_discrete.seed = args.seed
+        for tcfg in filter(None, (cfg.training, cfg.training_discrete)):
+            tcfg.seed = args.seed
     if args.out is not None:
         cfg.out_dir = Path(args.out)
     return cfg
@@ -81,6 +81,8 @@ def cmd_generate(args):
 
 def cmd_train(args):
     cfg = _load(args)
+    if args.discrete and cfg.experiment == "l96":
+        raise ConfigError("the discrete post-correction baseline is PDE-only")
     trajs = experiments.load_dataset(cfg)
     out = cfg.out_dir
     out.mkdir(parents=True, exist_ok=True)
@@ -287,7 +289,8 @@ def main(argv=None):
     p.add_argument("--checkpoint", default=None)
     p.add_argument("--variant", default=None)
     p.add_argument("--dt-override", type=_positive(float), default=None,
-                   help="step size (default: prediction.dt; data.dt for a full l96 state)")
+                   help="step size (default: prediction.dt, or a PDE variant's smaller "
+                   "timing.dts entry; data.dt for a full l96 state)")
     p.add_argument("--traj-index", type=int, default=0)
     p.add_argument("--name", default=None, help="output file name")
     p.set_defaults(fn=cmd_predict)

@@ -5,9 +5,9 @@ Each section is parsed straight into the dataclass that uses it: the
 allowed keys are its fields, each value is checked against its field's
 type, and range and choice constraints are the class's own.  Unknown keys
 and bad values are rejected with their full path, so typos fail loudly
-instead of silently falling back to defaults.  The ``manifest.json`` that
-``generate`` writes is parsed by the same rules and checked against the
-config that reads it.
+instead of silently falling back to defaults; so are keys the experiment
+never reads.  The ``manifest.json`` that ``generate`` writes is parsed by
+the same rules and checked against the config that reads it.
 """
 
 from __future__ import annotations
@@ -38,8 +38,10 @@ _PDE_MODEL = {
     "burgers": {"kappa": 0.005, "n_elem": 64, "order_high": 8, "order_low": 1,
                 "domain": [0.0, 2.0 * math.pi], "k0": 10, "n_synth": 32768},
 }
-# data keys that only the L96 experiment reads
-_L96_DATA = ("spinup",)
+# the data keys each experiment never reads, and the training keys that the
+# discrete baseline's regression never reads (it has no windows or test loss)
+_UNREAD_DATA = {"l96": ("store_high",), "cd": ("spinup",), "burgers": ("spinup",)}
+_DISCRETE_UNREAD = ("window", "test_every")
 
 
 def pde_config(experiment, model):
@@ -113,8 +115,8 @@ class DataConfig:
     n_traj: int = 1
     dt: float = 1e-4
     t_final: float = 1.0
-    spinup: float = 0.0
-    store_high: bool = True
+    spinup: float = 0.0      # L96 only
+    store_high: bool = True  # PDE only: also write the high-order truth
 
     def __post_init__(self):
         if self.n_traj < 1 or self.dt <= 0:
@@ -142,7 +144,7 @@ class TimingConfig:
 
     repeats: int = 10
     t_final: float = 1.0
-    dts: dict[str, float] = field(default_factory=dict)  # variant -> stable dt
+    dts: dict[str, float] = field(default_factory=dict)  # variant -> stable dt; caps predict dt
 
     VARIANTS = ("high", "low", "augmented", "low2", "low3")
 
@@ -165,13 +167,12 @@ class RunConfig:
     model: dict
     data: DataConfig
     training: TrainConfig
-    training_discrete: TrainConfig  # baseline regression; falls back to `training`
+    training_discrete: TrainConfig | None  # PDE baseline; falls back to `training`
     prediction: PredictConfig
-    timing: TimingConfig
+    timing: TimingConfig | None  # PDE only
 
     @classmethod
     def from_dict(cls, d, base_dir=None):
-        _check_keys(d, [f.name for f in dataclasses.fields(cls)], "config")
         for key in ("experiment", "out_dir"):
             if key not in d:
                 raise ConfigError(f"config: missing required key {key!r}")
@@ -179,6 +180,9 @@ class RunConfig:
         if experiment not in EXPERIMENTS:
             raise ConfigError(f"config.experiment: expected one of {sorted(EXPERIMENTS)}, "
                               f"got {experiment!r}")
+        l96 = experiment == "l96"  # which has no discrete baseline and no `time`
+        _check_keys(d, [f.name for f in dataclasses.fields(cls)
+                        if not (l96 and f.name in ("training_discrete", "timing"))], "config")
         seed = _value(d.get("seed", 0), int, "config.seed")
         if seed < 0:
             raise ConfigError(f"config.seed: must be >= 0, got {seed}")
@@ -190,14 +194,13 @@ class RunConfig:
             seed=seed,
             out_dir=Path(out_raw) if os.path.isabs(out_raw) else base / out_raw,
             model=_model(experiment, d.get("model", {})),
-            data=_section(DataConfig, d.get("data", {}), "data",
-                          unused=() if experiment == "l96" else _L96_DATA),
+            data=_section(DataConfig, d.get("data", {}), "data", unused=_UNREAD_DATA[experiment]),
             training=_section(TrainConfig, training, "training"),
-            training_discrete=_section(
-                TrainConfig, d.get("training_discrete", training), "training_discrete"
-            ),
+            training_discrete=None if l96 else _section(TrainConfig, d.get(
+                "training_discrete", {k: training[k] for k in training if k not in _DISCRETE_UNREAD}
+            ), "training_discrete", unused=_DISCRETE_UNREAD),
             prediction=_section(PredictConfig, d.get("prediction", {}), "prediction"),
-            timing=_section(TimingConfig, d.get("timing", {}), "timing"),
+            timing=None if l96 else _section(TimingConfig, d.get("timing", {}), "timing"),
         )
         check_variant(experiment, cfg.prediction.variant, "prediction.variant")
         return cfg

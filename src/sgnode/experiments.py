@@ -195,8 +195,6 @@ def rhs_builder_for(cfg):
 
 
 def train_discrete(cfg, trajs, init=None, on_epoch=None):
-    if cfg.experiment == "l96":
-        raise ConfigError("the discrete post-correction baseline is PDE-only")
     tcfg = cfg.training_discrete
     pcfg = pde_config(cfg.experiment, cfg.model)
     _, mesh_l = pde_meshes(cfg.model)
@@ -248,10 +246,11 @@ def predict(cfg, params, u0, dt, n_steps, variant, t0=0.0):
 
 def prediction_dt(cfg, variant):
     """The step a prediction variant takes by default: the data's for the
-    full Lorenz 96 state, whose fast variables need it, else prediction.dt."""
-    if cfg.experiment == "l96" and variant != "slow":
-        return cfg.data.dt
-    return cfg.prediction.dt
+    full Lorenz 96 state, whose fast variables need it; for a PDE variant
+    prediction.dt, or its timing.dts entry where that is smaller."""
+    if cfg.experiment == "l96":
+        return cfg.data.dt if variant != "slow" else cfg.prediction.dt
+    return min(cfg.prediction.dt, cfg.timing.dts.get(variant, cfg.prediction.dt))
 
 
 def variant_initial_state(cfg, variant, ref_filtered, ref_truth=None):
@@ -299,7 +298,7 @@ def timestep_sweep(cfg, params_cont, params_disc, ref, dts, eval_times):
     return rows
 
 
-def run_timings(cfg, ref, truth, params, variants=None):
+def run_timings(cfg, ref, truth, params):
     """Wall times per prediction variant at its stable dt, stepping at
     prediction.tableau: the first run and the median of the repeats.
 
@@ -309,7 +308,7 @@ def run_timings(cfg, ref, truth, params, variants=None):
     """
     tcfg = cfg.timing
     runs = []
-    for variant in variants or tcfg.VARIANTS:
+    for variant in tcfg.VARIANTS:
         if variant in tcfg.dts:
             dt = tcfg.dts[variant]
             u0 = variant_initial_state(cfg, variant, ref, truth)

@@ -1,10 +1,11 @@
 """Fixed-step explicit Runge-Kutta integration and trajectory storage.
 
 `steps` is the one loop over ERK steps: `integrate` collects what it
-yields, `march` cuts a long run into time chunks, and the training loss
-iterates it over a batch of windows.  The stepper is duck-typed: states
-may be numpy arrays or autodiff ``Var`` handles, so the same code advances
-production runs and the unrolled rollouts inside training losses.  Each
+yields into one array, `march` into time chunks of a long run, and the
+training loss iterates it over a batch of windows.  The stepper is
+duck-typed: states may be numpy arrays or autodiff ``Var`` handles, so the
+same code advances production runs and the unrolled rollouts inside
+training losses.  Each
 stage input and the final update is one ``autodiff.lincomb``, which sums
 its terms left to right in both cases and records a single tape node when
 taped.  The systems are autonomous: a right-hand side is `rhs(u)`, and
@@ -26,9 +27,8 @@ from .errors import BlowupError, FormatError, check_fully_read, read_array, read
 
 BLOWUP_LIMIT = 1e12
 
-# State history one chunk of `march` holds: the (steps, n_traj * d) block
-# of one `integrate` call.  The chunk being consumed and the next one being
-# computed can be alive together.
+# State history one chunk of `march` holds; the chunk being consumed and
+# the next one being computed can be alive together.
 CHUNK_BYTES = 4 << 20
 
 _MAGIC = b"SGNT"
@@ -130,9 +130,7 @@ _TABLEAUS = {"rk4": tableau_rk4, "tsit5": tableau_tsit5}
 
 
 def get_tableau(name):
-    """The tableau called `name`; a ButcherTableau is returned unchanged."""
-    if isinstance(name, ButcherTableau):
-        return name
+    """The tableau called `name`."""
     try:
         return _TABLEAUS[name]()
     except KeyError:
@@ -213,18 +211,18 @@ class Trajectory:
         return self.states.shape[0]
 
 
-def steps(tableau, rhs, u0, t0, dt, n_steps, post_step=None, first_step=0):
-    """Yield the n_steps states after u0, one per fixed ERK step.
+def steps(tableau, rhs, u0, t0, dt, n_steps, post_step=None):
+    """Yield the n_steps states after u0, whose last axis must be an `Rhs`
+    rhs's dim, one per fixed ERK step.
 
     `post_step(u_prev, u_stepped)`, when given, maps each ERK step's
     result to the state carried forward (a discrete correction).  Each
     state is checked as it is stepped, so a blowup is raised before it is
-    yielded, stamped with its step n and start time t0 + n * dt.  With
-    `first_step`, u0 is the state after that many steps of a run started
-    at t0, and steps are numbered as in that run, so a run marched in
-    pieces fails as it would in one."""
+    yielded, stamped with its step n and start time t0 + n * dt."""
+    if isinstance(rhs, Rhs) and _raw(u0).shape[-1] != rhs.dim:
+        raise ValueError(f"state dim {_raw(u0).shape[-1]} != rhs dim {rhs.dim}")
     u = u0
-    for n in range(first_step, first_step + n_steps):
+    for n in range(n_steps):
         try:
             stepped = erk_step(tableau, rhs, u, dt)
             u = stepped if post_step is None else post_step(u, stepped)
@@ -235,38 +233,36 @@ def steps(tableau, rhs, u0, t0, dt, n_steps, post_step=None, first_step=0):
         yield u
 
 
-def integrate(tableau, rhs, u0, t0, dt, n_steps, meta=None, post_step=None, first_step=0):
-    """March n_steps fixed steps; returns all n_steps + 1 states.
-
-    `post_step` and `first_step` are those of `steps`.
-    """
+def integrate(tableau, rhs, u0, t0, dt, n_steps, meta=None, post_step=None):
+    """All n_steps + 1 states of a `steps` run, as one Trajectory."""
     if n_steps < 0:
         raise ValueError("n_steps must be >= 0")
     u0 = np.asarray(u0, dtype=np.float64)
-    if isinstance(rhs, Rhs) and u0.shape[-1] != rhs.dim:
-        raise ValueError(f"state dim {u0.shape[-1]} != rhs dim {rhs.dim}")
     states = np.empty((n_steps + 1, u0.size), dtype=np.float64)
     states[0] = u0.ravel()
-    for k, u in enumerate(steps(tableau, rhs, u0, t0, dt, n_steps, post_step, first_step), 1):
+    for k, u in enumerate(steps(tableau, rhs, u0, t0, dt, n_steps, post_step), 1):
         states[k] = np.ravel(u)
-    return Trajectory(t0=t0 + first_step * dt, dt=dt, states=states, meta=dict(meta or {}))
+    return Trajectory(t0=t0, dt=dt, states=states, meta=dict(meta or {}))
 
 
 def march(tableau, rhs, u0, dt, n_steps):
     """The n_steps + 1 states of a run of the (n_traj, d) block u0 from
     t = 0, yielded as (rows, n_traj * d) time chunks of about CHUNK_BYTES:
     the first starts with u0, each later one with the state after the last.
-    Every step rounds as in one `integrate` call, and so does a blowup."""
+    The chunks are filled from one `steps` run, so every step and a blowup
+    are those of one `integrate` call."""
     per_chunk = max(1, CHUNK_BYTES // (8 * u0.size))
-    u, done = u0, 0
+    run = steps(tableau, rhs, u0, 0.0, dt, n_steps)
+    chunk, first, left = np.empty((min(per_chunk, n_steps) + 1, u0.size)), 1, n_steps
+    chunk[0] = u0.ravel()
     while True:
-        n = min(per_chunk, n_steps - done)
-        states = integrate(tableau, rhs, u, 0.0, dt, n, first_step=done).states
-        yield states if done == 0 else states[1:]
-        done += n
-        if done == n_steps:
+        for row, u in zip(chunk[first:], run):
+            row[:] = u.ravel()
+        yield chunk
+        left -= len(chunk) - first
+        if not left:
             return
-        u = states[-1].reshape(u0.shape).copy()
+        chunk, first = np.empty((min(per_chunk, left), u0.size)), 0
 
 
 class TrajectoryWriter:

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from . import mlp
+from . import diagnostics, mlp
 from .errors import BlowupError, ConfigError
 # integrate is not called here, but perfbench/spans.py patches training.integrate
 from .ode import erk_step, get_tableau, integrate, steps  # noqa: F401
@@ -72,13 +72,14 @@ class WindowBatch:
 
 
 def _stride(train_dt, data_dt):
-    ratio = train_dt / data_dt
-    stride = int(round(ratio))
-    if stride < 1 or abs(ratio - stride) > 1e-9 * max(1.0, ratio):
-        raise ConfigError(
-            f"training dt {train_dt} is not an integer multiple of data dt {data_dt}"
-        )
-    return stride
+    """Data steps per training step, aligned by `diagnostics.strides`."""
+    try:
+        one, stride = diagnostics.strides(train_dt, data_dt)
+        if one == 1:
+            return stride
+    except ConfigError:
+        pass
+    raise ConfigError(f"training dt {train_dt} is not an integer multiple of data dt {data_dt}")
 
 
 def _whole(trajs):

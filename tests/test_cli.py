@@ -12,7 +12,7 @@ import pytest
 from sgnode import dg, experiments, lorenz96, mlp, ode, training
 from sgnode.cli import main
 from sgnode.experiments import run_timings
-from sgnode.config import load_config
+from sgnode.config import VARIANTS, TimingConfig, load_config
 from sgnode.errors import BlowupError, ConfigError, FormatError
 from sgnode.ode import Rhs, Trajectory, integrate, load_trajectory, save_trajectory, tableau_rk4
 
@@ -37,6 +37,8 @@ def smoke_config(tmp_path, experiment="cd", **overrides):
                    "dts": {"high": 1e-3, "low": 2e-3, "augmented": 2e-3,
                            "low2": 2e-3, "low3": 1e-3}},
     }
+    if experiment == "l96":
+        del cfg["timing"]  # `time` is PDE-only
     cfg.update(overrides)
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
@@ -128,12 +130,52 @@ def test_a_key_the_experiment_never_reads_is_config_error(
 def test_a_removed_key_is_config_error(tmp_path, capsys, section, key, value):
     path = smoke_config(tmp_path)
     cfg = json.loads(path.read_text())
-    cfg[section] = {**cfg.get(section, cfg["training"]), key: value}
+    kept = {k: v for k, v in cfg["training"].items() if k not in ("window", "test_every")}
+    cfg[section] = {**cfg.get(section, kept), key: value}
     path.write_text(json.dumps(cfg))
     with pytest.raises(ConfigError, match=rf"^{section}: unknown keys \['{key}'\]"):
         load_config(path)
     assert main(["generate", "--config", str(path)]) == 2
     assert f"config error: {section}: unknown keys ['{key}']" in capsys.readouterr().err
+
+
+_TRAIN_DEFAULTS = dataclasses.asdict(training.TrainConfig())
+
+
+# values no code reads: l96 has no `time` command, no discrete baseline and
+# only a truth dataset; the discrete baseline's regression takes no windows
+@pytest.mark.parametrize("experiment,section,key,value", [
+    ("l96", "data", "store_high", False),
+    *(("l96", "timing", k, v) for k, v in dataclasses.asdict(TimingConfig()).items()),
+    *(("l96", "training_discrete", k, v) for k, v in _TRAIN_DEFAULTS.items()),
+    *((experiment, "training_discrete", k, _TRAIN_DEFAULTS[k])
+      for experiment in ("cd", "burgers") for k in ("window", "test_every")),
+])
+def test_a_value_no_code_reads_exits_2_naming_its_key_before_any_file_is_read(
+    tmp_path, capsys, experiment, section, key, value
+):
+    path = smoke_config(tmp_path, experiment, **({"model": L96_MODEL} if experiment == "l96" else {}))
+    cfg = json.loads(path.read_text())
+    cfg.setdefault(section, {})[key] = value
+    path.write_text(json.dumps(cfg))
+    if experiment == "l96" and section != "data":
+        message = f"config: unknown keys ['{section}']"
+    else:
+        message = f"{section}: unknown keys ['{key}']"
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        load_config(path)
+    for argv in (["generate"], ["train"], ["train", "--discrete"]):
+        assert main(argv + ["--config", str(path)]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {message}; allowed")
+    assert not (tmp_path / "run").exists()
+
+
+def test_train_discrete_on_l96_exits_2_before_any_file_is_read(tmp_path, capsys):
+    path = smoke_config(tmp_path, "l96", model=L96_MODEL)
+    assert main(["train", "--config", str(path), "--discrete"]) == 2
+    assert capsys.readouterr().err == (
+        "config error: the discrete post-correction baseline is PDE-only\n")
+    assert not (tmp_path / "run").exists()
 
 
 def test_l96_desk_config_values_and_types():
@@ -437,7 +479,8 @@ def test_checkpoint_shape_mismatch_is_io_error(tmp_path):
 
 def test_checkpoint_sidecar_records_its_own_training_section(tmp_path):
     cfg = json.loads(smoke_config(tmp_path).read_text())
-    cfg["training_discrete"] = dict(cfg["training"], seed=9)
+    cfg["training_discrete"] = {k: v for k, v in cfg["training"].items()
+                                if k not in ("window", "test_every")} | {"seed": 9}
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
     main(["generate", "--config", str(path)])
@@ -465,7 +508,7 @@ def test_discrete_targets_use_the_configured_tableau(tmp_path, monkeypatch):
 
 def test_discrete_training_with_a_trajectory_split(tmp_path):
     # the training ranges list only the first two of four trajectories
-    train = {"epochs": 1, "batch_size": 4, "window": 2, "dt": 2e-3, "tableau": "rk4",
+    train = {"epochs": 1, "batch_size": 4, "dt": 2e-3, "tableau": "rk4",
              "split": 0.5, "split_axis": "trajectory"}
     path = smoke_config(tmp_path, data={"n_traj": 4, "dt": 1e-3, "t_final": 0.02},
                         training_discrete=train)
@@ -559,7 +602,7 @@ def test_a_config_variant_the_experiment_lacks_exits_2_at_load(tmp_path, capsys)
 
 
 def test_discrete_training_writes_its_periodic_checkpoints(tmp_path):
-    train = {"epochs": 4, "batch_size": 4, "window": 2, "dt": 2e-3, "tableau": "rk4",
+    train = {"epochs": 4, "batch_size": 4, "dt": 2e-3, "tableau": "rk4",
              "seed": 1, "checkpoint_every": 2}
     path = smoke_config(tmp_path, training_discrete=train)
     main(["generate", "--config", str(path)])
@@ -727,6 +770,28 @@ def test_every_l96_variant_runs_at_its_default_dt(tmp_path):
                      "--checkpoint", str(out / "net.sgnp")]) == 0, variant
         pred = load_trajectory(out / f"pred_{variant}.sgnt")
         assert (pred.dt, len(pred)) == (dt, int(round(0.25 / dt)) + 1), variant
+
+
+def test_every_burgers_desk_variant_runs_at_its_default_dt(tmp_path, capsys):
+    # at prediction.dt (0.025) high, low2 and low3 blow up within three
+    # steps; each steps at its smaller timing.dts entry instead
+    cfg = json.loads(Path("configs/burgers-desk.json").read_text())
+    cfg["out_dir"] = str(tmp_path / "run")
+    cfg["data"]["t_final"] = 0.005
+    cfg["prediction"]["t_final"] = 0.1
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["generate", "--config", str(path)]) == 0
+    out = tmp_path / "run"
+    mlp.save_params(mlp.zero_params(*experiments.source_dims(load_config(path))), out / "net.sgnp")
+    dts = {"high": 1e-3, "low2": 0.018, "low3": 0.0125}
+    for variant in VARIANTS["burgers"]:
+        rc = main(["predict", "--config", str(path), "--variant", variant,
+                   "--checkpoint", str(out / "net.sgnp")])
+        assert rc == 0, (variant, capsys.readouterr().err)
+        dt = dts.get(variant, 0.025)
+        pred = load_trajectory(out / f"pred_{variant}.sgnt")
+        assert (pred.dt, len(pred)) == (dt, int(round(0.1 / dt)) + 1), variant
 
 
 def test_resume_continues_from_checkpoint(tmp_path):

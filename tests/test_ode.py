@@ -222,11 +222,6 @@ def test_trajectory_garbled_metadata_is_format_error(tmp_path, blob):
         load_trajectory(path)
 
 
-def test_get_tableau_passes_a_tableau_through():
-    tab = tableau_rk4()
-    assert get_tableau(tab) is tab
-
-
 def test_integrate_post_step_output_is_carried_forward():
     seen = []
 

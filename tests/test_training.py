@@ -46,6 +46,13 @@ class TestSampling:
         with pytest.raises(ConfigError):
             training.sample_windows([traj], cfg, epoch_seed=[1])
 
+    @pytest.mark.parametrize("dt", [0.005, 0.0099999])
+    def test_a_training_dt_below_the_data_dt_is_rejected_naming_both(self, dt):
+        traj, _ = toy_trajectory()
+        cfg = training.TrainConfig(epochs=1, batch_size=2, window=2, dt=dt, seed=0)
+        with pytest.raises(ConfigError, match=f"training dt {dt} .* data dt 0.01"):
+            training.sample_windows([traj], cfg, epoch_seed=[1])
+
     def test_single_possible_window(self):
         traj, _ = toy_trajectory(n_states=4, dt=0.01)
         cfg = training.TrainConfig(epochs=1, batch_size=3, window=3, dt=0.01, seed=0)
