@@ -3,14 +3,15 @@
 A loss is built by composing ``Var`` handles that live on a ``Tape``.  The op
 set is intentionally closed: exactly what MLP evaluation, the model
 right-hand sides, and mean-squared losses unrolled through explicit
-Runge-Kutta steps need.  Its 10 primitives are ``smul`` (scalar product),
+Runge-Kutta steps need.  Its 9 primitives are ``smul`` (scalar product),
 ``dense`` (fused network layer), ``lincomb`` (Runge-Kutta stage
-combination, and every ``+`` and ``-`` between arrays), ``stencil`` (the
+combination, and every ``+`` between arrays), ``stencil`` (the
 convection-diffusion tendency), ``burgers`` (the DG viscous Burgers
-tendency), ``l96`` (the two-scale Lorenz 96 tendency), ``square``,
-``sumall``, ``reshape`` and ``narrow`` (the slow variables of a Lorenz 96
-state).  ``backward`` walks the tape once in reverse and returns the
-gradient of the recorded scalar with respect to every parameter array.
+tendency), ``l96`` (the two-scale Lorenz 96 tendency), ``sqdist`` (the
+squared distance of a state from a constant target, one term of a loss),
+``reshape`` and ``narrow`` (the slow variables of a Lorenz 96 state).
+``backward`` walks the tape once in reverse and returns the gradient of the
+recorded scalar with respect to every parameter array.
 
 The fused ``dense`` node (``h @ W.T + b``, optionally through ReLU) stores
 only the layer's output.  ``lincomb`` (``u + sum_j c_j k_j``) is one node
@@ -21,8 +22,9 @@ its reverse sweep costs what its forward does.  ``burgers`` and ``l96`` are
 each a whole right-hand side in one node with a hand-written VJP: the
 ``stencil`` rules plus the Lax-Friedrichs flux, and the slow and fast
 Lorenz 96 rings with the slow equation's source as an input.  Constant
-operands ride in the nodes, so a product with a constant matrix never lifts
-a leaf; ``Var @ x``, ``Var * Var`` and ``Var + scalar`` are not recorded.
+operands ride in the nodes, so a product with a constant matrix or a
+distance from a target never lifts a leaf; a ``Var`` records only
+``Var + array`` and ``Var * scalar``.
 
 ``dense`` runs products of at least ``SPLIT_ROWS`` rows on two CPUs.  The
 forward writes two blocks of rows from two threads.  The VJP computes the
@@ -35,13 +37,13 @@ thread the bytes do not depend on the CPU count.  The worker thread starts
 with the first such product, and never in a process with one CPU.
 
 Each primitive has one forward rule in ``_FWD``.  ``_apply`` records it on
-the tape of a ``Var`` argument, lifting ndarray operands as constant leaves,
-or evaluates it directly when every argument is an ndarray.  So a loss
-builder ``build(params)`` is one forward path: ``record`` runs it on
-parameter Vars, and the held-out loss, prediction and ``grad_check``'s
-finite differences run it on plain arrays.  Every forward rule keeps its
-inputs' dtype, so a builder run untaped on long-double arrays computes in
-long double throughout.
+the tape of a ``Var`` argument, lifting each ndarray operand as a constant
+leaf once per tape, or evaluates it directly when every argument is an
+ndarray.  So a loss builder ``build(params)`` is one forward path:
+``record`` runs it on parameter Vars, and the held-out loss, prediction
+and ``grad_check``'s finite differences run it on plain arrays.  Every
+forward rule keeps its inputs' dtype, so a builder run untaped on
+long-double arrays computes in long double throughout.
 """
 
 from __future__ import annotations
@@ -63,8 +65,7 @@ __all__ = [
     "burgers",
     "l96",
     "grad_check",
-    "square",
-    "sum_all",
+    "sqdist",
     "reshape",
     "narrow",
 ]
@@ -262,10 +263,9 @@ _FWD = {
     "stencil": _stencil_fwd,  # aux is (idx, s, s_adj)
     "burgers": _burgers_fwd,  # aux is (idx, s, s_adj, faces, weak, lift_adj)
     "l96": _l96_fwd,  # aux is (K, J, c, h, F)
-    "square": lambda aux, xs: xs[0] * xs[0],
-    "sumall": lambda aux, xs: np.sum(xs[0]),
+    "sqdist": lambda aux, xs: np.sum(np.square(xs[0] - aux)),  # aux is the target
     "reshape": lambda aux, xs: np.reshape(xs[0], aux),
-    "narrow": lambda aux, xs: xs[0][aux],  # aux is the index tuple
+    "narrow": lambda aux, xs: xs[0][..., :aux],  # aux is the entry count
 }
 
 
@@ -368,7 +368,7 @@ def _vjp_l96(aux, g, out, z, src):
 
 def _vjp_narrow(aux, g, out, a):
     ga = np.zeros_like(a)
-    ga[aux] = g
+    ga[..., :aux] = g
     return (ga,)
 
 
@@ -383,9 +383,8 @@ _VJP = {
     "stencil": _vjp_stencil,
     "burgers": _vjp_burgers,
     "l96": _vjp_l96,
-    # one term 2*a*g; mul(a, a) would add g*a twice and move Burgers gradient bits
-    "square": lambda aux, g, out, a: (2.0 * a * g,),
-    "sumall": lambda aux, g, out, a: (g * np.ones_like(a),),
+    # one term 2*(x - target)*g; adding g*(x - target) twice would move Burgers gradient bits
+    "sqdist": lambda aux, g, out, x: ((2.0 * (x - aux)) * g,),
     "reshape": lambda aux, g, out, a: (np.reshape(g, a.shape),),
     "narrow": _vjp_narrow,
 }
@@ -403,6 +402,7 @@ class Tape:
         self.vals = []       # forward values, index-aligned with ops
         self.param_ids = []  # leaf ids registered as trainable parameters
         self.out = None      # id of the recorded scalar loss
+        self.consts = {}     # id(x) -> (x, leaf id); holding x keeps its id unique
 
     def __len__(self):
         return len(self.ops)
@@ -412,6 +412,14 @@ class Tape:
         self.ops.append(("leaf", (), None))
         self.vals.append(x)
         return Var(self, len(self.vals) - 1)
+
+    def _const(self, x):
+        """The leaf of constant operand x, lifted once per tape.  The cache
+        holds a leaf id, not a Var, so no cycle keeps a dropped tape alive."""
+        hit = self.consts.get(id(x))
+        if hit is None:
+            hit = self.consts[id(x)] = (x, self._leaf(x).i)
+        return Var(self, hit[1])
 
     def param(self, x):
         """Register a trainable parameter array; gradients flow to it."""
@@ -427,10 +435,10 @@ class Tape:
 
 
 class Var:
-    """Handle to one tape node; supports the arithmetic the models need."""
+    """Handle to one tape node; records Var + array and Var * scalar."""
 
     __slots__ = ("tape", "i")
-    __array_ufunc__ = None  # make ndarray <op> Var defer to our reflected ops
+    __array_ufunc__ = None  # make ndarray + Var defer to __radd__
 
     def __init__(self, tape, i):
         self.tape = tape
@@ -453,12 +461,10 @@ class Var:
             if other.tape is not self.tape:
                 raise TapeError("cannot mix Vars from different tapes")
             return other
-        return self.tape._leaf(other)
+        return self.tape._const(other)
 
-    # Sums and differences of arrays are lincomb nodes with coefficient +-1:
-    # a + 1.0*b and a + (-1.0)*b round as a + b and a - b do, and so do
-    # their adjoints g*1.0 and g*(-1.0).  Products and quotients are by
-    # scalars only.
+    # A sum of arrays is a lincomb node with coefficient 1: a + 1.0*b rounds
+    # as a + b does, and so does its adjoint g*1.0.
     def __add__(self, other):
         if isinstance(other, (int, float)):
             raise _unrecorded("Var + scalar")
@@ -466,39 +472,16 @@ class Var:
 
     __radd__ = __add__
 
-    def __sub__(self, other):
-        if isinstance(other, (int, float)):
-            raise _unrecorded("Var - scalar")
-        return _apply("lincomb", (-1.0,), self, other)
-
-    def __rsub__(self, other):
-        if isinstance(other, (int, float)):
-            raise _unrecorded("scalar - Var")
-        return _apply("lincomb", (-1.0,), other, self)
-
     def __mul__(self, other):
         if not isinstance(other, (int, float)):
             raise _unrecorded("Var * array")
         return _apply("smul", float(other), self)
 
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if not isinstance(other, (int, float)):
-            raise _unrecorded("Var / array")
-        return _apply("smul", 1.0 / float(other), self)
-
-    def __neg__(self):
-        return _apply("smul", -1.0, self)
-
-    def __matmul__(self, other):
-        raise _unrecorded("Var @ x")
-
 
 def _unrecorded(what):
     return TapeError(
-        f"{what} is not recorded; the tape records Var +- array, Var * and / "
-        f"scalar and the primitives {', '.join(_FWD)}"
+        f"{what} is not recorded; the tape records Var + array, Var * scalar "
+        f"and the primitives {', '.join(_FWD)}"
     )
 
 
@@ -654,15 +637,6 @@ def _apply(name, aux, *args):
     return _FWD[name](aux, args)
 
 
-def square(x):
-    return _apply("square", None, x)
-
-
-def sum_all(x):
-    """Sum every entry down to a scalar."""
-    return _apply("sumall", None, x)
-
-
 def dense(h, w, b, relu):
     """One network layer, h @ w.T + b, through ReLU when `relu` is set.
 
@@ -728,10 +702,18 @@ def l96(z, source, aux):
     return _apply("l96", tuple(aux), z, source)
 
 
+def sqdist(x, target):
+    """sum((x - target)**2) for a constant `target` that broadcasts to x's
+    shape.  Taped, this is one node over x that holds the target and stores
+    only the sum; its VJP 2 (x - target) g rounds as the chain rule of the
+    difference, square and sum does."""
+    return _apply("sqdist", target, x)
+
+
 def reshape(x, shape):
     return _apply("reshape", tuple(shape), x)
 
 
-def narrow(x, axis, start, length):
-    """Contiguous slice of `length` entries starting at `start` along `axis`."""
-    return _apply("narrow", (slice(None),) * (axis % x.ndim) + (slice(start, start + length),), x)
+def narrow(x, n):
+    """The first n entries of the last axis of x."""
+    return _apply("narrow", n, x)

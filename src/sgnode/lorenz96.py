@@ -16,7 +16,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import mlp
-from .ode import Rhs, Trajectory, integrate, march, tableau_rk4
+from .ode import Rhs, Trajectory, integrate, steps, tableau_rk4
 
 
 @dataclass(frozen=True)
@@ -94,7 +94,7 @@ def rhs_coupled_neural(cfg, weights, biases):
     K, aux = cfg.K, _aux(cfg, cfg.J)
 
     def fn(z):
-        return ad.l96(z, _source(cfg, weights, biases, ad.narrow(z, -1, 0, K)), aux)
+        return ad.l96(z, _source(cfg, weights, biases, ad.narrow(z, K)), aux)
 
     return fn
 
@@ -129,12 +129,11 @@ def truth_meta(cfg, n_traj, spinup_t, seed):
 
 def spin_up(cfg, n_traj, dt, spinup_t, seed):
     """The (n_traj, dim) states after spinup_t of the truth model from
-    `initial_states`, marched with RK4 in time chunks of which only the
-    last state is kept."""
-    z0 = initial_states(cfg, n_traj, seed)
-    for rows in march(tableau_rk4(), rhs_coupled(cfg), z0, dt, int(round(spinup_t / dt))):
+    `initial_states`, stepped with RK4; only the last state is kept."""
+    z = initial_states(cfg, n_traj, seed)
+    for z in steps(tableau_rk4(), rhs_coupled(cfg), z, 0.0, dt, int(round(spinup_t / dt))):
         pass
-    return rows[-1].reshape(z0.shape).copy()
+    return z
 
 
 def generate_truth(cfg, n_traj, dt, spinup_t, t_final, seed):

@@ -7,8 +7,9 @@ rollout of the source-augmented system and consecutive reference states:
 
 All n windows of a batch advance together as one (n, d) block, so tapes
 stay short regardless of batch size and gradient accumulation order is
-fixed by the array layout.  Right-hand sides are autonomous, f(u); a
-blowup leaves the epoch loop with its epoch stamped on the error.
+fixed by the array layout.  Each window step adds one ``sqdist`` node.
+Right-hand sides are autonomous, f(u); a blowup leaves the epoch loop
+with its epoch stamped on the error.
 """
 
 from __future__ import annotations
@@ -158,10 +159,9 @@ def make_loss_builder(batch, rhs_builder, tableau):
     def build(pvars):
         ws, bs = pvars[0::2], pvars[1::2]
         rollout = steps(tab, rhs_builder(ws, bs), batch.x0, 0.0, batch.dt, batch.window)
-        loss = None
-        for u, target in zip(rollout, batch.targets):
-            sq = ad.sum_all(ad.square(u - target))
-            loss = sq if loss is None else loss + sq
+        loss = ad.sqdist(next(rollout), batch.targets[0])
+        for u, target in zip(rollout, batch.targets[1:]):
+            loss = loss + ad.sqdist(u, target)
         return loss * (1.0 / (batch.size * batch.window))
 
     return build
@@ -230,7 +230,7 @@ class TrainResult:
 def _keep_freed_heap():
     """Have glibc malloc keep freed memory in the heap for reuse.
 
-    Each training step frees its tape (240 MB on the L96 desk run) and the
+    Each training step frees its tape (236 MB on the L96 desk run) and the
     next step allocates as much again.  By default glibc serves arrays over
     a few MB from fresh mappings and returns the freed top of the heap to
     the OS, so every step faulted its tape's pages back in: 394,000 minor
@@ -348,8 +348,7 @@ def train_discrete_forcing(inputs, targets, cfg, d_in, d_out, init=None, on_epoc
 
         def build(pvars):
             ws, bs = pvars[0::2], pvars[1::2]
-            r = mlp.forward(ws, bs, xb) - yb
-            return ad.sum_all(ad.square(r)) * (1.0 / xb.shape[0])
+            return ad.sqdist(mlp.forward(ws, bs, xb), yb) * (1.0 / xb.shape[0])
 
         return ad.record(build, mlp.param_list(params))
 

@@ -179,6 +179,32 @@ def test_c01_taylor_remainder_is_second_order():
     )
 
 
+@pytest.mark.skipif(
+    np.finfo(np.longdouble).eps == np.finfo(np.float64).eps,
+    reason="np.longdouble is binary64 on this platform, so long-double "
+           "differences resolve nothing the float64 check does not",
+)
+def test_c01_long_double_gradient_fidelity():
+    # c01's window losses, target shift included, against central
+    # differences of the untaped builder taken in long double, with no atol
+    # floor.  Over seeds 0-39 the worst was 1.8e-5 (cd, seed 32).  At
+    # h = 1e-5, 6 of those 120 checks straddled a ReLU kink of the source
+    # net and read 2.8e-3 to 1.7e-2 (1.2e-8 to 3.5e-7 at h = 1e-6).
+    errs = {}
+    for exp in ("l96", "cd", "burgers"):
+        batch, builder, params = experiments.window_problem(exp, seed=0)
+        rng = np.random.Generator(np.random.PCG64(0))
+        batch.targets = batch.targets + rng.normal(size=batch.targets.shape)
+        build = training.make_loss_builder(batch, builder, "rk4")
+        plist = [p.astype(np.longdouble) for p in mlp.param_list(params)]
+        errs[exp] = ad.grad_check(build, plist, h=1e-6, sample=16, seed=0)
+    report(
+        "1 (long double)", max(errs.values()) < 2e-3,
+        "long-double finite-difference gradient agreement, no floor: "
+        + ", ".join(f"{exp} {e:.2e}" for exp, e in errs.items()) + " (< 2e-3)",
+    )
+
+
 def test_c02_dg_spatial_order():
     t0 = time.perf_counter()
     observed = {}

@@ -102,7 +102,7 @@ def test_only_products_of_split_rows_reach_the_worker(monkeypatch):
     seen = {}
     for rows in (_T - 1, _T):
         h = rng.normal(size=(rows, 4))
-        tape = ad.record(lambda p: ad.sum_all(ad.square(ad.dense(h, p[0], p[1], True))), [w, b])[1]
+        tape = ad.record(lambda p: ad.sqdist(ad.dense(h, p[0], p[1], True), 0.0), [w, b])[1]
         forward = len(tasks)
         ad.backward(tape)
         seen[rows] = (forward, len(tasks) - forward)
@@ -123,7 +123,7 @@ def _tied_loss(h_big, h_small, c):
         comb = ad.lincomb(w, (0.25,), [c])
         small = ad.dense(h_small, w, b, True)
         last = ad.dense(h_big[::-1], w, b, False)
-        terms = [ad.sum_all(ad.square(t)) for t in (first, through, comb, small, last)]
+        terms = [ad.sqdist(t, 0.0) for t in (first, through, comb, small, last)]
         return terms[0] + terms[1] + terms[2] + terms[3] + terms[4]
     return build
 

@@ -183,7 +183,7 @@ def test_l96_gradient_matches_the_chain_to_roundoff(cfg, lead):
     def build(p):
         # sum(l96 * g) as one dense row, so the adjoint reaching the node is g
         out = ad.reshape(ad.l96(p[0], p[1], aux), (1, -1))
-        return ad.sum_all(ad.dense(out, g.reshape(1, -1), np.zeros(1), relu=False))
+        return ad.reshape(ad.dense(out, g.reshape(1, -1), np.zeros(1), relu=False), ())
 
     gz, gsrc = ad.backward(ad.record(build, [z, source])[1])
     want_z, want_src = _chain_vjp(cfg, z, g)

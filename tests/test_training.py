@@ -159,6 +159,21 @@ class TestNodeLoss:
             assert training.rollout_loss_value(params, batch, builder, "rk4") == loss
 
 
+    def test_a_window_step_records_one_sqdist_and_lifts_x0_once(self):
+        # a Tsit5 windowed CD loss: each window step adds one sqdist node,
+        # and the window starts are one leaf however many stages read them
+        batch, builder, params = experiments.window_problem("cd")
+        plist = mlp.param_list(params)
+        _, tape = ad.record(training.make_loss_builder(batch, builder, "tsit5"), plist)
+        ops = [op for op, _, _ in tape.ops]
+        assert ops.count("sqdist") == batch.window
+        assert "square" not in ops and "sumall" not in ops
+        leaves = [v for op, v in zip(ops, tape.vals) if op == "leaf"]
+        assert sum(v is batch.x0 for v in leaves) == 1
+        # the parameters, x0 and the first stage's untaped stencil(x0)
+        assert len(leaves) == len(plist) + 2
+
+
 class TestOptimizers:
     def test_zero_gradient_is_a_fixed_point(self):
         params = mlp.init_params(2, 2, seed=0)
