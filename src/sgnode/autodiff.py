@@ -24,17 +24,9 @@ each a whole right-hand side in one node with a hand-written VJP: the
 Lorenz 96 rings with the slow equation's source as an input.  Constant
 operands ride in the nodes, so a product with a constant matrix or a
 distance from a target never lifts a leaf; a ``Var`` records only
-``Var + array`` and ``Var * scalar``.
-
-``dense`` runs products of at least ``SPLIT_ROWS`` rows on two CPUs.  The
-forward writes two blocks of rows from two threads.  The VJP computes the
-ReLU mask and the input adjoint on the calling thread and defers the weight
-and bias sums over rows, which only parameter leaves read: ``backward``
-runs them on a worker thread, in sweep order, while the sweep goes on.
-The sums are the unsplit calls, and a one-thread BLAS matrix product rounds
-each row the same in a block of rows as in the whole, so with BLAS on one
-thread the bytes do not depend on the CPU count.  The worker thread starts
-with the first such product, and never in a process with one CPU.
+``Var + array`` and ``Var * scalar``.  ``backward`` is one plain sweep on
+the calling thread; training takes a second core with chunks of windows,
+each on a tape of its own (see ``training``).
 
 Each primitive has one forward rule in ``_FWD``.  ``_apply`` records it on
 the tape of a ``Var`` argument, lifting each ndarray operand as a constant
@@ -47,9 +39,6 @@ long-double arrays computes in long double throughout.
 """
 
 from __future__ import annotations
-
-import functools
-import os
 
 import numpy as np
 
@@ -87,80 +76,18 @@ def _unbroadcast(g, shape):
     return g
 
 
-# Products of at least this many rows use a second CPU: the forward splits
-# their rows, and backward sums their weight and bias gradients on the
-# worker.  Desk products have 36, 100 or 3600 rows, so any value from 200
-# to 3600 selects the same products, the 3600-row ones.  Two one-thread
-# 3600x128x128 matrix products on two threads ran 0.87x-2.04x the rate of
-# the pair back to back over 6 rounds, tracking other load on the host;
-# 100-row pairs mostly ran at about 1.0x, and 110- to 128-row pairs at
-# 1.5x-2.0x (2-core x86-64 shared with other load, OpenBLAS 0.3.31).
-SPLIT_ROWS = 1000
-
-
-@functools.cache
-def _worker():
-    """The one worker thread, started on first use; None on one CPU."""
-    if hasattr(os, "sched_getaffinity"):
-        cpus = len(os.sched_getaffinity(0))
-    else:
-        cpus = os.cpu_count() or 1
-    if cpus < 2:
-        return None
-    # imported here: with logging it costs ~8 ms and ~0.6 MB at start-up
-    from concurrent.futures import ThreadPoolExecutor
-
-    return ThreadPoolExecutor(1, thread_name_prefix="sgnode-dense")
-
-
-# a forked child has no worker thread
-os.register_at_fork(after_in_child=_worker.cache_clear)
-
-
-def _split(rows):
-    return rows >= SPLIT_ROWS and _worker() is not None
-
-
-def _concurrently(first, second):
-    """second(), with first() run on the worker thread meanwhile and done
-    before this returns or raises.  Each makes numpy calls that release the
-    GIL and compute what they would alone, so the results do not depend on
-    the overlap; first writes into arrays allocated here, so the worker
-    allocates no large array."""
-    fut = _worker().submit(first)
-    try:
-        return second()
-    finally:
-        fut.result()
-
-
-def _dense_rows(h, w, b, relu, out=None):
-    """h @ w.T + b, through ReLU when relu is set; written into out if given."""
+def _dense_fwd(relu, xs):
+    h, w, b = xs
     if w.shape[1] == 1:
         # the one-term matmul is the sum 0.0 + h*w, which turns a -0.0
         # product to +0.0; that + 0.0 rides in the bias add
-        z = np.multiply(h, w[:, 0], out=out)
+        z = h * w[:, 0]
         b = b + 0.0
     else:
-        z = np.matmul(h, w.T, out=out)
+        z = h @ w.T
     z += b
     if relu:
         np.maximum(z, 0.0, out=z)
-    return z
-
-
-def _dense_fwd(relu, xs):
-    h, w, b = xs
-    # a matrix product rounds each row the same in a block of rows as in
-    # the whole, so two blocks of rows are written by two calls; a one-unit
-    # layer is a matrix-vector product, whose rounding can depend on the
-    # row count
-    if not (h.ndim == 2 and len(w) > 1 and _split(len(h))):
-        return _dense_rows(h, w, b, relu)
-    z = np.empty((len(h), len(w)), np.result_type(h, w, b))
-    m = len(h) // 2
-    _concurrently(lambda: _dense_rows(h[m:], w, b, relu, z[m:]),
-                  lambda: _dense_rows(h[:m], w, b, relu, z[:m]))
     return z
 
 
@@ -274,22 +201,10 @@ def _vjp_dense(aux, g, out, h, w, b):
     gz = g * (out > 0) if aux else g
     gz2 = gz.reshape(-1, w.shape[0])
     h2 = h.reshape(-1, w.shape[1])
-    gh = np.empty(h.shape)
-    gh2 = gh.reshape(h2.shape)
-    # a one-unit output layer's input adjoint is a product of one term
-    if len(w) > 1:
-        np.matmul(gz2, w, out=gh2)
-    else:
-        np.multiply(gz2, w[0], out=gh2)
-        # the one-term matmul's +0.0 for a -0.0 product
-        np.add(gh2, 0.0, out=gh2)
-
-    def row_sums():
-        return gz2.T @ h2, gz2.sum(axis=0)
-
-    # the weight and bias sums feed only w and b, so a large product leaves
-    # them to backward, which may run them on the worker as the sweep goes on
-    return (gh, row_sums) if _split(len(gz2)) else (gh, *row_sums())
+    # a one-unit output layer's input adjoint is a product of one term,
+    # plus the one-term matmul's +0.0 for a -0.0 product
+    gh = gz2 @ w if len(w) > 1 else gz2 * w[0] + 0.0
+    return gh.reshape(h.shape), gz2.T @ h2, gz2.sum(axis=0)
 
 
 def _vjp_lincomb(aux, g, out, u, *ks):
@@ -374,8 +289,6 @@ def _vjp_narrow(aux, g, out, a):
 
 # VJP rules: fn(aux, g, out_value, *input_values) -> per-input gradients.
 # They never write into g: backward hands one adjoint array to several nodes.
-# A rule may end its gradients with a function that returns those of the
-# remaining inputs: deferred work that backward runs later (``dense``).
 _VJP = {
     "smul": lambda aux, g, out, a: (g * aux,),
     "dense": _vjp_dense,
@@ -506,65 +419,24 @@ def backward(tape):
     """Reverse sweep: the gradient of the recorded scalar w.r.t. every
     parameter, as a list aligned with the tape's registration order.
 
-    A rule's deferred gradients (see ``_VJP``) whose inputs are all leaves
-    go to the worker thread as one task that adds them into those leaves'
-    adjoints; no node reads a leaf's adjoint, so the sweep goes straight on.
-    Every later addition into such a leaf follows through the worker's
-    first-in first-out queue, so each adjoint sums its terms in sweep order
-    and the bytes are those of the inline sweep.  Before a task is queued,
-    the one before the last is waited on, so at most one earlier task holds
-    its arrays; every task is done before this returns or raises.
+    Each node's adjoint is complete when the sweep reaches it, and each
+    input's adjoint sums its terms in sweep order; a node's adjoint is
+    freed once its VJP has run.
     """
     if tape.out is None:
         raise TapeError("tape has no recorded output; use record()")
     adj = [None] * len(tape.vals)
     adj[tape.out] = np.ones_like(tape.vals[tape.out])
-    queued = set()  # leaves whose adjoints the worker adds into
-    pending = []    # the worker's unfinished tasks, oldest first
-
-    def add(j, gj):
-        # accumulation is out of place, so adjoints may alias each other
-        adj[j] = np.asarray(gj) if adj[j] is None else adj[j] + gj
-
-    def add_later(ids, later):
-        for j, gj in zip(ids, later()):
-            add(j, gj)
-
-    def submit(task, *args):
-        if len(pending) > 1:
-            pending.pop(0).result()
-        pending.append(_worker().submit(task, *args))
-
-    try:
-        for i in range(len(tape.ops) - 1, -1, -1):
-            g = adj[i]
-            if g is None:
-                continue
-            name, args, aux = tape.ops[i]
-            if name == "leaf":
-                continue
-            invals = tuple(tape.vals[j] for j in args)
-            gs = _VJP[name](aux, g, tape.vals[i], *invals)
-            later = gs[-1] if callable(gs[-1]) else None
-            if later is not None:
-                gs = gs[:-1]
-                rest = args[len(gs):]
-                if _worker() is None or any(tape.ops[j][0] != "leaf" for j in rest):
-                    gs, later = gs + later(), None
-            for j, gj in zip(args, gs):
-                if j in queued:
-                    submit(add, j, gj)
-                else:
-                    add(j, gj)
-            if later is not None:
-                queued.update(rest)
-                submit(add_later, rest, later)
-            adj[i] = None  # free as we go
-        while pending:
-            pending.pop(0).result()
-    finally:
-        for task in pending:
-            task.exception()  # waits; the error already raising wins
+    for i in range(len(tape.ops) - 1, -1, -1):
+        g = adj[i]
+        name, args, aux = tape.ops[i]
+        if g is None or name == "leaf":
+            continue
+        gs = _VJP[name](aux, g, tape.vals[i], *(tape.vals[j] for j in args))
+        for j, gj in zip(args, gs):
+            # accumulation is out of place, so adjoints may alias each other
+            adj[j] = np.asarray(gj) if adj[j] is None else adj[j] + gj
+        adj[i] = None  # free as we go
     grads = []
     for pid in tape.param_ids:
         g = adj[pid]
@@ -576,7 +448,7 @@ def backward(tape):
     return grads
 
 
-def grad_check(build, params, h=1e-6, sample=None, seed=0, atol=0.0):
+def grad_check(build, params, h=1e-6, sample=None, seed=0):
     """Max relative disagreement between tape gradients and central differences.
 
     The finite differences evaluate `build` untaped, as prediction and the
@@ -586,20 +458,19 @@ def grad_check(build, params, h=1e-6, sample=None, seed=0, atol=0.0):
     long-double parameters resolve differences float64 cannot.  `sample`
     limits the check to that many entries per parameter tensor (always
     including the entry with the largest tape gradient); None checks every
-    entry.  Returns
-    max over checked entries of |g_ad - g_fd| / max(1e-12, atol, |g_ad| + |g_fd|).
-
-    With atol=0 this is a pure relative comparison.  Central differences
-    cannot resolve differences below ~ulp(loss)/h, so callers checking
-    losses whose gradient entries span many orders of magnitude should pass
-    atol at that resolution; discrepancies inside the floor are then ignored
-    (|g_ad - g_fd| is reduced by atol before normalizing).
+    entry.  Returns the max over checked entries of
+    |g_ad - g_fd| / max(1e-12, |g_ad| + |g_fd|), with no absolute floor.
+    One-sided slopes over 1e-3 apart (relative) mark a kink, a ReLU's say,
+    within h, where the central difference mixes two slopes; there the best
+    of the three differences counts.  Curvature parts them by h|f''|: on the
+    gradcheck problems by at most 1.1e-4 (4.5e-4 with roundoff).
     """
     if h <= 0:
         raise ValueError("h must be positive")
     grads = backward(record(build, params)[1])
     trial = [np.asarray(p, dtype=np.result_type(p, float)) for p in params]
     rng = np.random.default_rng(seed)
+    f0 = build(trial)
     max_rel = 0.0
     for k, g in enumerate(grads):
         base = trial[k]
@@ -619,10 +490,11 @@ def grad_check(build, params, h=1e-6, sample=None, seed=0, atol=0.0):
             fp = build(trial)
             pert.flat[flat] -= 2 * h
             fm = build(trial)
-            fd = (fp - fm) / (2 * h)
+            fwd, bwd = (fp - f0) / h, (f0 - fm) / h
+            kink = abs(fwd - bwd) > 1e-3 * (abs(fwd) + abs(bwd))
+            fds = [(fp - fm) / (2 * h)] + ([fwd, bwd] if kink else [])
             ad = g.flat[flat]
-            rel = max(0.0, abs(ad - fd) - atol) / max(1e-12, abs(ad) + abs(fd))
-            max_rel = max(max_rel, rel)
+            max_rel = max(max_rel, min(abs(ad - fd) / max(1e-12, abs(ad) + abs(fd)) for fd in fds))
         trial[k] = base
     return max_rel
 

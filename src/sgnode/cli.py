@@ -98,12 +98,17 @@ def cmd_train(args):
                 msg += f" test {test_loss:.6e}"
             print(msg, flush=True)
 
+    def on_checkpoint(epoch, params):
+        mlp.save_params(params, out / f"checkpoint_{tag}_{epoch:06d}.sgnp")
+
     if args.discrete:
-        result = experiments.train_discrete(cfg, trajs, init=init, on_epoch=on_epoch)
+        result = experiments.train_discrete(
+            cfg, trajs, init=init, on_epoch=on_epoch, on_checkpoint=on_checkpoint
+        )
     else:
         result = training.train(
             trajs, cfg.training, experiments.rhs_builder_for(cfg), d_in, d_out,
-            init=init, on_epoch=on_epoch,
+            init=init, on_epoch=on_epoch, on_checkpoint=on_checkpoint,
         )
     ckpt = out / f"checkpoint_{tag}.sgnp"
     mlp.save_params(result.params, ckpt)
@@ -111,8 +116,6 @@ def cmd_train(args):
     sidecar = {"experiment": cfg.experiment, "training": dataclasses.asdict(tcfg),
                "variant": tag, "epochs_completed": len(result.history)}
     (out / f"checkpoint_{tag}.json").write_text(json.dumps(sidecar, indent=2))
-    for epoch, params in result.checkpoints:
-        mlp.save_params(params, out / f"checkpoint_{tag}_{epoch:06d}.sgnp")
     loss_path = out / f"loss_{tag}.csv"
     diagnostics.write_csv(loss_path, ("epoch", "train_loss", "test_loss"), result.history)
     print(f"wrote {ckpt} and {loss_path}")
@@ -249,9 +252,7 @@ def cmd_time(args):
 def cmd_gradcheck(args):
     cfg = _load(args)
     err = experiments.run_gradcheck(cfg.experiment, seed=cfg.seed, sample=args.sample)
-    raw = experiments.run_gradcheck(cfg.experiment, seed=cfg.seed, sample=args.sample, floor=False)
-    print(f"{cfg.experiment}: max relative gradient error {err:.3e} "
-          f"(without the atol floor: {raw:.3e})")
+    print(f"{cfg.experiment}: max relative gradient error {err:.3e}")
     if err >= args.tolerance:
         print(f"exceeds tolerance {args.tolerance}", file=sys.stderr)
         return 3
@@ -321,15 +322,15 @@ def main(argv=None):
 
     p = sub.add_parser(
         "gradcheck", help="finite-difference check of the training gradient",
-        description="Check the training gradient against central differences on the fixed "
+        description="Check the training gradient against finite differences on the fixed "
         "small problem of the config's experiment (experiments.window_problem), not on the "
-        "config's model or data; print the error with the atol floor, which --tolerance "
-        "gates, and without it.",
+        "config's model or data, in long double at h = 1e-6 with no floor; print the "
+        "worst relative error, which --tolerance gates.",
     )
     common(p)
     p.add_argument("--sample", type=_positive(int), default=64, help="entries checked per tensor")
-    p.add_argument("--tolerance", type=_positive(float), default=1e-4,
-                   help="the error with the atol floor must be below this")
+    p.add_argument("--tolerance", type=_positive(float), default=1e-2,
+                   help="the error must be below this")
     p.set_defaults(fn=cmd_gradcheck)
 
     args = parser.parse_args(argv)

@@ -372,7 +372,7 @@ def _barycentric_interp(x_grid_spacing, u_grid, x_query, x0, window=8):
     offsets = np.arange(-half + 1, half + 1)
     idx = (base[:, None] + offsets[None, :]) % n
     xrel = ratio[:, None] - (base[:, None] + offsets[None, :])
-    exact = np.isclose(xrel, 0.0, atol=1e-13)
+    exact = np.abs(xrel) <= 1e-13
     xrel_safe = np.where(exact, 1.0, xrel)
     terms = w[None, :] / xrel_safe
     vals = (terms * u_grid[idx]).sum(axis=1) / terms.sum(axis=1)

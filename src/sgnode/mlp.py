@@ -6,6 +6,7 @@ same function serves numpy prediction and taped training.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 
@@ -115,9 +116,11 @@ def forward_per_component(weights, biases, x):
 
 def save_params(params, path):
     """Layout: magic, u32 version, u32 n_layers, per layer (u32 rows, u32
-    cols, f64 row-major data, u32 bias_len, f64 bias), u64 seed."""
+    cols, f64 row-major data, u32 bias_len, f64 bias), u64 seed.  Written
+    under a temporary name, then renamed, so a file at `path` is whole."""
     params.check()
-    with open(path, "wb") as f:
+    tmp = f"{path}.tmp"
+    with open(tmp, "wb") as f:
         f.write(_MAGIC)
         f.write(struct.pack("<II", _VERSION, len(params.weights)))
         for w, b in zip(params.weights, params.biases):
@@ -127,6 +130,7 @@ def save_params(params, path):
             f.write(struct.pack("<I", b.size))
             f.write(np.ascontiguousarray(b, dtype="<f8").tobytes())
         f.write(struct.pack("<Q", params.seed & 0xFFFFFFFFFFFFFFFF))
+    os.replace(tmp, path)
 
 
 def load_params(path):

@@ -5,16 +5,18 @@ rollout of the source-augmented system and consecutive reference states:
 
     loss = (1/(n*m)) sum_i sum_l || u_hat(t_s + l*dt) - u_ref(t_s + l*dt) ||^2
 
-All n windows of a batch advance together as one (n, d) block, so tapes
-stay short regardless of batch size and gradient accumulation order is
-fixed by the array layout.  Each window step adds one ``sqdist`` node.
-Right-hand sides are autonomous, f(u); a blowup leaves the epoch loop
-with its epoch stamped on the error.
+A step cuts its batch into chunks of windows fixed by the config alone,
+each one (n, d) block on a short tape, and sums them in chunk order, so the
+bytes do not depend on the CPU count (``step_grads``).  Each window step
+adds one ``sqdist`` node.  Right-hand sides are autonomous, f(u); a blowup
+leaves the epoch loop with its epoch stamped on the error.
 """
 
 from __future__ import annotations
 
 import ctypes
+import functools
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -224,20 +226,95 @@ def opt_step(opt, plist, grads):
 class TrainResult:
     params: mlp.MlpParams
     history: list  # (epoch, train_loss, test_loss-or-None)
-    checkpoints: list = field(default_factory=list)  # (epoch, MlpParams)
+
+
+# A step takes ceil(rows / CHUNK_ROWS) chunks for the rows the source net
+# takes for its batch: 3600 on the L96 desk run (4 chunks), 100 for CD,
+# Burgers and the global L96 net (1).  4 chunks of 100-row products made a CD
+# step 1.7x slower on two threads (2-core x86-64, OpenBLAS on one thread).
+CHUNK_ROWS = 1000
+
+
+@functools.cache
+def _worker():
+    """The one worker thread, started on first use; None on one CPU."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    if (cpus or 1) < 2:
+        return None
+    # imported here: with logging it costs ~8 ms and ~0.6 MB at start-up
+    from concurrent.futures import ThreadPoolExecutor
+
+    return ThreadPoolExecutor(1, thread_name_prefix="sgnode-chunks")
+
+
+# a forked child has no worker thread
+os.register_at_fork(after_in_child=_worker.cache_clear)
+
+
+def chunk_count(batch, rhs_builder, params):
+    """The chunks of a step on `batch`, no more than its windows, from the rows
+    of the ``dense`` inputs of one taped right-hand side call on its first window."""
+    tape = ad.Tape()
+    pvars = [tape.param(p) for p in mlp.param_list(params)]
+    rhs_builder(pvars[0::2], pvars[1::2])(batch.x0[:1])
+    rows = max([len(tape.vals[args[0]]) for op, args, _ in tape.ops if op == "dense"] or [1])
+    return min(batch.size, -(-batch.size * rows // CHUNK_ROWS))
+
+
+def _chunk_grads(params, batch, lo, hi, rhs_builder, tableau):
+    """node_loss and backward on windows lo:hi of `batch`, both scaled by
+    their share of its windows; a blowup's sample is its row in `batch`."""
+    part = WindowBatch(batch.x0[lo:hi], batch.targets[:, lo:hi], batch.dt)
+    try:
+        loss, tape = node_loss(params, part, rhs_builder, tableau)
+    except BlowupError as e:
+        if e.sample is not None:
+            e.sample += lo
+        raise
+    share = (hi - lo) / batch.size
+    return loss * share, [g * share for g in ad.backward(tape)]
+
+
+def step_grads(params, batch, rhs_builder, tableau, chunks=1):
+    """(loss, gradients) of the windowed rollout MSE of `batch`: the sum in
+    chunk order over `chunks` near-equal chunks of its windows, each on a
+    tape of its own, freed after its ``backward``.  One chunk gives exactly
+    ``node_loss`` and ``backward``.  The odd chunks run on the worker while
+    this thread runs the even ones; results are taken in chunk order, so an
+    error comes from the lowest-numbered failing chunk, as on one thread,
+    once the worker has finished every chunk it started."""
+    cuts = [batch.size * j // chunks for j in range(chunks + 1)]
+    tasks = [functools.partial(_chunk_grads, params, batch, lo, hi, rhs_builder, tableau)
+             for lo, hi in zip(cuts, cuts[1:])]
+    worker = _worker() if chunks > 1 else None
+    odd = [worker.submit(task) for task in tasks[1::2]] if worker else []
+    try:
+        results = [odd[j // 2].result() if odd and j % 2 else task()
+                   for j, task in enumerate(tasks)]
+    finally:
+        for fut in odd:
+            if not fut.cancel():
+                fut.exception()  # waits for a started chunk
+    loss, grads = results[0]
+    for part_loss, part_grads in results[1:]:
+        loss += part_loss
+        grads = [g + h for g, h in zip(grads, part_grads)]
+    return loss, grads
 
 
 def _keep_freed_heap():
-    """Have glibc malloc keep freed memory in the heap for reuse.
+    """Have glibc malloc keep freed memory in one heap for reuse.
 
-    Each training step frees its tape (236 MB on the L96 desk run) and the
-    next step allocates as much again.  By default glibc serves arrays over
-    a few MB from fresh mappings and returns the freed top of the heap to
-    the OS, so every step faulted its tape's pages back in: 394,000 minor
-    faults in 6 L96 desk epochs, against 150 with these settings, and 8-15%
-    more wall time (2-core x86-64, glibc 2.36).  Arrays up to 32 MiB then
-    come from the heap, which is never trimmed; values are unchanged.
-    Elsewhere than glibc this does nothing.
+    Each training step frees its chunk tapes (two of about 59 MB at once on
+    the L96 desk run) and the next step allocates as much again.  By
+    default glibc serves arrays over a few MB from fresh mappings and
+    returns the freed top of the heap to the OS, so every step faulted its
+    tapes' pages back in: 10 L96 desk epochs took 540,000-566,000 minor
+    faults and 407-465 ms a step, against 57,000 and 360-401 ms with these
+    settings (2-core x86-64, glibc 2.36).  Arrays up to 32 MiB then come
+    from the heap, never trimmed, and one arena keeps the worker's tapes
+    there too: in a second arena they raised perfbench train-l96's peak RSS
+    from ~305 to 361 MB.  Values are unchanged.  Off glibc, a no-op.
     """
     try:
         mallopt = ctypes.CDLL(None).mallopt
@@ -246,19 +323,19 @@ def _keep_freed_heap():
     mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
     mallopt(-3, 32 << 20)   # M_MMAP_THRESHOLD, its largest allowed value
     mallopt(-1, 2**31 - 1)  # M_TRIM_THRESHOLD
+    mallopt(-8, 1)          # M_ARENA_MAX
 
 
-def _fit(cfg, d_in, d_out, init, on_epoch, step_loss, test_loss=None):
+def _fit(cfg, d_in, d_out, init, on_epoch, step, test_loss=None, on_checkpoint=None):
     """The epoch loop of both trainers.
 
-    Each epoch takes one optimizer step on `step_loss(params, epoch)` ->
-    (loss, tape).  It then records the history row (the step's loss and
-    `test_loss(params, epoch)`, or None), the periodic checkpoint every
-    cfg.checkpoint_every epochs, and the callback.
-
-    A step's tape is dropped as soon as its gradients are out, so only one
-    tape is ever alive: the held-out loss and the next step's recording
-    run with the last one freed, and the next step reuses its memory.
+    Each epoch takes one optimizer step on `step(params, epoch)` ->
+    (loss, gradients), then records the history row (the step's loss and
+    `test_loss(params, epoch)`, or None), hands a copy of the parameters
+    to `on_checkpoint(epoch, params)` every cfg.checkpoint_every epochs, and
+    calls the callback.  A step frees each chunk tape once its gradients
+    are out, so at most two are alive, one per thread (about 59 MB each on
+    the L96 desk run), and none during the held-out loss.
     """
     _keep_freed_heap()
     params = init.copy() if init is not None else mlp.init_params(d_in, d_out, cfg.seed)
@@ -267,35 +344,37 @@ def _fit(cfg, d_in, d_out, init, on_epoch, step_loss, test_loss=None):
     result = TrainResult(params=params, history=[])
     for epoch in range(1, cfg.epochs + 1):
         try:
-            train_loss, tape = step_loss(params, epoch)
+            train_loss, grads = step(params, epoch)
         except BlowupError as e:
             e.epoch = epoch
             raise
-        grads = ad.backward(tape)
-        del tape
         opt_step(opt, plist, grads)
         held_out = test_loss(params, epoch) if test_loss else None
         result.history.append((epoch, train_loss, held_out))
-        if cfg.checkpoint_every and epoch % cfg.checkpoint_every == 0:
-            result.checkpoints.append((epoch, params.copy()))
+        if on_checkpoint and cfg.checkpoint_every and epoch % cfg.checkpoint_every == 0:
+            on_checkpoint(epoch, params.copy())
         if on_epoch:
             on_epoch(epoch, train_loss, held_out)
     return result
 
 
-def train(trajs, cfg, rhs_builder, d_in, d_out, init=None, on_epoch=None):
+def train(trajs, cfg, rhs_builder, d_in, d_out, init=None, on_epoch=None, on_checkpoint=None):
     """Full loop: sample, record, backward, update; held-out loss every
     cfg.test_every epochs on freshly sampled windows from the test range."""
     train_rng, test_rng = split_ranges(trajs, cfg)
     stride = _stride(cfg.dt, trajs[0].dt)
     # drop held-out ranges too short to hold one window
     test_rng = [r for r in test_rng if r[2] - r[1] >= cfg.window * stride]
+    chunks = None
 
-    def step_loss(params, epoch):
+    def step(params, epoch):
+        nonlocal chunks
         batch = sample_windows(
             trajs, cfg, epoch_seed=[cfg.seed, 101, epoch], ranges=train_rng
         )
-        return node_loss(params, batch, rhs_builder, cfg.tableau)
+        if chunks is None:
+            chunks = chunk_count(batch, rhs_builder, params)
+        return step_grads(params, batch, rhs_builder, cfg.tableau, chunks)
 
     def test_loss(params, epoch):
         if test_rng and cfg.test_every and (epoch % cfg.test_every == 0 or epoch == cfg.epochs):
@@ -305,7 +384,7 @@ def train(trajs, cfg, rhs_builder, d_in, d_out, init=None, on_epoch=None):
             return rollout_loss_value(params, tb, rhs_builder, cfg.tableau)
         return None
 
-    return _fit(cfg, d_in, d_out, init, on_epoch, step_loss, test_loss)
+    return _fit(cfg, d_in, d_out, init, on_epoch, step, test_loss, on_checkpoint)
 
 
 def discrete_forcing_dataset(filtered_trajs, dt_coarse, rhs_low, tableau, ranges=None):
@@ -335,11 +414,12 @@ def discrete_forcing_dataset(filtered_trajs, dt_coarse, rhs_low, tableau, ranges
     return np.concatenate(xs, axis=0), np.concatenate(ys, axis=0)
 
 
-def train_discrete_forcing(inputs, targets, cfg, d_in, d_out, init=None, on_epoch=None):
+def train_discrete_forcing(inputs, targets, cfg, d_in, d_out, init=None, on_epoch=None,
+                           on_checkpoint=None):
     """Plain MLP regression input -> forcing with the configured optimizer."""
     n_total = inputs.shape[0]
 
-    def step_loss(params, epoch):
+    def step(params, epoch):
         rng = np.random.Generator(
             np.random.PCG64(np.random.SeedSequence([cfg.seed, 303, epoch]))
         )
@@ -350,9 +430,10 @@ def train_discrete_forcing(inputs, targets, cfg, d_in, d_out, init=None, on_epoc
             ws, bs = pvars[0::2], pvars[1::2]
             return ad.sqdist(mlp.forward(ws, bs, xb), yb) * (1.0 / xb.shape[0])
 
-        return ad.record(build, mlp.param_list(params))
+        loss, tape = ad.record(build, mlp.param_list(params))
+        return loss, ad.backward(tape)
 
-    return _fit(cfg, d_in, d_out, init, on_epoch, step_loss)
+    return _fit(cfg, d_in, d_out, init, on_epoch, step, on_checkpoint=on_checkpoint)
 
 
 def discrete_correction(params, dt):

@@ -2,8 +2,9 @@
 
 OpenBLAS reads its thread count once, when numpy loads it, so this runs
 before any test module imports numpy.  A threaded BLAS competes for the
-cores with ``dense``'s worker thread, and its weight gradients differ in
-the last bits from one thread's.  A value already set is kept.
+cores with the worker thread that runs training chunks, and its weight
+gradients differ in the last bits from one thread's.  A value already set
+is kept.
 """
 
 import os

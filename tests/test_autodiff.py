@@ -233,7 +233,86 @@ FD_CASES = [
 def test_primitive_vjps_match_finite_differences(name, build, shapes):
     rng = np.random.default_rng(zlib.crc32(name.encode()))
     params = [rng.normal(size=s) for s in shapes]
-    assert ad.grad_check(build, params, h=1e-6, atol=0.0) < 1e-7, name
+    assert ad.grad_check(build, params, h=1e-6) < 1e-7, name
+
+
+# (rows, d_in, d_out); rows None is one (d_in,) state
+DENSE_SHAPES = [
+    # the L96 per-component net on 100 windows of K = 36
+    (3600, 1, 128), (3600, 128, 128), (3600, 128, 1),
+    # the same net on one of l96-desk's four training chunks of 25 windows
+    (900, 1, 128), (900, 128, 128), (900, 128, 1),
+    # an odd row count
+    (3601, 1, 128), (3601, 128, 128), (3601, 128, 1),
+    # CD (100 dofs) and Burgers (128 dofs) on a batch of 100
+    (100, 100, 128), (100, 128, 128), (100, 128, 100),
+    # one state
+    (None, 1, 128), (None, 128, 1), (None, 100, 128),
+]
+
+
+@pytest.mark.parametrize("rows,d_in,d_out", DENSE_SHAPES)
+@pytest.mark.parametrize("relu", [True, False])
+@pytest.mark.parametrize("zeros", [False, True], ids=["normal", "signed_zeros"])
+def test_dense_rules_give_the_bytes_of_the_matmul_chain(rows, d_in, d_out, relu, zeros):
+    # the one-term products of one-unit layers round, signed zeros
+    # included, as the matmuls they replace
+    rng = np.random.default_rng([rows or 0, d_in, d_out])
+    h = rng.normal(size=(d_in,) if rows is None else (rows, d_in))
+    w, b = rng.normal(size=(d_out, d_in)), rng.normal(size=d_out)
+    if zeros:
+        # a product of one term is -0.0 where the matmul sums to +0.0
+        h[..., ::3], w[::2], b[::3] = 0.0, -0.0, -0.0
+    z = ad._dense_fwd(relu, (h, w, b))
+    want = h @ w.T
+    want += b
+    if relu:
+        np.maximum(want, 0.0, out=want)
+    assert (z.shape, z.tobytes()) == (want.shape, want.tobytes())
+    g = rng.normal(size=z.shape)
+    if zeros:
+        g[..., ::2] = 0.0
+    gz = (g * (z > 0) if relu else g).reshape(-1, d_out)
+    want = ((gz @ w).reshape(h.shape), gz.T @ h.reshape(-1, d_in), gz.sum(axis=0))
+    got = ad._vjp_dense(relu, g, z, h, w, b)
+    assert [(a.shape, a.tobytes()) for a in got] == [(a.shape, a.tobytes()) for a in want]
+
+
+def test_grad_check_takes_the_one_sided_slope_across_a_kink():
+    # the ReLU's kink lies 0.3e-6 below w, inside the central difference's
+    # reach at h = 1e-6, which mixes the slopes 2.0 and 0 into ~1.3
+    x, b = np.ones((1, 1)), np.array([0.3e-6 - 0.5])
+
+    def build(p):
+        return ad.sqdist(ad.dense(x, p[0], b, True), -1.0)
+
+    assert ad.grad_check(build, [np.array([[0.5]])], h=1e-6) < 1e-5
+
+
+def test_grad_check_holds_a_smooth_entry_to_the_central_difference(monkeypatch):
+    # a sqdist rule giving the forward slope 2(x - t) + h of the quadratic
+    # loss: off by h|f''|/2 from the true slope, as every one-sided
+    # difference of a smooth entry is, so it must not pass as one
+    monkeypatch.setitem(ad._VJP, "sqdist", lambda aux, g, out, x: ((2.0 * (x - aux) + 1e-6) * g,))
+    (build, shapes), = [(b, s) for name, b, s in FD_CASES if name == "sqdist"]
+    params = [np.random.default_rng(zlib.crc32(b"sqdist")).normal(size=s) for s in shapes]
+    assert ad.grad_check(build, params, h=1e-6) >= 1e-7
+
+
+@pytest.mark.parametrize("scale", [1 - 4e-7, 1 + 4e-7])
+def test_a_dense_vjp_off_by_4e_7_fails_every_fd_case_through_dense(monkeypatch, scale):
+    # weighted_sum is a dense row, so most cases run the rule; a wrong rule
+    # must fail the bound of test_primitive_vjps_match_finite_differences
+    vjp = ad._VJP["dense"]
+    monkeypatch.setitem(ad._VJP, "dense", lambda *a: tuple(x * scale for x in vjp(*a)))
+    ran = 0
+    for name, build, shapes in FD_CASES:
+        if "dense" in {op for op, _, _ in ad.record(build, [np.ones(s) for s in shapes])[1].ops}:
+            rng = np.random.default_rng(zlib.crc32(name.encode()))
+            params = [rng.normal(size=s) for s in shapes]
+            assert ad.grad_check(build, params, h=1e-6) >= 1e-7, name
+            ran += 1
+    assert ran == len(FD_CASES) - 2  # all but sqdist and bias_broadcast
 
 
 def test_every_primitive_has_a_vjp_and_a_case():
@@ -246,9 +325,8 @@ def test_every_primitive_has_a_vjp_and_a_case():
 
 
 def _fwd_inputs():
-    """(name, aux, input values) of every primitive node on the FD cases'
-    tapes, and of a dense product large enough to split its rows."""
-    nodes = [("dense", True, [np.ones((ad.SPLIT_ROWS, 3)), np.ones((4, 3)), np.ones(4)])]
+    """(name, aux, input values) of every primitive node on the FD cases' tapes."""
+    nodes = []
     for _, build, shapes in FD_CASES:
         _, tape = ad.record(build, [np.ones(s) for s in shapes])
         nodes += [(op, aux, [tape.vals[i] for i in args])
@@ -273,8 +351,8 @@ def test_forward_rules_keep_long_double():
 @pytest.mark.parametrize("name,build,shapes", FD_CASES)
 def test_primitive_vjps_match_long_double_finite_differences(name, build, shapes):
     # float64 tape gradients (the tape stores float64) against central
-    # differences of the untaped builder in long double, which resolve
-    # entries far below float64's ~ulp(loss)/h
+    # differences of the untaped builder in long double (one-sided ones only
+    # across a kink), which resolve entries far below float64's ~ulp(loss)/h
     worst = 0.0
     for seed in range(40):
         rng = np.random.default_rng(seed)

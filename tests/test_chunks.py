@@ -1,0 +1,295 @@
+"""A training step runs fixed chunks of windows, the odd ones on a worker
+thread; its loss and gradients are the same bytes on one CPU as on two.
+
+These tests also run under ``taskset -c 0``, where no worker thread starts.
+"""
+
+import ctypes
+import multiprocessing
+import os
+import subprocess
+import sys
+import threading
+import time
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from sgnode import autodiff as ad, experiments, lorenz96, mlp, training
+from sgnode.config import load_config
+from sgnode.errors import BlowupError
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _bytes(loss, grads):
+    return np.float64(loss).tobytes(), [(g.shape, g.tobytes()) for g in grads]
+
+
+def _state_dim(cfg):
+    if cfg.experiment == "l96":
+        lcfg = experiments.l96_config(cfg.model)
+        return lcfg.K * (lcfg.J + 1)
+    return experiments.pde_meshes(cfg.model)[1].n_dof
+
+
+@pytest.mark.parametrize("name,chunks", [
+    # the per-component net takes 36 rows a window, 3600 a batch of 100
+    ("l96-desk", 4), ("cd-desk", 1), ("burgers-desk", 1), ("l96-paper", 1),
+])
+def test_the_chunk_count_of_each_config(name, chunks):
+    cfg = load_config(ROOT / "configs" / f"{name}.json")
+    n, m, d = cfg.training.batch_size, cfg.training.window, _state_dim(cfg)
+    batch = training.WindowBatch(np.zeros((n, d)), np.zeros((m, n, d)), cfg.training.dt)
+    params = mlp.zero_params(*experiments.source_dims(cfg))
+    assert training.chunk_count(batch, experiments.rhs_builder_for(cfg), params) == chunks
+
+
+def test_a_chunk_holds_at_least_one_window():
+    # a per-entry net on 1500 entries a window: 3000 rows for two windows
+    batch = training.WindowBatch(np.zeros((2, 1500)), np.zeros((1, 2, 1500)), 0.1)
+    builder = lambda ws, bs: lambda u: mlp.forward_per_component(ws, bs, u)
+    assert training.chunk_count(batch, builder, mlp.zero_params(1, 1)) == 2
+
+
+@pytest.mark.parametrize("experiment", ["l96", "cd", "burgers"])
+def test_a_one_chunk_step_is_node_loss_and_backward(experiment):
+    batch, builder, params = experiments.window_problem(experiment, seed=2)
+    loss, tape = training.node_loss(params, batch, builder, "rk4")
+    want = _bytes(loss, ad.backward(tape))
+    assert _bytes(*training.step_grads(params, batch, builder, "rk4")) == want
+
+
+def test_chunks_sum_their_weighted_parts_in_order(monkeypatch):
+    # windows 0, 1 and 2:4 of a batch of 4, each weighted by its share
+    batch, builder, params = experiments.window_problem("cd", seed=4)
+    loss, grads = None, None
+    for lo, hi in ((0, 1), (1, 2), (2, 4)):
+        part = training.WindowBatch(batch.x0[lo:hi], batch.targets[:, lo:hi], batch.dt)
+        part_loss, tape = training.node_loss(params, part, builder, "rk4")
+        share = (hi - lo) / 4
+        part_grads = [g * share for g in ad.backward(tape)]
+        if loss is None:
+            loss, grads = part_loss * share, part_grads
+        else:
+            loss += part_loss * share
+            grads = [g + h for g, h in zip(grads, part_grads)]
+    want = _bytes(loss, grads)
+    got = training.step_grads(params, batch, builder, "rk4", chunks=3)
+    assert _bytes(*got) == want
+    monkeypatch.setattr(training, "_worker", lambda: None)  # one CPU
+    assert _bytes(*training.step_grads(params, batch, builder, "rk4", chunks=3)) == want
+    # and the whole batch's gradient, to reassociation roundoff
+    whole, tape = training.node_loss(params, batch, builder, "rk4")
+    assert got[0] == pytest.approx(whole, rel=1e-14)
+    for g, w in zip(got[1], ad.backward(tape)):
+        assert np.abs(g - w).max() <= 1e-14 * np.abs(w).max()
+
+
+def _l96_desk_step():
+    """An L96 desk batch (100 windows of 5 RK4 steps, per-component net on
+    K = 36: four chunks), its right-hand side builder and a net."""
+    lcfg = lorenz96.L96Config(K=36, J=10, F=6.0, source_scope="per_component")
+    trajs = lorenz96.generate_truth(lcfg, 2, 0.005, 0.1, 0.1, seed=11)
+    cfg = training.TrainConfig(epochs=2, batch_size=100, window=5, dt=0.005,
+                               tableau="rk4", seed=3, split=1.0)
+    builder = lambda ws, bs: lorenz96.rhs_coupled_neural(lcfg, ws, bs)
+    return trajs, cfg, builder, mlp.init_params(1, 1, seed=5)
+
+
+def _poison(monkeypatch, epoch, rows):
+    """sample_windows, with rows[r] added to entry 0 of window r's initial
+    state in `epoch`'s training batch."""
+    sample = training.sample_windows
+
+    def poisoned(trajs, cfg, epoch_seed, ranges=None):
+        batch = sample(trajs, cfg, epoch_seed, ranges)
+        if epoch_seed[1:] == [101, epoch]:
+            for r, v in rows.items():
+                batch.x0[r, 0] += v
+        return batch
+
+    monkeypatch.setattr(training, "sample_windows", poisoned)
+
+
+def test_a_blowup_in_chunk_3_names_its_epoch_step_and_sample(monkeypatch):
+    trajs, cfg, builder, _ = _l96_desk_step()
+    _poison(monkeypatch, 2, {80: 1e4})  # window 80 is window 5 of chunk 3
+    with pytest.raises(BlowupError) as e:
+        training.train(trajs, cfg, builder, 1, 1)
+    err = e.value
+    assert (err.epoch, err.step, err.stage, err.sample) == (2, 1, 0, 80)
+    assert str(err) == ("training rollout blew up at epoch 2: non-finite or blown-up "
+                        "value at stage 0 of step 1 (t=0.005), sample 80")
+
+
+# 1e4 blows up in step 1, 1e100 in step 0
+@pytest.mark.parametrize("rows,sample,step", [
+    # chunk 1 before chunk 3, both the worker's
+    ({30: 1e4, 80: 1e100}, 30, 1),
+    # chunk 2, this thread's, blows up later in its rollout than chunk 3
+    ({60: 1e4, 80: 1e100}, 60, 1),
+    # chunk 1, the worker's, before chunk 2, which blows up sooner
+    ({30: 1e4, 60: 1e100}, 30, 1),
+    # chunk 0 before chunk 1
+    ({10: 1e4, 30: 1e100}, 10, 1),
+    ({20: 1e100, 30: 1e4}, 20, 0),
+])
+def test_the_lowest_numbered_failing_chunk_is_raised(monkeypatch, rows, sample, step):
+    trajs, cfg, builder, params = _l96_desk_step()
+    batch = training.sample_windows(trajs, cfg, epoch_seed=[3, 101, 1])
+    for r, v in rows.items():
+        batch.x0[r, 0] += v
+    with pytest.raises(BlowupError) as e:
+        training.step_grads(params, batch, builder, "rk4", chunks=4)
+    assert (e.value.sample, e.value.step) == (sample, step)
+
+
+class _Counting:
+    """The worker, recording the future of every chunk submitted to it."""
+
+    def __init__(self, pool):
+        self.pool, self.tasks = pool, []
+
+    def submit(self, fn):
+        self.tasks.append(self.pool.submit(fn))
+        return self.tasks[-1]
+
+
+def test_an_error_leaves_once_the_worker_is_done(monkeypatch):
+    if training._worker() is None:
+        pytest.skip("one CPU starts no worker")
+    training._worker().submit(lambda: None).result()  # the worker is idle
+    counting = _Counting(training._worker())
+    monkeypatch.setattr(training, "_worker", lambda: counting)
+    chunk = training._chunk_grads
+
+    def failing_first(params, batch, lo, *args):
+        if lo == 0:
+            time.sleep(0.05)  # the worker has started chunk 1
+            raise FloatingPointError("chunk 0")
+        time.sleep(0.2)  # still running when an error that did not wait leaves
+        return chunk(params, batch, lo, *args)
+
+    monkeypatch.setattr(training, "_chunk_grads", failing_first)
+    batch, builder, params = experiments.window_problem("cd", seed=1)
+    with pytest.raises(FloatingPointError, match="chunk 0"):
+        training.step_grads(params, batch, builder, "rk4", chunks=4)
+    assert len(counting.tasks) == 2 and all(t.done() for t in counting.tasks)
+
+
+def test_callers_on_many_threads_share_the_worker():
+    # more calling threads than cores, switching often: every step must
+    # still give the bytes of the same step run alone
+    problems = [experiments.window_problem(exp, seed=5) for exp in ("cd", "burgers", "l96")]
+    want = [_bytes(*training.step_grads(p, b, f, "rk4", chunks=4)) for b, f, p in problems]
+    got = [None] * 6
+
+    def run(k):
+        batch, builder, params = problems[k % 3]
+        got[k] = all(
+            _bytes(*training.step_grads(params, batch, builder, "rk4", chunks=4)) == want[k % 3]
+            for _ in range(5)
+        )
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(k,)) for k in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert got == [True] * 6
+
+
+def _step_in_child(done):
+    batch, builder, params = experiments.window_problem("burgers", seed=3)
+    done.put(_bytes(*training.step_grads(params, batch, builder, "rk4", chunks=4)))
+
+
+def test_a_forked_child_runs_chunks_on_a_worker_of_its_own():
+    # the parent's worker thread does not survive the fork
+    batch, builder, params = experiments.window_problem("burgers", seed=3)
+    want = _bytes(*training.step_grads(params, batch, builder, "rk4", chunks=4))
+    ctx = multiprocessing.get_context("fork")
+    done = ctx.Queue()
+    child = ctx.Process(target=_step_in_child, args=(done,))
+    child.start()
+    try:
+        assert done.get(timeout=60) == want
+        child.join(10)
+        assert child.exitcode == 0
+    finally:
+        child.kill()
+
+
+# One L96 desk training step in a fresh process with one BLAS thread;
+# prints the sha256 of the loss and gradients and whether the worker
+# thread started.
+_DESK_STEP = """
+import hashlib, os, sys
+if sys.argv[1] == "one":
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+import numpy as np
+sys.path.insert(0, sys.argv[2])
+from test_chunks import _l96_desk_step
+from sgnode import training
+trajs, cfg, builder, params = _l96_desk_step()
+batch = training.sample_windows(trajs, cfg, epoch_seed=[3, 101, 1, 0])
+chunks = training.chunk_count(batch, builder, params)
+loss, grads = training.step_grads(params, batch, builder, "rk4", chunks)
+digest = hashlib.sha256(np.float64(loss).tobytes())
+for g in grads:
+    digest.update(g.tobytes())
+started = training._worker.cache_info().currsize > 0 and training._worker() is not None
+print(chunks, digest.hexdigest(), started)
+"""
+
+
+def _desk_step(cpus):
+    env = dict(os.environ, PYTHONPATH=str(Path(training.__file__).parents[1]),
+               OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-c", _DESK_STEP, cpus, str(Path(__file__).parent)],
+                          env=env, capture_output=True, text=True, check=True)
+    chunks, digest, started = proc.stdout.split()
+    return int(chunks), digest, started == "True"
+
+
+def test_an_l96_desk_step_on_one_cpu_equals_the_step_on_two():
+    one, two = _desk_step("one"), _desk_step("all")
+    assert one[:2] == two[:2] and one[0] == 4
+    assert not one[2]  # one CPU starts no thread
+    assert two[2] == (len(os.sched_getaffinity(0)) > 1)
+
+
+def _openblas_threads():
+    """The live thread count of the OpenBLAS that numpy loaded, or None."""
+    try:
+        with open("/proc/self/maps") as maps:
+            paths = sorted({line.split()[-1] for line in maps if "openblas" in line.lower()})
+    except OSError:
+        return None
+    names = ("openblas_get_num_threads", "openblas_get_num_threads64_",
+             "scipy_openblas_get_num_threads", "scipy_openblas_get_num_threads64_")
+    for path in paths:
+        lib = ctypes.CDLL(path)
+        for name in names:
+            if hasattr(lib, name):
+                get = getattr(lib, name)
+                get.argtypes, get.restype = (), ctypes.c_int
+                return get()
+    return None
+
+
+def test_the_suite_runs_blas_on_the_pinned_thread_count():
+    # conftest.py sets the count, to 1 unless it is set already, before
+    # numpy loads OpenBLAS, which reads it once
+    live = _openblas_threads()
+    if live is None:
+        pytest.skip("numpy's BLAS exposes no OpenBLAS thread count")
+    assert live == int(os.environ["OPENBLAS_NUM_THREADS"])

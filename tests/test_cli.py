@@ -618,6 +618,31 @@ def test_discrete_training_writes_its_periodic_checkpoints(tmp_path):
         assert np.array_equal(a, b)
 
 
+def test_a_blowup_after_a_periodic_checkpoint_leaves_it_on_disk(tmp_path, capsys, monkeypatch):
+    train = {"epochs": 3, "batch_size": 4, "window": 2, "dt": 2e-3, "tableau": "rk4",
+             "seed": 1, "split": 0.75, "test_every": 1, "checkpoint_every": 1}
+    path = smoke_config(tmp_path, training=train)
+    main(["generate", "--config", str(path)])
+    out = tmp_path / "run"
+    sample = training.sample_windows
+
+    def poisoned(trajs, cfg, epoch_seed, ranges=None):
+        batch = sample(trajs, cfg, epoch_seed, ranges)
+        if epoch_seed[1:] == [101, 2]:  # epoch 2's training batch
+            batch.x0[1] = np.nan
+        return batch
+
+    monkeypatch.setattr(training, "sample_windows", poisoned)
+    capsys.readouterr()
+    assert main(["train", "--config", str(path)]) == 3
+    assert "blew up at epoch 2" in capsys.readouterr().err
+    assert [p.name for p in out.glob("checkpoint*")] == ["checkpoint_continuous_000001.sgnp"]
+    monkeypatch.undo()
+    first = out / "checkpoint_continuous_000001.sgnp"
+    assert main(["train", "--config", str(path), "--resume", str(first)]) == 0
+    assert (out / "checkpoint_continuous_000003.sgnp").exists()
+
+
 def test_run_timings_steps_at_the_prediction_tableau(tmp_path, monkeypatch):
     timing = {"repeats": 1, "t_final": 0.01, "dts": {"low": 2e-3, "augmented": 2e-3}}
     path = smoke_config(tmp_path, timing=timing)
@@ -682,13 +707,27 @@ def test_timing_blowup_names_its_variant_and_dt(tmp_path, capsys):
     assert e.value.run == "variant low at dt=0.5"
 
 
+@pytest.mark.skipif(
+    np.finfo(np.longdouble).eps == np.finfo(np.float64).eps,
+    reason="np.longdouble is binary64 on this platform",
+)
 def test_gradcheck_command(tmp_path, capsys):
     path = smoke_config(tmp_path)
     assert main(["gradcheck", "--config", str(path), "--sample", "16"]) == 0
-    # the floor absorbs every difference; the floor-free figure shows them
     out = capsys.readouterr().out
-    floored, raw = (float(x) for x in re.findall(r"error (\S+) \(without the atol floor: (\S+)\)", out)[0])
-    assert floored < 1e-4 and 0.0 < raw < 1e-2
+    (err,) = re.findall(r"^cd: max relative gradient error (\S+)$", out, re.M)
+    assert 0.0 < float(err) < 1e-4
+    # a tolerance below the error fails the check
+    assert main(["gradcheck", "--config", str(path), "--sample", "16",
+                 "--tolerance", str(float(err) / 2)]) == 3
+
+
+def test_gradcheck_on_a_binary64_long_double_exits_2(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(experiments.np, "longdouble", np.float64)
+    assert main(["gradcheck", "--config", str(smoke_config(tmp_path))]) == 2
+    assert capsys.readouterr().err == (
+        "config error: np.longdouble is binary64 on this platform, so the gradient "
+        "check's long-double differences cannot resolve the tape gradient\n")
 
 
 @pytest.mark.parametrize("command,extra,flag", [

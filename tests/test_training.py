@@ -320,8 +320,9 @@ class TestTrainLoop:
             def fn(u):
                 calls.append(u)
                 k = rhs(u)
+                # the first build is chunk_count's probe, the third epoch 2's;
                 # RK4: the sixth slope is stage 1 of window step 1
-                return k + poison if len(built) == 2 and len(calls) == 6 else k
+                return k + poison if len(built) == 3 and len(calls) == 6 else k
 
             return fn
 
@@ -431,7 +432,8 @@ class TestDiscreteForcing:
 
 
 class TestOneTapeAlive:
-    """A training step's tape is freed once its gradients are out."""
+    """A training step's tape, or each of its chunk tapes, is freed once its
+    gradients are out."""
 
     def _run(self, monkeypatch, trainer):
         # live tapes seen as each step starts recording, as the held-out loss
@@ -457,6 +459,10 @@ class TestOneTapeAlive:
             trajs, cfg, builder = TestTrainLoop()._setup(3)
             cfg.test_every = 1
             training.train(trajs, cfg, builder, 3, 3, on_epoch=on_epoch)
+        elif trainer == "chunks":
+            trajs, cfg, builder, dims = self._small_l96()
+            cfg.epochs, cfg.batch_size = 2, 100  # 3600 rows: four chunks a step
+            training.train(trajs, cfg, builder, *dims, on_epoch=on_epoch)
         else:
             rng = np.random.default_rng(0)
             cfg = training.TrainConfig(epochs=3, batch_size=8, seed=5)
@@ -474,6 +480,13 @@ class TestOneTapeAlive:
         assert seen["held_out"] == ([0] * 3 if trainer == "train" else [])
         assert seen["epoch"] == [0] * 3
 
+    def test_a_chunked_step_holds_at_most_two_tapes(self, monkeypatch):
+        n_tapes, seen = self._run(monkeypatch, "chunks")
+        assert n_tapes == 8
+        # a chunk starts recording with at most the other thread's tape alive
+        assert max(seen["record"]) <= 1
+        assert seen["held_out"] == seen["epoch"] == [0] * 2
+
     def _small_l96(self):
         # K = 36, J = 10, batch 20, window 5, RK4: one tape holds ~60 MB
         lcfg = lorenz96.L96Config(K=36, J=10, F=6.0, source_scope="per_component")
@@ -485,10 +498,15 @@ class TestOneTapeAlive:
         builder = lambda ws, bs: lorenz96.rhs_coupled_neural(lcfg, ws, bs)
         return trajs, cfg, builder, lcfg.source_dims
 
-    def test_training_peaks_at_one_tape(self):
+    # batch 20: one chunk, whose tape is the step's; batch 100: four chunks
+    # of 25 windows, one tape on each of two threads
+    @pytest.mark.parametrize("batch_size,chunk,bound", [(20, 20, 1.3), (100, 25, 2.6)])
+    def test_training_peaks_at_one_tape_per_thread(self, batch_size, chunk, bound):
         trajs, cfg, builder, dims = self._small_l96()
         params = mlp.init_params(*dims, seed=0)
+        cfg.batch_size = chunk
         batch = training.sample_windows(trajs[:1], cfg, epoch_seed=[0, 1])
+        cfg.batch_size = batch_size
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
@@ -501,7 +519,7 @@ class TestOneTapeAlive:
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        assert peak <= 1.3 * one_tape, (peak / 2**20, one_tape / 2**20)
+        assert peak <= bound * one_tape, (peak / 2**20, one_tape / 2**20)
 
     @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc malloc only")
     def test_later_steps_reuse_the_freed_tape_pages(self):
