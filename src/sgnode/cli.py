@@ -3,7 +3,7 @@
 Every command reads one JSON run configuration (see config.py) and writes
 its artifacts under the configured output directory.  Exit codes: 0 on
 success, 2 for configuration errors, 3 for numerical blowups, 4 for I/O
-problems.
+problems, 5 when memory runs out.
 """
 
 from __future__ import annotations
@@ -201,7 +201,7 @@ def cmd_sweep(args):
     cfg = _load(args)
     if cfg.experiment == "l96":
         raise ConfigError("the timestep sweep is defined for the PDE experiments")
-    ref = _pick(experiments.load_dataset(cfg), args.traj_index)
+    ref = _pick(experiments.load_dataset(cfg), args.traj_index).load()
     params_c = experiments.load_net(cfg, args.checkpoint)
     params_d = experiments.load_net(cfg, args.checkpoint_discrete)
     for dt in args.dts:
@@ -242,10 +242,12 @@ def cmd_time(args):
     rows = experiments.run_timings(cfg, ref, truth, params)
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     path = cfg.out_dir / "timings.csv"
-    diagnostics.write_csv(path, ("variant", "dt", "first_ms", "warm_median_ms"), rows)
+    diagnostics.write_csv(path, ("variant", "dt", "first_ms", "warm_median_ms", "first_cpu_ms",
+                                 "warm_median_cpu_ms"), rows)
     print(f"wrote {path}")
-    for v, dt, first, warm in rows:
-        print(f"  {v:10s} dt={dt:<8g} first {first:8.2f} ms   warm median {warm:8.2f} ms")
+    for v, dt, first, warm, first_cpu, warm_cpu in rows:
+        print(f"  {v:10s} dt={dt:<8g} first {first:8.2f} ms   warm median {warm:8.2f} ms"
+              f"   cpu: first {first_cpu:8.2f} ms   warm median {warm_cpu:8.2f} ms")
     return 0
 
 
@@ -263,6 +265,8 @@ def main(argv=None):
     parser = argparse.ArgumentParser(
         prog="sgnode",
         description="Learn continuous subgrid source terms through differentiable ERK solvers",
+        epilog="exit codes: 0 success, 2 configuration error, 3 numerical blowup, "
+        "4 I/O error, 5 out of memory",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -345,6 +349,10 @@ def main(argv=None):
     except (FormatError, OSError) as e:
         print(f"i/o error: {e}", file=sys.stderr)
         return 4
+    except MemoryError as e:
+        print(f"out of memory: sgnode {args.command} stopped: {str(e) or type(e).__name__}",
+              file=sys.stderr)
+        return 5
 
 
 if __name__ == "__main__":

@@ -63,6 +63,13 @@ def read_array(f, shape, path, what):
     return out
 
 
+def skip(f, n, path, what):
+    """Move binary file f past the n bytes of `what`, or raise FormatError
+    if fewer are left; n is checked as read_exact checks it."""
+    _require(f, n, path, what)
+    f.seek(n, os.SEEK_CUR)
+
+
 def _require(f, n, path, what):
     if n > os.fstat(f.fileno()).st_size - f.tell():
         raise FormatError(f"{path}: truncated while reading {what}")

@@ -23,8 +23,8 @@ import numpy as np
 from . import autodiff as ad
 from . import diagnostics, dg, lorenz96, mlp, training
 from .config import Manifest, ManifestEntry, check_variant, load_manifest, pde_config, pde_meshes
-from .errors import BlowupError, ConfigError
-from .ode import Trajectory, TrajectoryWriter, integrate, get_tableau, load_trajectory, march
+from .errors import BlowupError, ConfigError, FormatError
+from .ode import StoredTrajectory, Trajectory, TrajectoryWriter, integrate, get_tableau, march
 from .ode import save_trajectory  # noqa: F401 -- perfbench's spans wrap experiments.save_trajectory
 
 
@@ -46,12 +46,13 @@ def load_net(cfg, path):
     return params
 
 
-def sha256_file(path):
-    """The sha256 hex digest of the file at `path`, read in 1 MiB blocks."""
+def sha256_file(f):
+    """The sha256 hex digest of open binary file f, read from its start in
+    1 MiB blocks."""
     h = hashlib.sha256()
-    with open(path, "rb") as f:
-        for chunk in iter(lambda: f.read(1 << 20), b""):
-            h.update(chunk)
+    f.seek(0)
+    for chunk in iter(lambda: f.read(1 << 20), b""):
+        h.update(chunk)
     return h.hexdigest()
 
 
@@ -149,15 +150,19 @@ def generate(cfg):
 class Dataset(Sequence):
     """The trajectories of one kind in a run directory, in index order.
 
-    Its length comes from the manifest; trajectory i is read, and checked
-    against the manifest's sha256, the first time it is used, then kept.
-    A file that does not load is a FormatError at that use.
+    Its length comes from the manifest.  Trajectory i is opened the first
+    time it is used, as a `StoredTrajectory`: its layout is checked, and the
+    open file is hashed in blocks against the manifest's sha256.  Then only
+    its header, metadata and open file are kept, and training reads the
+    rows it draws from that file.  A file that does not check is a
+    FormatError at that use; so is a read that later comes up short.  The
+    files close when the Dataset and the items taken from it are dropped.
     """
 
     def __init__(self, out_dir, entries):
         self._dir = Path(out_dir)
         self._entries = entries
-        self._loaded = [None] * len(entries)
+        self._opened = [None] * len(entries)
 
     def __len__(self):
         return len(self._entries)
@@ -166,14 +171,19 @@ class Dataset(Sequence):
         if isinstance(index, slice):
             return [self[i] for i in range(len(self))[index]]
         i = range(len(self))[index]
-        if self._loaded[i] is None:
+        if self._opened[i] is None:
             e = self._entries[i]
-            self._loaded[i] = load_trajectory(self._dir / e.name, sha256=e.sha256)
-        return self._loaded[i]
+            item = StoredTrajectory(self._dir / e.name)
+            digest = sha256_file(item.file)
+            if digest != e.sha256:
+                item.close()
+                raise FormatError(f"{item.path}: sha256 is {digest}, expected {e.sha256}")
+            self._opened[i] = item
+        return self._opened[i]
 
 
 def load_dataset(cfg, kind=None):
-    """The trajectories recorded in the manifest, in index order, read on
+    """The trajectories recorded in the manifest, in index order, opened on
     first use (see Dataset)."""
     manifest = load_manifest(cfg)
     want = kind or ("truth" if cfg.experiment == "l96" else "filtered")
@@ -255,22 +265,23 @@ def prediction_dt(cfg, variant):
 
 def variant_initial_state(cfg, variant, ref_filtered, ref_truth=None):
     """Initial flat state for a prediction variant (filtered state for
-    low-order variants, unfiltered truth for the high-order one), copied,
-    so it does not keep its trajectory alive."""
-    u0 = ref_filtered.states[0]
+    low-order variants, unfiltered truth for the high-order one): the first
+    row of its trajectory, read alone into an array of its own."""
+    ref = ref_filtered
     # the l96 dataset is the truth itself
     if variant == "high" and cfg.experiment != "l96":
         if ref_truth is None:
             raise ConfigError("high-order prediction needs a stored truth trajectory")
-        u0 = ref_truth.states[0]
+        ref = ref_truth
+    u0 = ref.rows([0])[0]
     if cfg.experiment == "l96" and variant == "slow":
         u0 = u0[: l96_config(cfg.model).K]
-    return u0.copy()
+    return u0
 
 
 def timestep_sweep(cfg, params_cont, params_disc, ref, dts, eval_times):
     """Relative errors of the continuous and discrete corrections per dt,
-    rolled out from the reference's first state.
+    rolled out from the first state of `ref`, a Trajectory in memory.
 
     Returns rows (method, dt, time, rel_err); a blown-up run records
     float('inf') instead of aborting the sweep.  Every eval time must be a
@@ -299,8 +310,10 @@ def timestep_sweep(cfg, params_cont, params_disc, ref, dts, eval_times):
 
 
 def run_timings(cfg, ref, truth, params):
-    """Wall times per prediction variant at its stable dt, stepping at
-    prediction.tableau: the first run and the median of the repeats.
+    """Wall and thread CPU times in ms per prediction variant at its stable
+    dt, stepping at prediction.tableau: rows (variant, dt, first wall,
+    median warm wall, first CPU, median warm CPU).  CPU time is the calling
+    thread's, which load from other processes barely moves.
 
     The variants run in interleaved rounds: round 0 is every variant's first
     run, and each later round repeats every variant once, so drift in the
@@ -312,17 +325,19 @@ def run_timings(cfg, ref, truth, params):
         if variant in tcfg.dts:
             dt = tcfg.dts[variant]
             u0 = variant_initial_state(cfg, variant, ref, truth)
-            runs.append((variant, dt, u0, int(round(tcfg.t_final / dt)), []))
+            runs.append((variant, dt, u0, int(round(tcfg.t_final / dt)), [], []))
     for _ in range(tcfg.repeats + 1):
-        for variant, dt, u0, n_steps, times in runs:
-            t0 = time.perf_counter()
+        for variant, dt, u0, n_steps, walls, cpus in runs:
+            wall, cpu = time.perf_counter(), time.thread_time()
             try:
                 predict(cfg, params, u0, dt, n_steps, variant)
             except BlowupError as e:
                 e.run = f"variant {variant} at dt={dt:g}"
                 raise
-            times.append((time.perf_counter() - t0) * 1e3)
-    return [(v, dt, times[0], float(np.median(times[1:]))) for v, dt, _, _, times in runs]
+            cpus.append((time.thread_time() - cpu) * 1e3)
+            walls.append((time.perf_counter() - wall) * 1e3)
+    return [(v, dt, walls[0], float(np.median(walls[1:])), cpus[0], float(np.median(cpus[1:])))
+            for v, dt, _, _, walls, cpus in runs]
 
 
 def window_problem(experiment, seed=0):

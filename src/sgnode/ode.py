@@ -17,13 +17,15 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
+import os
 import struct
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import autodiff as ad
-from .errors import BlowupError, FormatError, check_fully_read, read_array, read_exact
+from .errors import BlowupError, FormatError, check_fully_read, read_array, read_exact, skip
 
 BLOWUP_LIMIT = 1e12
 
@@ -34,6 +36,7 @@ CHUNK_BYTES = 4 << 20
 _MAGIC = b"SGNT"
 _VERSION = 1
 _HEADER = struct.Struct("<IIQdd")  # version, d, count, t0, dt
+_STATES = len(_MAGIC) + _HEADER.size  # offset of the state block
 
 
 @dataclass(frozen=True)
@@ -210,6 +213,10 @@ class Trajectory:
     def __len__(self):
         return self.states.shape[0]
 
+    def rows(self, idx):
+        """The states at the row indices idx (a sequence), as a new array."""
+        return self.states[idx]
+
 
 def steps(tableau, rhs, u0, t0, dt, n_steps, post_step=None):
     """Yield the n_steps states after u0, whose last axis must be an `Rhs`
@@ -323,37 +330,104 @@ def save_trajectory(traj, path):
         w.close()
 
 
-def load_trajectory(path, sha256=None):
-    """The trajectory saved at `path`.  With `sha256`, the hex digest the
-    file must have: the bytes are hashed from memory as they are read, and
-    another digest is a FormatError."""
-    with open(path, "rb") as f:
-        magic = read_exact(f, 4, path, "magic")
-        if magic != _MAGIC:
-            raise FormatError(f"{path}: bad magic {magic!r}, expected {_MAGIC!r}")
-        header = read_exact(f, _HEADER.size, path, "header")
-        version, d, count, t0, dt = _HEADER.unpack(header)
-        if version != _VERSION:
-            raise FormatError(f"{path}: unsupported version {version}")
-        if d == 0:
-            raise FormatError(f"{path}: state dimension is 0")
-        if count == 0 or not (np.isfinite(t0) and 0.0 < dt < np.inf):
-            raise FormatError(f"{path}: header has count {count}, t0 {t0}, dt {dt}; a writer "
-                              f"gives one state or more, a finite t0 and a finite dt > 0")
-        states = read_array(f, (count, d), path, "state block")
-        length = read_exact(f, 4, path, "metadata length")
-        blob = read_exact(f, struct.unpack("<I", length)[0], path, "metadata")
-        check_fully_read(f, path)
-    if sha256 is not None:
-        h = hashlib.sha256()
-        for part in (magic, header, states, length, blob):
-            h.update(part)
-        if h.hexdigest() != sha256:
-            raise FormatError(f"{path}: sha256 is {h.hexdigest()}, expected {sha256}")
+def _read_header(f, path):
+    """(d, count, t0, dt) from the magic and header at the start of `.sgnt`
+    file f, which is left at its state block."""
+    magic = read_exact(f, 4, path, "magic")
+    if magic != _MAGIC:
+        raise FormatError(f"{path}: bad magic {magic!r}, expected {_MAGIC!r}")
+    version, d, count, t0, dt = _HEADER.unpack(read_exact(f, _HEADER.size, path, "header"))
+    if version != _VERSION:
+        raise FormatError(f"{path}: unsupported version {version}")
+    if d == 0:
+        raise FormatError(f"{path}: state dimension is 0")
+    if count == 0 or not (np.isfinite(t0) and 0.0 < dt < np.inf):
+        raise FormatError(f"{path}: header has count {count}, t0 {t0}, dt {dt}; a writer "
+                          f"gives one state or more, a finite t0 and a finite dt > 0")
+    return d, count, t0, dt
+
+
+def _read_meta(f, path):
+    """The metadata of `.sgnt` file f, which must be at its metadata length
+    and end with the metadata."""
+    length = read_exact(f, 4, path, "metadata length")
+    blob = read_exact(f, struct.unpack("<I", length)[0], path, "metadata")
+    check_fully_read(f, path)
     try:
         meta = json.loads(blob.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise FormatError(f"{path}: metadata is not UTF-8 JSON: {e}") from e
     if not isinstance(meta, dict):
         raise FormatError(f"{path}: metadata is not a JSON object")
+    return meta
+
+
+def load_trajectory(path):
+    """The trajectory saved at `path`, read whole."""
+    with open(path, "rb") as f:
+        d, count, t0, dt = _read_header(f, path)
+        states = read_array(f, (count, d), path, "state block")
+        meta = _read_meta(f, path)
     return Trajectory(t0=t0, dt=dt, states=states, meta=meta)
+
+
+class StoredTrajectory:
+    """A `.sgnt` file held open and read by rows.
+
+    Opening it parses the header and metadata and checks the layout; the
+    states stay on disk.  `rows` reads the ones asked for, and `load` the
+    whole block, each time they are called.  `file` is the open file, so a
+    caller can check the very bytes that are later read; it closes with
+    `close` or when the object is dropped.
+    """
+
+    def __init__(self, path):
+        self.path = path
+        f = open(path, "rb")
+        try:
+            d, count, self.t0, self.dt = _read_header(f, path)
+            skip(f, 8 * count * d, path, "state block")
+            self.meta = _read_meta(f, path)
+        except BaseException:
+            f.close()
+            raise
+        self.file = f
+        self._shape = (count, d)
+        self.close = weakref.finalize(self, f.close)
+
+    @property
+    def dim(self):
+        return self._shape[1]
+
+    def __len__(self):
+        return self._shape[0]
+
+    def rows(self, idx):
+        """A new (len(idx), d) array of the states at the row indices idx,
+        read by positioned reads, one per run of consecutive indices.  A
+        read that comes up short, as on a file truncated since it opened,
+        is a FormatError naming the file."""
+        idx = list(map(int, idx))
+        count, d = self._shape
+        if idx and not (0 <= min(idx) and max(idx) < count):
+            raise IndexError(f"{self.path}: row indices must lie in 0..{count - 1}")
+        out = np.empty((len(idx), d), dtype="<f8")
+        fd, lo = self.file.fileno(), 0
+        for hi in range(1, len(idx) + 1):
+            if hi == len(idx) or idx[hi] != idx[hi - 1] + 1:
+                part, offset = out[lo:hi], _STATES + 8 * d * idx[lo]
+                got = os.preadv(fd, [part], offset)
+                # one read moves at most ~2 GiB on Linux; 0 bytes is the end of the file
+                while got < part.nbytes:
+                    n = os.preadv(fd, [memoryview(part).cast("B")[got:]], offset + got)
+                    if n == 0:
+                        raise FormatError(f"{self.path}: truncated while reading states "
+                                          f"{idx[lo]}..{idx[hi - 1]}")
+                    got += n
+                lo = hi
+        return out
+
+    def load(self):
+        """The whole trajectory in memory, as one Trajectory."""
+        return Trajectory(t0=self.t0, dt=self.dt, states=self.rows(range(len(self))),
+                          meta=dict(self.meta))

@@ -111,7 +111,8 @@ def split_ranges(trajs, cfg):
 
 
 def sample_windows(trajs, cfg, epoch_seed, ranges=None):
-    """Uniformly random m-step windows, reproducible from epoch_seed."""
+    """Uniformly random m-step windows, reproducible from epoch_seed; each
+    window's m + 1 states come from one `rows` call on its trajectory."""
     stride = _stride(cfg.dt, trajs[0].dt)
     m = cfg.window
     n = cfg.batch_size
@@ -130,10 +131,9 @@ def sample_windows(trajs, cfg, epoch_seed, ranges=None):
     for b, pick in enumerate(picks):
         ti, lo, hi = usable[pick]
         s = int(rng.integers(lo, hi - m * stride + 1))
-        states = trajs[ti].states
-        x0[b] = states[s]
-        for l in range(1, m + 1):
-            targets[l - 1, b] = states[s + l * stride]
+        window = trajs[ti].rows(range(s, s + m * stride + 1, stride))
+        x0[b] = window[0]
+        targets[:, b] = window[1:]
     return WindowBatch(x0=x0, targets=targets, dt=cfg.dt)
 
 
@@ -400,12 +400,11 @@ def discrete_forcing_dataset(filtered_trajs, dt_coarse, rhs_low, tableau, ranges
     stride = _stride(dt_coarse, filtered_trajs[0].dt)
     xs, ys = [], []
     for ti, lo, hi in _whole(filtered_trajs) if ranges is None else ranges:
-        idx = np.arange(lo, hi - stride + 1, stride)
-        if idx.size == 0:
+        idx = range(lo, hi + 1, stride)
+        if len(idx) < 2:
             continue
-        states = filtered_trajs[ti].states
-        x = states[idx]
-        x_next = states[idx + stride]
+        states = filtered_trajs[ti].rows(idx)
+        x, x_next = states[:-1], states[1:]
         stepped = erk_step(tab, rhs_low, x, dt_coarse)
         xs.append(x)
         ys.append((x_next - stepped) / dt_coarse)

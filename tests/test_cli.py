@@ -204,6 +204,39 @@ def test_the_initial_state_shares_no_memory_with_its_trajectory(config, variants
         assert not np.shares_memory(u0, filtered.states) and not np.shares_memory(u0, truth.states)
 
 
+_ADDRESS_SPACE = 1 << 30
+
+
+def _limit_address_space():
+    import resource
+    resource.setrlimit(resource.RLIMIT_AS, (_ADDRESS_SPACE, _ADDRESS_SPACE))
+
+
+def test_running_out_of_memory_exits_5_with_one_line(tmp_path):
+    path = smoke_config(tmp_path)
+    assert main(["generate", "--config", str(path)]) == 0
+    cfg = json.loads(path.read_text())
+    cfg["training"]["batch_size"] = 10**9  # a 128 GB batch
+    path.write_text(json.dumps(cfg))
+    env = dict(os.environ, PYTHONPATH=str(Path(experiments.__file__).parents[1]),
+               OPENBLAS_NUM_THREADS="1")
+    # the address space of this child alone is capped
+    proc = subprocess.run([sys.executable, "-m", "sgnode.cli", "train", "--config", str(path)],
+                          env=env, capture_output=True, text=True, timeout=120,
+                          preexec_fn=_limit_address_space)
+    assert proc.returncode == 5, proc.stderr
+    (line,) = proc.stderr.splitlines()
+    assert line.startswith("out of memory: sgnode train stopped: ") and "Traceback" not in line
+
+
+def test_the_help_lists_every_exit_code(capsys):
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    out = " ".join(capsys.readouterr().out.split())
+    assert ("exit codes: 0 success, 2 configuration error, 3 numerical blowup, "
+            "4 I/O error, 5 out of memory") in out
+
+
 def test_config_error_exit_code(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{not json")
@@ -671,7 +704,7 @@ def test_timing_command(tmp_path):
                "--checkpoint", str(out / "checkpoint_continuous.sgnp")])
     assert rc == 0
     rows = (out / "timings.csv").read_text().splitlines()
-    assert rows[0] == "variant,dt,first_ms,warm_median_ms"
+    assert rows[0] == "variant,dt,first_ms,warm_median_ms,first_cpu_ms,warm_median_cpu_ms"
     assert len(rows) == 6
     # without a checkpoint the source net is timed with zero weights
     assert main(["time", "--config", str(path)]) == 0
@@ -924,7 +957,8 @@ def test_generate_writes_the_bytes_of_one_rollout_per_trajectory(
             assert truth.meta["phi"] == filtered.meta["phi"] == repr(phase)
     manifest = (cfg.out_dir / "manifest.json").read_bytes()
     for entry in json.loads(manifest)["files"]:
-        assert experiments.sha256_file(cfg.out_dir / entry["name"]) == entry["sha256"]
+        with open(cfg.out_dir / entry["name"], "rb") as f:
+            assert experiments.sha256_file(f) == entry["sha256"]
     # a budget of 1 byte writes every step as its own chunk, with the same bytes
     monkeypatch.setattr(ode, "CHUNK_BYTES", 1)
     cfg.out_dir = tmp_path / "one_step_chunks"
@@ -1004,11 +1038,100 @@ def test_a_dataset_reads_each_trajectory_on_first_use(tmp_path, capsys):
     trajs = experiments.load_dataset(cfg)
     assert len(trajs) == 2
     assert trajs[0].dim == 16 and trajs[-2] is trajs[0]
+    # an item keeps its header, metadata and open file, not a state array
+    assert not hasattr(trajs[0], "states")
+    assert not any(isinstance(v, np.ndarray) for v in vars(trajs[0]).values())
+    whole = load_trajectory(cfg.out_dir / "filtered_0000.sgnt")
+    assert trajs[0].rows([3, 0, 1, 2]).tobytes() == whole.states[[3, 0, 1, 2]].tobytes()
+    assert trajs[0].load().states.tobytes() == whole.states.tobytes()
     with pytest.raises(FormatError, match="filtered_0001.sgnt: truncated"):
         trajs[1]
     capsys.readouterr()
     assert main(["train", "--config", str(path)]) == 4
     assert "filtered_0001.sgnt" in capsys.readouterr().err
+
+
+def test_a_file_truncated_after_its_check_fails_at_the_short_read(tmp_path, monkeypatch, capsys):
+    path = smoke_config(tmp_path)
+    assert main(["generate", "--config", str(path)]) == 0
+    cfg = load_config(path)
+    item = experiments.load_dataset(cfg)[1]
+    item.rows([0, 20])
+    os.truncate(item.path, 100)  # inside the first state
+    with pytest.raises(FormatError, match="filtered_0001.sgnt: truncated while reading states 0..0"):
+        item.rows([0, 20])
+    del item
+
+    # train checks every file, and each is truncated right after its check
+    assert main(["generate", "--config", str(path)]) == 0
+    checked = []
+
+    def check_then_truncate(f):
+        digest = sha256_file(f)
+        os.truncate(f.name, 100)
+        checked.append(Path(f.name).name)
+        return digest
+
+    sha256_file = experiments.sha256_file
+    monkeypatch.setattr(experiments, "sha256_file", check_then_truncate)
+    capsys.readouterr()
+    assert main(["train", "--config", str(path)]) == 4
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("i/o error: ") and ": truncated while reading states " in line
+    assert sorted(checked) == ["filtered_0000.sgnt", "filtered_0001.sgnt"]
+    assert any(name in line for name in checked)
+
+
+def test_training_on_a_dataset_equals_training_in_memory(tmp_path):
+    path = smoke_config(tmp_path, data={"n_traj": 3, "dt": 1e-3, "t_final": 0.04},
+                        training_discrete={"epochs": 3, "batch_size": 8, "dt": 2e-3,
+                                           "tableau": "rk4", "split": 0.75})
+    assert main(["generate", "--config", str(path)]) == 0
+    cfg = load_config(path)
+    cfg.training = dataclasses.replace(cfg.training, epochs=3)
+    stored = experiments.load_dataset(cfg)
+    loaded = [tr.load() for tr in stored]
+    builder = experiments.rhs_builder_for(cfg)
+    runs = [training.train(trajs, cfg.training, builder, 16, 16) for trajs in (stored, loaded)]
+    runs += [experiments.train_discrete(cfg, trajs) for trajs in (stored, loaded)]
+    for a, b in (runs[:2], runs[2:]):
+        assert repr(a.history) == repr(b.history)
+        for p, q in zip(mlp.param_list(a.params), mlp.param_list(b.params), strict=True):
+            assert p.tobytes() == q.tobytes()
+
+
+_TRAIN_PEAK_RSS = """
+import resource, sys
+from sgnode import experiments, training
+from sgnode.config import load_config
+cfg = load_config(sys.argv[1])
+cfg.out_dir = sys.argv[2]
+trajs = experiments.load_dataset(cfg)
+training.train(trajs, cfg.training, experiments.rhs_builder_for(cfg),
+               *experiments.source_dims(cfg))
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
+
+
+def test_training_peak_rss_is_flat_in_n_traj(tmp_path):
+    # 1601 filtered states of 100 entries are 1.3 MB a trajectory; a dataset
+    # that kept each trajectory it touched peaked 39 MB higher on 48 than on 6
+    train = {"epochs": 4, "batch_size": 100, "window": 2, "dt": 1e-4, "tableau": "rk4",
+             "optimizer": "adam", "lr": 1e-3, "seed": 1, "split": 1.0, "split_axis": "time",
+             "test_every": 0}
+    model = {"a": 1.0, "kappa": 1e-4, "n_elem": 50, "order_high": 2, "order_low": 1}
+    env = dict(os.environ, PYTHONPATH=str(Path(experiments.__file__).parents[1]))
+    peaks = []
+    for n_traj in (6, 48):
+        path = smoke_config(tmp_path, model=model, training=train,
+                            data={"n_traj": n_traj, "dt": 1e-4, "t_final": 0.16,
+                                  "store_high": False})
+        out = tmp_path / f"run_{n_traj}"
+        assert main(["generate", "--config", str(path), "--out", str(out)]) == 0
+        proc = subprocess.run([sys.executable, "-c", _TRAIN_PEAK_RSS, str(path), str(out)],
+                              env=env, capture_output=True, text=True, check=True)
+        peaks.append(int(proc.stdout) / 1024)  # ru_maxrss is in KiB on Linux
+    assert abs(peaks[1] - peaks[0]) < 4.0, peaks
 
 
 def test_a_swapped_dataset_file_exits_4_naming_it(tmp_path, capsys):

@@ -14,7 +14,7 @@ from sgnode import experiments, mlp
 from sgnode.cli import main
 from sgnode.config import load_config
 from sgnode.errors import ConfigError, FormatError
-from sgnode.ode import Trajectory, load_trajectory, save_trajectory
+from sgnode.ode import StoredTrajectory, Trajectory, load_trajectory, save_trajectory
 
 # derandomized, so each run replays the same inputs; no example database on disk
 FUZZ = settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -66,6 +66,24 @@ def test_corrupt_trajectory_files_load_or_raise_format_error(tmp_path):
             assert isinstance(tr.meta, dict)
             assert tr.states.dtype == np.float64 and tr.states.ndim == 2
             assert tr.dim >= 1
+
+    check()
+
+
+def test_a_stored_trajectory_accepts_and_reads_what_load_trajectory_does(tmp_path):
+    path = tmp_path / "t.sgnt"
+    states = np.arange(6.0).reshape(3, 2) / 7.0
+    save_trajectory(Trajectory(t0=0.5, dt=0.25, states=states, meta={"model": "cd"}), path)
+
+    @FUZZ
+    @given(corruptions(path.read_bytes()))
+    def check(blob):
+        whole = loads_or_raises_format_error(path, blob, load_trajectory)
+        stored = loads_or_raises_format_error(path, blob, lambda p: StoredTrajectory(p).load())
+        assert (whole is None) == (stored is None)
+        if whole is not None:
+            assert (stored.t0, stored.dt, stored.meta) == (whole.t0, whole.dt, whole.meta)
+            assert stored.states.tobytes() == whole.states.tobytes()
 
     check()
 

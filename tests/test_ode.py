@@ -1,3 +1,4 @@
+import os
 import struct
 
 import numpy as np
@@ -7,6 +8,7 @@ from sgnode.errors import BlowupError, FormatError
 from sgnode.ode import (
     ButcherTableau,
     Rhs,
+    StoredTrajectory,
     Trajectory,
     erk_step,
     get_tableau,
@@ -180,6 +182,33 @@ def test_trajectory_roundtrip(tmp_path):
     assert back.t0 == tr.t0 and back.dt == tr.dt
     assert np.array_equal(back.states, tr.states)
     assert back.meta == tr.meta
+
+
+def test_a_stored_trajectory_reads_the_rows_asked_for(tmp_path, monkeypatch):
+    rng = np.random.default_rng(2)
+    tr = Trajectory(t0=0.25, dt=0.005, states=rng.normal(size=(9, 3)), meta={"model": "toy"})
+    path = tmp_path / "t.sgnt"
+    save_trajectory(tr, path)
+    stored = StoredTrajectory(path)
+    assert (len(stored), stored.dim, stored.t0, stored.dt, stored.meta) == (9, 3, 0.25, 0.005,
+                                                                           tr.meta)
+    for idx in ([0], [8], [2, 3, 4, 7, 8], [5, 1, 2, 1], np.arange(0, 9, 3), []):
+        rows = stored.rows(idx)
+        assert rows.shape == (len(idx), 3)
+        assert rows.tobytes() == tr.rows(np.asarray(idx, dtype=int)).tobytes()
+    for idx in ([9], [-1], [0, 9]):
+        with pytest.raises(IndexError):
+            stored.rows(idx)
+    # a read may move fewer bytes than asked for before the end of the file
+    preadv = os.preadv
+    monkeypatch.setattr(os, "preadv",
+                        lambda fd, bufs, at: preadv(fd, [memoryview(bufs[0]).cast("B")[:20]], at))
+    assert stored.rows([2, 3, 4, 8]).tobytes() == tr.states[[2, 3, 4, 8]].tobytes()
+    assert stored.load().states.tobytes() == tr.states.tobytes()
+    monkeypatch.undo()
+    f = stored.file
+    del stored
+    assert f.closed  # the file closes with its last holder
 
 
 def test_trajectory_truncated_file(tmp_path):
