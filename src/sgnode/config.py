@@ -16,6 +16,7 @@ import dataclasses
 import json
 import math
 import os
+import sys
 import typing
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -64,7 +65,8 @@ def _check_keys(d, allowed, path):
 
 def _value(x, hint, path):
     """x checked against the field type `hint`: no bool where a number is
-    expected, ints widen to float, and containers are checked per item."""
+    expected, ints widen to float, a float must be finite (JSON's NaN and
+    Infinity are rejected), and containers are checked per item."""
     if dataclasses.is_dataclass(hint):
         return _section(hint, x, path)
     origin, args = typing.get_origin(hint), typing.get_args(hint)
@@ -75,9 +77,11 @@ def _value(x, hint, path):
     if isinstance(x, bool) != (hint is bool):
         raise ConfigError(f"{path}: expected {hint.__name__}, got {x!r}")
     if hint is float and isinstance(x, int):
-        return float(x)
+        x = float(x) if abs(x) <= sys.float_info.max else math.inf
     if not isinstance(x, hint):
         raise ConfigError(f"{path}: expected {hint.__name__}, got {x!r}")
+    if hint is float and not math.isfinite(x):
+        raise ConfigError(f"{path}: expected a finite number, got {x!r}")
     return x
 
 
@@ -219,8 +223,8 @@ def _model(experiment, d):
     if len(model["domain"]) != 2:
         raise ConfigError("model.domain: expected [x_left, x_right]")
     try:
-        if model["order_low"] >= model["order_high"]:
-            raise ValueError("order_low must be below order_high")
+        if not 1 <= model["order_low"] < model["order_high"]:
+            raise ValueError("order_low must be >= 1 and below order_high")
         pde_config(experiment, model)
         pde_meshes(model)
         if experiment == "burgers":

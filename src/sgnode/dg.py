@@ -343,7 +343,7 @@ def check_synthesis(k0, n_grid):
     if k0 < 1:
         raise ValueError(f"k0 must be >= 1, got {k0}")
     if n_grid < 4 or n_grid & (n_grid - 1):
-        raise ValueError(f"the synthesis grid must be a power of two >= 4, got {n_grid}")
+        raise ValueError(f"the synthesis grid n_synth must be a power of two >= 4, got {n_grid}")
 
 
 def synthesize_turbulence_signal(k0, n_grid, seed):

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .errors import BlowupError, FormatError, check_fully_read, read_array, read_exact, skip
+from .errors import BlowupError, FormatError, check_fully_read, read_exact, skip
 
 BLOWUP_LIMIT = 1e12
 
@@ -363,12 +363,13 @@ def _read_meta(f, path):
 
 
 def load_trajectory(path):
-    """The trajectory saved at `path`, read whole."""
-    with open(path, "rb") as f:
-        d, count, t0, dt = _read_header(f, path)
-        states = read_array(f, (count, d), path, "state block")
-        meta = _read_meta(f, path)
-    return Trajectory(t0=t0, dt=dt, states=states, meta=meta)
+    """The trajectory saved at `path`, read whole through a `StoredTrajectory`
+    that is closed on return or error."""
+    stored = StoredTrajectory(path)
+    try:
+        return stored.load()
+    finally:
+        stored.close()
 
 
 class StoredTrajectory:
@@ -404,30 +405,35 @@ class StoredTrajectory:
 
     def rows(self, idx):
         """A new (len(idx), d) array of the states at the row indices idx,
-        read by positioned reads, one per run of consecutive indices.  A
-        read that comes up short, as on a file truncated since it opened,
-        is a FormatError naming the file."""
+        read by positioned reads, one per run of consecutive indices."""
         idx = list(map(int, idx))
         count, d = self._shape
         if idx and not (0 <= min(idx) and max(idx) < count):
             raise IndexError(f"{self.path}: row indices must lie in 0..{count - 1}")
         out = np.empty((len(idx), d), dtype="<f8")
-        fd, lo = self.file.fileno(), 0
+        lo = 0
         for hi in range(1, len(idx) + 1):
             if hi == len(idx) or idx[hi] != idx[hi - 1] + 1:
-                part, offset = out[lo:hi], _STATES + 8 * d * idx[lo]
-                got = os.preadv(fd, [part], offset)
-                # one read moves at most ~2 GiB on Linux; 0 bytes is the end of the file
-                while got < part.nbytes:
-                    n = os.preadv(fd, [memoryview(part).cast("B")[got:]], offset + got)
-                    if n == 0:
-                        raise FormatError(f"{self.path}: truncated while reading states "
-                                          f"{idx[lo]}..{idx[hi - 1]}")
-                    got += n
+                self._read_into(out[lo:hi], idx[lo])
                 lo = hi
         return out
 
+    def _read_into(self, part, first):
+        """Fill the rows of `part` with the states from row `first` on.  A
+        read that comes up short, as on a file truncated since it opened,
+        is a FormatError naming the file."""
+        fd, offset = self.file.fileno(), _STATES + 8 * self._shape[1] * first
+        got = os.preadv(fd, [part], offset)
+        # one read moves at most ~2 GiB on Linux; 0 bytes is the end of the file
+        while got < part.nbytes:
+            n = os.preadv(fd, [memoryview(part).cast("B")[got:]], offset + got)
+            if n == 0:
+                raise FormatError(f"{self.path}: truncated while reading states "
+                                  f"{first}..{first + len(part) - 1}")
+            got += n
+
     def load(self):
         """The whole trajectory in memory, as one Trajectory."""
-        return Trajectory(t0=self.t0, dt=self.dt, states=self.rows(range(len(self))),
-                          meta=dict(self.meta))
+        states = np.empty(self._shape, dtype="<f8")
+        self._read_into(states, 0)
+        return Trajectory(t0=self.t0, dt=self.dt, states=states, meta=dict(self.meta))

@@ -48,6 +48,9 @@ class TrainConfig:
             raise ConfigError("window and batch_size must be >= 1")
         if min(self.epochs, self.seed, self.test_every, self.checkpoint_every) < 0:
             raise ConfigError("epochs, seed, test_every and checkpoint_every must be >= 0")
+        for key in ("dt", "lr"):
+            if not getattr(self, key) > 0:
+                raise ConfigError(f"{key} must be > 0, got {getattr(self, key)}")
         get_tableau(self.tableau)
         if self.optimizer not in ("adam", "adabelief"):
             raise ConfigError(f"unknown optimizer {self.optimizer!r}")
@@ -235,20 +238,11 @@ class TrainResult:
 CHUNK_ROWS = 1000
 
 
-@functools.cache
-def _worker():
-    """The one worker thread, started on first use; None on one CPU."""
+def _two_cpus():
+    """Whether this process may run on two CPUs or more: on one, a step
+    starts no thread."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    if (cpus or 1) < 2:
-        return None
-    # imported here: with logging it costs ~8 ms and ~0.6 MB at start-up
-    from concurrent.futures import ThreadPoolExecutor
-
-    return ThreadPoolExecutor(1, thread_name_prefix="sgnode-chunks")
-
-
-# a forked child has no worker thread
-os.register_at_fork(after_in_child=_worker.cache_clear)
+    return (cpus or 1) > 1
 
 
 def chunk_count(batch, rhs_builder, params):
@@ -279,22 +273,27 @@ def step_grads(params, batch, rhs_builder, tableau, chunks=1):
     """(loss, gradients) of the windowed rollout MSE of `batch`: the sum in
     chunk order over `chunks` near-equal chunks of its windows, each on a
     tape of its own, freed after its ``backward``.  One chunk gives exactly
-    ``node_loss`` and ``backward``.  The odd chunks run on the worker while
-    this thread runs the even ones; results are taken in chunk order, so an
-    error comes from the lowest-numbered failing chunk, as on one thread,
-    once the worker has finished every chunk it started."""
+    ``node_loss`` and ``backward``.  With two chunks or more on two CPUs, a
+    thread started for this call runs the odd chunks while the caller runs
+    the even ones, and it is joined before the call returns or raises: an
+    error cancels the odd chunks not yet started and waits for the one that
+    is running.  Results are taken in chunk order, so an error comes from
+    the lowest-numbered failing chunk, as on one thread."""
     cuts = [batch.size * j // chunks for j in range(chunks + 1)]
     tasks = [functools.partial(_chunk_grads, params, batch, lo, hi, rhs_builder, tableau)
              for lo, hi in zip(cuts, cuts[1:])]
-    worker = _worker() if chunks > 1 else None
-    odd = [worker.submit(task) for task in tasks[1::2]] if worker else []
-    try:
-        results = [odd[j // 2].result() if odd and j % 2 else task()
-                   for j, task in enumerate(tasks)]
-    finally:
-        for fut in odd:
-            if not fut.cancel():
-                fut.exception()  # waits for a started chunk
+    if chunks > 1 and _two_cpus():
+        # imported here: with logging it costs ~8 ms and ~0.6 MB at start-up
+        from concurrent.futures import ThreadPoolExecutor
+
+        pool = ThreadPoolExecutor(1, thread_name_prefix="sgnode-chunks")
+        try:
+            odd = [pool.submit(task) for task in tasks[1::2]]
+            results = [odd[j // 2].result() if j % 2 else task() for j, task in enumerate(tasks)]
+        finally:
+            pool.shutdown(cancel_futures=True)
+    else:
+        results = [task() for task in tasks]
     loss, grads = results[0]
     for part_loss, part_grads in results[1:]:
         loss += part_loss
@@ -312,9 +311,9 @@ def _keep_freed_heap():
     tapes' pages back in: 10 L96 desk epochs took 540,000-566,000 minor
     faults and 407-465 ms a step, against 57,000 and 360-401 ms with these
     settings (2-core x86-64, glibc 2.36).  Arrays up to 32 MiB then come
-    from the heap, never trimmed, and one arena keeps the worker's tapes
-    there too: in a second arena they raised perfbench train-l96's peak RSS
-    from ~305 to 361 MB.  Values are unchanged.  Off glibc, a no-op.
+    from the heap, never trimmed, and one arena keeps the tapes of each
+    step's chunk thread there too: in a second arena they raised perfbench
+    train-l96's peak RSS from ~305 to 361 MB.  Values are unchanged.  Off glibc, a no-op.
     """
     try:
         mallopt = ctypes.CDLL(None).mallopt

@@ -1,13 +1,4 @@
-"""BLAS runs on one thread in the test suite, as it does in CI and perfbench.
+"""Import sgnode before any test module imports numpy, so that the package's
+BLAS pin (one thread, see ``sgnode/__init__.py``) takes effect in the suite."""
 
-OpenBLAS reads its thread count once, when numpy loads it, so this runs
-before any test module imports numpy.  A threaded BLAS competes for the
-cores with the worker thread that runs training chunks, and its weight
-gradients differ in the last bits from one thread's.  A value already set
-is kept.
-"""
-
-import os
-
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ.setdefault(_var, "1")
+import sgnode  # noqa: F401

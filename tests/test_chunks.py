@@ -1,7 +1,8 @@
-"""A training step runs fixed chunks of windows, the odd ones on a worker
-thread; its loss and gradients are the same bytes on one CPU as on two.
+"""A training step runs fixed chunks of windows, the odd ones on a thread
+that lives for the step; its loss and gradients are the same bytes on one
+CPU as on two.
 
-These tests also run under ``taskset -c 0``, where no worker thread starts.
+These tests also run under ``taskset -c 0``, where a step starts no thread.
 """
 
 import ctypes
@@ -78,7 +79,7 @@ def test_chunks_sum_their_weighted_parts_in_order(monkeypatch):
     want = _bytes(loss, grads)
     got = training.step_grads(params, batch, builder, "rk4", chunks=3)
     assert _bytes(*got) == want
-    monkeypatch.setattr(training, "_worker", lambda: None)  # one CPU
+    monkeypatch.setattr(training, "_two_cpus", lambda: False)
     assert _bytes(*training.step_grads(params, batch, builder, "rk4", chunks=3)) == want
     # and the whole batch's gradient, to reassociation roundoff
     whole, tape = training.node_loss(params, batch, builder, "rk4")
@@ -126,11 +127,11 @@ def test_a_blowup_in_chunk_3_names_its_epoch_step_and_sample(monkeypatch):
 
 # 1e4 blows up in step 1, 1e100 in step 0
 @pytest.mark.parametrize("rows,sample,step", [
-    # chunk 1 before chunk 3, both the worker's
+    # chunk 1 before chunk 3, both the chunk thread's
     ({30: 1e4, 80: 1e100}, 30, 1),
     # chunk 2, this thread's, blows up later in its rollout than chunk 3
     ({60: 1e4, 80: 1e100}, 60, 1),
-    # chunk 1, the worker's, before chunk 2, which blows up sooner
+    # chunk 1, the chunk thread's, before chunk 2, which blows up sooner
     ({30: 1e4, 60: 1e100}, 30, 1),
     # chunk 0 before chunk 1
     ({10: 1e4, 30: 1e100}, 10, 1),
@@ -146,42 +147,62 @@ def test_the_lowest_numbered_failing_chunk_is_raised(monkeypatch, rows, sample, 
     assert (e.value.sample, e.value.step) == (sample, step)
 
 
-class _Counting:
-    """The worker, recording the future of every chunk submitted to it."""
-
-    def __init__(self, pool):
-        self.pool, self.tasks = pool, []
-
-    def submit(self, fn):
-        self.tasks.append(self.pool.submit(fn))
-        return self.tasks[-1]
-
-
-def test_an_error_leaves_once_the_worker_is_done(monkeypatch):
-    if training._worker() is None:
-        pytest.skip("one CPU starts no worker")
-    training._worker().submit(lambda: None).result()  # the worker is idle
-    counting = _Counting(training._worker())
-    monkeypatch.setattr(training, "_worker", lambda: counting)
-    chunk = training._chunk_grads
-
-    def failing_first(params, batch, lo, *args):
-        if lo == 0:
-            time.sleep(0.05)  # the worker has started chunk 1
-            raise FloatingPointError("chunk 0")
-        time.sleep(0.2)  # still running when an error that did not wait leaves
-        return chunk(params, batch, lo, *args)
-
-    monkeypatch.setattr(training, "_chunk_grads", failing_first)
+def _logged_chunks(monkeypatch, fail):
+    """_chunk_grads, logging ("start" | "end", chunk, thread ident) for each
+    chunk of 4 of the cd window problem: chunk 1 takes 0.2 s more, and chunk
+    `fail`, if any, raises once chunk 1 has started.  Starts a thread per
+    step, as on two CPUs, even on one."""
     batch, builder, params = experiments.window_problem("cd", seed=1)
+    chunk_of = {batch.size * j // 4: j for j in range(4)}
+    log, started = [], threading.Event()
+    grads = training._chunk_grads
+
+    def logged(params, batch, lo, *args):
+        j = chunk_of[lo]
+        log.append(("start", j, threading.get_ident()))
+        if j == 1:
+            started.set()
+            time.sleep(0.2)
+        if j == fail:
+            assert started.wait(10)
+            raise FloatingPointError(f"chunk {j}")
+        out = grads(params, batch, lo, *args)
+        log.append(("end", j, threading.get_ident()))
+        return out
+
+    monkeypatch.setattr(training, "_two_cpus", lambda: True)
+    monkeypatch.setattr(training, "_chunk_grads", logged)
+    return log, lambda: training.step_grads(params, batch, builder, "rk4", chunks=4)
+
+
+def test_an_error_leaves_once_the_started_chunk_is_done(monkeypatch):
+    log, step = _logged_chunks(monkeypatch, fail=0)
     with pytest.raises(FloatingPointError, match="chunk 0"):
-        training.step_grads(params, batch, builder, "rk4", chunks=4)
-    assert len(counting.tasks) == 2 and all(t.done() for t in counting.tasks)
+        step()
+    # chunk 1 ended before the error left, and chunk 3 was cancelled unstarted
+    assert sorted(event[:2] for event in log) == [("end", 1), ("start", 0), ("start", 1)]
 
 
-def test_callers_on_many_threads_share_the_worker():
-    # more calling threads than cores, switching often: every step must
-    # still give the bytes of the same step run alone
+@pytest.mark.parametrize("fail", [None, 0, 1])
+def test_no_thread_a_step_starts_outlives_it(monkeypatch, fail):
+    log, step = _logged_chunks(monkeypatch, fail)
+    before = threading.active_count()
+    if fail is None:
+        step()
+    else:
+        with pytest.raises(FloatingPointError, match=f"chunk {fail}"):
+            step()
+    assert threading.active_count() == before
+    # chunk 1 ran on a second thread, which is gone
+    ((_, _, ident),) = [event for event in log if event[:2] == ("start", 1)]
+    assert ident != threading.get_ident()
+    assert ident not in {t.ident for t in threading.enumerate()}
+
+
+def test_callers_on_many_threads_get_the_bytes_of_one():
+    # more calling threads than cores, each step starting its own chunk
+    # thread, switching often: every step must still give the bytes of the
+    # same step run alone
     problems = [experiments.window_problem(exp, seed=5) for exp in ("cd", "burgers", "l96")]
     want = [_bytes(*training.step_grads(p, b, f, "rk4", chunks=4)) for b, f, p in problems]
     got = [None] * 6
@@ -212,8 +233,8 @@ def _step_in_child(done):
     done.put(_bytes(*training.step_grads(params, batch, builder, "rk4", chunks=4)))
 
 
-def test_a_forked_child_runs_chunks_on_a_worker_of_its_own():
-    # the parent's worker thread does not survive the fork
+def test_a_forked_child_steps_to_the_bytes_of_its_parent():
+    # a child forked after the parent has stepped starts its own chunk thread
     batch, builder, params = experiments.window_problem("burgers", seed=3)
     want = _bytes(*training.step_grads(params, batch, builder, "rk4", chunks=4))
     ctx = multiprocessing.get_context("fork")
@@ -229,10 +250,10 @@ def test_a_forked_child_runs_chunks_on_a_worker_of_its_own():
 
 
 # One L96 desk training step in a fresh process with one BLAS thread;
-# prints the sha256 of the loss and gradients and whether the worker
-# thread started.
+# prints the sha256 of the loss and gradients and whether a second thread
+# ran a chunk.
 _DESK_STEP = """
-import hashlib, os, sys
+import hashlib, os, sys, threading
 if sys.argv[1] == "one":
     os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
 import numpy as np
@@ -242,12 +263,16 @@ from sgnode import training
 trajs, cfg, builder, params = _l96_desk_step()
 batch = training.sample_windows(trajs, cfg, epoch_seed=[3, 101, 1, 0])
 chunks = training.chunk_count(batch, builder, params)
+idents, grads_of = set(), training._chunk_grads
+def chunk_grads(*args):
+    idents.add(threading.get_ident())
+    return grads_of(*args)
+training._chunk_grads = chunk_grads
 loss, grads = training.step_grads(params, batch, builder, "rk4", chunks)
 digest = hashlib.sha256(np.float64(loss).tobytes())
 for g in grads:
     digest.update(g.tobytes())
-started = training._worker.cache_info().currsize > 0 and training._worker() is not None
-print(chunks, digest.hexdigest(), started)
+print(chunks, digest.hexdigest(), len(idents) > 1)
 """
 
 
@@ -287,9 +312,9 @@ def _openblas_threads():
 
 
 def test_the_suite_runs_blas_on_the_pinned_thread_count():
-    # conftest.py sets the count, to 1 unless it is set already, before
-    # numpy loads OpenBLAS, which reads it once
+    # conftest.py imports sgnode, which pins the count to 1, before numpy
+    # loads OpenBLAS, which reads it once
     live = _openblas_threads()
     if live is None:
         pytest.skip("numpy's BLAS exposes no OpenBLAS thread count")
-    assert live == int(os.environ["OPENBLAS_NUM_THREADS"])
+    assert live == 1 and os.environ["OPENBLAS_NUM_THREADS"] == "1"

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -12,7 +13,7 @@ import pytest
 from sgnode import dg, experiments, lorenz96, mlp, ode, training
 from sgnode.cli import main
 from sgnode.experiments import run_timings
-from sgnode.config import VARIANTS, TimingConfig, load_config
+from sgnode.config import VARIANTS, RunConfig, TimingConfig, load_config
 from sgnode.errors import BlowupError, ConfigError, FormatError
 from sgnode.ode import Rhs, Trajectory, integrate, load_trajectory, save_trajectory, tableau_rk4
 
@@ -178,6 +179,65 @@ def test_train_discrete_on_l96_exits_2_before_any_file_is_read(tmp_path, capsys)
     assert not (tmp_path / "run").exists()
 
 
+def _numeric_keys(node, path=()):
+    """The paths of the numbers in a parsed JSON config, list items by index."""
+    if isinstance(node, dict):
+        for k, v in node.items():
+            yield from _numeric_keys(v, path + (k,))
+    elif isinstance(node, list):
+        for i, v in enumerate(node):
+            yield from _numeric_keys(v, path + (i,))
+    elif isinstance(node, (int, float)) and not isinstance(node, bool):
+        yield path
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in Path("configs").glob("*.json")))
+def test_every_numeric_key_loads_or_is_config_error_naming_it(name):
+    raw = json.loads((Path("configs") / name).read_text())
+    for path in _numeric_keys(raw):
+        key = [k for k in path if isinstance(k, str)]
+        section = key[0] if len(key) > 1 else "config"  # top-level keys are config.*
+        for value in (float("nan"), float("inf"), float("-inf"), 0, -1):
+            cfg = json.loads(json.dumps(raw))
+            node = cfg
+            for k in path[:-1]:
+                node = node[k]
+            node[path[-1]] = value
+            try:
+                RunConfig.from_dict(cfg)
+            except ConfigError as e:
+                assert str(e).startswith(section) and key[-1] in str(e), (path, value, str(e))
+            else:
+                assert isinstance(value, int), (path, value)  # NaN and Infinity never load
+
+
+# each of these once ran into a traceback (exit 1) or a blowup (exit 3)
+@pytest.mark.parametrize("command,section,key,value", [
+    ("generate", "data", "dt", float("nan")),
+    ("generate", "data", "t_final", float("inf")),
+    ("generate", "data", "t_final", 10**400),  # an int past the float range
+    ("generate", "model", "kappa", float("nan")),
+    ("train", "training", "dt", float("nan")),
+    ("train", "training", "lr", -1),
+    (["predict", "--variant", "low"], "prediction", "dt", float("nan")),
+    ("time", "timing", "t_final", float("nan")),
+])
+def test_a_bad_config_number_exits_2_naming_its_key(tmp_path, capsys, command, section, key, value):
+    path = smoke_config(tmp_path)
+    command = [command] if isinstance(command, str) else command
+    if command[0] != "generate":  # with a dataset, so nothing else exits 2
+        assert main(["generate", "--config", str(path)]) == 0
+    cfg = json.loads(path.read_text())
+    cfg[section][key] = value
+    path.write_text(json.dumps(cfg))  # as NaN, Infinity or -1 in the JSON
+    capsys.readouterr()
+    assert main(command + ["--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and key in err and "Traceback" not in err
+    if command[0] == "generate":
+        assert not (tmp_path / "run").exists()
+
+
 def test_l96_desk_config_values_and_types():
     cfg = load_config("configs/l96-desk.json")
     model = {"K": 36, "J": 10, "c": 10.0, "h": 1.0, "F": 6.0, "source_scope": "per_component"}
@@ -227,6 +287,29 @@ def test_running_out_of_memory_exits_5_with_one_line(tmp_path):
     assert proc.returncode == 5, proc.stderr
     (line,) = proc.stderr.splitlines()
     assert line.startswith("out of memory: sgnode train stopped: ") and "Traceback" not in line
+
+
+def test_train_writes_the_same_bytes_whatever_the_blas_thread_count_asked(tmp_path):
+    # sgnode pins BLAS to one thread on import, before numpy loads it
+    cfg = json.loads(Path("configs/cd-desk.json").read_text())
+    cfg["training"]["epochs"] = 3
+    path = tmp_path / "cd.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["generate", "--config", str(path), "--out", str(tmp_path / "data")]) == 0
+    outputs = []
+    for threads in ("1", None, "2"):
+        out = tmp_path / f"run-{threads}"
+        shutil.copytree(tmp_path / "data", out)
+        env = dict(os.environ, PYTHONPATH=str(Path(experiments.__file__).parents[1]))
+        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+            env.pop(var, None)
+            if threads is not None:
+                env[var] = threads
+        subprocess.run([sys.executable, "-m", "sgnode.cli", "train", "--config", str(path),
+                        "--out", str(out)], env=env, check=True, capture_output=True, timeout=300)
+        outputs.append([(out / name).read_bytes()
+                        for name in ("checkpoint_continuous.sgnp", "loss_continuous.csv")])
+    assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
 
 
 def test_the_help_lists_every_exit_code(capsys):
