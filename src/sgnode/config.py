@@ -258,8 +258,6 @@ class ManifestEntry:
         if self.name in ("", "..") or "\0" in self.name or Path(self.name).name != self.name:
             raise ValueError(f"name must be a file in the run directory, got {self.name!r}")
         _choice(self.kind, ("truth", "filtered"), "kind")
-        if self.index < 0:
-            raise ValueError(f"index must be >= 0, got {self.index}")
 
 
 @dataclass
@@ -271,6 +269,19 @@ class Manifest:
     data: dict
     model: dict
     files: list[ManifestEntry]
+
+    def __post_init__(self):
+        """Each file is listed once, and the files of each kind present are
+        trajectories 0..data.n_traj - 1, one each."""
+        names = [e.name for e in self.files]
+        if len(set(names)) < len(names):
+            raise ValueError(f"file {max(names, key=names.count)!r} is listed twice")
+        n = self.data.get("n_traj")
+        for kind in sorted({e.kind for e in self.files}):
+            got = sorted(e.index for e in self.files if e.kind == kind)
+            if not isinstance(n, int) or len(got) != n or got != list(range(n)):
+                raise ValueError(f"the {kind} files have indices {got}, not 0..data.n_traj - 1 "
+                                 f"once each (data.n_traj is {n!r})")
 
 
 def _run_keys(experiment, model, data):

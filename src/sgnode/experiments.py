@@ -118,14 +118,11 @@ def generate(cfg):
     (out / "manifest.json").unlink(missing_ok=True)
     data = cfg.data
     n_steps = int(round(data.t_final / data.dt))
+    # each trajectory's files: (kind, added metadata, states per row, row map or None)
     if cfg.experiment == "l96":
         lcfg = l96_config(cfg.model)
-        rhs = lorenz96.rhs_coupled(lcfg)
-        u0 = lorenz96.spin_up(lcfg, data.n_traj, data.dt, data.spinup, cfg.seed)
-        files = [
-            (f"truth_{i:04d}.sgnt", "truth", i, meta, lcfg.dim, None)
-            for i, meta in enumerate(lorenz96.truth_meta(lcfg, data.n_traj, data.spinup, cfg.seed))
-        ]
+        rhs, u0, metas = lorenz96.truth_start(lcfg, data.n_traj, data.dt, data.spinup, cfg.seed)
+        kinds = [("truth", {}, lcfg.dim, None)]
     else:
         rhs, u0, metas = _pde_problem(cfg)
         mesh_h, mesh_l = pde_meshes(cfg.model)
@@ -133,12 +130,11 @@ def generate(cfg):
         def project(states):
             return dg.project_states(mesh_h, states, mesh_l.order)
 
-        files = []
-        for i, meta in enumerate(metas):
-            if data.store_high:
-                files.append((f"truth_{i:04d}.sgnt", "truth", i, meta, mesh_h.n_dof, None))
-            filtered = {**meta, "p": str(mesh_l.order), "filtered": "true"}
-            files.append((f"filtered_{i:04d}.sgnt", "filtered", i, filtered, mesh_l.n_dof, project))
+        filtered = {"p": str(mesh_l.order), "filtered": "true"}
+        kinds = [("truth", {}, mesh_h.n_dof, None)] if data.store_high else []
+        kinds.append(("filtered", filtered, mesh_l.n_dof, project))
+    files = [(f"{kind}_{i:04d}.sgnt", kind, i, {**meta, **extra}, d, proj)
+             for i, meta in enumerate(metas) for kind, extra, d, proj in kinds]
     entries = _stream(out, rhs, u0, data.dt, n_steps, files)
 
     manifest = Manifest(cfg.experiment, cfg.seed, data.__dict__, cfg.model, entries)

@@ -105,16 +105,17 @@ def random_initial_state(cfg, rng):
     return np.concatenate([x, y])
 
 
-def initial_states(cfg, n_traj, seed):
-    """(n_traj, dim) random states, trajectory i drawn from seed + i."""
-    return np.stack([
+def truth_start(cfg, n_traj, dt, spinup_t, seed):
+    """The start of every truth run, (rhs, z0, metas): the truth model, the
+    (n_traj, dim) states after spinup_t of it in RK4 from random states,
+    trajectory i drawn from seed + i, and each trajectory's metadata."""
+    rhs = rhs_coupled(cfg)
+    z = np.stack([
         random_initial_state(cfg, np.random.Generator(np.random.PCG64(seed + i)))
         for i in range(n_traj)
     ])
-
-
-def truth_meta(cfg, n_traj, spinup_t, seed):
-    """The stored metadata of each of n_traj truth trajectories."""
+    for z in steps(tableau_rk4(), rhs, z, 0.0, dt, int(round(spinup_t / dt))):
+        pass
     meta = {
         "model": "l96",
         "K": str(cfg.K),
@@ -124,31 +125,22 @@ def truth_meta(cfg, n_traj, spinup_t, seed):
         "F": repr(cfg.F),
         "spinup": repr(spinup_t),
     }
-    return [{**meta, "seed": str(seed + i)} for i in range(n_traj)]
-
-
-def spin_up(cfg, n_traj, dt, spinup_t, seed):
-    """The (n_traj, dim) states after spinup_t of the truth model from
-    `initial_states`, stepped with RK4; only the last state is kept."""
-    z = initial_states(cfg, n_traj, seed)
-    for z in steps(tableau_rk4(), rhs_coupled(cfg), z, 0.0, dt, int(round(spinup_t / dt))):
-        pass
-    return z
+    return rhs, z, [{**meta, "seed": str(seed + i)} for i in range(n_traj)]
 
 
 def generate_truth(cfg, n_traj, dt, spinup_t, t_final, seed):
-    """Spin up from random states, then record t_final/dt steps per trajectory.
+    """`truth_start`, then t_final/dt recorded steps per trajectory.
 
     All trajectories advance together as one (n_traj, dim) RK4 rollout; a
     blowup's sample is the trajectory index.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
-    z0 = spin_up(cfg, n_traj, dt, spinup_t, seed)
+    rhs, z0, metas = truth_start(cfg, n_traj, dt, spinup_t, seed)
     n_keep = int(round(t_final / dt))
-    block = integrate(tableau_rk4(), rhs_coupled(cfg), z0, 0.0, dt, n_keep).states
+    block = integrate(tableau_rk4(), rhs, z0, 0.0, dt, n_keep).states
     d = cfg.dim
     return [
         Trajectory(t0=0.0, dt=dt, states=block[:, i * d:(i + 1) * d], meta=meta)
-        for i, meta in enumerate(truth_meta(cfg, n_traj, spinup_t, seed))
+        for i, meta in enumerate(metas)
     ]

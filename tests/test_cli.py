@@ -13,7 +13,7 @@ import pytest
 from sgnode import dg, experiments, lorenz96, mlp, ode, training
 from sgnode.cli import main
 from sgnode.experiments import run_timings
-from sgnode.config import VARIANTS, RunConfig, TimingConfig, load_config
+from sgnode.config import VARIANTS, RunConfig, TimingConfig, load_config, load_manifest
 from sgnode.errors import BlowupError, ConfigError, FormatError
 from sgnode.ode import Rhs, Trajectory, integrate, load_trajectory, save_trajectory, tableau_rk4
 
@@ -211,6 +211,65 @@ def test_every_numeric_key_loads_or_is_config_error_naming_it(name):
                 assert isinstance(value, int), (path, value)  # NaN and Infinity never load
 
 
+def _tiny(raw):
+    """A copy of shipped config `raw` whose every command takes milliseconds:
+    2 trajectories of 16 training steps, so a 2-step window fits both sides
+    of a time split, 1 epoch, and 4-step predictions and timings."""
+    cfg = json.loads(json.dumps(raw))
+    train = cfg["training"]
+    train.update(epochs=1, batch_size=2, window=2, test_every=1)
+    cfg["data"].update(n_traj=2, t_final=16 * train["dt"])
+    cfg["prediction"]["t_final"] = 4 * cfg["prediction"]["dt"]
+    if cfg["experiment"] == "l96":
+        cfg["data"]["spinup"] = 0.05
+    else:
+        cfg["model"]["n_elem"] = 4
+        cfg["training_discrete"].update(epochs=1, batch_size=2)
+        cfg["timing"].update(repeats=1, t_final=4 * max(cfg["timing"]["dts"].values()))
+    return cfg
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in Path("configs").glob("*.json")))
+def test_every_numeric_value_that_loads_runs_every_command_to_an_exit_code(tmp_path, capsys, name):
+    # each number of a shipped config at 0 and at -1, where that loads, on a
+    # tiny copy of the config; Lorenz 96 has no discrete baseline and no
+    # `time`, so it predicts the slow and the full state instead
+    raw = _tiny(json.loads((Path("configs") / name).read_text()))
+    ckpt = ["--checkpoint", str(tmp_path / "run" / "checkpoint_continuous.sgnp")]
+    if raw["experiment"] == "l96":
+        commands = [["generate"], ["train"], ["predict", "--variant", "slow"] + ckpt,
+                    ["predict", "--variant", "high"]]
+    else:
+        commands = [["generate"], ["train"], ["train", "--discrete"], ["predict"] + ckpt,
+                    ["time"] + ckpt]
+    path = tmp_path / "cfg.json"
+    ran = 0
+    for key in _numeric_keys(raw):
+        for value in (0, -1):
+            cfg = json.loads(json.dumps(raw))
+            node = cfg
+            for k in key[:-1]:
+                node = node[k]
+            node[key[-1]] = value
+            cfg["out_dir"] = str(tmp_path / "run")
+            try:
+                RunConfig.from_dict(cfg)
+            except ConfigError:
+                continue
+            shutil.rmtree(tmp_path / "run", ignore_errors=True)
+            path.write_text(json.dumps(cfg))
+            codes = []
+            for command in commands:
+                codes.append(main(command + ["--config", str(path)]))
+                err = capsys.readouterr().err
+                assert codes[-1] in (0, 2, 3, 4, 5), (key, value, command, err)
+                assert "Traceback" not in err, (key, value, command)
+            # a window fits the tiny data, so training runs unless no data is left
+            assert codes[1] == 0 or key == ("data", "t_final"), (key, value, codes)
+            ran += 1
+    assert ran > 0
+
+
 # each of these once ran into a traceback (exit 1) or a blowup (exit 3)
 @pytest.mark.parametrize("command,section,key,value", [
     ("generate", "data", "dt", float("nan")),
@@ -368,6 +427,68 @@ def test_a_malformed_manifest_is_a_format_error(tmp_path, capsys, corrupt):
     capsys.readouterr()
     assert main(["train", "--config", str(path)]) == 4
     assert capsys.readouterr().err.startswith(f"i/o error: {mpath}: ")
+
+
+def _filtered(m, edit):
+    """Manifest m with its list of filtered entries replaced by edit(list)."""
+    return dict(m, files=[e for e in m["files"] if e["kind"] != "filtered"]
+                + edit([e for e in m["files"] if e["kind"] == "filtered"]))
+
+
+# once, a duplicated entry loaded as two trajectories, both trajectory 0,
+# and `predict --traj-index 1` rolled out trajectory 0
+@pytest.mark.parametrize("edit,message", [
+    (lambda fs: fs[:2] + [dict(fs[2], index=0)],
+     "the filtered files have indices [0, 0, 1], not 0..data.n_traj - 1 once each "
+     "(data.n_traj is 3)"),
+    (lambda fs: fs[:2], "the filtered files have indices [0, 1], not"),
+    (lambda fs: fs[:2] + [dict(fs[2], index=3)], "the filtered files have indices [0, 1, 3], not"),
+    (lambda fs: fs[:2] + [dict(fs[2], name=fs[0]["name"])],
+     "file 'filtered_0000.sgnt' is listed twice"),
+    (lambda fs: fs[:2] + [fs[0]], "file 'filtered_0000.sgnt' is listed twice"),
+], ids=["duplicated-index", "missing-index", "index-at-n_traj", "repeated-name",
+        "duplicated-entry"])
+def test_a_manifest_whose_files_do_not_match_its_dataset_is_a_format_error(
+    tmp_path, capsys, edit, message
+):
+    path = smoke_config(tmp_path, data={"n_traj": 3, "dt": 1e-3, "t_final": 0.02})
+    assert main(["generate", "--config", str(path)]) == 0
+    mpath = tmp_path / "run" / "manifest.json"
+    mpath.write_text(json.dumps(_filtered(json.loads(mpath.read_text()), edit)))
+    capsys.readouterr()
+    assert main(["predict", "--config", str(path), "--variant", "low", "--traj-index", "1"]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith(f"i/o error: {mpath}: ") and message in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not (tmp_path / "run" / "pred_low.sgnt").exists()
+
+
+def test_a_tampered_manifest_exits_4_through_the_entry_point(tmp_path):
+    path = smoke_config(tmp_path, data={"n_traj": 3, "dt": 1e-3, "t_final": 0.02})
+    assert main(["generate", "--config", str(path)]) == 0
+    mpath = tmp_path / "run" / "manifest.json"
+    mpath.write_text(json.dumps(_filtered(json.loads(mpath.read_text()), lambda fs: fs + fs[:1])))
+    proc = subprocess.run([sys.executable, "-m", "sgnode.cli", "predict", "--config", str(path),
+                           "--variant", "low"], capture_output=True, text=True)
+    assert proc.returncode == 4
+    assert proc.stderr.startswith(f"i/o error: {mpath}: ") and proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("experiment,data,kinds", [
+    ("cd", {"store_high": True}, ["truth", "filtered"]),
+    ("cd", {"store_high": False}, ["filtered"]),
+    ("l96", {"spinup": 0.01}, ["truth"]),
+])
+def test_the_manifests_generate_writes_load(tmp_path, experiment, data, kinds):
+    data = {"n_traj": 3, "dt": 1e-3, "t_final": 0.01, **data}
+    model = {"model": L96_MODEL} if experiment == "l96" else {}
+    cfg = load_config(smoke_config(tmp_path, experiment, data=data, **model))
+    manifest = experiments.generate(cfg)
+    assert load_manifest(cfg) == manifest
+    for kind in kinds:
+        assert [tr.path.name for tr in experiments.load_dataset(cfg, kind)] == [
+            f"{kind}_{i:04d}.sgnt" for i in range(3)]
 
 
 @pytest.mark.parametrize("experiment,section,key,value,message", [
@@ -1060,6 +1181,29 @@ def test_l96_generate_writes_the_bytes_of_generate_truth(tmp_path, monkeypatch):
         written = load_trajectory(cfg.out_dir / f"truth_{i:04d}.sgnt")
         assert written.states.tobytes() == tr.states.tobytes()
         assert written.meta == tr.meta
+
+
+@pytest.mark.parametrize("spinup", [0.1, 0.0], ids=["in-the-spin-up", "in-the-record"])
+def test_an_l96_generate_blowup_names_the_trajectory(tmp_path, monkeypatch, spinup):
+    plain = lorenz96.random_initial_state
+    calls = []
+
+    def third_is_nan(cfg, rng):
+        z = plain(cfg, rng)
+        calls.append(z)
+        if len(calls) == 3:
+            z[5] = np.nan
+        return z
+
+    path = smoke_config(tmp_path, "l96", model=L96_MODEL,
+                        data={"n_traj": 4, "dt": 0.005, "t_final": 0.05, "spinup": spinup})
+    cfg = load_config(path)
+    experiments.generate(cfg)  # a manifest the failed run must take away
+    monkeypatch.setattr(lorenz96, "random_initial_state", third_is_nan)
+    with pytest.raises(BlowupError) as e:
+        experiments.generate(cfg)
+    assert (e.value.sample, e.value.step, e.value.stage) == (2, 0, 0)
+    assert not (cfg.out_dir / "manifest.json").exists()
 
 
 def test_a_blowup_in_a_later_chunk_names_its_global_step(tmp_path, monkeypatch):
