@@ -365,10 +365,6 @@ class Var:
     def shape(self):
         return np.shape(self.value)
 
-    @property
-    def ndim(self):
-        return np.ndim(self.value)
-
     def _lift(self, other):
         if isinstance(other, Var):
             if other.tape is not self.tape:

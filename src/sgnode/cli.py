@@ -84,6 +84,7 @@ def cmd_train(args):
     if args.discrete and cfg.experiment == "l96":
         raise ConfigError("the discrete post-correction baseline is PDE-only")
     trajs = experiments.load_dataset(cfg)
+    experiments.check_open_files(cfg, len(trajs))  # training holds every file open
     out = cfg.out_dir
     out.mkdir(parents=True, exist_ok=True)
     tag = "discrete" if args.discrete else "continuous"

@@ -14,9 +14,15 @@ import contextlib
 import dataclasses
 import hashlib
 import json
+import os
 import time
 from collections.abc import Sequence
 from pathlib import Path
+
+try:
+    import resource
+except ImportError:  # not on Windows
+    resource = None
 
 import numpy as np
 
@@ -76,7 +82,25 @@ def _pde_problem(cfg):
         meta.update(p=str(mesh_h.order), n_elem=str(mesh_h.n_elem), kappa=repr(pcfg.kappa))
         u0s.append(u0)
         metas.append(meta)
-    return dg.rhs_semidiscrete(pcfg, mesh_h), np.stack(u0s), metas
+    return _pde_rhs(cfg, mesh_h), np.stack(u0s), metas
+
+
+def check_open_files(cfg, n_files):
+    """ConfigError unless `n_files` dataset files, all open at once, fit under
+    the soft open-file limit beside the descriptors open now and one more
+    file opened beside them.  No limit, or no `resource` module, means no
+    check."""
+    if resource is None:
+        return
+    limit = resource.getrlimit(resource.RLIMIT_NOFILE)[0]
+    n_open = len(os.listdir("/dev/fd")) - 1  # less the one the listing opened
+    need = n_files + n_open + 1
+    if limit != resource.RLIM_INFINITY and need > limit:
+        raise ConfigError(
+            f"data.n_traj {cfg.data.n_traj} needs {n_files} files open at once, which with the "
+            f"{n_open} open now is over the open-file limit of {limit}; raise the limit "
+            f"(ulimit -n {need}) or lower data.n_traj"
+        )
 
 
 def _stream(out, rhs, u0, dt, n_steps, files):
@@ -112,19 +136,13 @@ def generate(cfg):
     `ode.march` yields its time chunks, so memory does not grow with
     t_final.
     """
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    # a run that fails part way must leave no manifest naming its files
-    (out / "manifest.json").unlink(missing_ok=True)
     data = cfg.data
     n_steps = int(round(data.t_final / data.dt))
     # each trajectory's files: (kind, added metadata, states per row, row map or None)
     if cfg.experiment == "l96":
         lcfg = l96_config(cfg.model)
-        rhs, u0, metas = lorenz96.truth_start(lcfg, data.n_traj, data.dt, data.spinup, cfg.seed)
         kinds = [("truth", {}, lcfg.dim, None)]
     else:
-        rhs, u0, metas = _pde_problem(cfg)
         mesh_h, mesh_l = pde_meshes(cfg.model)
 
         def project(states):
@@ -133,6 +151,15 @@ def generate(cfg):
         filtered = {"p": str(mesh_l.order), "filtered": "true"}
         kinds = [("truth", {}, mesh_h.n_dof, None)] if data.store_high else []
         kinds.append(("filtered", filtered, mesh_l.n_dof, project))
+    check_open_files(cfg, data.n_traj * len(kinds))
+    out = Path(cfg.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    # a run that fails part way must leave no manifest naming its files
+    (out / "manifest.json").unlink(missing_ok=True)
+    if cfg.experiment == "l96":
+        rhs, u0, metas = lorenz96.truth_start(lcfg, data.n_traj, data.dt, data.spinup, cfg.seed)
+    else:
+        rhs, u0, metas = _pde_problem(cfg)
     files = [(f"{kind}_{i:04d}.sgnt", kind, i, {**meta, **extra}, d, proj)
              for i, meta in enumerate(metas) for kind, extra, d, proj in kinds]
     entries = _stream(out, rhs, u0, data.dt, n_steps, files)
@@ -189,58 +216,55 @@ def load_dataset(cfg, kind=None):
     return Dataset(cfg.out_dir, files)
 
 
+def _pde_rhs(cfg, mesh):
+    """The DG right-hand side of a PDE experiment's equation on `mesh`."""
+    return dg.rhs_semidiscrete(pde_config(cfg.experiment, cfg.model), mesh)
+
+
 def rhs_builder_for(cfg):
-    """Tape-compatible builder of the source-augmented right-hand side."""
+    """Tape-compatible builder of the source-augmented right-hand side: the
+    model training differentiates, and the one `predict` rolls out."""
     if cfg.experiment == "l96":
         lcfg = l96_config(cfg.model)
         return lambda ws, bs: lorenz96.rhs_coupled_neural(lcfg, ws, bs)
-    pcfg = pde_config(cfg.experiment, cfg.model)
-    _, mesh_l = pde_meshes(cfg.model)
-    rhs_l = dg.rhs_semidiscrete(pcfg, mesh_l)
+    rhs_l = _pde_rhs(cfg, pde_meshes(cfg.model)[1])
     return lambda ws, bs: training.augmented(rhs_l, ws, bs)
 
 
 def train_discrete(cfg, trajs, init=None, on_epoch=None, on_checkpoint=None):
     tcfg = cfg.training_discrete
-    pcfg = pde_config(cfg.experiment, cfg.model)
-    _, mesh_l = pde_meshes(cfg.model)
-    rhs_l = dg.rhs_semidiscrete(pcfg, mesh_l)
+    rhs_l = _pde_rhs(cfg, pde_meshes(cfg.model)[1])
     train_rng, _ = training.split_ranges(trajs, tcfg)
     inputs, targets = training.discrete_forcing_dataset(
         trajs, tcfg.dt, rhs_l, tcfg.tableau, ranges=train_rng
     )
-    d = mesh_l.n_dof
     return training.train_discrete_forcing(
-        inputs, targets, tcfg, d, d, init=init, on_epoch=on_epoch, on_checkpoint=on_checkpoint
+        inputs, targets, tcfg, *source_dims(cfg), init=init, on_epoch=on_epoch,
+        on_checkpoint=on_checkpoint,
     )
 
 
 def predict(cfg, params, u0, dt, n_steps, variant, t0=0.0):
-    """Roll out one prediction variant from a flat initial state."""
+    """Roll out one prediction variant from a flat initial state; `augmented`
+    (and L96's `low`, with a zero source) is the model `rhs_builder_for` builds."""
     check_variant(cfg.experiment, variant, "variant")
     meta = {"variant": variant}
     post_step = None
-    if cfg.experiment == "l96":
-        lcfg = l96_config(cfg.model)
-        if variant == "slow":
-            rhs = lorenz96.rhs_slow_neural(lcfg, params)
-        elif variant == "high":
-            rhs = lorenz96.rhs_coupled(lcfg)
-        else:
-            # the uncoupled baseline is the coupled model with a zero source
-            net = mlp.zero_params(*lcfg.source_dims) if variant == "low" else params
-            rhs = lorenz96.rhs_coupled_neural(lcfg, net.weights, net.biases)
+    if variant == "augmented" or (cfg.experiment == "l96" and variant == "low"):
+        net = params if variant == "augmented" else mlp.zero_params(*source_dims(cfg))
+        rhs = rhs_builder_for(cfg)(net.weights, net.biases)
+    elif variant == "slow":
+        rhs = lorenz96.rhs_slow_neural(l96_config(cfg.model), params)
+    elif cfg.experiment == "l96":  # high
+        rhs = lorenz96.rhs_coupled(l96_config(cfg.model))
     else:
-        pcfg = pde_config(cfg.experiment, cfg.model)
         mesh_h, mesh_l = pde_meshes(cfg.model)
         mesh = mesh_h if variant == "high" else mesh_l
         if variant in ("low2", "low3"):
             mesh = dg.make_mesh(mesh_l.n_elem, 2 if variant == "low2" else 3, *mesh_l.domain)
             u0 = dg.interp_states(mesh_l, u0[None], mesh.order)[0]
-        rhs = dg.rhs_semidiscrete(pcfg, mesh)
-        if variant == "augmented":
-            rhs = training.augmented(rhs, params.weights, params.biases)
-        elif variant == "discrete":
+        rhs = _pde_rhs(cfg, mesh)
+        if variant == "discrete":
             post_step = training.discrete_correction(params, dt)
     tab = get_tableau(cfg.prediction.tableau)
     traj = integrate(tab, rhs, u0, t0, dt, n_steps, meta=meta, post_step=post_step)

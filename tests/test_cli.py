@@ -348,6 +348,63 @@ def test_running_out_of_memory_exits_5_with_one_line(tmp_path):
     assert line.startswith("out of memory: sgnode train stopped: ") and "Traceback" not in line
 
 
+_OPEN_FILES = 64
+
+
+def _limit_open_files():
+    import resource
+    hard = resource.getrlimit(resource.RLIMIT_NOFILE)[1]
+    resource.setrlimit(resource.RLIMIT_NOFILE, (_OPEN_FILES, hard))
+
+
+@pytest.mark.parametrize("experiment,train,n_files,predict", [
+    ("l96", ["train"], 80, "high"),
+    # a truth and a filtered file per trajectory while generate writes them
+    ("cd", ["train", "--discrete"], 160, "low"),
+])
+def test_a_dataset_whose_files_cannot_all_be_open_exits_2_before_it_starts(
+        tmp_path, experiment, train, n_files, predict):
+    # generate and train hold every file of the dataset open; predict opens one
+    if experiment == "l96":
+        path = smoke_config(tmp_path, "l96", model=L96_MODEL,
+                            data={"n_traj": 80, "dt": 0.005, "t_final": 0.05, "spinup": 0.0})
+    else:
+        path = smoke_config(tmp_path, data={"n_traj": 80, "dt": 1e-3, "t_final": 0.006},
+                            training_discrete={"epochs": 1, "batch_size": 4, "dt": 2e-3})
+    env = dict(os.environ, PYTHONPATH=str(Path(experiments.__file__).parents[1]))
+
+    def run(*args, limit=True):
+        return subprocess.run([sys.executable, "-m", "sgnode.cli", *args, "--config", str(path)],
+                              env=env, capture_output=True, text=True, timeout=120,
+                              preexec_fn=_limit_open_files if limit else None)
+
+    def one_line_naming_n_traj(proc, n):
+        assert proc.returncode == 2, proc.stderr
+        (line,) = proc.stderr.splitlines()
+        assert line.startswith(f"config error: data.n_traj 80 needs {n} files open at once")
+        assert f"open-file limit of {_OPEN_FILES}" in line and "ulimit -n" in line
+
+    one_line_naming_n_traj(run("generate"), n_files)
+    assert list(tmp_path.rglob("*.sgnt")) == []
+    assert run("generate", limit=False).returncode == 0
+    one_line_naming_n_traj(run(*train), 80)
+    assert list((tmp_path / "run").glob("checkpoint*")) == []
+    proc = run("predict", "--variant", predict, "--traj-index", "79")
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_an_unlimited_or_unknown_open_file_limit_is_not_checked(tmp_path, monkeypatch):
+    import resource
+    cfg = load_config(smoke_config(tmp_path))
+    with pytest.raises(ConfigError, match="data.n_traj 2 needs 1000000000 files"):
+        experiments.check_open_files(cfg, 10**9)
+    unlimited = (resource.RLIM_INFINITY, resource.RLIM_INFINITY)
+    monkeypatch.setattr(resource, "getrlimit", lambda which: unlimited)
+    experiments.check_open_files(cfg, 10**9)
+    monkeypatch.setattr(experiments, "resource", None)
+    experiments.check_open_files(cfg, 10**9)
+
+
 def test_train_writes_the_same_bytes_whatever_the_blas_thread_count_asked(tmp_path):
     # sgnode pins BLAS to one thread on import, before numpy loads it
     cfg = json.loads(Path("configs/cd-desk.json").read_text())
@@ -624,16 +681,21 @@ def test_evaluate_rejects_a_full_prediction_against_slow_truth(tmp_path, capsys)
     assert "--pred has state dimension 40 but --ref has 8" in capsys.readouterr().err
 
 
-def test_generate_train_predict_evaluate_cycle(tmp_path):
+def test_generate_train_predict_evaluate_cycle(tmp_path, capsys):
     path = smoke_config(tmp_path)
     assert main(["generate", "--config", str(path)]) == 0
     out = tmp_path / "run"
     manifest = json.loads((out / "manifest.json").read_text())
     assert len(manifest["files"]) == 4  # 2 truth + 2 filtered
-    assert main(["train", "--config", str(path)]) == 0
+    capsys.readouterr()
+    assert main(["train", "--config", str(path), "--verbose"]) == 0
     assert (out / "checkpoint_continuous.sgnp").exists()
     loss_rows = (out / "loss_continuous.csv").read_text().splitlines()
     assert len(loss_rows) == 3  # header + 2 epochs
+    # --verbose prints epoch 1, with its held-out loss, as the CSV holds it
+    epoch, train_loss, test_loss = loss_rows[1].split(",")
+    printed = capsys.readouterr().out.splitlines()[0]
+    assert printed == f"epoch {epoch}: train {float(train_loss):.6e} test {float(test_loss):.6e}"
     assert main([
         "predict", "--config", str(path),
         "--checkpoint", str(out / "checkpoint_continuous.sgnp"),
@@ -671,6 +733,40 @@ def test_zero_net_prediction_matches_plain_low_variant(tmp_path):
     a = load_trajectory(out / "aug.sgnt")
     b = load_trajectory(out / "low.sgnt")
     assert np.max(np.abs(a.states - b.states)) == 0.0
+
+
+@pytest.mark.parametrize("config", ["configs/l96-desk.json", "configs/cd-desk.json"])
+def test_the_augmented_prediction_rolls_out_the_model_training_differentiates(config):
+    cfg = load_config(config)
+    dims = experiments.source_dims(cfg)
+    if cfg.experiment == "l96":
+        lcfg = experiments.l96_config(cfg.model)
+        u0 = lorenz96.truth_start(lcfg, 1, cfg.data.dt, 0.5, cfg.seed)[1][0]
+    else:
+        u0 = dg.cd_initial_condition(experiments.pde_meshes(cfg.model)[1], 0.25)
+    tab = ode.get_tableau(cfg.prediction.tableau)
+    net = mlp.init_params(*dims, seed=5)
+    cases = [("augmented", net)]
+    if cfg.experiment == "l96":  # the uncoupled baseline: the same model with a zero source
+        cases.append(("low", mlp.zero_params(*dims)))
+    for variant, source in cases:
+        dt = experiments.prediction_dt(cfg, variant)
+        got = experiments.predict(cfg, net, u0, dt, 20, variant)
+        rhs = experiments.rhs_builder_for(cfg)(source.weights, source.biases)
+        want = integrate(tab, rhs, u0, 0.0, dt, 20)
+        assert got.states.tobytes() == want.states.tobytes(), variant
+
+
+@pytest.mark.parametrize("experiment,variant", [("cd", "augmented"), ("l96", "slow")])
+def test_a_net_variant_without_a_checkpoint_exits_2_and_writes_nothing(
+        tmp_path, capsys, experiment, variant):
+    path = smoke_config(tmp_path, experiment, **({"model": L96_MODEL} if experiment == "l96" else {}))
+    assert main(["generate", "--config", str(path)]) == 0
+    before = sorted(p.name for p in (tmp_path / "run").iterdir())
+    capsys.readouterr()
+    assert main(["predict", "--config", str(path), "--variant", variant]) == 2
+    assert f"variant {variant!r} needs --checkpoint" in capsys.readouterr().err
+    assert sorted(p.name for p in (tmp_path / "run").iterdir()) == before
 
 
 def test_projected_higher_order_variants(tmp_path):
@@ -1116,7 +1212,7 @@ def test_seed_override_changes_dataset(tmp_path):
     assert [f["sha256"] for f in m1["files"]] != [f["sha256"] for f in m2["files"]]
 
 
-def test_store_high_false_keeps_filtered_only(tmp_path):
+def test_store_high_false_keeps_filtered_only(tmp_path, capsys):
     path = smoke_config(
         tmp_path,
         data={"n_traj": 1, "dt": 1e-3, "t_final": 0.01, "store_high": False},
@@ -1127,6 +1223,12 @@ def test_store_high_false_keeps_filtered_only(tmp_path):
     assert kinds == {"filtered"}
     # training still works off the filtered set
     assert main(["train", "--config", str(path)]) == 0
+    # the high-order rollout has no initial state
+    capsys.readouterr()
+    assert main(["predict", "--config", str(path), "--variant", "high"]) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line == "config error: manifest has no 'truth' trajectories"
+    assert not (tmp_path / "run" / "pred_high.sgnt").exists()
 
 
 @pytest.mark.parametrize("experiment,n_traj", [("cd", 3), ("burgers", 2)])
