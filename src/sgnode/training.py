@@ -7,7 +7,8 @@ rollout of the source-augmented system and consecutive reference states:
 
 A step cuts its batch into chunks of windows fixed by the config alone,
 each one (n, d) block on a short tape, and sums them in chunk order, so the
-bytes do not depend on the CPU count (``step_grads``).  Each window step
+bytes do not depend on the CPU count (``step_grads``); the held-out loss
+takes the same chunks, untaped (``held_out_loss``).  Each window step
 adds one ``sqdist`` node.  Right-hand sides are autonomous, f(u); a blowup
 leaves the epoch loop with its epoch stamped on the error.
 """
@@ -255,50 +256,86 @@ def chunk_count(batch, rhs_builder, params):
     return min(batch.size, -(-batch.size * rows // CHUNK_ROWS))
 
 
-def _chunk_grads(params, batch, lo, hi, rhs_builder, tableau):
-    """node_loss and backward on windows lo:hi of `batch`, both scaled by
-    their share of its windows; a blowup's sample is its row in `batch`."""
+def _chunk_tasks(chunk_fn, params, batch, rhs_builder, tableau, chunks):
+    """One task per chunk lo:hi of `chunks` near-equal chunks of the windows
+    of `batch`: `chunk_fn(params, batch, lo, hi, rhs_builder, tableau)`."""
+    cuts = [batch.size * j // chunks for j in range(chunks + 1)]
+    return [functools.partial(chunk_fn, params, batch, lo, hi, rhs_builder, tableau)
+            for lo, hi in zip(cuts, cuts[1:])]
+
+
+def _run_chunks(tasks):
+    """The results of `tasks`, in task order.  With two tasks or more on two
+    CPUs, a thread started for this call runs the odd tasks while the caller
+    runs the even ones, and it is joined before the call returns or raises:
+    an error cancels the odd tasks not yet started and waits for the one
+    that is running.  Results are taken in task order, so an error comes
+    from the lowest-numbered failing task, as on one thread."""
+    if len(tasks) < 2 or not _two_cpus():
+        return [task() for task in tasks]
+    # imported here: with logging it costs ~8 ms and ~0.6 MB at start-up
+    from concurrent.futures import ThreadPoolExecutor
+
+    pool = ThreadPoolExecutor(1, thread_name_prefix="sgnode-chunks")
+    try:
+        odd = [pool.submit(task) for task in tasks[1::2]]
+        return [odd[j // 2].result() if j % 2 else task() for j, task in enumerate(tasks)]
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
+def _in_chunk(loss_fn, params, batch, lo, hi, rhs_builder, tableau):
+    """`loss_fn` on windows lo:hi of `batch`, and their share of its windows;
+    a blowup's sample is its row in `batch`."""
     part = WindowBatch(batch.x0[lo:hi], batch.targets[:, lo:hi], batch.dt)
     try:
-        loss, tape = node_loss(params, part, rhs_builder, tableau)
+        out = loss_fn(params, part, rhs_builder, tableau)
     except BlowupError as e:
         if e.sample is not None:
             e.sample += lo
         raise
-    share = (hi - lo) / batch.size
+    return out, (hi - lo) / batch.size
+
+
+def _chunk_grads(params, batch, lo, hi, rhs_builder, tableau):
+    """node_loss and backward on windows lo:hi of `batch`, both scaled by
+    their share of its windows."""
+    (loss, tape), share = _in_chunk(node_loss, params, batch, lo, hi, rhs_builder, tableau)
     return loss * share, [g * share for g in ad.backward(tape)]
+
+
+def _chunk_loss_value(params, batch, lo, hi, rhs_builder, tableau):
+    """rollout_loss_value on windows lo:hi of `batch`, scaled by their share."""
+    loss, share = _in_chunk(rollout_loss_value, params, batch, lo, hi, rhs_builder, tableau)
+    return loss * share
 
 
 def step_grads(params, batch, rhs_builder, tableau, chunks=1):
     """(loss, gradients) of the windowed rollout MSE of `batch`: the sum in
     chunk order over `chunks` near-equal chunks of its windows, each on a
     tape of its own, freed after its ``backward``.  One chunk gives exactly
-    ``node_loss`` and ``backward``.  With two chunks or more on two CPUs, a
-    thread started for this call runs the odd chunks while the caller runs
-    the even ones, and it is joined before the call returns or raises: an
-    error cancels the odd chunks not yet started and waits for the one that
-    is running.  Results are taken in chunk order, so an error comes from
-    the lowest-numbered failing chunk, as on one thread."""
-    cuts = [batch.size * j // chunks for j in range(chunks + 1)]
-    tasks = [functools.partial(_chunk_grads, params, batch, lo, hi, rhs_builder, tableau)
-             for lo, hi in zip(cuts, cuts[1:])]
-    if chunks > 1 and _two_cpus():
-        # imported here: with logging it costs ~8 ms and ~0.6 MB at start-up
-        from concurrent.futures import ThreadPoolExecutor
-
-        pool = ThreadPoolExecutor(1, thread_name_prefix="sgnode-chunks")
-        try:
-            odd = [pool.submit(task) for task in tasks[1::2]]
-            results = [odd[j // 2].result() if j % 2 else task() for j, task in enumerate(tasks)]
-        finally:
-            pool.shutdown(cancel_futures=True)
-    else:
-        results = [task() for task in tasks]
+    ``node_loss`` and ``backward``.  The chunks run on ``_run_chunks``: on
+    two CPUs the odd ones on a thread that lives for this call, and an
+    error comes from the lowest-numbered failing chunk."""
+    results = _run_chunks(_chunk_tasks(_chunk_grads, params, batch, rhs_builder, tableau, chunks))
     loss, grads = results[0]
     for part_loss, part_grads in results[1:]:
         loss += part_loss
         grads = [g + h for g, h in zip(grads, part_grads)]
     return loss, grads
+
+
+def held_out_loss(params, batch, rhs_builder, tableau, chunks=1):
+    """The windowed rollout MSE of `batch` in plain numpy, in the chunks that
+    ``step_grads`` takes and run as it runs them: the sum in chunk order of
+    each chunk's ``rollout_loss_value``, scaled by its share of the windows.
+    One chunk gives exactly ``rollout_loss_value`` on the whole batch."""
+    parts = _run_chunks(
+        _chunk_tasks(_chunk_loss_value, params, batch, rhs_builder, tableau, chunks))
+    loss = parts[0]
+    for part in parts[1:]:
+        loss += part
+    return loss
 
 
 def _keep_freed_heap():
@@ -332,9 +369,11 @@ def _fit(cfg, d_in, d_out, init, on_epoch, step, test_loss=None, on_checkpoint=N
     (loss, gradients), then records the history row (the step's loss and
     `test_loss(params, epoch)`, or None), hands a copy of the parameters
     to `on_checkpoint(epoch, params)` every cfg.checkpoint_every epochs, and
-    calls the callback.  A step frees each chunk tape once its gradients
-    are out, so at most two are alive, one per thread (about 59 MB each on
-    the L96 desk run), and none during the held-out loss.
+    calls the callback.  A blowup in the step or the held-out loss leaves
+    with its epoch stamped.  A step frees each chunk tape once its
+    gradients are out, so at most two are alive, one per thread (about 59
+    MB each on the L96 desk run), and none during the held-out loss, which
+    records no tape.
     """
     _keep_freed_heap()
     params = init.copy() if init is not None else mlp.init_params(d_in, d_out, cfg.seed)
@@ -344,11 +383,11 @@ def _fit(cfg, d_in, d_out, init, on_epoch, step, test_loss=None, on_checkpoint=N
     for epoch in range(1, cfg.epochs + 1):
         try:
             train_loss, grads = step(params, epoch)
+            opt_step(opt, plist, grads)
+            held_out = test_loss(params, epoch) if test_loss else None
         except BlowupError as e:
             e.epoch = epoch
             raise
-        opt_step(opt, plist, grads)
-        held_out = test_loss(params, epoch) if test_loss else None
         result.history.append((epoch, train_loss, held_out))
         if on_checkpoint and cfg.checkpoint_every and epoch % cfg.checkpoint_every == 0:
             on_checkpoint(epoch, params.copy())
@@ -359,7 +398,10 @@ def _fit(cfg, d_in, d_out, init, on_epoch, step, test_loss=None, on_checkpoint=N
 
 def train(trajs, cfg, rhs_builder, d_in, d_out, init=None, on_epoch=None, on_checkpoint=None):
     """Full loop: sample, record, backward, update; held-out loss every
-    cfg.test_every epochs on freshly sampled windows from the test range."""
+    cfg.test_every epochs, and at the last, on freshly sampled windows from
+    the test range, in the chunks the step takes (``held_out_loss``).  A
+    held-out blowup is labelled ``held-out windows``, and its sample is the
+    row of the held-out batch."""
     train_rng, test_rng = split_ranges(trajs, cfg)
     stride = _stride(cfg.dt, trajs[0].dt)
     # drop held-out ranges too short to hold one window
@@ -380,7 +422,11 @@ def train(trajs, cfg, rhs_builder, d_in, d_out, init=None, on_epoch=None, on_che
             tb = sample_windows(
                 trajs, cfg, epoch_seed=[cfg.seed, 202, epoch], ranges=test_rng
             )
-            return rollout_loss_value(params, tb, rhs_builder, cfg.tableau)
+            try:
+                return held_out_loss(params, tb, rhs_builder, cfg.tableau, chunks)
+            except BlowupError as e:
+                e.run = "held-out windows"
+                raise
         return None
 
     return _fit(cfg, d_in, d_out, init, on_epoch, step, test_loss, on_checkpoint)

@@ -1,8 +1,8 @@
-"""A training step runs fixed chunks of windows, the odd ones on a thread
-that lives for the step; its loss and gradients are the same bytes on one
-CPU as on two.
+"""A training step and the held-out loss run fixed chunks of windows, the
+odd ones on a thread that lives for the call; their losses and gradients
+are the same bytes on one CPU as on two.
 
-These tests also run under ``taskset -c 0``, where a step starts no thread.
+These tests also run under ``taskset -c 0``, where neither starts a thread.
 """
 
 import ctypes
@@ -88,6 +88,32 @@ def test_chunks_sum_their_weighted_parts_in_order(monkeypatch):
         assert np.abs(g - w).max() <= 1e-14 * np.abs(w).max()
 
 
+@pytest.mark.parametrize("experiment", ["l96", "cd", "burgers"])
+def test_a_one_chunk_held_out_loss_is_rollout_loss_value(experiment):
+    batch, builder, params = experiments.window_problem(experiment, seed=2)
+    want = np.float64(training.rollout_loss_value(params, batch, builder, "rk4")).tobytes()
+    assert np.float64(training.held_out_loss(params, batch, builder, "rk4")).tobytes() == want
+
+
+def test_held_out_chunks_sum_their_weighted_parts_in_order(monkeypatch):
+    # windows 0, 1 and 2:4 of a batch of 4, each weighted by its share
+    batch, builder, params = experiments.window_problem("cd", seed=4)
+    loss = None
+    for lo, hi in ((0, 1), (1, 2), (2, 4)):
+        part = training.WindowBatch(batch.x0[lo:hi], batch.targets[:, lo:hi], batch.dt)
+        part_loss = training.rollout_loss_value(params, part, builder, "rk4") * ((hi - lo) / 4)
+        loss = part_loss if loss is None else loss + part_loss
+    want = np.float64(loss).tobytes()
+    got = training.held_out_loss(params, batch, builder, "rk4", chunks=3)
+    assert np.float64(got).tobytes() == want
+    monkeypatch.setattr(training, "_two_cpus", lambda: False)
+    assert np.float64(training.held_out_loss(params, batch, builder, "rk4", chunks=3)).tobytes() \
+        == want
+    # and the whole batch's loss, to reassociation roundoff
+    whole = training.rollout_loss_value(params, batch, builder, "rk4")
+    assert abs(got - whole) <= 1e-15 * whole
+
+
 def _l96_desk_step():
     """An L96 desk batch (100 windows of 5 RK4 steps, per-component net on
     K = 36: four chunks), its right-hand side builder and a net."""
@@ -99,14 +125,14 @@ def _l96_desk_step():
     return trajs, cfg, builder, mlp.init_params(1, 1, seed=5)
 
 
-def _poison(monkeypatch, epoch, rows):
+def _poison(monkeypatch, epoch, rows, stream=101):
     """sample_windows, with rows[r] added to entry 0 of window r's initial
-    state in `epoch`'s training batch."""
+    state in `epoch`'s training batch (stream 101) or held-out batch (202)."""
     sample = training.sample_windows
 
     def poisoned(trajs, cfg, epoch_seed, ranges=None):
         batch = sample(trajs, cfg, epoch_seed, ranges)
-        if epoch_seed[1:] == [101, epoch]:
+        if epoch_seed[1:] == [stream, epoch]:
             for r, v in rows.items():
                 batch.x0[r, 0] += v
         return batch
@@ -123,6 +149,18 @@ def test_a_blowup_in_chunk_3_names_its_epoch_step_and_sample(monkeypatch):
     assert (err.epoch, err.step, err.stage, err.sample) == (2, 1, 0, 80)
     assert str(err) == ("training rollout blew up at epoch 2: non-finite or blown-up "
                         "value at stage 0 of step 1 (t=0.005), sample 80")
+
+
+def test_a_held_out_blowup_in_chunk_3_names_its_epoch_step_and_sample(monkeypatch):
+    trajs, cfg, builder, _ = _l96_desk_step()
+    cfg.split, cfg.test_every = 0.5, 1
+    _poison(monkeypatch, 2, {80: 1e100}, stream=202)  # window 5 of chunk 3
+    with pytest.raises(BlowupError) as e:
+        training.train(trajs, cfg, builder, 1, 1)
+    err = e.value
+    assert (err.epoch, err.step, err.stage, err.sample) == (2, 0, 0, 80)
+    assert str(err) == ("held-out windows: training rollout blew up at epoch 2: non-finite "
+                        "or blown-up value at stage 0 of step 0 (t=0), sample 80")
 
 
 # 1e4 blows up in step 1, 1e100 in step 0
@@ -249,9 +287,9 @@ def test_a_forked_child_steps_to_the_bytes_of_its_parent():
         child.kill()
 
 
-# One L96 desk training step in a fresh process with one BLAS thread;
-# prints the sha256 of the loss and gradients and whether a second thread
-# ran a chunk.
+# One L96 desk training step and held-out loss in a fresh process with one
+# BLAS thread; prints the chunk count, the sha256 of the loss, gradients and
+# held-out loss, and whether a second thread ran a chunk of each.
 _DESK_STEP = """
 import hashlib, os, sys, threading
 if sys.argv[1] == "one":
@@ -263,16 +301,21 @@ from sgnode import training
 trajs, cfg, builder, params = _l96_desk_step()
 batch = training.sample_windows(trajs, cfg, epoch_seed=[3, 101, 1, 0])
 chunks = training.chunk_count(batch, builder, params)
-idents, grads_of = set(), training._chunk_grads
-def chunk_grads(*args):
-    idents.add(threading.get_ident())
-    return grads_of(*args)
-training._chunk_grads = chunk_grads
+idents = {"_chunk_grads": set(), "_chunk_loss_value": set()}
+def logged(name, fn):
+    def run(*args):
+        idents[name].add(threading.get_ident())
+        return fn(*args)
+    return run
+for name in idents:
+    setattr(training, name, logged(name, getattr(training, name)))
 loss, grads = training.step_grads(params, batch, builder, "rk4", chunks)
 digest = hashlib.sha256(np.float64(loss).tobytes())
 for g in grads:
     digest.update(g.tobytes())
-print(chunks, digest.hexdigest(), len(idents) > 1)
+held_out = training.sample_windows(trajs, cfg, epoch_seed=[3, 202, 1, 0])
+digest.update(np.float64(training.held_out_loss(params, held_out, builder, "rk4", chunks)).tobytes())
+print(chunks, digest.hexdigest(), *(len(ids) > 1 for ids in idents.values()))
 """
 
 
@@ -281,15 +324,15 @@ def _desk_step(cpus):
                OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
     proc = subprocess.run([sys.executable, "-c", _DESK_STEP, cpus, str(Path(__file__).parent)],
                           env=env, capture_output=True, text=True, check=True)
-    chunks, digest, started = proc.stdout.split()
-    return int(chunks), digest, started == "True"
+    chunks, digest, *started = proc.stdout.split()
+    return int(chunks), digest, [flag == "True" for flag in started]
 
 
 def test_an_l96_desk_step_on_one_cpu_equals_the_step_on_two():
     one, two = _desk_step("one"), _desk_step("all")
     assert one[:2] == two[:2] and one[0] == 4
-    assert not one[2]  # one CPU starts no thread
-    assert two[2] == (len(os.sched_getaffinity(0)) > 1)
+    assert one[2] == [False, False]  # one CPU starts no thread
+    assert two[2] == [len(os.sched_getaffinity(0)) > 1] * 2
 
 
 def _openblas_threads():
